@@ -25,6 +25,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import CrossCheckViolation, DegenerateEmpty, NotDistanceRegular
 from .families import (
     build_dual_polar_D,
@@ -48,6 +50,7 @@ from .graphs import (
     is_isometric_subgraph,
     is_regular,
     max_clique_order,
+    vertex_mask,
 )
 from .spectral import (
     VertexFunction,
@@ -72,11 +75,9 @@ class Bitrade:
             raise ValueError("both trades must be nonempty")
         if self.t0 & self.t1:
             raise ValueError("trades must be disjoint")
-        adj = self.host.adj_sets
         for side, name in ((self.t0, "T0"), (self.t1, "T1")):
-            for v in side:
-                if adj[v] & side:
-                    raise ValueError(f"{name} is not an independent set")
+            if vertex_mask(self.host, side)[self.host.neighbors_of(list(side))].any():
+                raise ValueError(f"{name} is not an independent set")
 
     @property
     def cardinality(self) -> int:
@@ -153,13 +154,14 @@ def verify_delsarte_pair(g: Graph, S: CliqueSystem, host_array=None,
 
 def check_criterion_a(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
     """Every clique meets each of T0 and T1 exactly once, or misses both."""
-    for ci, clique in enumerate(S.cliques):
-        hits0 = sum(1 for v in clique if v in T.t0)
-        hits1 = sum(1 for v in clique if v in T.t1)
-        if (hits0, hits1) not in ((0, 0), (1, 1)):
-            members = sorted(g.labels[v] for v in clique)
-            return Verdict(False, witness=(ci, members, hits0, hits1),
-                           detail="clique meets the trades unevenly")
+    hits0 = vertex_mask(g, T.t0)[S.cliques].sum(axis=1)
+    hits1 = vertex_mask(g, T.t1)[S.cliques].sum(axis=1)
+    bad = np.flatnonzero((hits0 != hits1) | (hits0 > 1))
+    if bad.size:
+        ci = int(bad[0])
+        members = sorted(g.labels[v] for v in S.cliques[ci].tolist())
+        return Verdict(False, witness=(ci, members, int(hits0[ci]), int(hits1[ci])),
+                       detail="clique meets the trades unevenly")
     return Verdict(True)
 
 
@@ -446,35 +448,41 @@ def corrupt_one_vertex(T: Bitrade, rng: random.Random) -> Bitrade:
     Moving a vertex to a neighbor is preferred, but in tight hosts (the
     triple graph on six points, the octahedron) no single move preserves
     independence; then a non-neighbor move, a one-vertex addition, or a
-    one-vertex drop is used instead."""
-    adj = T.host.adj_sets
-    support = T.support
-    n = T.host.num_vertices
+    one-vertex drop is used instead.
+
+    Moves are rows (side, v, u), -1 standing for no vertex; each pool lists
+    T0's moves, then T1's, by v and then u ascending.  A vertex u outside
+    the support may replace v when v is its only neighbor in the side (a
+    neighbor move) or when it has none (any other move, or an addition)."""
+    host = T.host
+    free = ~vertex_mask(host, T.support)
     neighbor_moves, other_moves, adds, drops = [], [], [], []
-    for side_name, side in (("t0", T.t0), ("t1", T.t1)):
-        for v in sorted(side):
-            rest = side - {v}
-            for u in range(n):
-                if u in support or (adj[u] & rest):
-                    continue
-                pool = neighbor_moves if u in adj[v] else other_moves
-                pool.append((side_name, v, u))
-        for u in range(n):
-            if u not in support and not (adj[u] & side):
-                adds.append((side_name, None, u))
-        if len(side) >= 2:
-            drops.extend((side_name, v, None) for v in sorted(side))
+    for which, side in enumerate((T.t0, T.t1)):
+        vs = np.array(sorted(side), dtype=np.int64)
+        nbrs = host.neighbors_of(vs)
+        owners = np.repeat(vs, host.degrees[vs])
+        side_nbrs = np.bincount(nbrs, minlength=host.num_vertices)
+        near = free[nbrs] & (side_nbrs[nbrs] == 1)
+        lonely = np.flatnonzero(free & (side_nbrs == 0))
+        neighbor_moves.append(_moves(which, owners[near], nbrs[near]))
+        other_moves.append(_moves(which, np.repeat(vs, lonely.size), np.tile(lonely, vs.size)))
+        adds.append(_moves(which, np.full_like(lonely, -1), lonely))
+        dropped = vs if vs.size >= 2 else vs[:0]
+        drops.append(_moves(which, dropped, np.full_like(dropped, -1)))
     for pool in (neighbor_moves, other_moves + adds, drops):
-        if pool:
-            side_name, v, u = pool[rng.randrange(len(pool))]
-            t0, t1 = set(T.t0), set(T.t1)
-            side = t0 if side_name == "t0" else t1
-            if v is not None:
-                side.discard(v)
-            if u is not None:
-                side.add(u)
-            return Bitrade(T.host, frozenset(t0), frozenset(t1))
+        pool = np.concatenate(pool)
+        if len(pool):
+            which, v, u = pool[rng.randrange(len(pool))].tolist()
+            sides = [set(T.t0), set(T.t1)]
+            sides[which].discard(v)
+            if u >= 0:
+                sides[which].add(u)
+            return Bitrade(host, frozenset(sides[0]), frozenset(sides[1]))
     raise RuntimeError("no admissible one-vertex corruption exists")
+
+
+def _moves(which: int, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return np.stack([np.full(v.size, which), v, u], axis=1)
 
 
 # --- clique designs --------------------------------------------------------------------
@@ -486,11 +494,12 @@ def check_clique_design(g: Graph, S: CliqueSystem, dset) -> Verdict:
     D = set(int(v) for v in dset)
     if not D:
         return Verdict(False, detail="empty set is not a design")
-    for ci, clique in enumerate(S.cliques):
-        hits = sum(1 for v in clique if v in D)
-        if hits != 1:
-            return Verdict(False, witness=(ci, hits),
-                           detail="clique not met exactly once")
+    hits = vertex_mask(g, D)[S.cliques].sum(axis=1)
+    bad = np.flatnonzero(hits != 1)
+    if bad.size:
+        ci = int(bad[0])
+        return Verdict(False, witness=(ci, int(hits[ci])),
+                       detail="clique not met exactly once")
     if len(D) < g.num_vertices:
         cr = completely_regular_check(g, D)
         k = is_regular(g).value

@@ -12,7 +12,9 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .errors import CliquesNotDelsarte, EnumerationTooLarge
+import numpy as np
+
+from .errors import CliquesNotDelsarte, CrossCheckViolation, EnumerationTooLarge
 from .gfq import (
     DEFAULT_ENUMERATION_CAP,
     enumerate_subspaces,
@@ -22,12 +24,22 @@ from .gfq import (
     make_field,
     subspace_hyperplanes,
 )
-from .graphs import CliqueSystem, Graph, IntersectionArray
+from .graphs import CliqueSystem, Graph, IntersectionArray, clique_pairs
 
 
 def _guard(count: int, cap: int, what: str):
     if count > cap:
         raise EnumerationTooLarge(f"{what}: {count} vertices exceeds cap {cap}")
+
+
+def _host_with_cliques(labels, rows, s: int, m: int, family: str,
+                       params: tuple) -> tuple[Graph, CliqueSystem]:
+    """The clique system with each row sorted and the rows in lexicographic
+    order, and the host whose edges are the within-clique pairs."""
+    cliques = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
+    cliques = cliques[np.lexsort(cliques.T[::-1])]
+    g = Graph(labels, clique_pairs(cliques).reshape(-1, 2), family=family, params=params)
+    return g, CliqueSystem(g, cliques, s=s, m=m)
 
 
 # --- octahedron -------------------------------------------------------------
@@ -40,14 +52,9 @@ def build_octahedron(n: int) -> tuple[Graph, CliqueSystem]:
         raise ValueError("need n >= 2")
     labels = sorted(f"{i}{s}" for i in range(n) for s in "+-")
     idx = {lab: i for i, lab in enumerate(labels)}
-    edges = [(i, j) for i, j in itertools.combinations(range(2 * n), 2)
-             if labels[i].rstrip("+-") != labels[j].rstrip("+-")]
-    g = Graph(labels, edges, family="octahedron", params=(n,))
-    cliques = []
-    for signs in itertools.product("+-", repeat=n):
-        cliques.append(tuple(sorted(idx[f"{i}{s}"] for i, s in enumerate(signs))))
-    S = CliqueSystem(g, tuple(sorted(cliques)), s=n - 1, m=2 ** (n - 2))
-    return g, S
+    cliques = [[idx[f"{i}{s}"] for i, s in enumerate(signs)]
+               for signs in itertools.product("+-", repeat=n)]
+    return _host_with_cliques(labels, cliques, n - 1, 2 ** (n - 2), "octahedron", (n,))
 
 
 def octahedron_array(n: int) -> IntersectionArray:
@@ -66,17 +73,9 @@ def build_hamming(n: int, q: int,
     labels = ["".join(str(d) for d in w)
               for w in itertools.product(range(q), repeat=n)]
     idx = {lab: i for i, lab in enumerate(labels)}
-    edges = set()
-    cliques = []
-    for lab in labels:
-        for pos in range(n):
-            line = sorted(idx[lab[:pos] + str(v) + lab[pos + 1:]] for v in range(q))
-            if idx[lab] == line[0]:
-                cliques.append(tuple(line))
-                edges.update(itertools.combinations(line, 2))
-    g = Graph(labels, sorted(edges), family="hamming", params=(n, q))
-    S = CliqueSystem(g, tuple(sorted(cliques)), s=q - 1, m=1)
-    return g, S
+    cliques = [[idx[lab[:pos] + str(v) + lab[pos + 1:]] for v in range(q)]
+               for lab in labels for pos in range(n) if lab[pos] == "0"]
+    return _host_with_cliques(labels, cliques, q - 1, 1, "hamming", (n, q))
 
 
 def hamming_array(n: int, q: int) -> IntersectionArray:
@@ -101,16 +100,9 @@ def build_johnson(n: int, w: int,
     points = range(1, n + 1)
     labels = sorted(johnson_label(s) for s in itertools.combinations(points, w))
     idx = {lab: i for i, lab in enumerate(labels)}
-    edges = set()
-    cliques = []
-    for core in itertools.combinations(points, w - 1):
-        members = sorted(idx[johnson_label(core + (x,))]
-                         for x in points if x not in core)
-        cliques.append(tuple(members))
-        edges.update(itertools.combinations(members, 2))
-    g = Graph(labels, sorted(edges), family="johnson", params=(n, w))
-    S = CliqueSystem(g, tuple(sorted(cliques)), s=n - w, m=1)
-    return g, S
+    cliques = [[idx[johnson_label(core + (x,))] for x in points if x not in core]
+               for core in itertools.combinations(points, w - 1)]
+    return _host_with_cliques(labels, cliques, n - w, 1, "johnson", (n, w))
 
 
 def johnson_array(n: int, w: int) -> IntersectionArray:
@@ -137,22 +129,13 @@ def build_halved_cube(n: int, check_delsarte: bool = True,
                     for w in itertools.product((0, 1), repeat=n)
                     if sum(w) % 2 == 0)
     idx = {lab: i for i, lab in enumerate(labels)}
-    edges = set()
     cliques = []
-    for w in itertools.product((0, 1), repeat=n):
-        if sum(w) % 2 == 0:
-            continue
-        members = []
-        for pos in range(n):
-            flipped = list(w)
-            flipped[pos] ^= 1
-            members.append(idx["".join(str(b) for b in flipped)])
-        members.sort()
-        cliques.append(tuple(members))
-        edges.update(itertools.combinations(members, 2))
-    g = Graph(labels, sorted(edges), family="halved_cube", params=(n,))
-    S = CliqueSystem(g, tuple(sorted(cliques)), s=n - 1, m=2)
-    return g, S
+    for w in itertools.product("01", repeat=n):
+        if w.count("1") % 2 == 1:
+            word = "".join(w)
+            cliques.append([idx[word[:pos] + "10"[int(b)] + word[pos + 1:]]
+                            for pos, b in enumerate(word)])
+    return _host_with_cliques(labels, cliques, n - 1, 2, "halved_cube", (n,))
 
 
 def halved_cube_array(n: int) -> IntersectionArray:
@@ -220,12 +203,20 @@ def doob_array(m: int, n: int) -> IntersectionArray:
 
 # --- Grassmann ----------------------------------------------------------------
 
-def _edges_from_buckets(buckets: dict) -> list[tuple[int, int]]:
-    edges = []
-    for key in sorted(buckets):
-        members = sorted(buckets[key])
-        edges.extend(itertools.combinations(members, 2))
-    return edges
+def _hyperplane_buckets(subs, labels, size: int) -> list[list[int]]:
+    """Vertex indices grouped by the (d-1)-subspaces they contain, one
+    bucket per (d-1)-subspace; every bucket must hold exactly size vertices."""
+    idx = {lab: i for i, lab in enumerate(labels)}
+    buckets: dict[str, list[int]] = {}
+    for s in subs:
+        vi = idx[s.label()]
+        for h in subspace_hyperplanes(s):
+            buckets.setdefault(h.label(), []).append(vi)
+    for key, members in buckets.items():
+        if len(members) != size:
+            raise CrossCheckViolation(
+                f"(d-1)-subspace {key} lies in {len(members)} vertices, expected {size}")
+    return list(buckets.values())
 
 
 def build_grassmann(n: int, d: int, q: int,
@@ -242,20 +233,10 @@ def build_grassmann(n: int, d: int, q: int,
     _guard(count, cap, f"grassmann({n},{d},{q})")
     subs = enumerate_subspaces(n, d, field, cap=cap)
     labels = sorted(s.label() for s in subs)
-    idx = {lab: i for i, lab in enumerate(labels)}
-    buckets: dict[str, list[int]] = {}
-    for s in subs:
-        vi = idx[s.label()]
-        for h in subspace_hyperplanes(s):
-            buckets.setdefault(h.label(), []).append(vi)
     clique_order = gaussian_binomial(n - d + 1, 1, q)
-    for key, members in buckets.items():
-        assert len(members) == clique_order, key
-    g = Graph(labels, _edges_from_buckets(buckets),
-              family="grassmann", params=(n, d, q))
-    cliques = tuple(sorted(tuple(sorted(buckets[k])) for k in buckets))
-    S = CliqueSystem(g, cliques, s=clique_order - 1, m=1)
-    return g, S
+    buckets = _hyperplane_buckets(subs, labels, clique_order)
+    return _host_with_cliques(labels, buckets, clique_order - 1, 1,
+                              "grassmann", (n, d, q))
 
 
 def grassmann_array(n: int, d: int, q: int) -> IntersectionArray:
@@ -282,15 +263,7 @@ def build_dual_polar_D(d: int, q: int,
     vertices = [s for s in enumerate_subspaces(2 * d, d, field, cap=cap)
                 if is_totally_isotropic(s, form)]
     labels = sorted(s.label() for s in vertices)
-    idx = {lab: i for i, lab in enumerate(labels)}
-    buckets: dict[str, list[int]] = {}
-    for s in vertices:
-        vi = idx[s.label()]
-        for h in subspace_hyperplanes(s):
-            buckets.setdefault(h.label(), []).append(vi)
-    for key, members in buckets.items():
-        assert len(members) == 2, key
-    return Graph(labels, _edges_from_buckets(buckets),
+    return Graph(labels, _hyperplane_buckets(vertices, labels, 2),
                  family="dual_polar_D", params=(d, q))
 
 
@@ -309,38 +282,19 @@ class FamilySpec:
     name: str
     arity: int
     build: object                 # params -> Graph | (Graph, CliqueSystem)
-    array: object | None          # params -> IntersectionArray
-    theta_min: object | None      # params -> int
-    has_cliques: bool
+    array: object                 # params -> IntersectionArray
 
 
 FAMILIES = {
-    "octahedron": FamilySpec(
-        "octahedron", 1, build_octahedron,
-        lambda n: octahedron_array(n), lambda n: -2, True),
-    "hamming": FamilySpec(
-        "hamming", 2, build_hamming,
-        lambda n, q: hamming_array(n, q), lambda n, q: -n, True),
-    "johnson": FamilySpec(
-        "johnson", 2, build_johnson,
-        lambda n, w: johnson_array(n, w), lambda n, w: -w, True),
-    "halved_cube": FamilySpec(
-        "halved_cube", 1, build_halved_cube,
-        lambda n: halved_cube_array(n), lambda n: -(n // 2), True),
-    "shrikhande": FamilySpec(
-        "shrikhande", 0, build_shrikhande,
-        lambda: doob_array(1, 0), lambda: -2, False),
-    "doob": FamilySpec(
-        "doob", 2, build_doob,
-        lambda m, n: doob_array(m, n), lambda m, n: -(2 * m + n), False),
-    "grassmann": FamilySpec(
-        "grassmann", 3, build_grassmann,
-        lambda n, d, q: grassmann_array(n, d, q),
-        lambda n, d, q: -gaussian_binomial(d, 1, q), True),
-    "dual_polar_D": FamilySpec(
-        "dual_polar_D", 2, build_dual_polar_D,
-        lambda d, q: dual_polar_array(d, q),
-        lambda d, q: -gaussian_binomial(d, 1, q), False),
+    "octahedron": FamilySpec("octahedron", 1, build_octahedron, octahedron_array),
+    "hamming": FamilySpec("hamming", 2, build_hamming, hamming_array),
+    "johnson": FamilySpec("johnson", 2, build_johnson, johnson_array),
+    "halved_cube": FamilySpec("halved_cube", 1, build_halved_cube, halved_cube_array),
+    "shrikhande": FamilySpec("shrikhande", 0, build_shrikhande,
+                             lambda: doob_array(1, 0)),
+    "doob": FamilySpec("doob", 2, build_doob, doob_array),
+    "grassmann": FamilySpec("grassmann", 3, build_grassmann, grassmann_array),
+    "dual_polar_D": FamilySpec("dual_polar_D", 2, build_dual_polar_D, dual_polar_array),
 }
 
 
@@ -369,7 +323,4 @@ def build_family(name: str, params: tuple[int, ...], cap: int | None = None):
 
 
 def family_array(name: str, params: tuple[int, ...]) -> IntersectionArray:
-    spec = FAMILIES[name]
-    if spec.array is None:
-        raise ValueError(f"no closed-form array for {name}")
-    return spec.array(*params)
+    return FAMILIES[name].array(*params)

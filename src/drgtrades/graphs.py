@@ -24,9 +24,6 @@ from .errors import CliqueSearchTooLarge, Disconnected
 # per-source BFS.
 DENSE_DISTANCE_CAP = 4096
 
-# Below this size plain deque BFS beats numpy set-up costs.
-_SMALL_BFS = 1024
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -46,7 +43,8 @@ class Graph:
 
     Vertex order is the label order handed in by the constructor; family
     builders always pass labels sorted, so indices are reproducible across
-    runs and serializations are byte-identical.
+    runs and serializations are byte-identical.  Adjacency is stored once,
+    as CSR arrays: the neighbors of v are _flat[_off[v]:_off[v + 1]], sorted.
     """
 
     def __init__(self, labels, edges, family=None, params=None):
@@ -66,16 +64,13 @@ class Graph:
             raise ValueError("edge endpoint out of range")
         if (e[:, 0] == e[:, 1]).any():
             raise ValueError("loops are not allowed")
-        und = np.concatenate([e, e[:, ::-1]]) if e.size else e
-        keys = np.unique(und[:, 0] * n + und[:, 1]) if und.size else und[:, 0]
+        und = np.concatenate([e, e[:, ::-1]])
+        keys = np.sort(und[:, 0] * n + und[:, 1])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
         self._flat = (keys % n).astype(np.int32)
-        heads = (keys // n).astype(np.int64)
-        self._off = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self._off, heads + 1, 1)
-        np.cumsum(self._off, out=self._off)
+        self._off = np.searchsorted(keys, np.arange(n + 1) * n)
         self._degrees = np.diff(self._off)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._adj_sets = None
         self._dm = None
 
     # -- basic accessors ------------------------------------------------
@@ -98,70 +93,47 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self._flat[self._off[v]:self._off[v + 1]]
 
-    @property
-    def adj_sets(self) -> list:
-        if self._adj_sets is None:
-            self._adj_sets = [frozenset(self.neighbors(v).tolist())
-                              for v in range(self.num_vertices)]
-        return self._adj_sets
+    def neighbors_of(self, vs: np.ndarray) -> np.ndarray:
+        """The neighbor rows of the vertices vs, concatenated in that order."""
+        lens = self._degrees[vs]
+        starts = self._off[vs] - (np.cumsum(lens) - lens)
+        return self._flat[np.repeat(starts, lens) + np.arange(int(lens.sum()))]
 
     def index_of(self, label: str) -> int:
         return self._index[label]
 
+    def edge_array(self) -> np.ndarray:
+        """Edge pairs (i, j) with i < j as an (E, 2) array, lexicographically
+        sorted."""
+        heads = np.repeat(np.arange(self.num_vertices), self._degrees)
+        up = heads < self._flat
+        return np.stack([heads[up], self._flat[up]], axis=1)
+
     def edges(self):
         """Edge pairs (i, j) with i < j, lexicographically sorted."""
-        for u in range(self.num_vertices):
-            for v in self.neighbors(u).tolist():
-                if u < v:
-                    yield (u, int(v))
+        e = self.edge_array()
+        return zip(e[:, 0].tolist(), e[:, 1].tolist())
 
     # -- distances --------------------------------------------------------
 
-    def _bfs_deque(self, sources) -> np.ndarray:
-        dist = np.full(self.num_vertices, -1, dtype=np.int32)
-        dq = deque()
-        for s in sources:
-            dist[s] = 0
-            dq.append(s)
-        flat, off = self._flat, self._off
-        while dq:
-            u = dq.popleft()
-            du1 = dist[u] + 1
-            for v in flat[off[u]:off[u + 1]].tolist():
-                if dist[v] < 0:
-                    dist[v] = du1
-                    dq.append(v)
-        return dist
-
-    def _bfs_numpy(self, sources) -> np.ndarray:
-        dist = np.full(self.num_vertices, -1, dtype=np.int32)
-        frontier = np.asarray(sorted(set(sources)), dtype=np.int64)
-        dist[frontier] = 0
-        level = 0
-        flat, off, deg = self._flat, self._off, self._degrees
-        while frontier.size:
-            lens = deg[frontier]
-            total = int(lens.sum())
-            if total == 0:
-                break
-            starts = off[frontier]
-            before = np.concatenate(([0], np.cumsum(lens)[:-1]))
-            idx = np.repeat(starts - before, lens) + np.arange(total)
-            nbrs = np.unique(flat[idx])
-            new = nbrs[dist[nbrs] < 0]
-            level += 1
-            dist[new] = level
-            frontier = new.astype(np.int64)
-        return dist
-
     def multi_source_distances(self, sources) -> np.ndarray:
-        """Distances from a vertex set; -1 marks unreachable vertices."""
+        """Distances from a vertex set; -1 marks unreachable vertices.
+
+        Level-synchronous BFS: each level gathers the frontier's CSR rows and
+        keeps the unreached vertices, deduplicated by the mask dist == level."""
         sources = list(sources)
         if not sources:
             raise ValueError("empty source set")
-        if self.num_vertices <= _SMALL_BFS:
-            return self._bfs_deque(sources)
-        return self._bfs_numpy(sources)
+        dist = np.full(self.num_vertices, -1, dtype=np.int32)
+        dist[sources] = 0
+        frontier = np.flatnonzero(dist == 0)
+        level = 0
+        while frontier.size:
+            nbrs = self.neighbors_of(frontier)
+            level += 1
+            dist[nbrs[dist[nbrs] < 0]] = level
+            frontier = np.flatnonzero(dist == level)
+        return dist
 
     def distances_from(self, x: int) -> np.ndarray:
         if self._dm is not None:
@@ -280,19 +252,25 @@ class IntersectionArray:
         return f"({bs};{cs})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CliqueSystem:
-    """A set of (s+1)-cliques covering every host edge exactly m times."""
+    """A set of (s+1)-cliques covering every host edge exactly m times.
+
+    The cliques are stored as one (N, s+1) integer array, one clique per
+    row; any rectangular sequence of rows is accepted."""
 
     host: Graph
-    cliques: tuple[tuple[int, ...], ...]
+    cliques: np.ndarray
     s: int
     m: int
 
     def __post_init__(self):
-        for c in self.cliques:
-            if len(c) != self.s + 1:
-                raise ValueError("clique of wrong size in system")
+        try:
+            rows = np.asarray(self.cliques, dtype=np.int64).reshape(
+                len(self.cliques), self.s + 1)
+        except ValueError:
+            raise ValueError("clique of wrong size in system") from None
+        object.__setattr__(self, "cliques", rows)
 
     def __repr__(self):
         return f"CliqueSystem({len(self.cliques)} cliques of size {self.s + 1}, m={self.m})"
@@ -311,6 +289,13 @@ def is_regular(g: Graph) -> Verdict:
         return Verdict(False, witness=(g.labels[v], int(degs[v]), k),
                        detail="degree deviates from vertex 0")
     return Verdict(True, value=k)
+
+
+def vertex_mask(g: Graph, vertices) -> np.ndarray:
+    """Boolean indicator of a vertex set over the vertices of g."""
+    out = np.zeros(g.num_vertices, dtype=bool)
+    out[list(vertices)] = True
+    return out
 
 
 def induced_subgraph(g: Graph, verts) -> tuple[Graph, list[int]]:
@@ -471,33 +456,49 @@ def distance_regularity_check(g: Graph) -> Verdict:
     return Verdict(True, value=common)
 
 
+def clique_pairs(cliques: np.ndarray) -> np.ndarray:
+    """The vertex pairs inside each row of an (N, s+1) array, as an
+    (N, s(s+1)/2, 2) array; pairs of a row come in lexicographic position
+    order, (0,1), (0,2), ..., (1,2), ..."""
+    i, j = np.triu_indices(cliques.shape[1], 1)
+    return np.stack([cliques[:, i], cliques[:, j]], axis=2)
+
+
 def verify_clique_system(g: Graph, S: CliqueSystem) -> Verdict:
-    """Checks clique-ness, uniform size s+1, and exact edge multiplicity m."""
-    adj = g.adj_sets
-    counts = {}
-    for ci, clique in enumerate(S.cliques):
-        if len(set(clique)) != S.s + 1:
+    """Checks clique-ness, uniform size s+1, and exact edge multiplicity m.
+
+    Within-clique pairs are looked up in the sorted keys u*n+v (u < v) of
+    the host's edges; edge multiplicities are their bincount."""
+    n = g.num_vertices
+    rows = np.sort(S.cliques, axis=1)
+    pairs = clique_pairs(rows)
+    keys = pairs[..., 0] * n + pairs[..., 1]
+    edges = g.edge_array()
+    edge_keys = edges[:, 0] * n + edges[:, 1]
+    pos = np.searchsorted(edge_keys, keys)
+    is_edge = np.append(edge_keys, -1)[pos] == keys
+    repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    bad = repeated | ~is_edge.all(axis=1)
+    if bad.any():
+        ci = int(np.argmax(bad))
+        if repeated[ci]:
             return Verdict(False, witness=ci, detail="clique of wrong size")
-        cl = sorted(clique)
-        for i, u in enumerate(cl):
-            for v in cl[i + 1:]:
-                if v not in adj[u]:
-                    return Verdict(False, witness=(ci, g.labels[u], g.labels[v]),
-                                   detail="clique contains a non-edge")
-                counts[(u, v)] = counts.get((u, v), 0) + 1
-    for u, v in g.edges():
-        got = counts.pop((u, v), 0)
-        if got != S.m:
-            return Verdict(False, witness=(g.labels[u], g.labels[v], got, S.m),
-                           detail="edge multiplicity mismatch")
-    assert not counts
-    return Verdict(True, value=(g.degrees[0] if g.num_vertices else 0, S.s, S.m))
+        u, v = pairs[ci, int(np.argmin(is_edge[ci]))].tolist()
+        return Verdict(False, witness=(ci, g.labels[u], g.labels[v]),
+                       detail="clique contains a non-edge")
+    got = np.bincount(pos.ravel(), minlength=len(edge_keys))
+    wrong = np.flatnonzero(got != S.m)
+    if wrong.size:
+        u, v = edges[wrong[0]].tolist()
+        return Verdict(False, witness=(g.labels[u], g.labels[v], int(got[wrong[0]]), S.m),
+                       detail="edge multiplicity mismatch")
+    return Verdict(True, value=(int(g.degrees[0]) if n else 0, S.s, S.m))
 
 
 def max_clique_order(g: Graph, node_budget: int = 2_000_000) -> int:
     """Exact maximum clique cardinality via branch and bound with a greedy
     coloring bound.  Raises CliqueSearchTooLarge past the node budget."""
-    adj = g.adj_sets
+    adj = [frozenset(g.neighbors(v).tolist()) for v in range(g.num_vertices)]
     best = 0
     nodes = 0
 
@@ -545,5 +546,5 @@ def graph_to_json(g: Graph) -> dict:
         "family": g.family,
         "params": list(g.params) if g.params is not None else None,
         "vertices": list(g.labels),
-        "edges": [[u, v] for u, v in g.edges()],
+        "edges": g.edge_array().tolist(),
     }

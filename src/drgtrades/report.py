@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
 
+import numpy as np
+
 from .bitrades import (
     check_criterion_a,
     check_criterion_b,
@@ -47,6 +49,7 @@ from .graphs import (
     distance_regularity_check,
     is_regular,
     verify_clique_system,
+    vertex_mask,
 )
 from .spectral import (
     delta_function,
@@ -169,11 +172,11 @@ def _criterion_4():
         rep = verify_bitrade(g, S, T, host_array=arr)
         _check(rep.all_pass and rep.minimal and rep.cardinality == 6,
                f"pipeline at n={n}")
-        # the trade subgraph is complete bipartite on 3+3
+        # the trade subgraph is complete bipartite on 3+3: the neighbor rows
+        # of T0 hold every vertex of T1
         _check(len(T.t0) == 3 and len(T.t1) == 3, "sides 3+3")
-        adj = g.adj_sets
-        for u in T.t0:
-            _check(T.t1 <= adj[u], "complete bipartite")
+        hits = vertex_mask(g, T.t1)[g.neighbors_of(list(T.t0))].sum()
+        _check(hits == len(T.t0) * len(T.t1), "complete bipartite")
     return "6-vertex bitrade is complete bipartite 3+3 in both ambients"
 
 
@@ -311,20 +314,23 @@ def _criterion_11():
 
 
 def _si_constancy(name, params):
+    """Every clique lies in two adjacent distance shells of every vertex x,
+    meeting them in numbers that depend only on the nearer distance i.
+    Pairs (x, clique) are scanned x-major, as the first failure is reported."""
     g, S = _pair(name, *params)
-    by_i = {}
-    for x in range(g.num_vertices):
-        dist = g.distances_from(x)
-        for clique in S.cliques:
-            ds = sorted({int(dist[v]) for v in clique})
-            i = ds[0]
-            same = sum(1 for v in clique if dist[v] == i)
-            nxt = sum(1 for v in clique if dist[v] == i + 1)
-            _check(same + nxt == len(clique),
-                   f"{name}: clique spans more than two shells")
-            key = by_i.setdefault(i, (same, nxt))
-            _check(key == (same, nxt),
-                   f"{name}: intersection constants vary at distance {i}")
+    dist = np.stack([g.distances_from(x) for x in range(g.num_vertices)])
+    D = dist[:, S.cliques].reshape(-1, S.s + 1)       # one row per (x, clique)
+    near = D.min(axis=1)
+    same = (D == near[:, None]).sum(axis=1)
+    nxt = (D == near[:, None] + 1).sum(axis=1)
+    levels, first = np.unique(near, return_index=True)
+    at = np.searchsorted(levels, near)
+    spans = same + nxt != S.s + 1
+    varies = (same != same[first][at]) | (nxt != nxt[first][at])
+    bad = np.flatnonzero(spans | varies)
+    if bad.size:
+        _check(not spans[bad[0]], f"{name}: clique spans more than two shells")
+        _check(False, f"{name}: intersection constants vary at distance {int(near[bad[0]])}")
 
 
 def _criterion_12():

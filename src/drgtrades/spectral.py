@@ -30,6 +30,7 @@ from .graphs import (
     completely_regular_check,
     is_regular,
     segment_sums,
+    vertex_mask,
 )
 
 
@@ -281,12 +282,11 @@ def clique_sum_characterization(g: Graph, S: CliqueSystem,
     independently so callers can cross-check them."""
     k = is_regular(g).value
     th = Fraction(-k, S.s)
-    sums = Verdict(True)
-    for ci, clique in enumerate(S.cliques):
-        acc = sum((f.values[v] for v in clique), Fraction(0))
-        if acc != 0:
-            sums = Verdict(False, witness=(ci, acc), detail="clique sum nonzero")
-            break
+    vals = np.array([Fraction(v) for v in f.values], dtype=object)
+    acc = vals[S.cliques].sum(axis=1)
+    bad = np.flatnonzero(acc != 0)
+    sums = Verdict(True) if not bad.size else Verdict(
+        False, witness=(int(bad[0]), acc[bad[0]]), detail="clique sum nonzero")
     eig = verify_eigenfunction(g, f, th)
     return CliqueSumReport(sums, eig, th)
 
@@ -323,9 +323,9 @@ def radius_one_cr_characterization(g: Graph, S: CliqueSystem,
         raise ValueError("B must be a proper nonempty subset")
     k = is_regular(g).value
     th = Fraction(-k, S.s)
-    meets = {len(Bset.intersection(c)) for c in S.cliques}
-    constant = len(meets) == 1
-    lam = meets.pop() if constant else None
+    meets = np.unique(vertex_mask(g, Bset)[S.cliques].sum(axis=1))
+    constant = meets.size == 1
+    lam = int(meets[0]) if constant else None
     cr = completely_regular_check(g, Bset)
     radius_one = bool(cr.ok and cr.value.rho == 1)
     has_theta = bool(cr.ok and is_matrix_eigenvalue(cr.value, th))

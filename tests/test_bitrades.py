@@ -137,6 +137,29 @@ def test_criteria_agree_under_corruption(maker):
         assert a.ok == b.ok == c.ok
 
 
+# First three draws of corrupt_one_vertex(T, random.Random(2024)) on the minimum
+# bitrade of each report._CORRUPTION_FAMILIES host, as (T0 labels, T1 labels).
+CORRUPTIONS_2024 = {
+    "octahedron": [(['0+', '0-'], ['1+']), (['0+'], ['1+', '1-']), (['0+', '0-'], ['1-'])],
+    "hamming": [(['000', '011', '101', '110'], ['001', '012', '100', '111']), (['000', '101', '110', '211'], ['001', '010', '100', '111']), (['000', '011', '101', '110'], ['001', '010', '100', '211'])],
+    "johnson": [(['1,3,5', '1,4,6', '2,3,6', '2,4,5'], ['1,3,6', '1,4,5', '2,3,5']), (['1,3,5', '1,4,6', '2,4,5'], ['1,3,6', '1,4,5', '2,3,5', '2,4,6']), (['1,3,5', '1,4,6', '2,3,6', '2,4,5'], ['1,4,5', '2,3,5', '2,4,6'])],
+    "halved_cube": [(['00000000', '00110011', '01010101', '01100110', '10011001', '10101010', '11001100', '11111111'], ['00001111', '00010001', '00100010', '01000100', '01110111', '10001000', '10111011', '11011101']), (['00000000', '00110011', '01010101', '01100110', '10011001', '11001100', '11010010', '11111111'], ['00010001', '00100010', '01000100', '01110111', '10001000', '10111011', '11011101', '11101110']), (['00000000', '00110011', '01010101', '01100110', '10011001', '10101010', '11001100', '11111111'], ['00010001', '01000100', '01110111', '10001000', '10110100', '10111011', '11011101', '11101110'])],
+    "grassmann": [(['0010/0001', '1000/0100', '1001/0110'], ['0100/0010', '1000/0001', '1010/0101']), (['0010/0001', '1001/0110', '1011/0111'], ['0100/0010', '1000/0001', '1100/0011']), (['0010/0001', '1000/0100', '1001/0110'], ['0101/0010', '1000/0001', '1100/0011'])],
+}
+
+
+def test_seeded_corruptions_are_pinned():
+    from drgtrades import report
+    for name, params, ctor in report._CORRUPTION_FAMILIES:
+        T = ctor(*params)
+        rng = random.Random(2024)
+        got = []
+        for _ in range(3):
+            bad = corrupt_one_vertex(T, rng)
+            got.append((bad.labels(bad.t0), bad.labels(bad.t1)))
+        assert got == CORRUPTIONS_2024[name], name
+
+
 # --- minimality / double Pasch --------------------------------------------------------
 
 def test_double_pasch_not_minimal_not_isometric():

@@ -2,12 +2,15 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+from drgtrades.bitrades import MIN_BITRADES, bitrade_to_json, corrupt_one_vertex
 from drgtrades.cli import main
+from drgtrades.families import parse_family
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +75,47 @@ def test_verify_corrupted_file_fails(tmp_path, capsys):
                         "--bitrade", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+# verify output for bitrade_to_json(corrupt_one_vertex(T, random.Random(5))),
+# T the minimum bitrade of the host; witnesses must print as plain Python ints
+CORRUPTED_VERIFY = [
+    ("johnson:6,3",
+     {"host": "johnson:6,3", "T0": ["1,3,5", "1,4,6", "2,3,6", "2,4,5"],
+      "T1": ["1,4,5", "2,3,5", "2,4,6"]},
+     "criterion a (clique intersections): FAIL (clique meets the trades unevenly;"
+     " witness (1, ['1,2,3', '1,3,4', '1,3,5', '1,3,6'], 1, 0))\n"
+     "criterion b (eigenfunction at -3): FAIL (neighbor sum mismatch;"
+     " witness ('1,2,3', Fraction(1, 1), Fraction(0, 1)))\n"
+     "criterion c (trade subgraph 3-regular): FAIL (trade subgraph degree mismatch;"
+     " witness ('1,3,5', 2, Fraction(3, 1)))\n"
+     "criteria agree: yes\n"
+     "overall: FAIL\n"),
+    ("grassmann:4,2,2",
+     {"host": "grassmann:4,2,2", "T0": ["0010/0001", "1000/0100", "1011/0110"],
+      "T1": ["0100/0010", "1000/0001", "1100/0011"]},
+     "criterion a (clique intersections): FAIL (clique meets the trades unevenly;"
+     " witness (8, ['1000/0001', '1001/0010', '1001/0011', '1001/0100', '1001/0101',"
+     " '1001/0110', '1001/0111'], 0, 1))\n"
+     "criterion b (eigenfunction at -3): FAIL (neighbor sum mismatch;"
+     " witness ('1000/0001', Fraction(2, 1), Fraction(3, 1)))\n"
+     "criterion c (trade subgraph 3-regular): FAIL (trade subgraph degree mismatch;"
+     " witness ('1000/0001', 2, Fraction(3, 1)))\n"
+     "criteria agree: yes\n"
+     "overall: FAIL\n"),
+]
+
+
+@pytest.mark.parametrize("family, doc, expected", CORRUPTED_VERIFY)
+def test_verify_corrupted_file_output_is_pinned(tmp_path, capsys, family, doc, expected):
+    name, params = parse_family(family)
+    bad = corrupt_one_vertex(MIN_BITRADES[name](*params), random.Random(5))
+    assert bitrade_to_json(bad) == doc
+    path = tmp_path / "corrupted.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "verify", "--family", family, "--bitrade", str(path))
+    assert code == 1
+    assert out == expected
 
 
 def test_verify_doob_pseudo(capsys):

@@ -2,11 +2,15 @@
 intersection arrays against the computed ones."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from drgtrades.errors import CliquesNotDelsarte, EnumerationTooLarge
+from drgtrades import families
+from drgtrades.errors import CliquesNotDelsarte, CrossCheckViolation, EnumerationTooLarge
 from drgtrades.families import (
     FAMILIES,
     build_doob,
@@ -135,7 +139,7 @@ def test_johnson_42_is_octahedron():
     # both are complete tripartite K_{2,2,2}: complements are perfect matchings
     for h in (g, o):
         non_edges = [(i, j) for i, j in itertools.combinations(range(6), 2)
-                     if j not in h.adj_sets[i]]
+                     if j not in h.neighbors(i)]
         assert len(non_edges) == 3
         assert len({v for e in non_edges for v in e}) == 6
 
@@ -210,7 +214,7 @@ def test_dual_polar_2_2_is_complete_bipartite():
     assert sorted(map(len, sides)) == [3, 3]
     for u in sides[0]:
         for v in sides[1]:
-            assert v in g.adj_sets[u]
+            assert v in g.neighbors(u)
 
 
 def test_dual_polar_3_2():
@@ -246,3 +250,50 @@ def test_registry_covers_all_builders():
     assert set(FAMILIES) == {
         "octahedron", "hamming", "johnson", "halved_cube",
         "shrikhande", "doob", "grassmann", "dual_polar_D"}
+
+
+# --- builder cross-checks ------------------------------------------------------------
+
+def _drop_first_hyperplane(real):
+    """subspace_hyperplanes, except that the first vertex asked about loses
+    one of its hyperplanes, so one bucket comes out a vertex short."""
+    seen = []
+
+    def dropping(s):
+        out = real(s)
+        if seen:
+            return out
+        seen.append(s)
+        return out[1:]
+    return dropping
+
+
+@pytest.mark.parametrize("build, params", [(build_grassmann, (4, 2, 2)),
+                                           (build_dual_polar_D, (2, 2))])
+def test_bucket_size_cross_check(monkeypatch, build, params):
+    monkeypatch.setattr(families, "subspace_hyperplanes",
+                        _drop_first_hyperplane(families.subspace_hyperplanes))
+    with pytest.raises(CrossCheckViolation):
+        build(*params)
+
+
+def test_bucket_size_cross_check_runs_under_optimize():
+    # python -O strips assert statements; the check must not be one
+    code = "\n".join([
+        "from drgtrades import families",
+        "from drgtrades.errors import CrossCheckViolation",
+        "from test_families import _drop_first_hyperplane",
+        "families.subspace_hyperplanes = _drop_first_hyperplane(",
+        "    families.subspace_hyperplanes)",
+        "try:",
+        "    families.build_grassmann(4, 2, 2)",
+        "except CrossCheckViolation:",
+        "    print('raised', __debug__)",
+    ])
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join([os.path.join(root, "src"), os.path.join(root, "tests"),
+                            os.environ.get("PYTHONPATH", "")])
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "raised False\n"

@@ -4,9 +4,11 @@ clique systems, exact max clique."""
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from drgtrades.errors import Disconnected
+from drgtrades.families import build_grassmann, build_hamming
 from drgtrades.graphs import (
     CliqueSystem,
     Graph,
@@ -75,11 +77,37 @@ def test_bfs_matches_floyd_warshall():
             assert bfs_distances(g, x) == fw[x]
 
 
-def test_bfs_numpy_path_agrees_with_deque():
+def random_graph(rng, n, m):
+    """m distinct random edges on n vertices; often disconnected."""
+    edges = set()
+    while len(edges) < min(m, n * (n - 1) // 2):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph([f"v{i:02d}" for i in range(n)], sorted(edges))
+
+
+def test_multi_source_distances_match_floyd_warshall():
     rng = random.Random(11)
-    g = random_connected_graph(rng, 60, 120)
-    for x in (0, 13, 59):
-        assert g._bfs_deque([x]).tolist() == g._bfs_numpy([x]).tolist()
+    graphs = [random_connected_graph(rng, 60, 120), random_graph(rng, 40, 30),
+              Graph(["a", "b", "c", "d"], [(0, 1)])]
+    graphs += [random_graph(rng, rng.randint(2, 30), rng.randint(0, 40)) for _ in range(20)]
+    for g in graphs:
+        fw = floyd_warshall(g)
+        for _ in range(4):
+            sources = rng.sample(range(g.num_vertices), rng.randint(1, min(3, g.num_vertices)))
+            want = [min(fw[x][v] for x in sources) for v in range(g.num_vertices)]
+            want = [-1 if d >= 10 ** 9 else d for d in want]
+            assert g.multi_source_distances(sources).tolist() == want
+    assert -1 in graphs[2].multi_source_distances([0]).tolist()
+
+
+def test_bfs_matches_hamming_distance_above_old_threshold():
+    g, _ = build_hamming(11, 2)
+    words = np.array([int(lab, 2) for lab in g.labels])
+    for x in (0, 777, 2047):
+        want = [bin(w).count("1") for w in (words ^ words[x]).tolist()]
+        assert g.multi_source_distances([x]).tolist() == want
 
 
 def test_bfs_disconnected_raises():
@@ -88,11 +116,11 @@ def test_bfs_disconnected_raises():
         bfs_distances(g, 0)
 
 
-def test_distance_matrix_matches_bfs():
-    g = cube_graph(4)
+def test_distance_matrix_rows_match_bfs():
+    g, _ = build_grassmann(5, 2, 3)       # 1210 vertices
     dm = g.distance_matrix()
-    for x in (0, 5, 15):
-        assert dm[x].tolist() == g._bfs_deque([x]).tolist()
+    for x in (0, 605, 1209):
+        assert dm[x].tolist() == g.multi_source_distances([x]).tolist()
 
 
 # --- regularity / bipartiteness ------------------------------------------------
@@ -123,7 +151,7 @@ def test_bipartite_odd_cycle_witness_is_cycle():
     cyc = [g.index_of(lab) for lab in v.witness]
     assert len(set(cyc)) == len(cyc)
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        assert b in g.adj_sets[a]
+        assert b in g.neighbors(a)
 
 
 # --- induced / isometric subgraphs --------------------------------------------
@@ -207,12 +235,27 @@ def test_clique_system_multiplicity_witness():
     S = CliqueSystem(g, cliques, s=1, m=1)
     v = verify_clique_system(g, S)
     assert not v.ok and v.detail == "edge multiplicity mismatch"
+    assert repr(v.witness) == "('110', '111', 0, 1)"
 
 
 def test_clique_system_non_edge_witness():
     g = cycle_graph(5)
     S = CliqueSystem(g, ((0, 2),), s=1, m=1)
-    assert verify_clique_system(g, S).detail == "clique contains a non-edge"
+    v = verify_clique_system(g, S)
+    assert v.detail == "clique contains a non-edge"
+    assert repr(v.witness) == "(0, 'v0', 'v2')"
+
+
+def test_clique_system_rows():
+    g = cycle_graph(5)
+    S = CliqueSystem(g, [[1, 0], (2, 1)], s=1, m=1)
+    assert S.cliques.tolist() == [[1, 0], [2, 1]]
+    v = verify_clique_system(g, CliqueSystem(g, ((0, 0),), s=1, m=1))
+    assert (v.witness, v.detail) == (0, "clique of wrong size")
+    for rows in (((0, 1), (1, 2, 3)), ((0, 1, 2),)):
+        with pytest.raises(ValueError):
+            CliqueSystem(g, rows, s=1, m=1)
+    assert CliqueSystem(g, (), s=1, m=1).cliques.shape == (0, 2)
 
 
 # --- max clique -------------------------------------------------------------------
@@ -238,7 +281,6 @@ def test_max_clique_bipartite_is_two():
 
 
 def test_segment_sums_with_empty_segments():
-    import numpy as np
     from drgtrades.graphs import segment_sums
     values = np.array([1, 2, 3, 4], dtype=np.int64)
     # segments: [0:2], [2:2] (empty), [2:4], [4:4] (trailing empty)
