@@ -222,7 +222,8 @@ def check_minimality(g: Graph, S: CliqueSystem, T: Bitrade,
     arr = _host_array(g, host_array)
     th = Fraction(-arr.k, S.s)
     bound = wd_bound(arr, th)
-    assert bound.denominator == 1
+    if bound.denominator != 1:
+        raise CrossCheckViolation(f"weight-distribution bound {bound} is not an integer")
     bound = int(bound)
     meets = T.cardinality == bound
     iso = is_isometric_subgraph(g, T.support)
@@ -377,7 +378,8 @@ def min_bitrade_grassmann(n: int, d: int, q: int, host: Graph | None = None,
         host, _ = build_grassmann(n, d, q, cap=cap)
     dp = build_dual_polar_D(d, q, cap=cap)
     bip = is_bipartite(dp)
-    assert bip.ok
+    if not bip.ok:
+        raise CrossCheckViolation(f"dual polar graph D_{d}({q}) has an odd cycle: {bip.witness}")
     pad = "0" * (n - 2 * d)
     sides = ([], [])
     for v, lab in enumerate(dp.labels):

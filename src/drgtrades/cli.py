@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from typing import NoReturn
 
 from .bitrades import (
     MIN_BITRADES,
@@ -20,7 +21,7 @@ from .bitrades import (
     bitrade_to_json,
     verify_bitrade,
 )
-from .errors import CliquesNotDelsarte, EnumerationTooLarge
+from .errors import CliquesNotDelsarte, CrossCheckViolation, EnumerationTooLarge
 from .families import build_family, family_array, parse_family
 from .gfq import (
     DEFAULT_ENUMERATION_CAP,
@@ -36,21 +37,32 @@ from .graphs import (
 from .spectral import intersection_matrix_eigenvalues, wd_bound
 
 
+def _usage_error(message: str) -> NoReturn:
+    print(f"usage error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _resolve_cap(args) -> int:
-    if getattr(args, "cap", None):
-        return args.cap
-    env = os.environ.get("DRG_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_ENUMERATION_CAP
+    cap, source = args.cap, "--cap"
+    if cap is None:
+        env = os.environ.get("DRG_CAP")
+        if not env:
+            return DEFAULT_ENUMERATION_CAP
+        source = "DRG_CAP"
+        try:
+            cap = int(env)
+        except ValueError:
+            _usage_error(f"DRG_CAP must be an integer, got {env!r}")
+    if cap <= 0:
+        _usage_error(f"{source} must be positive, got {cap}")
+    return cap
 
 
 def _family(args):
     try:
         return parse_family(args.family)
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(str(exc))
 
 
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
@@ -106,18 +118,14 @@ def _make_bitrade(args, name, params, g, S):
             return T
         ctor = MIN_BITRADES.get(name)
         if ctor is None:
-            print(f"usage error: no minimum bitrade constructor for {name}",
-                  file=sys.stderr)
-            raise SystemExit(2)
+            _usage_error(f"no minimum bitrade constructor for {name}")
         return ctor(*params, host=g)
     with open(args.bitrade) as fh:
         doc = json.load(fh)
     try:
         return bitrade_from_json(g, doc)
     except KeyError as exc:
-        print(f"usage error: unknown vertex label {exc} in bitrade file",
-              file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"unknown vertex label {exc} in bitrade file")
 
 
 def cmd_bitrade(args) -> int:
@@ -216,7 +224,8 @@ def cmd_wd_bound(args) -> int:
     arr = family_array(name, params)
     theta = intersection_matrix_eigenvalues(arr)[-1]
     bound = wd_bound(arr, theta)
-    assert bound.denominator == 1
+    if bound.denominator != 1:
+        raise CrossCheckViolation(f"weight-distribution bound {bound} is not an integer")
     doc = {"family": args.family, "theta_min": theta, "wd_bound": int(bound)}
     _emit(args, doc, [f"theta_min: {theta}", f"w.d. bound: {int(bound)}"])
     return 0

@@ -17,7 +17,12 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import AmbientMismatch, EnumerationTooLarge, UnsupportedFieldOrder
+from .errors import (
+    AmbientMismatch,
+    CrossCheckViolation,
+    EnumerationTooLarge,
+    UnsupportedFieldOrder,
+)
 
 DEFAULT_ENUMERATION_CAP = 100_000
 
@@ -264,7 +269,8 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
     for i in range(b):
         num *= q ** (a - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise CrossCheckViolation(f"[{a},{b}]_{q}: {den} does not divide {num}")
     return num // den
 
 
@@ -296,7 +302,9 @@ def enumerate_subspaces(n: int, d: int, field: FieldSpec,
                 rows[i][j] = v
             m = FFMatrix.from_rows(rows, field) if d else FFMatrix(0, n, (), field)
             out.append(Subspace(n, d, m))
-    assert len(out) == total
+    if len(out) != total:
+        raise CrossCheckViolation(
+            f"enumerated {len(out)} subspaces for (n={n}, d={d}, q={q}), expected {total}")
     return out
 
 

@@ -150,37 +150,62 @@ class Graph:
         return not (self.multi_source_distances([0]) < 0).any()
 
     def distance_matrix(self) -> np.ndarray:
-        """Full distance matrix, cached.  Rows are BFS distance vectors.
+        """Full distance matrix, cached.  Rows are BFS distance vectors."""
+        if self._dm is None:
+            self._dense_bfs()
+        return self._dm
 
-        Uses repeated frontier @ adjacency products in float32; every entry
-        produced is an exact small integer.
+    def _dense_bfs(self, k: int | None = None) -> IntersectionArray | None:
+        """Level-synchronous BFS from every vertex at once; caches the
+        distance matrix D.
+
+        Level j multiplies its frontier F_j = (D == j) by the float32
+        adjacency A.  P_j = F_j @ A counts, at [x, y], the neighbors of y at
+        distance j from x, so it holds a_j on F_j itself and c_{j+1} on the
+        next frontier.  With the degree k given, returns the intersection
+        array (b_j = k - a_j - c_j) if each of these counts is uniform over
+        its pairs, else None.  Every count is at most n <= DENSE_DISTANCE_CAP
+        < 2**24, so the products are exact.
         """
-        if self._dm is not None:
-            return self._dm
         n = self.num_vertices
         if n > DENSE_DISTANCE_CAP:
             raise MemoryError(
                 f"dense distance matrix disabled for {n} > {DENSE_DISTANCE_CAP} vertices")
         A = np.zeros((n, n), dtype=np.float32)
-        for u in range(n):
-            A[u, self.neighbors(u)] = 1.0
+        A[np.repeat(np.arange(n), self._degrees), self._flat] = 1.0
         D = np.full((n, n), -1, dtype=np.int16)
         np.fill_diagonal(D, 0)
-        reached = np.eye(n, dtype=bool)
-        frontier = reached.copy()
+        frontier = np.eye(n, dtype=bool)
+        unreached = ~frontier
+        nxt = np.empty_like(frontier)
+        F = np.empty_like(A)
+        P = A.copy()                  # P_0 = F_0 @ A with F_0 the identity
+        a, c = [], [0]
         level = 0
         while True:
-            nxt = (frontier.astype(np.float32) @ A) > 0
-            frontier = nxt & ~reached
-            if not frontier.any():
+            np.greater(P, 0, out=nxt)
+            nxt &= unreached
+            unreached ^= nxt
+            grew = nxt.any()
+            if k is not None and None not in a + c:
+                # F is free until it takes the next frontier
+                a.append(_common_count(P, frontier, F))
+                if grew:
+                    c.append(_common_count(P, nxt, F))
+            if not grew:
                 break
             level += 1
-            D[frontier] = level
-            reached |= frontier
-        if (D < 0).any():
+            D[nxt] = level
+            F[...] = nxt
+            np.matmul(F, A, out=P)
+            frontier, nxt = nxt, frontier
+        if unreached.any():
             raise Disconnected("graph is disconnected")
         self._dm = D
-        return D
+        if k is None or None in a + c:
+            return None
+        b = [k - ai - ci for ai, ci in zip(a[:-1], c)]
+        return IntersectionArray(k, tuple(b), tuple(c[1:]))
 
     def eccentricity(self, x: int) -> int:
         return int(self.distances_from(x).max())
@@ -377,21 +402,18 @@ def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return c[offsets[1:]] - c[offsets[:-1]]
 
 
-def _shell_counts(g: Graph, dist: np.ndarray):
+def _shell_counts(g: Graph, dist: np.ndarray, k: int):
     """Per-vertex counts of neighbors one shell out (fwd) and one shell in
-    (bwd) relative to the distance vector."""
-    flat, off = g._flat, g._off
-    nbd = dist[flat].astype(np.int32)
-    own = np.repeat(dist, g.degrees).astype(np.int32)
-    fwd = segment_sums(nbd == own + 1, off)
-    bwd = segment_sums(nbd == own - 1, off)
-    return fwd, bwd
+    (bwd) relative to the distance vector, on a k-regular graph, whose CSR
+    rows form an (n, k) array."""
+    step = dist.take(g._flat).reshape(len(dist), k) - dist[:, None]
+    return np.count_nonzero(step == 1, axis=1), np.count_nonzero(step == -1, axis=1)
 
 
 def _uniform_array(g: Graph, dist: np.ndarray, k: int):
-    """(IntersectionArray, None) if shell counts are uniform per distance,
-    else (None, witness)."""
-    fwd, bwd = _shell_counts(g, dist)
+    """(IntersectionArray, None) if shell counts of the k-regular graph g are
+    uniform per distance, else (None, witness)."""
+    fwd, bwd = _shell_counts(g, dist, k)
     rho = int(dist.max())
     b, c = [], []
     for i in range(rho + 1):
@@ -417,9 +439,15 @@ def completely_regular_check(g: Graph, C) -> Verdict:
     Partitions vertices by distance to C and demands that forward/backward
     neighbor counts depend only on the distance.
     """
+    return _completely_regular(g, C)[0]
+
+
+def _completely_regular(g: Graph, C) -> tuple[Verdict, np.ndarray | None]:
+    """completely_regular_check's verdict, with the distances to C it read
+    the shells from (None when the host is not regular)."""
     reg = is_regular(g)
     if not reg.ok:
-        return Verdict(False, witness=reg.witness, detail="host graph not regular")
+        return Verdict(False, witness=reg.witness, detail="host graph not regular"), None
     C = sorted(set(int(v) for v in C))
     if not C:
         raise ValueError("empty vertex set")
@@ -428,23 +456,35 @@ def completely_regular_check(g: Graph, C) -> Verdict:
         raise Disconnected("set does not reach the whole graph")
     arr, witness = _uniform_array(g, dist, reg.value)
     if arr is None:
-        return Verdict(False, witness=witness, detail="non-uniform shell counts")
-    return Verdict(True, value=arr)
+        return Verdict(False, witness=witness, detail="non-uniform shell counts"), dist
+    return Verdict(True, value=arr), dist
 
 
 def distance_regularity_check(g: Graph) -> Verdict:
-    """Common singleton intersection array as value, else a witness."""
+    """Common singleton intersection array as value, else a witness.
+
+    Up to DENSE_DISTANCE_CAP vertices the array is read off the dense BFS's
+    level products; the per-vertex sweep runs when that finds a non-uniform
+    count, since only the sweep names a witness, and on larger graphs."""
     reg = is_regular(g)
     if not reg.ok:
         return Verdict(False, witness=reg.witness, detail="not regular")
-    k = reg.value
-    n = g.num_vertices
-    use_matrix = n <= DENSE_DISTANCE_CAP
-    dm = g.distance_matrix() if use_matrix else None
+    if g.num_vertices <= DENSE_DISTANCE_CAP:
+        arr = g._dense_bfs(reg.value)
+        if arr is not None:
+            return Verdict(True, value=arr)
+    return _distance_regularity_sweep(g, reg.value)
+
+
+def _distance_regularity_sweep(g: Graph, k: int) -> Verdict:
+    """distance_regularity_check on a k-regular graph, one singleton at a
+    time: the first vertex with non-uniform shell counts, or whose array
+    differs from vertex 0's, is the witness."""
+    if g.num_vertices <= DENSE_DISTANCE_CAP:
+        g.distance_matrix()     # distances_from reads the cached rows
     common = None
-    for x in range(n):
-        dist = dm[x].astype(np.int32) if use_matrix else g.distances_from(x)
-        arr, witness = _uniform_array(g, dist, k)
+    for x in range(g.num_vertices):
+        arr, witness = _uniform_array(g, g.distances_from(x), k)
         if arr is None:
             return Verdict(False, witness=(g.labels[x],) + witness,
                            detail="singleton not completely regular")
@@ -454,6 +494,20 @@ def distance_regularity_check(g: Graph) -> Verdict:
             return Verdict(False, witness=(g.labels[x], str(arr), str(common)),
                            detail="intersection array differs between vertices")
     return Verdict(True, value=common)
+
+
+def _common_count(P: np.ndarray, mask: np.ndarray, scratch: np.ndarray) -> int | None:
+    """The value P takes on every entry under the nonempty mask, or None if
+    it varies.  P holds counts in [0, n] for an n x n P; the product with
+    the mask zeroes the other entries, so the maximum of P * mask is the
+    largest count under the mask and that of (n + 1 - P) * mask gives the
+    smallest.  scratch is an n x n float32 buffer."""
+    top = len(P) + 1
+    np.multiply(P, mask, out=scratch)
+    hi = scratch.max()
+    np.subtract(top, P, out=scratch)
+    scratch *= mask
+    return int(hi) if top - scratch.max() == hi else None
 
 
 def clique_pairs(cliques: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from math import lcm
 import numpy as np
 
 from .errors import (
+    CrossCheckViolation,
     NonIntegerSpectrum,
     NotAnEigenvalue,
     NotCompletelyRegular,
@@ -27,6 +28,7 @@ from .graphs import (
     Graph,
     IntersectionArray,
     Verdict,
+    _completely_regular,
     completely_regular_check,
     is_regular,
     segment_sums,
@@ -83,7 +85,8 @@ def _deflate(coeffs, root):
     for j in range(len(coeffs) - 2, -1, -1):
         out[j] = carry
         carry = coeffs[j] + carry * root
-    assert carry == 0
+    if carry != 0:
+        raise CrossCheckViolation(f"{root} is not a root of {coeffs}: remainder {carry}")
     return out
 
 
@@ -205,7 +208,11 @@ def _scaled_int_values(f: VertexFunction):
     scale = lcm(*(v.denominator for v in f.values)) if f.values else 1
     if scale > 10 ** 6:
         return None, None
-    return np.array([int(v * scale) for v in f.values], dtype=np.int64), scale
+    try:
+        return np.array([v.numerator * (scale // v.denominator) for v in f.values],
+                        dtype=np.int64), scale
+    except OverflowError:
+        return None, None
 
 
 def verify_eigenfunction(g: Graph, f: VertexFunction, theta) -> Verdict:
@@ -237,11 +244,10 @@ def delta_function(g: Graph, C, theta) -> VertexFunction:
     """The function equal to nu_i on the distance-i shell around the
     completely regular set C, where nu is the standard eigenvector of C's
     intersection matrix at theta.  Always an eigenfunction of g at theta."""
-    res = completely_regular_check(g, C)
+    res, dist = _completely_regular(g, C)
     if not res.ok:
         raise NotCompletelyRegular(str(res.witness))
     nu = standard_eigenvector(res.value, theta)  # may raise NotAnEigenvalue
-    dist = g.multi_source_distances(sorted(set(int(v) for v in C)))
     values = tuple(nu[int(d)] for d in dist)
     return VertexFunction(g, values)
 
@@ -249,8 +255,13 @@ def delta_function(g: Graph, C, theta) -> VertexFunction:
 def weight_distribution_of(g: Graph, f: VertexFunction, x: int) -> list[Fraction]:
     """Shell sums W^i = sum over the distance-i shell of x, up to ecc(x)."""
     dist = g.distances_from(x)
-    ecc = int(dist.max())
-    out = [Fraction(0)] * (ecc + 1)
+    ints, scale = _scaled_int_values(f)
+    # int64 shell sums are exact while n * max|value| < 2**63
+    if ints is not None and len(ints) * max(-int(ints.min()), int(ints.max())) < 2 ** 63:
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(dist))))
+        sums = segment_sums(ints[np.argsort(dist, kind="stable")], bounds)
+        return [Fraction(int(w), scale) for w in sums]
+    out = [Fraction(0)] * (int(dist.max()) + 1)
     for v, d in enumerate(dist.tolist()):
         out[d] += f.values[v]
     return out

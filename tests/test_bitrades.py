@@ -1,10 +1,15 @@
 """Bitrade criteria, minimality, trade subgraphs, designs, corruptions."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+from drgtrades import bitrades
 from drgtrades.bitrades import (
     Bitrade,
     bitrade_from_json,
@@ -26,7 +31,7 @@ from drgtrades.bitrades import (
     verify_bitrade,
     verify_delsarte_pair,
 )
-from drgtrades.errors import DegenerateEmpty
+from drgtrades.errors import CrossCheckViolation, DegenerateEmpty
 from drgtrades.families import (
     build_doob,
     build_halved_cube,
@@ -36,7 +41,7 @@ from drgtrades.families import (
     doob_array,
     hamming_array,
 )
-from drgtrades.graphs import distance_regularity_check
+from drgtrades.graphs import Verdict, distance_regularity_check
 from drgtrades.spectral import wd_bound
 
 
@@ -384,3 +389,40 @@ def test_bitrade_json_roundtrip(johnson63):
     assert doc["host"] == "johnson:6,3"
     T2 = bitrade_from_json(g, doc)
     assert T2.t0 == T.t0 and T2.t1 == T.t1
+
+
+def test_bound_integrality_cross_check(monkeypatch, johnson63):
+    g, S = johnson63
+    monkeypatch.setattr(bitrades, "wd_bound", lambda arr, th: Fraction(17, 2))
+    with pytest.raises(CrossCheckViolation, match="17/2 is not an integer"):
+        check_minimality(g, S, min_bitrade_johnson(6, 3, host=g))
+
+
+def test_dual_polar_bipartition_cross_check(monkeypatch):
+    monkeypatch.setattr(bitrades, "is_bipartite",
+                        lambda g: Verdict(False, witness=["x", "y", "z"], detail="odd cycle"))
+    with pytest.raises(CrossCheckViolation, match="odd cycle"):
+        min_bitrade_grassmann(4, 2, 2)
+
+
+def test_bound_integrality_cross_check_runs_under_optimize():
+    # python -O strips assert statements; the check must not be one
+    code = "\n".join([
+        "from fractions import Fraction",
+        "from drgtrades import bitrades",
+        "from drgtrades.errors import CrossCheckViolation",
+        "from drgtrades.families import build_johnson",
+        "g, S = build_johnson(6, 3)",
+        "T = bitrades.min_bitrade_johnson(6, 3, host=g)",
+        "bitrades.wd_bound = lambda arr, th: Fraction(17, 2)",
+        "try:",
+        "    bitrades.check_minimality(g, S, T)",
+        "except CrossCheckViolation:",
+        "    print('raised', __debug__)",
+    ])
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join([os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")])
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "raised False\n"

@@ -5,11 +5,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from drgtrades import cli
 from drgtrades.bitrades import MIN_BITRADES, bitrade_to_json, corrupt_one_vertex
 from drgtrades.cli import main
+from drgtrades.errors import CrossCheckViolation
 from drgtrades.families import parse_family
 
 
@@ -181,6 +184,39 @@ def test_env_cap(capsys, monkeypatch):
     code = main(["build", "--family", "hamming:8,3"])
     assert code == 1
     monkeypatch.delenv("DRG_CAP")
+
+
+@pytest.mark.parametrize("argv,env,message", [
+    (["--cap", "0"], None, "usage error: --cap must be positive, got 0"),
+    (["--cap", "-5"], None, "usage error: --cap must be positive, got -5"),
+    ([], "abc", "usage error: DRG_CAP must be an integer, got 'abc'"),
+    ([], "0", "usage error: DRG_CAP must be positive, got 0"),
+])
+def test_bad_cap_is_usage_error(capsys, monkeypatch, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("DRG_CAP", env)
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--family", "johnson:6,3", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+
+
+def test_wd_bound_integrality_cross_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "wd_bound", lambda arr, th: Fraction(5, 2))
+    with pytest.raises(CrossCheckViolation, match="5/2 is not an integer"):
+        main(["wd-bound", "--family", "johnson:6,3"])
+
+
+def test_python_m_entry_point(capsys):
+    argv = ["spectrum", "--family", "johnson:6,3"]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-m", "drgtrades", *argv],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == run_cli(capsys, *argv)[1]
 
 
 def test_byte_identical_across_hash_seeds():

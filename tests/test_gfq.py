@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from drgtrades.errors import AmbientMismatch, EnumerationTooLarge, UnsupportedFieldOrder
+from drgtrades import gfq
+from drgtrades.errors import (
+    AmbientMismatch,
+    CrossCheckViolation,
+    EnumerationTooLarge,
+    UnsupportedFieldOrder,
+)
 from drgtrades.gfq import (
     FFMatrix,
     SUPPORTED_ORDERS,
@@ -151,6 +157,12 @@ def test_enumeration_simple_cases():
     F3 = make_field(3)
     zero = enumerate_subspaces(3, 0, F3)
     assert len(zero) == 1 and zero[0].dim == 0
+
+
+def test_enumeration_count_cross_check(monkeypatch):
+    monkeypatch.setattr(gfq, "gaussian_binomial", lambda a, b, q: 8)
+    with pytest.raises(CrossCheckViolation, match="enumerated 7 subspaces"):
+        enumerate_subspaces(3, 1, make_field(2))
 
 
 def test_enumeration_cap():

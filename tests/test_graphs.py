@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from drgtrades.errors import Disconnected
-from drgtrades.families import build_grassmann, build_hamming
+from drgtrades.families import build_family, build_grassmann, build_hamming, family_array
 from drgtrades.graphs import (
     CliqueSystem,
     Graph,
@@ -23,6 +23,7 @@ from drgtrades.graphs import (
     is_regular,
     max_clique_order,
     verify_clique_system,
+    _distance_regularity_sweep,
 )
 
 
@@ -205,7 +206,95 @@ def test_distance_regularity_cube():
 
 def test_distance_regularity_star_fails():
     g = Graph(["c", "l1", "l2", "l3"], [(0, 1), (0, 2), (0, 3)])
-    assert not distance_regularity_check(g).ok
+    v = distance_regularity_check(g)
+    assert (v.ok, v.witness, v.detail) == (False, ("l1", 1, 3), "not regular")
+
+
+def circulant_graph(n, steps):
+    edges = {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}
+    return Graph([f"v{i}" for i in range(n)], sorted(edges))
+
+
+# Literal verdicts of the per-vertex sweep: a graph with a non-uniform level
+# count must still get the sweep's witness, byte for byte.
+PINNED_WITNESSES = [
+    ("path", Graph([f"p{i}" for i in range(5)], [(i, i + 1) for i in range(4)]),
+     (False, ("p1", 2, 1), "not regular")),
+    ("prism", Graph([f"v{i}" for i in range(6)],
+                    [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
+     (False, ("v0", "v1", 1, "forward", 1, 2), "singleton not completely regular")),
+    ("wagner", circulant_graph(8, (1, 4)),
+     (False, ("v0", "v2", 2, "backward", 1, 2), "singleton not completely regular")),
+    # vertex 0 has uniform shell counts here; v01 is the first that does not
+    ("cubic10", Graph([f"v{i:02d}" for i in range(10)],
+                      [(0, 1), (0, 5), (0, 6), (1, 2), (1, 9), (2, 6), (2, 8), (3, 4),
+                       (3, 7), (3, 8), (4, 8), (4, 9), (5, 7), (5, 9), (6, 7)]),
+     (False, ("v01", "v04", 2, "backward", 1, 2), "singleton not completely regular")),
+]
+
+
+@pytest.mark.parametrize("name,g,expected", PINNED_WITNESSES,
+                         ids=[p[0] for p in PINNED_WITNESSES])
+def test_distance_regularity_witness_is_pinned(name, g, expected):
+    v = distance_regularity_check(g)
+    assert (v.ok, v.witness, v.detail) == expected
+
+
+def test_distance_regularity_disconnected_raises():
+    g = Graph(list("abcdef"), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    with pytest.raises(Disconnected, match="graph is disconnected"):
+        distance_regularity_check(g)
+
+
+# Every family host of at most DENSE_DISTANCE_CAP vertices whose
+# distance-regularity the suite checks.
+DR_HOSTS = [
+    ("octahedron", (2,)), ("octahedron", (3,)), ("octahedron", (4,)),
+    ("hamming", (2, 2)), ("hamming", (3, 2)), ("hamming", (4, 2)),
+    ("hamming", (3, 3)), ("hamming", (2, 4)), ("hamming", (3, 4)),
+    ("johnson", (4, 2)), ("johnson", (6, 3)), ("johnson", (8, 3)),
+    ("johnson", (8, 4)), ("johnson", (12, 3)),
+    ("halved_cube", (4,)), ("halved_cube", (6,)), ("halved_cube", (8,)),
+    ("shrikhande", ()), ("doob", (1, 0)), ("doob", (1, 1)), ("doob", (2, 0)),
+    ("grassmann", (4, 2, 2)), ("grassmann", (4, 2, 3)), ("grassmann", (6, 2, 2)),
+    ("grassmann", (6, 3, 2)),
+    ("dual_polar_D", (2, 2)), ("dual_polar_D", (2, 3)), ("dual_polar_D", (3, 2)),
+]
+
+
+@pytest.mark.parametrize("name,params", DR_HOSTS)
+def test_level_products_match_sweep(name, params):
+    g, _ = build_family(name, params)
+    k = is_regular(g).value
+    arr = g._dense_bfs(k)
+    assert arr is not None
+    assert arr == _distance_regularity_sweep(g, k).value == family_array(name, params)
+
+
+def random_regular_graph(rng, n, k):
+    while True:
+        stubs = [v for v in range(n) for _ in range(k)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[i:i + 2])) for i in range(0, len(stubs), 2)}
+        if len(pairs) == n * k // 2 and all(u != v for u, v in pairs):
+            return Graph([f"v{i:02d}" for i in range(n)], sorted(pairs))
+
+
+def test_level_products_agree_with_sweep_on_small_regular_graphs():
+    # circulants include cycles, complete and complete multipartite graphs
+    rng = random.Random(17)
+    graphs = [circulant_graph(n, steps) for n in range(3, 13)
+              for r in (1, 2) for steps in itertools.combinations(range(1, n // 2 + 1), r)]
+    graphs += [random_regular_graph(rng, n, 3) for n in (8, 10, 12, 14) for _ in range(5)]
+    verdicts = set()
+    for g in graphs:
+        if not g.is_connected:
+            continue
+        k = is_regular(g).value
+        sweep = _distance_regularity_sweep(g, k)
+        assert g._dense_bfs(k) == (sweep.value if sweep.ok else None)
+        verdicts.add(sweep.ok)
+    assert verdicts == {True, False}
 
 
 def test_distance_regularity_cycle():

@@ -4,15 +4,22 @@ Frozen expected values were produced by two independent routes: the
 recursions computed by hand, and numpy's floating eigensolver on the dense
 intersection matrix (used here only as an oracle)."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from drgtrades.errors import NotAnEigenvalue, NotCompletelyRegular, ZeroFunction
+from drgtrades.errors import (
+    CrossCheckViolation,
+    NotAnEigenvalue,
+    NotCompletelyRegular,
+    ZeroFunction,
+)
 from drgtrades.graphs import IntersectionArray, completely_regular_check
 from drgtrades.spectral import (
     VertexFunction,
+    _deflate,
     delta_function,
     intersection_matrix_eigenvalues,
     is_matrix_eigenvalue,
@@ -178,6 +185,20 @@ def test_weight_distribution_shells():
     assert weight_distribution_of(g, ones, 0) == [1, 4, 6, 4, 1]
 
 
+@pytest.mark.parametrize("numerator,denominator", [(1, 1), (1, 6), (1, 1000003), (2 ** 62, 1)])
+def test_weight_distribution_matches_shell_loop(numerator, denominator):
+    # small denominators take the int64 route; a denominator above 10**6 or
+    # values near 2**63 take the Fraction route
+    g = cube_graph(4)
+    rng = random.Random(denominator)
+    f = VertexFunction(g, tuple(Fraction(rng.randint(-9, 9) * numerator, denominator)
+                                for _ in range(16)))
+    dist = g.distances_from(5).tolist()
+    want = [sum((v for v, d in zip(f.values, dist) if d == i), Fraction(0))
+            for i in range(max(dist) + 1)]
+    assert weight_distribution_of(g, f, 5) == want
+
+
 def test_weight_distribution_eigenfunction_matches_coefficients():
     g = cube_graph(4)
     x = g.index_of("0101")
@@ -192,3 +213,9 @@ def test_completely_regular_antipodal_pair_in_cube():
     g = cube_graph(4)
     res = completely_regular_check(g, [g.index_of("0000"), g.index_of("1111")])
     assert res.ok and res.value.rho == 2
+
+
+def test_deflation_by_a_non_root_raises():
+    assert _deflate([-1, 0, 1], 1) == [1, 1]
+    with pytest.raises(CrossCheckViolation, match="remainder 3"):
+        _deflate([-1, 0, 1], 2)
