@@ -21,7 +21,13 @@ from .bitrades import (
     bitrade_to_json,
     verify_bitrade,
 )
-from .errors import CliquesNotDelsarte, CrossCheckViolation, EnumerationTooLarge
+from .errors import (
+    CliquesNotDelsarte,
+    CrossCheckViolation,
+    EnumerationTooLarge,
+    InvalidParameters,
+    UnsupportedFieldOrder,
+)
 from .families import build_family, family_array, parse_family
 from .gfq import (
     DEFAULT_ENUMERATION_CAP,
@@ -65,6 +71,17 @@ def _family(args):
         _usage_error(str(exc))
 
 
+def _build(args):
+    """The --family instance as (name, params, graph, clique system or None);
+    parameters its builder or field rejects are usage errors."""
+    name, params = _family(args)
+    cap = _resolve_cap(args)
+    try:
+        return (name, params) + build_family(name, params, cap=cap)
+    except (InvalidParameters, UnsupportedFieldOrder) as exc:
+        _usage_error(f"{args.family}: {exc}")
+
+
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -74,8 +91,7 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
 
 
 def cmd_build(args) -> int:
-    name, params = _family(args)
-    g, _ = build_family(name, params, cap=_resolve_cap(args))
+    _, _, g, _ = _build(args)
     doc = graph_to_json(g)
     reg = is_regular(g)
     _emit(args, doc, [
@@ -88,8 +104,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_cliques(args) -> int:
-    name, params = _family(args)
-    g, S = build_family(name, params, cap=_resolve_cap(args))
+    name, params, g, S = _build(args)
     if S is None:
         print(f"usage error: family {name} has no Delsarte clique system",
               file=sys.stderr)
@@ -120,8 +135,13 @@ def _make_bitrade(args, name, params, g, S):
         if ctor is None:
             _usage_error(f"no minimum bitrade constructor for {name}")
         return ctor(*params, host=g)
-    with open(args.bitrade) as fh:
-        doc = json.load(fh)
+    try:
+        with open(args.bitrade) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        _usage_error(f"cannot read bitrade file {args.bitrade!r}: {exc.strerror}")
+    except ValueError as exc:
+        _usage_error(f"bitrade file {args.bitrade!r} is not valid JSON: {exc}")
     try:
         return bitrade_from_json(g, doc)
     except KeyError as exc:
@@ -129,8 +149,7 @@ def _make_bitrade(args, name, params, g, S):
 
 
 def cmd_bitrade(args) -> int:
-    name, params = _family(args)
-    g, S = build_family(name, params, cap=_resolve_cap(args))
+    name, params, g, S = _build(args)
     T = _make_bitrade(args, name, params, g, S)
     doc = bitrade_to_json(T)
     _emit(args, doc, [
@@ -151,8 +170,7 @@ def _fmt_verdict(v) -> str:
 
 
 def cmd_verify(args) -> int:
-    name, params = _family(args)
-    g, S = build_family(name, params, cap=_resolve_cap(args))
+    name, params, g, S = _build(args)
     T = _make_bitrade(args, name, params, g, S)
 
     if S is None:
@@ -232,8 +250,7 @@ def cmd_wd_bound(args) -> int:
 
 
 def cmd_check_dr(args) -> int:
-    name, params = _family(args)
-    g, _ = build_family(name, params, cap=_resolve_cap(args))
+    name, params, g, _ = _build(args)
     v = distance_regularity_check(g)
     expected = family_array(name, params)
     match = v.ok and v.value == expected

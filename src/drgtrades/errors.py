@@ -55,3 +55,7 @@ class CrossCheckViolation(RuntimeError):
     This is never a user error: it means either a bug or an input that
     breaks an equivalence the verification pipeline relies on.
     """
+
+
+class InvalidParameters(ValueError):
+    """Family parameters outside the range the construction is defined for."""

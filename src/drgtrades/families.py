@@ -14,15 +14,21 @@ from math import comb
 
 import numpy as np
 
-from .errors import CliquesNotDelsarte, CrossCheckViolation, EnumerationTooLarge
+from .errors import (
+    CliquesNotDelsarte,
+    CrossCheckViolation,
+    EnumerationTooLarge,
+    InvalidParameters,
+)
 from .gfq import (
     DEFAULT_ENUMERATION_CAP,
-    enumerate_subspaces,
     gaussian_binomial,
     hyperbolic_form,
-    is_totally_isotropic,
+    hyperplane_bases,
+    isotropic_count_product,
     make_field,
-    subspace_hyperplanes,
+    subspace_bases,
+    totally_isotropic_mask,
 )
 from .graphs import CliqueSystem, Graph, IntersectionArray, clique_pairs
 
@@ -49,7 +55,7 @@ def build_octahedron(n: int) -> tuple[Graph, CliqueSystem]:
     is all 2^n transversals (one vertex per pair), each edge lying in
     2^(n-2) of them."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise InvalidParameters("need n >= 2")
     labels = sorted(f"{i}{s}" for i in range(n) for s in "+-")
     idx = {lab: i for i, lab in enumerate(labels)}
     cliques = [[idx[f"{i}{s}"] for i, s in enumerate(signs)]
@@ -68,7 +74,7 @@ def build_hamming(n: int, q: int,
     """Words of length n over q symbols, adjacent at Hamming distance 1;
     cliques are the q-element lines obtained by freeing one coordinate."""
     if n < 1 or q < 2:
-        raise ValueError("need n >= 1, q >= 2")
+        raise InvalidParameters("need n >= 1, q >= 2")
     _guard(q ** n, cap, f"hamming({n},{q})")
     labels = ["".join(str(d) for d in w)
               for w in itertools.product(range(q), repeat=n)]
@@ -95,7 +101,7 @@ def build_johnson(n: int, w: int,
     """w-subsets of {1..n}, adjacent when sharing w-1 points; one clique per
     (w-1)-subset, consisting of the n-w+1 supersets."""
     if not 2 <= 2 * w <= n:
-        raise ValueError("need 2 <= 2w <= n")
+        raise InvalidParameters("need 2 <= 2w <= n")
     _guard(comb(n, w), cap, f"johnson({n},{w})")
     points = range(1, n + 1)
     labels = sorted(johnson_label(s) for s in itertools.combinations(points, w))
@@ -120,7 +126,7 @@ def build_halved_cube(n: int, check_delsarte: bool = True,
     Hoffman bound only for even n, so odd n is rejected unless the caller
     asks for the raw pair."""
     if n < 4:
-        raise ValueError("need n >= 4")
+        raise InvalidParameters("need n >= 4")
     if check_delsarte and n % 2 == 1:
         raise CliquesNotDelsarte(
             f"halved {n}-cube cliques have order {n} < Hoffman bound for odd n")
@@ -180,7 +186,7 @@ def build_doob(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Graph:
     """Cartesian product of m Shrikhande factors and n complete 4-factors.
     No clique system: its natural cliques are too small for a Delsarte pair."""
     if m < 1 or n < 0:
-        raise ValueError("need m >= 1, n >= 0")
+        raise InvalidParameters("need m >= 1, n >= 0")
     _guard(16 ** m * 4 ** n, cap, f"doob({m},{n})")
     factors = [_shrikhande_factor() for _ in range(m)] + \
               [_k4_factor() for _ in range(n)]
@@ -203,20 +209,55 @@ def doob_array(m: int, n: int) -> IntersectionArray:
 
 # --- Grassmann ----------------------------------------------------------------
 
-def _hyperplane_buckets(subs, labels, size: int) -> list[list[int]]:
-    """Vertex indices grouped by the (d-1)-subspaces they contain, one
-    bucket per (d-1)-subspace; every bucket must hold exactly size vertices."""
-    idx = {lab: i for i, lab in enumerate(labels)}
-    buckets: dict[str, list[int]] = {}
-    for s in subs:
-        vi = idx[s.label()]
-        for h in subspace_hyperplanes(s):
-            buckets.setdefault(h.label(), []).append(vi)
-    for key, members in buckets.items():
-        if len(members) != size:
-            raise CrossCheckViolation(
-                f"(d-1)-subspace {key} lies in {len(members)} vertices, expected {size}")
-    return list(buckets.values())
+def _labels(rows: np.ndarray, d: int) -> list[str]:
+    """Subspace.label() of each flattened (d * n)-digit RREF basis in rows:
+    the d rows of n digits, '/'-joined."""
+    if d == 0:
+        return ["0"] * len(rows)
+    n = rows.shape[1] // d
+    chars = np.full((len(rows), d, n + 1), ord("/"), dtype=np.uint8)
+    chars[:, :, :n] = rows.reshape(len(rows), d, n) + ord("0")
+    width = d * (n + 1) - 1
+    text = chars.reshape(len(rows), -1)[:, :width].tobytes().decode()
+    return [text[i:i + width] for i in range(0, len(text), width)]
+
+
+def _lexsort_rows(rows: np.ndarray) -> np.ndarray:
+    return np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+
+
+def _hyperplane_buckets(bases: np.ndarray, field, size: int):
+    """The labels of the subspaces in bases (N, d, n), sorted, and the
+    sorted vertex indices grouped by the (d-1)-subspaces they contain, as one
+    row of size members per (d-1)-subspace.
+
+    Every label has the same length and separator positions, so label order
+    is the lexicographic order of the flattened digits.  Hyperplanes are
+    grouped by lexsorting their RREF rows; a group of the wrong size names
+    the (d-1)-subspace whose first member comes earliest in (vertex
+    enumeration, hyperplane) order."""
+    nv, d, n = bases.shape
+    flat = bases.reshape(nv, d * n)
+    order = _lexsort_rows(flat)
+    labels = _labels(flat[order], d)
+    vertex = np.empty(nv, dtype=np.int64)
+    vertex[order] = np.arange(nv)
+    keys = hyperplane_bases(bases, field)
+    per_vertex = keys.shape[1]
+    keys = keys.reshape(nv * per_vertex, (d - 1) * n)
+    at = _lexsort_rows(keys)
+    keys = keys[at]
+    first = np.ones(len(at), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    sizes = np.bincount(np.cumsum(first) - 1)
+    bad = np.flatnonzero(sizes != size)
+    if bad.size:
+        g = bad[np.argmin(at[starts[bad]])]
+        raise CrossCheckViolation(
+            f"(d-1)-subspace {_labels(keys[starts[g]][None], d - 1)[0]} lies in "
+            f"{sizes[g]} vertices, expected {size}")
+    return labels, vertex[at // per_vertex].reshape(-1, size)
 
 
 def build_grassmann(n: int, d: int, q: int,
@@ -227,14 +268,12 @@ def build_grassmann(n: int, d: int, q: int,
     pairs list every edge exactly once, and the buckets are the cliques of
     the (M,1) system."""
     if not 2 <= 2 * d <= n:
-        raise ValueError("need 2 <= 2d <= n")
+        raise InvalidParameters("need 2 <= 2d <= n")
     field = make_field(q)
-    count = gaussian_binomial(n, d, q)
-    _guard(count, cap, f"grassmann({n},{d},{q})")
-    subs = enumerate_subspaces(n, d, field, cap=cap)
-    labels = sorted(s.label() for s in subs)
+    _guard(gaussian_binomial(n, d, q), cap, f"grassmann({n},{d},{q})")
     clique_order = gaussian_binomial(n - d + 1, 1, q)
-    buckets = _hyperplane_buckets(subs, labels, clique_order)
+    labels, buckets = _hyperplane_buckets(subspace_bases(n, d, q, cap), field,
+                                          clique_order)
     return _host_with_cliques(labels, buckets, clique_order - 1, 1,
                               "grassmann", (n, d, q))
 
@@ -254,17 +293,20 @@ def build_dual_polar_D(d: int, q: int,
     """Maximal totally isotropic subspaces of the hyperbolic form on
     F_q^{2d}, adjacent when meeting in dimension d-1.  Bipartite and
     (q^d-1)/(q-1)-regular; each isotropic hyperplane lies in exactly two
-    vertices, so buckets have size two."""
+    vertices, so buckets have size two.  The vertices are found by filtering
+    all d-subspaces of F_q^{2d}, so the cap bounds that candidate count."""
     if d < 2:
-        raise ValueError("need d >= 2")
+        raise InvalidParameters("need d >= 2")
     field = make_field(q)
-    _guard(gaussian_binomial(2 * d, d, q), cap, f"dual_polar_D({d},{q})")
-    form = hyperbolic_form(d, field)
-    vertices = [s for s in enumerate_subspaces(2 * d, d, field, cap=cap)
-                if is_totally_isotropic(s, form)]
-    labels = sorted(s.label() for s in vertices)
-    return Graph(labels, _hyperplane_buckets(vertices, labels, 2),
-                 family="dual_polar_D", params=(d, q))
+    candidates = gaussian_binomial(2 * d, d, q)
+    if candidates > cap:
+        raise EnumerationTooLarge(
+            f"dual_polar_D({d},{q}) has {isotropic_count_product(d, q):,} vertices but "
+            f"would enumerate {candidates:,} candidate {d}-subspaces, which exceeds cap {cap}")
+    bases = subspace_bases(2 * d, d, q, cap)
+    bases = bases[totally_isotropic_mask(bases, hyperbolic_form(d, field))]
+    labels, edges = _hyperplane_buckets(bases, field, 2)
+    return Graph(labels, edges, family="dual_polar_D", params=(d, q))
 
 
 def dual_polar_array(d: int, q: int) -> IntersectionArray:

@@ -8,7 +8,10 @@ stands for the polynomial c_0 + c_1 t + ... + c_{e-1} t^{e-1}.
 
 Subspaces of F_q^n are stored as reduced-row-echelon bases, which makes
 subspace equality a plain tuple comparison and allows enumeration by pivot
-pattern instead of by deduplicating spanning sets.
+pattern instead of by deduplicating spanning sets.  The builders work on
+whole batches of bases as int8 arrays (subspace_bases, hyperplane_bases);
+the per-subspace objects and functions are thin wrappers over the same
+batched product and RREF.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import (
     AmbientMismatch,
@@ -36,53 +41,42 @@ _PRIME_ORDERS = {2, 3, 5, 7}
 SUPPORTED_ORDERS = sorted(_PRIME_ORDERS | set(_MODULI))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldSpec:
-    """GF(q) as lookup tables over element indices 0..q-1."""
+    """GF(q) as lookup tables over element indices 0..q-1.
+
+    The tables are read-only int8 arrays, so a whole batch of matrices goes
+    through one fancy index per operation; make_field caches one FieldSpec
+    per q, and equality is identity."""
 
     q: int
     p: int
     e: int
     modulus: tuple[int, ...]  # empty for prime fields
-    add_table: tuple[tuple[int, ...], ...]
-    mul_table: tuple[tuple[int, ...], ...]
-    neg_table: tuple[int, ...]
-    inv_table: tuple[int, ...]  # index 0 unused
+    add_table: np.ndarray  # (q, q)
+    mul_table: np.ndarray  # (q, q)
+    neg_table: np.ndarray  # (q,)
+    inv_table: np.ndarray  # (q,), index 0 unused
 
     def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
+        return int(self.add_table[a, b])
 
     def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
+        return int(self.add_table[a, self.neg_table[b]])
 
     def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
+        return int(self.mul_table[a, b])
 
     def neg(self, a: int) -> int:
-        return self.neg_table[a]
+        return int(self.neg_table[a])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("no inverse of 0 in GF(%d)" % self.q)
-        return self.inv_table[a]
+        return int(self.inv_table[a])
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
-
-
-def _digits(i: int, p: int, e: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(e):
-        out.append(i % p)
-        i //= p
-    return tuple(out)
-
-
-def _index(digits, p: int) -> int:
-    i = 0
-    for d in reversed(digits):
-        i = i * p + d
-    return i
 
 
 def _poly_mul_mod(a, b, modulus, p, e):
@@ -101,37 +95,140 @@ def _poly_mul_mod(a, b, modulus, p, e):
     return tuple(prod[:e])
 
 
+def _table(values) -> np.ndarray:
+    out = np.asarray(values).astype(np.int8)
+    out.setflags(write=False)
+    return out
+
+
 @lru_cache(maxsize=None)
 def make_field(q: int) -> FieldSpec:
-    """Build GF(q) for a supported prime power q."""
-    if q in _PRIME_ORDERS:
-        p, e, modulus = q, 1, ()
-        add = tuple(tuple((a + b) % p for b in range(q)) for a in range(q))
-        mul = tuple(tuple((a * b) % p for b in range(q)) for a in range(q))
-    elif q in _MODULI:
-        modulus = _MODULI[q]
-        p = 2 if q in (4, 8) else 3
-        e = len(modulus) - 1
-        vecs = [_digits(i, p, e) for i in range(q)]
-        add = tuple(
-            tuple(_index([(x + y) % p for x, y in zip(vecs[a], vecs[b])], p)
-                  for b in range(q))
-            for a in range(q)
-        )
-        mul = tuple(
-            tuple(_index(_poly_mul_mod(vecs[a], vecs[b], modulus, p, e), p)
-                  for b in range(q))
-            for a in range(q)
-        )
-    else:
+    """Build GF(q) for a supported prime power q: elements are the base-p
+    digit vectors of their indices, added digitwise and multiplied as
+    polynomials modulo the field's modulus (none for prime q)."""
+    if q not in SUPPORTED_ORDERS:
         raise UnsupportedFieldOrder(f"q={q} not in {SUPPORTED_ORDERS}")
+    modulus = _MODULI.get(q, ())
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    e = max(len(modulus) - 1, 1)
+    weights = p ** np.arange(e)
+    digits = np.arange(q)[:, None] // weights % p
+    add = (digits[:, None] + digits) % p @ weights
+    mul = np.array([[_poly_mul_mod(a, b, modulus, p, e) for b in digits.tolist()]
+                    for a in digits.tolist()]) @ weights
+    neg = (add == 0).argmax(axis=1)
+    inv = (mul == 1).argmax(axis=1)
+    return FieldSpec(q, p, e, modulus, _table(add), _table(mul), _table(neg), _table(inv))
 
-    neg = tuple(add[a].index(0) for a in range(q))
-    inv = tuple(0 if a == 0 else mul[a].index(1) for a in range(q))
-    return FieldSpec(q, p, e, modulus, add, mul, neg, inv)
+
+# --- batched linear algebra -------------------------------------------------
+#
+# Matrices are int8 arrays of element indices with the matrix axes last; the
+# leading axes are a batch.  The per-object API below (FFMatrix, Subspace,
+# rref, matmul, enumerate_subspaces, subspace_hyperplanes) wraps these.
 
 
-# --- matrices ---------------------------------------------------------------
+def _op(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """table[a, b] elementwise over int8 index arrays, through one flat index
+    (a * q + b < 81 fits in int8)."""
+    return table.ravel()[a * len(table) + b]
+
+
+def matmul_batch(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Products a @ b over GF(q) of (..., r, k) and (..., k, c) arrays,
+    broadcast over the leading axes."""
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    out = np.zeros(shape, dtype=np.int8)
+    for t in range(a.shape[-1]):
+        out = _op(field.add_table, out,
+                  _op(field.mul_table, a[..., :, t, None], b[..., None, t, :]))
+    return out
+
+
+def rref_batch(m: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Reduced row echelon form of every (r, c) matrix in a (B, r, c) array.
+
+    Column by column, each matrix still short of full rank takes its first
+    nonzero row at or below its rank as pivot, swaps it up, scales it to a
+    leading 1 and subtracts multiples of it from every other row."""
+    m = m.copy()
+    nb, nr, nc = m.shape
+    rank = np.zeros(nb, dtype=np.intp)
+    rows = np.arange(nr)
+    mul, sub = field.mul_table, field.add_table[:, field.neg_table]
+    for col in range(nc):
+        cand = (m[:, :, col] != 0) & (rows >= rank[:, None])
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        b = slice(None) if has.all() else np.flatnonzero(has)
+        piv, top = cand[b].argmax(axis=1), rank[b]
+        part = m[b]
+        k = np.arange(len(piv))
+        prow = part[k, piv]
+        part[k, piv] = part[k, top]
+        prow = _op(mul, field.inv_table[prow[:, col]][:, None], prow)
+        part[k, top] = prow
+        f = part[:, :, col].copy()
+        f[k, top] = 0
+        m[b] = _op(sub, part, _op(mul, f[:, :, None], prow[:, None, :]))
+        rank[b] += 1
+        if (rank == nr).all():
+            break
+    return m
+
+
+def subspace_bases(n: int, d: int, q: int,
+                   cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """The RREF bases of all d-dimensional subspaces of F_q^n, as one
+    (N, d, n) int8 array.
+
+    Generation walks pivot patterns (d-subsets of columns) and fills the free
+    entries with the base-q digits of 0..q^f-1, last free entry fastest, so
+    each subspace appears exactly once and no dedup pass is needed."""
+    if not 0 <= d <= n:
+        raise ValueError("need 0 <= d <= n")
+    total = gaussian_binomial(n, d, q)
+    if total > cap:
+        raise EnumerationTooLarge(
+            f"{total} subspaces for (n={n}, d={d}, q={q}) exceeds cap {cap}")
+    blocks = []
+    for pivots in itertools.combinations(range(n), d):
+        free = [(i, j) for i in range(d) for j in range(n)
+                if j > pivots[i] and j not in pivots]
+        block = np.zeros((q ** len(free), d, n), dtype=np.int8)
+        block[:, np.arange(d), np.array(pivots, dtype=np.intp)] = 1
+        fill = np.arange(len(block))
+        for i, j in reversed(free):
+            block[:, i, j] = fill % q
+            fill //= q
+        blocks.append(block)
+    out = np.concatenate(blocks)
+    if len(out) != total:
+        raise CrossCheckViolation(
+            f"enumerated {len(out)} subspaces for (n={n}, d={d}, q={q}), expected {total}")
+    return out
+
+
+@lru_cache(maxsize=None)
+def _hyperplane_coefficients(d: int, q: int) -> np.ndarray:
+    out = subspace_bases(d, d - 1, q)
+    out.setflags(write=False)
+    return out
+
+
+def hyperplane_bases(bases: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """The RREF bases of every (d-1)-subspace of every subspace in a
+    (N, d, n) array of bases, as an (N, H, d-1, n) array with H = [d, 1]_q,
+    hyperplanes in enumerate_subspaces(d, d-1) order: the RREF of each
+    (d-1)-subspace of F_q^d, as a coefficient matrix, times the basis."""
+    prods = matmul_batch(_hyperplane_coefficients(bases.shape[1], field.q),
+                         bases[:, None], field)
+    n, h, r, c = prods.shape
+    return rref_batch(prods.reshape(n * h, r, c), field).reshape(prods.shape)
+
+
+# --- matrices and subspaces -------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -155,6 +252,13 @@ class FFMatrix:
         ncols = len(rows[0]) if rows else 0
         return cls(len(rows), ncols, tuple(x for r in rows for x in r), field)
 
+    @classmethod
+    def from_array(cls, a: np.ndarray, field: FieldSpec) -> "FFMatrix":
+        return cls(a.shape[0], a.shape[1], tuple(a.ravel().tolist()), field)
+
+    def array(self) -> np.ndarray:
+        return np.array(self.entries, dtype=np.int8).reshape(self.nrows, self.ncols)
+
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.ncols:(i + 1) * self.ncols]
 
@@ -164,26 +268,9 @@ class FFMatrix:
 
 def rref(m: FFMatrix) -> FFMatrix:
     """Reduced row echelon form; preserves the row space, deterministic."""
-    F = m.field
-    rows = [list(r) for r in m.rows()]
-    r = 0
-    for col in range(m.ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][col]
-        if lead != 1:
-            s = F.inv(lead)
-            rows[r] = [F.mul(s, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return FFMatrix.from_rows(rows, F) if rows else m
+    if not m.nrows:
+        return m
+    return FFMatrix.from_array(rref_batch(m.array()[None], m.field)[0], m.field)
 
 
 def rank(m: FFMatrix) -> int:
@@ -200,22 +287,7 @@ def stack(a: FFMatrix, b: FFMatrix) -> FFMatrix:
 def matmul(a: FFMatrix, b: FFMatrix) -> FFMatrix:
     if a.ncols != b.nrows or a.field is not b.field:
         raise AmbientMismatch("shape or field mismatch in matmul")
-    F = a.field
-    out = []
-    for i in range(a.nrows):
-        ra = a.row(i)
-        row = []
-        for j in range(b.ncols):
-            acc = 0
-            for k in range(a.ncols):
-                if ra[k]:
-                    acc = F.add(acc, F.mul(ra[k], b.entries[k * b.ncols + j]))
-            row.append(acc)
-        out.append(row)
-    return FFMatrix.from_rows(out, F)
-
-
-# --- subspaces --------------------------------------------------------------
+    return FFMatrix.from_array(matmul_batch(a.array(), b.array(), a.field), a.field)
 
 
 @dataclass(frozen=True)
@@ -257,6 +329,11 @@ class Subspace:
         return Subspace(n, self.dim, m)
 
 
+def _subspaces(bases: np.ndarray, field: FieldSpec) -> list[Subspace]:
+    return [Subspace(bases.shape[2], bases.shape[1], FFMatrix.from_array(b, field))
+            for b in bases]
+
+
 def gaussian_binomial(a: int, b: int, q: int) -> int:
     """Number of b-dimensional subspaces of F_q^a, as an exact integer.
 
@@ -276,36 +353,9 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
 
 def enumerate_subspaces(n: int, d: int, field: FieldSpec,
                         cap: int = DEFAULT_ENUMERATION_CAP) -> list[Subspace]:
-    """All d-dimensional subspaces of F_q^n, one RREF basis each.
-
-    Generation walks pivot patterns (d-subsets of columns) and fills the free
-    entries, so each subspace appears exactly once and no dedup pass is needed.
-    """
-    if not 0 <= d <= n:
-        raise ValueError("need 0 <= d <= n")
-    total = gaussian_binomial(n, d, field.q)
-    if total > cap:
-        raise EnumerationTooLarge(
-            f"{total} subspaces for (n={n}, d={d}, q={field.q}) exceeds cap {cap}")
-    q = field.q
-    out = []
-    for pivots in itertools.combinations(range(n), d):
-        pivot_set = set(pivots)
-        free = [(i, j) for i in range(d) for j in range(n)
-                if j > pivots[i] and j not in pivot_set]
-        base = [[0] * n for _ in range(d)]
-        for i, pc in enumerate(pivots):
-            base[i][pc] = 1
-        for fill in itertools.product(range(q), repeat=len(free)):
-            rows = [r[:] for r in base]
-            for (i, j), v in zip(free, fill):
-                rows[i][j] = v
-            m = FFMatrix.from_rows(rows, field) if d else FFMatrix(0, n, (), field)
-            out.append(Subspace(n, d, m))
-    if len(out) != total:
-        raise CrossCheckViolation(
-            f"enumerated {len(out)} subspaces for (n={n}, d={d}, q={q}), expected {total}")
-    return out
+    """All d-dimensional subspaces of F_q^n, one RREF basis each, in
+    subspace_bases order."""
+    return _subspaces(subspace_bases(n, d, field.q, cap), field)
 
 
 def intersection_dim(a: Subspace, b: Subspace) -> int:
@@ -317,21 +367,11 @@ def intersection_dim(a: Subspace, b: Subspace) -> int:
     return a.dim + b.dim - rank(stack(a.basis, b.basis))
 
 
-@lru_cache(maxsize=None)
-def _hyperplane_coefficients(d: int, q: int) -> tuple[FFMatrix, ...]:
-    # (d-1)-subspaces of F_q^d, used as coefficient matrices w.r.t. a basis.
-    field = make_field(q)
-    return tuple(s.basis for s in enumerate_subspaces(d, d - 1, field))
-
-
 def subspace_hyperplanes(s: Subspace) -> list[Subspace]:
     """All (dim-1)-dimensional subspaces of s, canonicalized in the ambient."""
     if s.dim == 0:
         return []
-    out = []
-    for coeff in _hyperplane_coefficients(s.dim, s.field.q):
-        out.append(Subspace.from_matrix(matmul(coeff, s.basis)))
-    return out
+    return _subspaces(hyperplane_bases(s.basis.array()[None], s.field)[0], s.field)
 
 
 # --- quadratic form ---------------------------------------------------------
@@ -386,6 +426,27 @@ def is_totally_isotropic(s: Subspace, form: QuadraticForm) -> bool:
             if form.bilinear(rows[i], rows[j]):
                 return False
     return True
+
+
+def totally_isotropic_mask(bases: np.ndarray, form: QuadraticForm) -> np.ndarray:
+    """is_totally_isotropic for every basis in an (N, d, 2d) array at once:
+    Q on each basis row and the polarization on each pair of rows."""
+    F, h = form.field, form.half_dim
+    add, neg = F.add_table, F.neg_table
+
+    def q_form(v):
+        acc = np.zeros(v.shape[:-1], dtype=np.int8)
+        for i in range(h):
+            acc = add[acc, F.mul_table[v[..., i], v[..., h + i]]]
+        return acc
+
+    qrows = q_form(bases)
+    ok = (qrows == 0).all(axis=1)
+    for i, j in itertools.combinations(range(bases.shape[1]), 2):
+        polar = add[add[q_form(add[bases[:, i], bases[:, j]]), neg[qrows[:, i]]],
+                    neg[qrows[:, j]]]
+        ok &= polar == 0
+    return ok
 
 
 def isotropic_count_product(d: int, q: int) -> int:

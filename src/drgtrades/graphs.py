@@ -329,12 +329,13 @@ def induced_subgraph(g: Graph, verts) -> tuple[Graph, list[int]]:
     back = sorted(set(int(v) for v in verts))
     if not back:
         raise ValueError("empty vertex set")
-    pos = {h: i for i, h in enumerate(back)}
-    edges = []
-    for h in back:
-        for w in g.neighbors(h).tolist():
-            if w in pos and h < w:
-                edges.append((pos[h], pos[w]))
+    hosts = np.array(back)
+    pos = np.full(g.num_vertices, -1, dtype=np.int64)
+    pos[hosts] = np.arange(len(back))
+    heads = np.repeat(hosts, g.degrees[hosts])
+    nbrs = g.neighbors_of(hosts)
+    keep = (pos[nbrs] >= 0) & (heads < nbrs)
+    edges = np.stack([pos[heads[keep]], pos[nbrs[keep]]], axis=1)
     sub = Graph([g.labels[h] for h in back], edges)
     return sub, back
 

@@ -202,6 +202,49 @@ def test_bad_cap_is_usage_error(capsys, monkeypatch, argv, env, message):
     assert captured.err == message + "\n" and captured.out == ""
 
 
+def _usage_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_unsupported_field_order_is_usage_error(capsys):
+    err = _usage_error_line(capsys, ["check-dr", "--family", "grassmann:6,3,6"])
+    assert err == "usage error: grassmann:6,3,6: q=6 not in [2, 3, 4, 5, 7, 8, 9]\n"
+
+
+def test_out_of_range_parameters_are_usage_error(capsys):
+    err = _usage_error_line(capsys, ["check-dr", "--family", "johnson:3,2"])
+    assert err == "usage error: johnson:3,2: need 2 <= 2w <= n\n"
+
+
+def test_missing_bitrade_file_is_usage_error(capsys, tmp_path):
+    path = str(tmp_path / "missing.json")
+    err = _usage_error_line(capsys, ["verify", "--family", "johnson:6,3",
+                                     "--bitrade", path])
+    assert err == f"usage error: cannot read bitrade file {path!r}: No such file or directory\n"
+
+
+def test_malformed_bitrade_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"T0": [')
+    err = _usage_error_line(capsys, ["verify", "--family", "johnson:6,3",
+                                     "--bitrade", str(path)])
+    assert err == (f"usage error: bitrade file {str(path)!r} is not valid JSON: "
+                   "Expecting value: line 1 column 9 (char 8)\n")
+
+
+def test_dual_polar_cap_names_candidates_and_vertices(capsys):
+    code = main(["build", "--family", "dual_polar_D:4,2"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: dual_polar_D(4,2) has 270 vertices but would enumerate 200,787 "
+        "candidate 4-subspaces, which exceeds cap 100000\n")
+
+
 def test_wd_bound_integrality_cross_check(capsys, monkeypatch):
     monkeypatch.setattr(cli, "wd_bound", lambda arr, th: Fraction(5, 2))
     with pytest.raises(CrossCheckViolation, match="5/2 is not an integer"):

@@ -3,10 +3,12 @@ intersection arrays against the computed ones."""
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from drgtrades import families
@@ -28,8 +30,17 @@ from drgtrades.families import (
     hamming_array,
     parse_family,
 )
-from drgtrades.gfq import gaussian_binomial, isotropic_count_product
+from drgtrades.gfq import (
+    enumerate_subspaces,
+    gaussian_binomial,
+    hyperbolic_form,
+    is_totally_isotropic,
+    isotropic_count_product,
+    make_field,
+    subspace_hyperplanes,
+)
 from drgtrades.graphs import (
+    Graph,
     distance_regularity_check,
     is_bipartite,
     is_regular,
@@ -254,26 +265,30 @@ def test_registry_covers_all_builders():
 
 # --- builder cross-checks ------------------------------------------------------------
 
-def _drop_first_hyperplane(real):
-    """subspace_hyperplanes, except that the first vertex asked about loses
-    one of its hyperplanes, so one bucket comes out a vertex short."""
-    seen = []
+def _duplicate_first_hyperplane(real):
+    """hyperplane_bases, except that the first vertex's first hyperplane row
+    is overwritten by its second, so one bucket comes out a vertex short and
+    another a vertex over."""
+    def duplicating(bases, field):
+        out = real(bases, field)
+        out[0, 0] = out[0, 1]
+        return out
+    return duplicating
 
-    def dropping(s):
-        out = real(s)
-        if seen:
-            return out
-        seen.append(s)
-        return out[1:]
-    return dropping
+
+# the first bucket met in (vertex enumeration, hyperplane) order is reported
+_BUCKET_MESSAGES = {
+    build_grassmann: "(d-1)-subspace 1100 lies in 8 vertices, expected 7",
+    build_dual_polar_D: "(d-1)-subspace 1100 lies in 3 vertices, expected 2",
+}
 
 
 @pytest.mark.parametrize("build, params", [(build_grassmann, (4, 2, 2)),
                                            (build_dual_polar_D, (2, 2))])
 def test_bucket_size_cross_check(monkeypatch, build, params):
-    monkeypatch.setattr(families, "subspace_hyperplanes",
-                        _drop_first_hyperplane(families.subspace_hyperplanes))
-    with pytest.raises(CrossCheckViolation):
+    monkeypatch.setattr(families, "hyperplane_bases",
+                        _duplicate_first_hyperplane(families.hyperplane_bases))
+    with pytest.raises(CrossCheckViolation, match=re.escape(_BUCKET_MESSAGES[build])):
         build(*params)
 
 
@@ -282,9 +297,9 @@ def test_bucket_size_cross_check_runs_under_optimize():
     code = "\n".join([
         "from drgtrades import families",
         "from drgtrades.errors import CrossCheckViolation",
-        "from test_families import _drop_first_hyperplane",
-        "families.subspace_hyperplanes = _drop_first_hyperplane(",
-        "    families.subspace_hyperplanes)",
+        "from test_families import _duplicate_first_hyperplane",
+        "families.hyperplane_bases = _duplicate_first_hyperplane(",
+        "    families.hyperplane_bases)",
         "try:",
         "    families.build_grassmann(4, 2, 2)",
         "except CrossCheckViolation:",
@@ -297,3 +312,47 @@ def test_bucket_size_cross_check_runs_under_optimize():
                          text=True, env=dict(os.environ, PYTHONPATH=path))
     assert res.returncode == 0, res.stderr
     assert res.stdout == "raised False\n"
+
+
+# --- array builders against the per-subspace pipeline ---------------------------
+
+def _reference_host(vertices, size):
+    """Labels, CSR and sorted clique rows the per-subspace way: one label per
+    Subspace, hyperplanes from subspace_hyperplanes, buckets in a dict."""
+    labels = sorted(s.label() for s in vertices)
+    idx = {lab: i for i, lab in enumerate(labels)}
+    buckets = {}
+    for s in vertices:
+        for h in subspace_hyperplanes(s):
+            buckets.setdefault(h.label(), []).append(idx[s.label()])
+    assert {len(b) for b in buckets.values()} == {size}
+    rows = np.array(sorted(sorted(b) for b in buckets.values()))
+    i, j = np.triu_indices(size, 1)
+    edges = np.stack([rows[:, i], rows[:, j]], axis=2).reshape(-1, 2)
+    return Graph(labels, edges), rows
+
+
+def _assert_same_host(g, ref):
+    assert g.labels == ref.labels
+    assert np.array_equal(g._off, ref._off)
+    assert np.array_equal(g._flat, ref._flat)
+
+
+@pytest.mark.parametrize("n, d, q", [(4, 2, q) for q in (2, 3, 4, 5, 7, 8, 9)]
+                         + [(5, 2, 3), (5, 2, 4), (6, 3, 2), (3, 1, 3)])
+def test_grassmann_matches_subspace_reference(n, d, q):
+    g, S = build_grassmann(n, d, q)
+    ref, rows = _reference_host(enumerate_subspaces(n, d, make_field(q)),
+                                gaussian_binomial(n - d + 1, 1, q))
+    _assert_same_host(g, ref)
+    assert np.array_equal(S.cliques, rows)
+
+
+@pytest.mark.parametrize("d, q", [(2, 2), (3, 2), (2, 3), (2, 4)])
+def test_dual_polar_matches_subspace_reference(d, q):
+    F = make_field(q)
+    form = hyperbolic_form(d, F)
+    vertices = [s for s in enumerate_subspaces(2 * d, d, F)
+                if is_totally_isotropic(s, form)]
+    ref, _ = _reference_host(vertices, 2)
+    _assert_same_host(build_dual_polar_D(d, q), ref)

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from drgtrades import gfq
@@ -114,6 +115,70 @@ def test_rref_idempotent_and_rank_preserving(q):
             mixed[i] = [F.add(x, y) for x, y in zip(mixed[i], mixed[j])]
         assert rref(FFMatrix.from_rows(mixed, F)) == red or rank(m) != rank(
             FFMatrix.from_rows(mixed, F))
+
+
+def _reference_rref(rows, F):
+    """Row reduction one matrix at a time in scalar field arithmetic."""
+    rows = [list(r) for r in rows]
+    r = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        s = F.inv(rows[r][col])
+        rows[r] = [F.mul(s, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return rows
+
+
+def _random_matrices(rng, q, count, nr, nc):
+    """Seeded (nr, nc) matrices over GF(q): a quarter of rank at most 1 and
+    a quarter of rank at most 2 (products of thin random factors), the rest
+    uniform, the last three zero."""
+    F = make_field(q)
+    out = rng.integers(0, q, size=(count, nr, nc)).astype(np.int8)
+    quarter = count // 4
+    for start, inner in ((0, 1), (quarter, 2)):
+        left = rng.integers(0, q, size=(quarter, nr, inner)).astype(np.int8)
+        right = rng.integers(0, q, size=(quarter, inner, nc)).astype(np.int8)
+        out[start:start + quarter] = gfq.matmul_batch(left, right, F)
+    out[-3:] = 0
+    return out
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_batched_rref_matches_reference(q):
+    F = make_field(q)
+    rng = np.random.default_rng(2000 + q)
+    for nr, nc in [(1, 4), (2, 5), (3, 3), (4, 6), (5, 3)]:
+        batch = _random_matrices(rng, q, 60, nr, nc)
+        got = gfq.rref_batch(batch, F)
+        for m, red in zip(batch.tolist(), got.tolist()):
+            assert red == _reference_rref(m, F)
+            assert rref(FFMatrix.from_rows(m, F)).rows() == [tuple(r) for r in red]
+        if nr > 1:
+            assert not got[:, -1].any(axis=1).all()  # rank-deficient cases occur
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_batched_matmul_matches_scalar_products(q):
+    F = make_field(q)
+    rng = np.random.default_rng(3000 + q)
+    a = rng.integers(0, q, size=(20, 3, 4)).astype(np.int8)
+    b = rng.integers(0, q, size=(20, 4, 2)).astype(np.int8)
+    got = gfq.matmul_batch(a, b, F)
+    for x, y, xy in zip(a.tolist(), b.tolist(), got.tolist()):
+        for i in range(3):
+            for j in range(2):
+                acc = 0
+                for t in range(4):
+                    acc = F.add(acc, F.mul(x[i][t], y[t][j]))
+                assert xy[i][j] == acc
 
 
 # --- gaussian binomials vs enumeration ---------------------------------------
@@ -235,6 +300,16 @@ def test_isotropic_subspace_count(d, q):
     count = sum(1 for s in enumerate_subspaces(2 * d, d, F)
                 if is_totally_isotropic(s, form))
     assert count == isotropic_count_product(d, q)
+
+
+@pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2), (2, 4), (2, 5)])
+def test_totally_isotropic_mask_matches_per_subspace(d, q):
+    F = make_field(q)
+    form = hyperbolic_form(d, F)
+    mask = gfq.totally_isotropic_mask(gfq.subspace_bases(2 * d, d, q), form)
+    assert mask.tolist() == [is_totally_isotropic(s, form)
+                             for s in enumerate_subspaces(2 * d, d, F)]
+    assert mask.sum() == isotropic_count_product(d, q)
 
 
 def test_isotropic_count_identity():

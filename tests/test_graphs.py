@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from drgtrades.errors import Disconnected
-from drgtrades.families import build_family, build_grassmann, build_hamming, family_array
+from drgtrades.families import (
+    build_family,
+    build_grassmann,
+    build_hamming,
+    family_array,
+    parse_family,
+)
 from drgtrades.graphs import (
     CliqueSystem,
     Graph,
@@ -163,6 +169,26 @@ def test_induced_subgraph_full_and_edge():
     assert sub.num_edges == g.num_edges and back == list(range(8))
     sub2, _ = induced_subgraph(g, [0, 1])
     assert (sub2.num_vertices, sub2.num_edges) == (2, 1)
+
+
+def _induced_by_loop(g, verts):
+    back = sorted(set(int(v) for v in verts))
+    pos = {h: i for i, h in enumerate(back)}
+    edges = [(pos[h], pos[w]) for h in back for w in g.neighbors(h).tolist()
+             if w in pos and h < w]
+    return [g.labels[h] for h in back], edges, back
+
+
+@pytest.mark.parametrize("spec", ["grassmann:4,2,2", "hamming:4,3"])
+def test_induced_subgraph_matches_vertex_loop(spec):
+    g, _ = build_family(*parse_family(spec))
+    rng = random.Random(spec)
+    for size in (1, 2, 5, 12, 30, g.num_vertices // 2, g.num_vertices):
+        verts = [rng.randrange(g.num_vertices) for _ in range(size)]
+        sub, back = induced_subgraph(g, np.array(verts))
+        labels, edges, ref_back = _induced_by_loop(g, verts)
+        assert back == ref_back and sub.labels == labels
+        assert sub.edge_array().tolist() == [list(e) for e in edges]
 
 
 def test_isometric_geodesic_path():
