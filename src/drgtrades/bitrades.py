@@ -36,6 +36,7 @@ from .families import (
     build_johnson,
     build_octahedron,
     build_doob,
+    johnson_label,
 )
 from .gfq import DEFAULT_ENUMERATION_CAP
 from .graphs import (
@@ -49,7 +50,6 @@ from .graphs import (
     is_bipartite,
     is_isometric_subgraph,
     is_regular,
-    max_clique_order,
     vertex_mask,
 )
 from .spectral import (
@@ -112,10 +112,14 @@ def bitrade_to_json(T: Bitrade) -> dict:
     }
 
 
-def bitrade_from_json(host: Graph, doc: dict) -> Bitrade:
-    t0 = frozenset(host.index_of(lab) for lab in doc["T0"])
-    t1 = frozenset(host.index_of(lab) for lab in doc["T1"])
-    return Bitrade(host, t0, t1)
+def bitrade_from_json(host: Graph, doc) -> Bitrade:
+    """The bitrade a bitrade_to_json document describes.  Raises KeyError
+    on a label the host lacks, and ValueError when doc is not an object with
+    "T0" and "T1" lists of labels or its sides do not form a bitrade."""
+    sides = [doc.get(k) for k in ("T0", "T1")] if isinstance(doc, dict) else [None]
+    if not all(isinstance(s, list) and all(isinstance(lab, str) for lab in s) for s in sides):
+        raise ValueError('expected an object with "T0" and "T1" lists of vertex labels')
+    return _split(host, [(lab, i) for i, side in enumerate(sides) for lab in side])
 
 
 # --- Delsarte pair -------------------------------------------------------------
@@ -127,27 +131,31 @@ class DelsartePairReport:
     s: int
     theta_min: int
     hoffman_order: Fraction          # 1 - k/theta_min
-    max_clique: int | None
 
     def __bool__(self):
         return self.ok
 
 
-def verify_delsarte_pair(g: Graph, S: CliqueSystem, host_array=None,
-                         confirm_maximality: bool = False) -> DelsartePairReport:
+def _host_array(g: Graph, host_array=None) -> IntersectionArray:
+    """host_array when given, else the host's intersection array as proven
+    by distance_regularity_check; a host that is not distance-regular
+    raises NotDistanceRegular with the witness."""
+    if host_array is not None:
+        return host_array
+    dr = distance_regularity_check(g)
+    if not dr.ok:
+        raise NotDistanceRegular(str(dr.witness))
+    return dr.value
+
+
+def verify_delsarte_pair(g: Graph, S: CliqueSystem,
+                         host_array=None) -> DelsartePairReport:
     """A (k,s,m) pair is Delsarte when the host is distance-regular and the
     clique order s+1 reaches the Hoffman bound 1 - k/theta_min."""
-    if host_array is None:
-        dr = distance_regularity_check(g)
-        if not dr.ok:
-            raise NotDistanceRegular(str(dr.witness))
-        host_array = dr.value
-    k = host_array.k
-    th = intersection_matrix_eigenvalues(host_array)[-1]
-    hoffman = 1 - Fraction(k, th)
-    mc = max_clique_order(g) if confirm_maximality else None
-    ok = (S.s + 1 == hoffman) and (mc is None or mc == S.s + 1)
-    return DelsartePairReport(ok, k, S.s, th, hoffman, mc)
+    arr = _host_array(g, host_array)
+    th = intersection_matrix_eigenvalues(arr)[-1]
+    hoffman = 1 - Fraction(arr.k, th)
+    return DelsartePairReport(S.s + 1 == hoffman, arr.k, S.s, th, hoffman)
 
 
 # --- the three criteria -----------------------------------------------------------
@@ -205,13 +213,12 @@ class MinimalityReport:
         return self.minimal
 
 
-def _host_array(g: Graph, host_array) -> IntersectionArray:
-    if host_array is not None:
-        return host_array
-    dr = distance_regularity_check(g)
-    if not dr.ok:
-        raise NotDistanceRegular(str(dr.witness))
-    return dr.value
+def _integral_bound(arr: IntersectionArray, theta) -> int:
+    """The weight-distribution bound at theta, which must be an integer."""
+    bound = wd_bound(arr, theta)
+    if bound.denominator != 1:
+        raise CrossCheckViolation(f"weight-distribution bound {bound} is not an integer")
+    return int(bound)
 
 
 def check_minimality(g: Graph, S: CliqueSystem, T: Bitrade,
@@ -220,11 +227,7 @@ def check_minimality(g: Graph, S: CliqueSystem, T: Bitrade,
     isometric-subgraph test, which must agree (their equivalence is the
     content of the minimality theory; disagreement is a hard failure)."""
     arr = _host_array(g, host_array)
-    th = Fraction(-arr.k, S.s)
-    bound = wd_bound(arr, th)
-    if bound.denominator != 1:
-        raise CrossCheckViolation(f"weight-distribution bound {bound} is not an integer")
-    bound = int(bound)
+    bound = _integral_bound(arr, Fraction(-arr.k, S.s))
     meets = T.cardinality == bound
     iso = is_isometric_subgraph(g, T.support)
     if meets != iso.ok:
@@ -243,8 +246,7 @@ class SubgraphReport:
 
 
 def check_subgraph_dr(g: Graph, S: CliqueSystem, T: Bitrade,
-                      host_array=None,
-                      expected_array: IntersectionArray | None = None) -> SubgraphReport:
+                      host_array=None) -> SubgraphReport:
     """For a minimal bitrade the trade subgraph must be distance-regular
     with shell sizes |W^i| computed from the host array; failure here is a
     violated equivalence, not a user error."""
@@ -262,9 +264,6 @@ def check_subgraph_dr(g: Graph, S: CliqueSystem, T: Bitrade,
         if got != shells:
             raise CrossCheckViolation(
                 f"shells {got} at {sub.labels[x]} differ from |W^i| = {shells}")
-    if expected_array is not None and dr.value != expected_array:
-        raise CrossCheckViolation(
-            f"trade subgraph array {dr.value} != expected {expected_array}")
     return SubgraphReport(dr.value, shells)
 
 
@@ -296,8 +295,9 @@ class VerificationReport:
 
 def verify_bitrade(g: Graph, S: CliqueSystem, T: Bitrade,
                    host_array=None) -> VerificationReport:
-    """Run criteria a/b/c; when all pass, also minimality and the trade
-    subgraph's distance regularity."""
+    """Run criteria a/b/c on a distance-regular host; when all pass, also
+    minimality and the trade subgraph's distance regularity."""
+    arr = _host_array(g, host_array)
     k = is_regular(g).value
     th = Fraction(-k, S.s)
     a = check_criterion_a(g, S, T)
@@ -306,7 +306,6 @@ def verify_bitrade(g: Graph, S: CliqueSystem, T: Bitrade,
     degree = Fraction(k, S.s)
     if not (a.ok and b.ok and c.ok):
         return VerificationReport(a, b, c, th, degree, T.cardinality)
-    arr = _host_array(g, host_array)
     mini = check_minimality(g, S, T, host_array=arr)
     sub_arr = None
     shells = None
@@ -318,50 +317,78 @@ def verify_bitrade(g: Graph, S: CliqueSystem, T: Bitrade,
                               sub_arr, shells)
 
 
+@dataclass(frozen=True)
+class PseudoBitradeReport:
+    theta: int
+    b: Verdict
+    cardinality: int
+    bound: int
+    ok: bool
+
+
+def verify_pseudo_bitrade(g: Graph, T: Bitrade,
+                          arr: IntersectionArray) -> PseudoBitradeReport:
+    """On a host without a Delsarte clique system only the eigenfunction
+    criterion exists: the signed indicator at theta_min of arr, and the
+    cardinality against the weight-distribution bound there."""
+    theta = intersection_matrix_eigenvalues(arr)[-1]
+    b = verify_eigenfunction(g, T.signed_function(), theta)
+    bound = _integral_bound(arr, theta)
+    return PseudoBitradeReport(theta, b, T.cardinality, bound,
+                               b.ok and T.cardinality == bound)
+
+
 # --- constructors ------------------------------------------------------------------------
+
+def _split(host: Graph, pairs) -> Bitrade:
+    """The bitrade whose side i holds the vertex labelled lab for each
+    (lab, i) in pairs."""
+    sides = ([], [])
+    for label, side in pairs:
+        sides[side].append(host.index_of(label))
+    return Bitrade(host, frozenset(sides[0]), frozenset(sides[1]))
+
+
+def _cube(n: int):
+    """The binary words of length n, each with its weight parity."""
+    for bits in itertools.product("01", repeat=n):
+        yield "".join(bits), bits.count("1") % 2
+
+
+def _johnson_blocks(w: int, shifts):
+    """The blocks of min_bitrade_johnson with every point moved up by shift,
+    one block system per shift, each block with its side."""
+    return ((johnson_label(shift + 2 * i + 1 + int(b) for i, b in enumerate(bits)), parity)
+            for shift in shifts for bits, parity in _cube(w))
+
 
 def min_bitrade_johnson(n: int, w: int, host: Graph | None = None) -> Bitrade:
     """Blocks {a_1^{b_1},...,a_w^{b_w}} over the fixed points a_i^0 = 2i-1,
     a_i^1 = 2i, split by the parity of b_1+...+b_w."""
     if host is None:
         host, _ = build_johnson(n, w)
-    sides = ([], [])
-    for bits in itertools.product((0, 1), repeat=w):
-        block = tuple(2 * i + 1 + bits[i] for i in range(w))
-        label = ",".join(str(x) for x in sorted(block))
-        sides[sum(bits) % 2].append(host.index_of(label))
-    return Bitrade(host, frozenset(sides[0]), frozenset(sides[1]))
+    return _split(host, _johnson_blocks(w, (0,)))
 
 
 def min_bitrade_hamming(n: int, q: int, host: Graph | None = None) -> Bitrade:
     """Binary words inside the q-ary cube, split by weight parity."""
     if host is None:
         host, _ = build_hamming(n, q)
-    sides = ([], [])
-    for bits in itertools.product((0, 1), repeat=n):
-        label = "".join(str(b) for b in bits)
-        sides[sum(bits) % 2].append(host.index_of(label))
-    return Bitrade(host, frozenset(sides[0]), frozenset(sides[1]))
+    return _split(host, _cube(n))
 
 
 def min_bitrade_halved_cube(n: int, host: Graph | None = None) -> Bitrade:
     """Doubled words (x,x), split by the weight parity of x."""
     if host is None:
         host, _ = build_halved_cube(n)
-    sides = ([], [])
-    for bits in itertools.product((0, 1), repeat=n // 2):
-        label = "".join(str(b) for b in bits) * 2
-        sides[sum(bits) % 2].append(host.index_of(label))
-    return Bitrade(host, frozenset(sides[0]), frozenset(sides[1]))
+    return _split(host, ((word * 2, parity) for word, parity in _cube(n // 2)))
 
 
 def min_bitrade_octahedron(n: int, host: Graph | None = None) -> Bitrade:
     """A square: two antipodal pairs, one per side."""
     if host is None:
         host, _ = build_octahedron(n)
-    return Bitrade(host,
-                   frozenset((host.index_of("0+"), host.index_of("0-"))),
-                   frozenset((host.index_of("1+"), host.index_of("1-"))))
+    return _split(host, (("0+", 0), ("0-", 0), ("1+", 1), ("1-", 1)))
 
 
 def min_bitrade_grassmann(n: int, d: int, q: int, host: Graph | None = None,
@@ -381,11 +408,8 @@ def min_bitrade_grassmann(n: int, d: int, q: int, host: Graph | None = None,
     if not bip.ok:
         raise CrossCheckViolation(f"dual polar graph D_{d}({q}) has an odd cycle: {bip.witness}")
     pad = "0" * (n - 2 * d)
-    sides = ([], [])
-    for v, lab in enumerate(dp.labels):
-        ext = "/".join(row + pad for row in lab.split("/"))
-        sides[bip.value[v]].append(host.index_of(ext))
-    return Bitrade(host, frozenset(sides[0]), frozenset(sides[1]))
+    return _split(host, (("/".join(row + pad for row in lab.split("/")), bip.value[v])
+                         for v, lab in enumerate(dp.labels)))
 
 
 def pseudo_bitrade_doob(m: int, n: int,
@@ -402,14 +426,11 @@ def pseudo_bitrade_doob(m: int, n: int,
     for shr in itertools.product(range(4), repeat=m):
         for bits in itertools.product((0, 1), repeat=n):
             tokens = [f"0{j}" for j in shr] + [str(b) for b in bits]
-            members.append((host.index_of(".".join(tokens)),
+            members.append((".".join(tokens),
                             sum(shr) + sum(bits),          # parity candidate 1
                             sum(j // 2 for j in shr) + sum(bits)))  # candidate 2
     for pick in (1, 2):
-        sides = ([], [])
-        for item in members:
-            sides[item[pick] % 2].append(item[0])
-        T = Bitrade(host, frozenset(sides[0]), frozenset(sides[1]))
+        T = _split(host, ((item[0], item[pick] % 2) for item in members))
         verdict = verify_eigenfunction(host, T.signed_function(), theta)
         if verdict.ok:
             return T, verdict
@@ -423,13 +444,7 @@ def double_johnson_bitrade(n: int, w: int, host: Graph | None = None) -> Bitrade
         raise ValueError("need n >= 4w for point-disjoint copies")
     if host is None:
         host, _ = build_johnson(n, w)
-    sides = ([], [])
-    for shift in (0, 2 * w):
-        for bits in itertools.product((0, 1), repeat=w):
-            block = tuple(shift + 2 * i + 1 + bits[i] for i in range(w))
-            label = ",".join(str(x) for x in sorted(block))
-            sides[sum(bits) % 2].append(host.index_of(label))
-    return Bitrade(host, frozenset(sides[0]), frozenset(sides[1]))
+    return _split(host, _johnson_blocks(w, (0, 2 * w)))
 
 
 MIN_BITRADES = {

@@ -15,17 +15,21 @@ import os
 import sys
 from typing import NoReturn
 
+from . import report
 from .bitrades import (
     MIN_BITRADES,
     bitrade_from_json,
     bitrade_to_json,
+    pseudo_bitrade_doob,
     verify_bitrade,
+    verify_pseudo_bitrade,
 )
 from .errors import (
     CliquesNotDelsarte,
     CrossCheckViolation,
     EnumerationTooLarge,
     InvalidParameters,
+    NotDistanceRegular,
     UnsupportedFieldOrder,
 )
 from .families import build_family, family_array, parse_family
@@ -106,9 +110,7 @@ def cmd_build(args) -> int:
 def cmd_cliques(args) -> int:
     name, params, g, S = _build(args)
     if S is None:
-        print(f"usage error: family {name} has no Delsarte clique system",
-              file=sys.stderr)
-        return 2
+        _usage_error(f"family {name} has no Delsarte clique system")
     v = verify_clique_system(g, S)
     k = is_regular(g).value
     doc = {
@@ -128,9 +130,7 @@ def cmd_cliques(args) -> int:
 def _make_bitrade(args, name, params, g, S):
     if args.bitrade == "min":
         if name == "doob":
-            from .bitrades import pseudo_bitrade_doob
-            T, _ = pseudo_bitrade_doob(*params, host=g)
-            return T
+            return pseudo_bitrade_doob(*params, host=g)[0]
         ctor = MIN_BITRADES.get(name)
         if ctor is None:
             _usage_error(f"no minimum bitrade constructor for {name}")
@@ -146,6 +146,8 @@ def _make_bitrade(args, name, params, g, S):
         return bitrade_from_json(g, doc)
     except KeyError as exc:
         _usage_error(f"unknown vertex label {exc} in bitrade file")
+    except ValueError as exc:
+        _usage_error(f"bitrade file {args.bitrade!r}: {exc}")
 
 
 def cmd_bitrade(args) -> int:
@@ -162,8 +164,6 @@ def cmd_bitrade(args) -> int:
 
 
 def _fmt_verdict(v) -> str:
-    if v is None:
-        return "skipped"
     if v.ok:
         return "pass"
     return f"FAIL ({v.detail}; witness {v.witness!r})"
@@ -174,43 +174,25 @@ def cmd_verify(args) -> int:
     T = _make_bitrade(args, name, params, g, S)
 
     if S is None:
-        # pseudo-bitrade host: only the eigenfunction criterion exists
-        from .spectral import verify_eigenfunction
-        arr = family_array(name, params)
-        theta = intersection_matrix_eigenvalues(arr)[-1]
-        b = verify_eigenfunction(g, T.signed_function(), theta)
-        bound = wd_bound(arr, theta)
-        ok = b.ok and T.cardinality == bound
+        rep = verify_pseudo_bitrade(g, T, family_array(name, params))
         doc = {
-            "criterion_b": b.ok, "theta": str(theta),
-            "cardinality": T.cardinality, "bound": int(bound),
-            "pass": ok,
+            "criterion_b": rep.b.ok, "theta": str(rep.theta),
+            "cardinality": rep.cardinality, "bound": rep.bound,
+            "pass": rep.ok,
         }
         _emit(args, doc, [
-            f"eigenfunction criterion (theta = {theta}): {_fmt_verdict(b)}",
-            f"cardinality: {T.cardinality} vs bound {int(bound)}",
-            f"overall: {'pass' if ok else 'FAIL'}",
+            f"eigenfunction criterion (theta = {rep.theta}): {_fmt_verdict(rep.b)}",
+            f"cardinality: {rep.cardinality} vs bound {rep.bound}",
+            f"overall: {'pass' if rep.ok else 'FAIL'}",
         ])
-        return 0 if ok else 1
+        return 0 if rep.ok else 1
 
-    dr = distance_regularity_check(g)
-    if not dr.ok:
-        print(f"host not distance-regular: {dr.witness}", file=sys.stderr)
-        return 1
-    rep = verify_bitrade(g, S, T, host_array=dr.value)
+    rep = verify_bitrade(g, S, T)
     which = args.criterion
-    lines = []
-    checks = {}
-    if which in ("a", "all"):
-        checks["a"] = rep.a
-        lines.append(f"criterion a (clique intersections): {_fmt_verdict(rep.a)}")
-    if which in ("b", "all"):
-        checks["b"] = rep.b
-        lines.append(f"criterion b (eigenfunction at {rep.theta}): {_fmt_verdict(rep.b)}")
-    if which in ("c", "all"):
-        checks["c"] = rep.c
-        lines.append(f"criterion c (trade subgraph {rep.subgraph_degree}-regular): "
-                     f"{_fmt_verdict(rep.c)}")
+    titles = {"a": "clique intersections", "b": f"eigenfunction at {rep.theta}",
+              "c": f"trade subgraph {rep.subgraph_degree}-regular"}
+    checks = {k: getattr(rep, k) for k in "abc" if which in (k, "all")}
+    lines = [f"criterion {k} ({titles[k]}): {_fmt_verdict(v)}" for k, v in checks.items()]
     ok = all(v.ok for v in checks.values())
     doc = {
         "criteria": {k: v.ok for k, v in checks.items()},
@@ -295,7 +277,6 @@ def cmd_identity(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from . import report
     results = report.run_all(include_large=args.with_large)
     if args.json:
         print(json.dumps([r.as_dict() for r in results], indent=2, sort_keys=True))
@@ -376,6 +357,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (EnumerationTooLarge, CliquesNotDelsarte) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except NotDistanceRegular as exc:
+        print(f"host not distance-regular: {exc}", file=sys.stderr)
         return 1
 
 

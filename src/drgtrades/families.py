@@ -33,9 +33,9 @@ from .gfq import (
 from .graphs import CliqueSystem, Graph, IntersectionArray, clique_pairs
 
 
-def _guard(count: int, cap: int, what: str):
+def _guard(count: int, cap: int, what: str, unit: str = "vertices"):
     if count > cap:
-        raise EnumerationTooLarge(f"{what}: {count} vertices exceeds cap {cap}")
+        raise EnumerationTooLarge(f"{what}: {count} {unit} exceeds cap {cap}")
 
 
 def _host_with_cliques(labels, rows, s: int, m: int, family: str,
@@ -50,12 +50,14 @@ def _host_with_cliques(labels, rows, s: int, m: int, family: str,
 
 # --- octahedron -------------------------------------------------------------
 
-def build_octahedron(n: int) -> tuple[Graph, CliqueSystem]:
+def build_octahedron(n: int,
+                     cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Graph, CliqueSystem]:
     """n antipodal pairs, all edges except within a pair; the clique system
     is all 2^n transversals (one vertex per pair), each edge lying in
-    2^(n-2) of them."""
+    2^(n-2) of them.  The cap bounds the transversals."""
     if n < 2:
         raise InvalidParameters("need n >= 2")
+    _guard(2 ** n, cap, f"octahedron({n})", "cliques")
     labels = sorted(f"{i}{s}" for i in range(n) for s in "+-")
     idx = {lab: i for i, lab in enumerate(labels)}
     cliques = [[idx[f"{i}{s}"] for i, s in enumerate(signs)]
@@ -153,54 +155,38 @@ def halved_cube_array(n: int) -> IntersectionArray:
 
 # --- Shrikhande and Doob ------------------------------------------------------
 
-_SHRIKHANDE_DIFFS = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
-
-
-def _shrikhande_factor():
-    labels = [f"{a}{b}" for a in range(4) for b in range(4)]
-    adj = {}
-    for a in range(4):
-        for b in range(4):
-            adj[f"{a}{b}"] = sorted(
-                f"{(a + da) % 4}{(b + db) % 4}" for da, db in _SHRIKHANDE_DIFFS)
-    return labels, adj
-
-
-def _k4_factor():
-    labels = [str(v) for v in range(4)]
-    adj = {l: sorted(x for x in labels if x != l) for l in labels}
-    return labels, adj
-
-
-def build_shrikhande() -> Graph:
-    """16 pairs over Z4 x Z4, adjacent when the difference lies in the
-    six-element difference set."""
-    labels, adj = _shrikhande_factor()
-    labels = sorted(labels)
-    idx = {lab: i for i, lab in enumerate(labels)}
-    edges = sorted({tuple(sorted((idx[l], idx[o]))) for l in labels for o in adj[l]})
-    return Graph(labels, edges, family="shrikhande", params=())
+_SHRIKHANDE_DIFFS = ((0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3))
 
 
 def build_doob(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Graph:
     """Cartesian product of m Shrikhande factors and n complete 4-factors.
-    No clique system: its natural cliques are too small for a Delsarte pair."""
+    No clique system: its natural cliques are too small for a Delsarte pair.
+
+    A vertex is labelled by its factor labels, '.'-joined.  The labels of
+    one factor share a length, so product order is label order."""
     if m < 1 or n < 0:
         raise InvalidParameters("need m >= 1, n >= 0")
     _guard(16 ** m * 4 ** n, cap, f"doob({m},{n})")
-    factors = [_shrikhande_factor() for _ in range(m)] + \
-              [_k4_factor() for _ in range(n)]
-    words = [tuple(w) for w in itertools.product(*(f[0] for f in factors))]
-    labels = sorted(".".join(w) for w in words)
-    idx = {lab: i for i, lab in enumerate(labels)}
-    edges = set()
-    for w in words:
-        lab = ".".join(w)
-        for pos, (_, adj) in enumerate(factors):
-            for other in adj[w[pos]]:
-                nb = ".".join(w[:pos] + (other,) + w[pos + 1:])
-                edges.add(tuple(sorted((idx[lab], idx[nb]))))
-    return Graph(labels, sorted(edges), family="doob", params=(m, n))
+    shrikhande = ([f"{a}{b}" for a in range(4) for b in range(4)],
+                  [(4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+                   for a in range(4) for b in range(4) for da, db in _SHRIKHANDE_DIFFS])
+    k4 = (list("0123"), list(itertools.combinations(range(4), 2)))
+    factors = [shrikhande] * m + [k4] * n
+    # grid[w] is the vertex of word w; a factor edge joins two slices of its axis
+    grid = np.arange(16 ** m * 4 ** n).reshape([len(f[0]) for f in factors])
+    edges = [np.stack([grid.take(u, axis=pos).ravel(), grid.take(v, axis=pos).ravel()], axis=1)
+             for pos, (_, pairs) in enumerate(factors) for u, v in pairs]
+    labels = [".".join(w) for w in itertools.product(*(f[0] for f in factors))]
+    return Graph(labels, np.concatenate(edges), family="doob", params=(m, n))
+
+
+def build_shrikhande(cap: int = DEFAULT_ENUMERATION_CAP) -> Graph:
+    """The Doob graph with one Shrikhande factor and no K4 factor: 16 pairs
+    over Z4 x Z4, adjacent when the difference lies in the six-element
+    difference set."""
+    g = build_doob(1, 0, cap)
+    g.family, g.params = "shrikhande", ()
+    return g
 
 
 def doob_array(m: int, n: int) -> IntersectionArray:
@@ -293,10 +279,12 @@ def build_dual_polar_D(d: int, q: int,
     """Maximal totally isotropic subspaces of the hyperbolic form on
     F_q^{2d}, adjacent when meeting in dimension d-1.  Bipartite and
     (q^d-1)/(q-1)-regular; each isotropic hyperplane lies in exactly two
-    vertices, so buckets have size two.  The vertices are found by filtering
-    all d-subspaces of F_q^{2d}, so the cap bounds that candidate count."""
-    if d < 2:
-        raise InvalidParameters("need d >= 2")
+    vertices, so buckets have size two; D_1(q) is the edge between the two
+    isotropic points of the hyperbolic plane.  The vertices are found by
+    filtering all d-subspaces of F_q^{2d}, so the cap bounds that candidate
+    count."""
+    if d < 1:
+        raise InvalidParameters("need d >= 1")
     field = make_field(q)
     candidates = gaussian_binomial(2 * d, d, q)
     if candidates > cap:
@@ -319,24 +307,22 @@ def dual_polar_array(d: int, q: int) -> IntersectionArray:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One graph family: builder, arity, closed-form expectations."""
+    """One FAMILIES entry: builder, arity, closed-form expectations."""
 
-    name: str
     arity: int
-    build: object                 # params -> Graph | (Graph, CliqueSystem)
+    build: object                 # (*params, cap) -> Graph | (Graph, CliqueSystem)
     array: object                 # params -> IntersectionArray
 
 
 FAMILIES = {
-    "octahedron": FamilySpec("octahedron", 1, build_octahedron, octahedron_array),
-    "hamming": FamilySpec("hamming", 2, build_hamming, hamming_array),
-    "johnson": FamilySpec("johnson", 2, build_johnson, johnson_array),
-    "halved_cube": FamilySpec("halved_cube", 1, build_halved_cube, halved_cube_array),
-    "shrikhande": FamilySpec("shrikhande", 0, build_shrikhande,
-                             lambda: doob_array(1, 0)),
-    "doob": FamilySpec("doob", 2, build_doob, doob_array),
-    "grassmann": FamilySpec("grassmann", 3, build_grassmann, grassmann_array),
-    "dual_polar_D": FamilySpec("dual_polar_D", 2, build_dual_polar_D, dual_polar_array),
+    "octahedron": FamilySpec(1, build_octahedron, octahedron_array),
+    "hamming": FamilySpec(2, build_hamming, hamming_array),
+    "johnson": FamilySpec(2, build_johnson, johnson_array),
+    "halved_cube": FamilySpec(1, build_halved_cube, halved_cube_array),
+    "shrikhande": FamilySpec(0, build_shrikhande, lambda: doob_array(1, 0)),
+    "doob": FamilySpec(2, build_doob, doob_array),
+    "grassmann": FamilySpec(3, build_grassmann, grassmann_array),
+    "dual_polar_D": FamilySpec(2, build_dual_polar_D, dual_polar_array),
 }
 
 
@@ -352,16 +338,12 @@ def parse_family(spec: str) -> tuple[str, tuple[int, ...]]:
     return name, params
 
 
-def build_family(name: str, params: tuple[int, ...], cap: int | None = None):
-    """Build a family instance; returns (Graph, CliqueSystem | None)."""
-    spec = FAMILIES[name]
-    kwargs = {}
-    if cap is not None and name not in ("octahedron", "shrikhande"):
-        kwargs["cap"] = cap
-    out = spec.build(*params, **kwargs)
-    if isinstance(out, tuple):
-        return out
-    return out, None
+def build_family(name: str, params: tuple[int, ...],
+                 cap: int = DEFAULT_ENUMERATION_CAP):
+    """Build a family instance under the enumeration cap; returns
+    (Graph, CliqueSystem | None)."""
+    out = FAMILIES[name].build(*params, cap=cap)
+    return out if isinstance(out, tuple) else (out, None)
 
 
 def family_array(name: str, params: tuple[int, ...]) -> IntersectionArray:

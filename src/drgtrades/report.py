@@ -16,6 +16,7 @@ from time import perf_counter
 import numpy as np
 
 from .bitrades import (
+    _host_array,
     check_criterion_a,
     check_criterion_b,
     check_criterion_c,
@@ -33,7 +34,7 @@ from .bitrades import (
     verify_delsarte_pair,
 )
 from .families import (
-    FAMILIES,
+    build_family,
     build_grassmann,
     dual_polar_array,
     grassmann_array,
@@ -46,7 +47,6 @@ from .gfq import (
 )
 from .graphs import (
     completely_regular_check,
-    distance_regularity_check,
     is_regular,
     verify_clique_system,
     vertex_mask,
@@ -90,28 +90,18 @@ def _check(cond, msg):
 # --- memoized builds -----------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _built(name: str, params: tuple):
-    return FAMILIES[name].build(*params)
+def _pair(name, *params):
+    """(Graph, CliqueSystem | None) of the family instance, built once."""
+    return build_family(name, params)
 
 
 def _graph(name, *params):
-    out = _built(name, tuple(params))
-    return out if not isinstance(out, tuple) else out[0]
-
-
-def _pair(name, *params):
-    out = _built(name, tuple(params))
-    assert isinstance(out, tuple)
-    return out
+    return _pair(name, *params)[0]
 
 
 @lru_cache(maxsize=None)
 def _host_dr(name: str, params: tuple):
-    g = _built(name, params)
-    g = g[0] if isinstance(g, tuple) else g
-    v = distance_regularity_check(g)
-    _check(v.ok, f"{name}{params} not distance-regular: {v.witness}")
-    return v.value
+    return _host_array(_graph(name, *params))
 
 
 # --- criteria --------------------------------------------------------------------

@@ -200,9 +200,6 @@ class VertexFunction:
             vals[host.index_of(label)] = Fraction(v)
         return cls(host, tuple(vals))
 
-    def support_size(self) -> int:
-        return sum(1 for v in self.values if v != 0)
-
 
 def _scaled_int_values(f: VertexFunction):
     scale = lcm(*(v.denominator for v in f.values)) if f.values else 1

@@ -30,6 +30,7 @@ from drgtrades.bitrades import (
     pseudo_bitrade_doob,
     verify_bitrade,
     verify_delsarte_pair,
+    verify_pseudo_bitrade,
 )
 from drgtrades.errors import CrossCheckViolation, DegenerateEmpty
 from drgtrades.families import (
@@ -175,6 +176,14 @@ def test_double_pasch_not_minimal_not_isometric():
     rep = check_minimality(g, S, T)
     assert T.cardinality == 16 and rep.bound == 8
     assert not rep.meets_bound and not rep.isometric.ok and not rep.minimal
+
+
+def test_double_johnson_sides_are_pinned():
+    T = double_johnson_bitrade(12, 3)
+    assert T.labels(T.t0) == ["1,3,5", "1,4,6", "2,3,6", "2,4,5",
+                              "7,10,12", "7,9,11", "8,10,11", "8,9,12"]
+    assert T.labels(T.t1) == ["1,3,6", "1,4,5", "2,3,5", "2,4,6",
+                              "7,10,11", "7,9,12", "8,10,12", "8,9,11"]
 
 
 def test_minimality_positive_direction(johnson63):
@@ -355,6 +364,16 @@ def test_doob_pseudo_bitrades():
     from drgtrades.graphs import induced_subgraph
     sub, _ = induced_subgraph(g, T.support)
     assert distance_regularity_check(sub).value == hamming_array(3, 2)
+
+
+def test_verify_pseudo_bitrade_doob():
+    g = build_doob(1, 1)
+    T, _ = pseudo_bitrade_doob(1, 1, host=g)
+    rep = verify_pseudo_bitrade(g, T, doob_array(1, 1))
+    assert rep.ok and rep.b.ok and (rep.theta, rep.cardinality, rep.bound) == (-3, 8, 8)
+    half = Bitrade(g, T.t0, frozenset(sorted(T.t1)[1:]))
+    rep = verify_pseudo_bitrade(g, half, doob_array(1, 1))
+    assert not rep.ok and not rep.b.ok and rep.cardinality == 7
 
 
 def test_doob_2_0_pseudo_bitrade():

@@ -9,11 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from drgtrades import cli
+from drgtrades import bitrades, cli, families
 from drgtrades.bitrades import MIN_BITRADES, bitrade_to_json, corrupt_one_vertex
 from drgtrades.cli import main
 from drgtrades.errors import CrossCheckViolation
 from drgtrades.families import parse_family
+from drgtrades.graphs import Verdict
 
 
 def run_cli(capsys, *argv):
@@ -121,11 +122,65 @@ def test_verify_corrupted_file_output_is_pinned(tmp_path, capsys, family, doc, e
     assert out == expected
 
 
-def test_verify_doob_pseudo(capsys):
-    code, out = run_cli(capsys, "verify", "--family", "doob:1,1",
+# bitrade --json of each minimum constructor, as (T0, T1)
+MIN_BITRADE_JSON = {
+    "octahedron:3": (["0+", "0-"], ["1+", "1-"]),
+    "hamming:3,3": (["000", "011", "101", "110"], ["001", "010", "100", "111"]),
+    "johnson:6,3": (["1,3,5", "1,4,6", "2,3,6", "2,4,5"],
+                    ["1,3,6", "1,4,5", "2,3,5", "2,4,6"]),
+    "halved_cube:8": (["00000000", "00110011", "01010101", "01100110",
+                       "10011001", "10101010", "11001100", "11111111"],
+                      ["00010001", "00100010", "01000100", "01110111",
+                       "10001000", "10111011", "11011101", "11101110"]),
+    "grassmann:4,2,2": (["0010/0001", "1000/0100", "1001/0110"],
+                        ["0100/0010", "1000/0001", "1100/0011"]),
+    "doob:1,1": (["00.0", "01.1", "02.0", "03.1"], ["00.1", "01.0", "02.1", "03.0"]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MIN_BITRADE_JSON))
+def test_min_bitrade_json_is_pinned(capsys, family):
+    t0, t1 = MIN_BITRADE_JSON[family]
+    code, out = run_cli(capsys, "bitrade", "--family", family, "--json")
+    assert code == 0
+    doc = {"host": family, "T0": t0, "T1": t1}
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_verify_min_bitrade_at_d_1(capsys, q):
+    # the minimum q-ary bitrade for d = 1 is the two isotropic points of D_1(q)
+    code, out = run_cli(capsys, "verify", "--family", f"grassmann:3,1,{q}",
                         "--bitrade", "min")
     assert code == 0
-    assert "eigenfunction criterion" in out and "overall: pass" in out
+    assert "cardinality: 2 vs bound 2\n" in out
+    assert "trade subgraph distance-regular, array (1;1)\n" in out
+    assert out.endswith("overall: pass\n")
+
+
+def test_bitrade_at_d_1(capsys):
+    code, out = run_cli(capsys, "bitrade", "--family", "grassmann:2,1,2")
+    assert code == 0
+    assert out == "host: grassmann:2,1,2\n|T0| = 1, |T1| = 1\nT0: 01\nT1: 10\n"
+
+
+def test_check_dr_dual_polar_d_1(capsys):
+    code, out = run_cli(capsys, "check-dr", "--family", "dual_polar_D:1,3")
+    assert code == 0
+    assert out.endswith("matches closed form (1;1): yes\n")
+
+
+def test_verify_doob_pseudo(capsys):
+    argv = ["verify", "--family", "doob:1,1", "--bitrade", "min"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == ("eigenfunction criterion (theta = -3): pass\n"
+                   "cardinality: 8 vs bound 8\n"
+                   "overall: pass\n")
+    code, out = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert out == ('{\n  "bound": 8,\n  "cardinality": 8,\n  "criterion_b": true,\n'
+                   '  "pass": true,\n  "theta": "-3"\n}\n')
 
 
 def test_wd_bound_grassmann(capsys):
@@ -235,6 +290,48 @@ def test_malformed_bitrade_file_is_usage_error(capsys, tmp_path):
                                      "--bitrade", str(path)])
     assert err == (f"usage error: bitrade file {str(path)!r} is not valid JSON: "
                    "Expecting value: line 1 column 9 (char 8)\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"T0": ["1,3,5"]}, 'expected an object with "T0" and "T1" lists of vertex labels'),
+    (["1,2,3"], 'expected an object with "T0" and "T1" lists of vertex labels'),
+    ({"T0": ["1,2,3", "1,2,4"], "T1": ["4,5,6"]}, "T0 is not an independent set"),
+    ({"T0": ["1,2,3"], "T1": ["1,2,3"]}, "trades must be disjoint"),
+    ({"T0": [], "T1": ["4,5,6"]}, "both trades must be nonempty"),
+], ids=["no-T1", "list", "dependent-side", "overlap", "empty-side"])
+def test_bitrade_file_shape_is_usage_error(capsys, tmp_path, doc, message):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    err = _usage_error_line(capsys, ["verify", "--family", "johnson:6,3",
+                                     "--bitrade", str(path)])
+    assert err == f"usage error: bitrade file {str(path)!r}: {message}\n"
+
+
+def test_unknown_label_in_bitrade_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps({"T0": ["1,2,3"], "T1": ["9,9,9"]}))
+    err = _usage_error_line(capsys, ["verify", "--family", "johnson:6,3",
+                                     "--bitrade", str(path)])
+    assert err == "usage error: unknown vertex label '9,9,9' in bitrade file\n"
+
+
+def test_non_distance_regular_host_is_reported(capsys, monkeypatch):
+    monkeypatch.setattr(bitrades, "distance_regularity_check",
+                        lambda g: Verdict(False, witness=("1,2,3", 1), detail="x"))
+    code = main(["verify", "--family", "johnson:6,3"])
+    assert code == 1
+    assert capsys.readouterr().err == "host not distance-regular: ('1,2,3', 1)\n"
+
+
+def test_octahedron_cliques_are_capped(capsys, monkeypatch):
+    # were the cap skipped, the host would hold 2^20 cliques; stop short of it
+    def unreachable(*args):
+        raise AssertionError("octahedron:20 built past the cap")
+    monkeypatch.setattr(families, "_host_with_cliques", unreachable)
+    code = main(["build", "--family", "octahedron:20"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: octahedron(20): 1048576 cliques exceeds cap 100000\n")
 
 
 def test_dual_polar_cap_names_candidates_and_vertices(capsys):

@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from drgtrades import families
-from drgtrades.errors import CliquesNotDelsarte, CrossCheckViolation, EnumerationTooLarge
+from drgtrades.errors import (
+    CliquesNotDelsarte,
+    CrossCheckViolation,
+    EnumerationTooLarge,
+    InvalidParameters,
+)
 from drgtrades.families import (
     FAMILIES,
     build_doob,
@@ -185,6 +190,13 @@ def test_shrikhande_basics():
     assert v.ok and v.value == hamming_array(2, 4)
 
 
+def test_shrikhande_is_doob_1_0():
+    shr, doob = build_shrikhande(), build_doob(1, 0)
+    assert (shr.family, shr.params) == ("shrikhande", ())
+    assert shr.labels == doob.labels
+    assert (shr.edge_array() == doob.edge_array()).all()
+
+
 def test_doob_array_matches_hamming():
     g = build_doob(1, 0)
     assert distance_regularity_check(g).value == hamming_array(2, 4)
@@ -240,6 +252,20 @@ def test_dual_polar_3_2():
     assert v.value == dual_polar_array(3, 2)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_dual_polar_d_1_is_an_edge(q):
+    # D_1(q): the two isotropic points of the hyperbolic plane
+    g = build_dual_polar_D(1, q)
+    assert g.labels == ["01", "10"] and g.num_edges == 1
+    assert g.num_vertices == isotropic_count_product(1, q)
+    assert distance_regularity_check(g).value == dual_polar_array(1, q)
+
+
+def test_dual_polar_d_0_rejected():
+    with pytest.raises(InvalidParameters, match="need d >= 1"):
+        build_dual_polar_D(0, 2)
+
+
 def test_dual_polar_2_3():
     g = build_dual_polar_D(2, 3)
     assert g.num_vertices == 8 and is_regular(g).value == 4
@@ -261,6 +287,18 @@ def test_registry_covers_all_builders():
     assert set(FAMILIES) == {
         "octahedron", "hamming", "johnson", "halved_cube",
         "shrikhande", "doob", "grassmann", "dual_polar_D"}
+
+
+# The smallest parameters each builder accepts
+SMALLEST = {"octahedron": (2,), "hamming": (1, 2), "johnson": (2, 1),
+            "halved_cube": (4,), "shrikhande": (), "doob": (1, 0),
+            "grassmann": (2, 1, 2), "dual_polar_D": (1, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_builder_honours_the_cap(name):
+    with pytest.raises(EnumerationTooLarge):
+        build_family(name, SMALLEST[name], cap=1)
 
 
 # --- builder cross-checks ------------------------------------------------------------
