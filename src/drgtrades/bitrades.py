@@ -56,7 +56,6 @@ from .spectral import (
     VertexFunction,
     intersection_matrix_eigenvalues,
     is_matrix_eigenvalue,
-    verify_eigenfunction,
     wd_bound,
     wd_coefficients,
 )
@@ -176,7 +175,22 @@ def check_criterion_a(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
 def check_criterion_b(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
     """The signed indicator function is an eigenfunction at -k/s."""
     k = is_regular(g).value
-    return verify_eigenfunction(g, T.signed_function(), Fraction(-k, S.s))
+    return _signed_eigenfunction(g, T, Fraction(-k, S.s))
+
+
+def _signed_eigenfunction(g: Graph, T: Bitrade, theta) -> Verdict:
+    """verify_eigenfunction on T's signed indicator f, in int64: (A f)(x) is
+    the number of T0 neighbors of x less the number of T1 neighbors."""
+    th, n = Fraction(theta), g.num_vertices
+    f = vertex_mask(g, T.t0).astype(np.int64) - vertex_mask(g, T.t1)
+    af = (np.bincount(g.neighbors_of(list(T.t0)), minlength=n)
+          - np.bincount(g.neighbors_of(list(T.t1)), minlength=n))
+    bad = np.flatnonzero(af * th.denominator != f * th.numerator)
+    if not bad.size:
+        return Verdict(True)
+    x = int(bad[0])
+    return Verdict(False, witness=(g.labels[x], Fraction(int(af[x])), th * int(f[x])),
+                   detail="neighbor sum mismatch")
 
 
 def check_criterion_c(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
@@ -332,7 +346,7 @@ def verify_pseudo_bitrade(g: Graph, T: Bitrade,
     criterion exists: the signed indicator at theta_min of arr, and the
     cardinality against the weight-distribution bound there."""
     theta = intersection_matrix_eigenvalues(arr)[-1]
-    b = verify_eigenfunction(g, T.signed_function(), theta)
+    b = _signed_eigenfunction(g, T, theta)
     bound = _integral_bound(arr, theta)
     return PseudoBitradeReport(theta, b, T.cardinality, bound,
                                b.ok and T.cardinality == bound)
@@ -431,7 +445,7 @@ def pseudo_bitrade_doob(m: int, n: int,
                             sum(j // 2 for j in shr) + sum(bits)))  # candidate 2
     for pick in (1, 2):
         T = _split(host, ((item[0], item[pick] % 2) for item in members))
-        verdict = verify_eigenfunction(host, T.signed_function(), theta)
+        verdict = _signed_eigenfunction(host, T, theta)
         if verdict.ok:
             return T, verdict
     raise CrossCheckViolation("no natural parity split certifies as an eigenfunction")

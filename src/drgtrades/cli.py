@@ -76,14 +76,10 @@ def _family(args):
 
 
 def _build(args):
-    """The --family instance as (name, params, graph, clique system or None);
-    parameters its builder or field rejects are usage errors."""
+    """The --family instance as (name, params, graph, clique system or None)."""
     name, params = _family(args)
     cap = _resolve_cap(args)
-    try:
-        return (name, params) + build_family(name, params, cap=cap)
-    except (InvalidParameters, UnsupportedFieldOrder) as exc:
-        _usage_error(f"{args.family}: {exc}")
+    return (name, params) + build_family(name, params, cap=cap)
 
 
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
@@ -220,8 +216,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_wd_bound(args) -> int:
-    name, params = _family(args)
-    arr = family_array(name, params)
+    arr = family_array(*_family(args))
     theta = intersection_matrix_eigenvalues(arr)[-1]
     bound = wd_bound(arr, theta)
     if bound.denominator != 1:
@@ -251,8 +246,7 @@ def cmd_check_dr(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    name, params = _family(args)
-    arr = family_array(name, params)
+    arr = family_array(*_family(args))
     eigs = intersection_matrix_eigenvalues(arr)
     doc = {"family": args.family, "array": str(arr), "eigenvalues": eigs}
     _emit(args, doc, [
@@ -355,6 +349,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (InvalidParameters, UnsupportedFieldOrder) as exc:
+        # family parameters that a builder, its field or its closed form refuse
+        _usage_error(f"{args.family}: {exc}")
     except (EnumerationTooLarge, CliquesNotDelsarte) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,6 +33,12 @@ from .gfq import (
 from .graphs import CliqueSystem, Graph, IntersectionArray, clique_pairs
 
 
+def _require(ok: bool, need: str):
+    """A family's builder and its closed-form array refuse the same parameters."""
+    if not ok:
+        raise InvalidParameters(f"need {need}")
+
+
 def _guard(count: int, cap: int, what: str, unit: str = "vertices"):
     if count > cap:
         raise EnumerationTooLarge(f"{what}: {count} {unit} exceeds cap {cap}")
@@ -55,17 +61,19 @@ def build_octahedron(n: int,
     """n antipodal pairs, all edges except within a pair; the clique system
     is all 2^n transversals (one vertex per pair), each edge lying in
     2^(n-2) of them.  The cap bounds the transversals."""
-    if n < 2:
-        raise InvalidParameters("need n >= 2")
+    _require(n >= 2, "n >= 2")
     _guard(2 ** n, cap, f"octahedron({n})", "cliques")
     labels = sorted(f"{i}{s}" for i in range(n) for s in "+-")
-    idx = {lab: i for i, lab in enumerate(labels)}
-    cliques = [[idx[f"{i}{s}"] for i, s in enumerate(signs)]
-               for signs in itertools.product("+-", repeat=n)]
-    return _host_with_cliques(labels, cliques, n - 1, 2 ** (n - 2), "octahedron", (n,))
+    u, v = np.triu_indices(2 * n, 1)
+    far = u // 2 != v // 2
+    g = Graph(labels, np.stack([u[far], v[far]], axis=1), family="octahedron", params=(n,))
+    # pair j is vertices 2j ('+') and 2j+1 ('-'): rows come out sorted, in lexicographic order
+    cliques = 2 * np.arange(n) + (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1)
+    return g, CliqueSystem(g, cliques, s=n - 1, m=2 ** (n - 2))
 
 
 def octahedron_array(n: int) -> IntersectionArray:
+    _require(n >= 2, "n >= 2")
     return IntersectionArray(2 * n - 2, (2 * n - 2, 1), (1, 2 * n - 2))
 
 
@@ -75,8 +83,7 @@ def build_hamming(n: int, q: int,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Graph, CliqueSystem]:
     """Words of length n over q symbols, adjacent at Hamming distance 1;
     cliques are the q-element lines obtained by freeing one coordinate."""
-    if n < 1 or q < 2:
-        raise InvalidParameters("need n >= 1, q >= 2")
+    _require(n >= 1 and q >= 2, "n >= 1, q >= 2")
     _guard(q ** n, cap, f"hamming({n},{q})")
     labels = ["".join(str(d) for d in w)
               for w in itertools.product(range(q), repeat=n)]
@@ -87,6 +94,7 @@ def build_hamming(n: int, q: int,
 
 
 def hamming_array(n: int, q: int) -> IntersectionArray:
+    _require(n >= 1 and q >= 2, "n >= 1, q >= 2")
     return IntersectionArray(n * (q - 1),
                              tuple((n - i) * (q - 1) for i in range(n)),
                              tuple(range(1, n + 1)))
@@ -102,8 +110,7 @@ def build_johnson(n: int, w: int,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Graph, CliqueSystem]:
     """w-subsets of {1..n}, adjacent when sharing w-1 points; one clique per
     (w-1)-subset, consisting of the n-w+1 supersets."""
-    if not 2 <= 2 * w <= n:
-        raise InvalidParameters("need 2 <= 2w <= n")
+    _require(2 <= 2 * w <= n, "2 <= 2w <= n")
     _guard(comb(n, w), cap, f"johnson({n},{w})")
     points = range(1, n + 1)
     labels = sorted(johnson_label(s) for s in itertools.combinations(points, w))
@@ -114,6 +121,7 @@ def build_johnson(n: int, w: int,
 
 
 def johnson_array(n: int, w: int) -> IntersectionArray:
+    _require(2 <= 2 * w <= n, "2 <= 2w <= n")
     return IntersectionArray(w * (n - w),
                              tuple((w - i) * (n - w - i) for i in range(w)),
                              tuple(i * i for i in range(1, w + 1)))
@@ -127,8 +135,7 @@ def build_halved_cube(n: int, check_delsarte: bool = True,
     one clique per odd word: its n cube-neighbors.  The cliques reach the
     Hoffman bound only for even n, so odd n is rejected unless the caller
     asks for the raw pair."""
-    if n < 4:
-        raise InvalidParameters("need n >= 4")
+    _require(n >= 4, "n >= 4")
     if check_delsarte and n % 2 == 1:
         raise CliquesNotDelsarte(
             f"halved {n}-cube cliques have order {n} < Hoffman bound for odd n")
@@ -147,6 +154,7 @@ def build_halved_cube(n: int, check_delsarte: bool = True,
 
 
 def halved_cube_array(n: int) -> IntersectionArray:
+    _require(n >= 4, "n >= 4")
     rho = n // 2
     return IntersectionArray(comb(n, 2),
                              tuple(comb(n - 2 * i, 2) for i in range(rho)),
@@ -164,8 +172,7 @@ def build_doob(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Graph:
 
     A vertex is labelled by its factor labels, '.'-joined.  The labels of
     one factor share a length, so product order is label order."""
-    if m < 1 or n < 0:
-        raise InvalidParameters("need m >= 1, n >= 0")
+    _require(m >= 1 and n >= 0, "m >= 1, n >= 0")
     _guard(16 ** m * 4 ** n, cap, f"doob({m},{n})")
     shrikhande = ([f"{a}{b}" for a in range(4) for b in range(4)],
                   [(4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
@@ -190,6 +197,7 @@ def build_shrikhande(cap: int = DEFAULT_ENUMERATION_CAP) -> Graph:
 
 
 def doob_array(m: int, n: int) -> IntersectionArray:
+    _require(m >= 1 and n >= 0, "m >= 1, n >= 0")
     return hamming_array(2 * m + n, 4)
 
 
@@ -253,8 +261,7 @@ def build_grassmann(n: int, d: int, q: int,
     (d-1)-subspaces: adjacent vertices share exactly one, so within-bucket
     pairs list every edge exactly once, and the buckets are the cliques of
     the (M,1) system."""
-    if not 2 <= 2 * d <= n:
-        raise InvalidParameters("need 2 <= 2d <= n")
+    _require(2 <= 2 * d <= n, "2 <= 2d <= n")
     field = make_field(q)
     _guard(gaussian_binomial(n, d, q), cap, f"grassmann({n},{d},{q})")
     clique_order = gaussian_binomial(n - d + 1, 1, q)
@@ -265,6 +272,8 @@ def build_grassmann(n: int, d: int, q: int,
 
 
 def grassmann_array(n: int, d: int, q: int) -> IntersectionArray:
+    _require(2 <= 2 * d <= n, "2 <= 2d <= n")
+    _require(q >= 2, "q >= 2")
     b = tuple(q ** (2 * i + 1)
               * gaussian_binomial(d - i, 1, q)
               * gaussian_binomial(n - d - i, 1, q) for i in range(d))
@@ -283,8 +292,7 @@ def build_dual_polar_D(d: int, q: int,
     isotropic points of the hyperbolic plane.  The vertices are found by
     filtering all d-subspaces of F_q^{2d}, so the cap bounds that candidate
     count."""
-    if d < 1:
-        raise InvalidParameters("need d >= 1")
+    _require(d >= 1, "d >= 1")
     field = make_field(q)
     candidates = gaussian_binomial(2 * d, d, q)
     if candidates > cap:
@@ -298,6 +306,8 @@ def build_dual_polar_D(d: int, q: int,
 
 
 def dual_polar_array(d: int, q: int) -> IntersectionArray:
+    _require(d >= 1, "d >= 1")
+    _require(q >= 2, "q >= 2")
     b = tuple(q ** i * gaussian_binomial(d - i, 1, q) for i in range(d))
     c = tuple(gaussian_binomial(i, 1, q) for i in range(1, d + 1))
     return IntersectionArray(b[0], b, c)

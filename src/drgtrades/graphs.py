@@ -24,6 +24,9 @@ from .errors import CliqueSearchTooLarge, Disconnected
 # per-source BFS.
 DENSE_DISTANCE_CAP = 4096
 
+# CSR entries distances_among gathers at once, bounding its peak memory
+_GATHER_BLOCK = 1 << 22
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -64,8 +67,8 @@ class Graph:
             raise ValueError("edge endpoint out of range")
         if (e[:, 0] == e[:, 1]).any():
             raise ValueError("loops are not allowed")
-        und = np.concatenate([e, e[:, ::-1]])
-        keys = np.sort(und[:, 0] * n + und[:, 1])
+        keys = np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]])
+        keys.sort()
         keys = keys[np.diff(keys, prepend=-1) != 0]
         self._flat = (keys % n).astype(np.int32)
         self._off = np.searchsorted(keys, np.arange(n + 1) * n)
@@ -134,6 +137,38 @@ class Graph:
             dist[nbrs[dist[nbrs] < 0]] = level
             frontier = np.flatnonzero(dist == level)
         return dist
+
+    def distances_among(self, verts) -> np.ndarray:
+        """Distances between the vertices verts as a matrix, -1 marking
+        unreachable pairs, by bit-parallel BFS (Akiba, Iwata and Yoshida, SIGMOD
+        2013): reach[v] has a bit, 64 to a uint64 word, for each source within
+        the current level of v.  A level ORs the reach rows of v's neighbors;
+        the bits v lacked, read at verts, are the pairs at that distance."""
+        verts = np.asarray(verts, dtype=np.int64).reshape(-1)
+        m, src = len(verts), np.arange(len(verts))
+        reach = np.zeros((self.num_vertices, (m + 63) // 64), dtype="<u8")
+        np.bitwise_or.at(reach, (verts, src // 64), np.uint64(1) << (src % 64).astype(np.uint64))
+        step = max(1, _GATHER_BLOCK // max(1, int(self._degrees.max(initial=0))))
+        dist = np.full((m, m), -1, dtype=np.int32)
+        new, level = reach, 0
+        while True:
+            bits = np.unpackbits(new[verts].view(np.uint8), axis=1, count=m, bitorder="little")
+            dist[bits.T == 1] = level
+            if (dist >= 0).all():
+                return dist
+            new = np.zeros_like(reach)
+            for v0 in range(0, self.num_vertices, step):
+                # reduceat needs nonempty rows; those of a vertex range are one run of _flat
+                vs = v0 + np.flatnonzero(self._degrees[v0:v0 + step])
+                if vs.size:
+                    lo, hi = self._off[vs[0]], self._off[vs[-1] + 1]
+                    new[vs] = np.bitwise_or.reduceat(reach[self._flat[lo:hi]],
+                                                     self._off[vs] - lo, axis=0)
+            new &= ~reach
+            if not new.any():
+                return dist
+            reach |= new
+            level += 1
 
     def distances_from(self, x: int) -> np.ndarray:
         if self._dm is not None:
@@ -341,21 +376,23 @@ def induced_subgraph(g: Graph, verts) -> tuple[Graph, list[int]]:
 
 
 def is_isometric_subgraph(g: Graph, verts) -> Verdict:
-    """True iff induced-subgraph distances equal host distances on verts."""
+    """True iff induced-subgraph distances equal host distances on verts, both
+    from one bit-parallel BFS (Graph.distances_among); the witness is the
+    first pair i < j, row by row, whose distances differ."""
     sub, back = induced_subgraph(g, verts)
-    for i in range(sub.num_vertices):
-        dsub = sub.multi_source_distances([i])
-        dhost = g.distances_from(back[i])
-        for j in range(i + 1, sub.num_vertices):
-            dij = int(dsub[j])
-            hij = int(dhost[back[j]])
-            if dij != hij:
-                return Verdict(
-                    False,
-                    witness=(sub.labels[i], sub.labels[j],
-                             None if dij < 0 else dij, hij),
-                    detail="internal distance differs from host distance")
-    return Verdict(True)
+    dhost = g.distances_among(back)
+    if (dhost < 0).any():
+        i, j = np.argwhere(dhost < 0)[0].tolist()
+        raise Disconnected(f"vertex {sub.labels[j]!r} unreachable from {sub.labels[i]!r}")
+    dsub = sub.distances_among(np.arange(sub.num_vertices))
+    bad = np.argwhere(np.triu(dsub != dhost, 1))
+    if not bad.size:
+        return Verdict(True)
+    i, j = bad[0].tolist()
+    dij = int(dsub[i, j])
+    return Verdict(False, witness=(sub.labels[i], sub.labels[j], None if dij < 0 else dij,
+                                   int(dhost[i, j])),
+                   detail="internal distance differs from host distance")
 
 
 def is_bipartite(g: Graph) -> Verdict:

@@ -35,6 +35,8 @@ from drgtrades.bitrades import (
 from drgtrades.errors import CrossCheckViolation, DegenerateEmpty
 from drgtrades.families import (
     build_doob,
+    build_family,
+    build_grassmann,
     build_halved_cube,
     build_hamming,
     build_johnson,
@@ -42,8 +44,8 @@ from drgtrades.families import (
     doob_array,
     hamming_array,
 )
-from drgtrades.graphs import Verdict, distance_regularity_check
-from drgtrades.spectral import wd_bound
+from drgtrades.graphs import Verdict, distance_regularity_check, is_regular
+from drgtrades.spectral import verify_eigenfunction, wd_bound
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +143,58 @@ def test_criteria_agree_under_corruption(maker):
         b = check_criterion_b(g, S, bad)
         c = check_criterion_c(g, S, bad)
         assert a.ok == b.ok == c.ok
+
+
+# check_criterion_b witnesses of the first 20 draws of
+# corrupt_one_vertex(T, random.Random(2024)) on the minimum bitrade T of
+# J_2(6,3), recorded when the criterion went through verify_eigenfunction.
+J263_CRITERION_B_WITNESSES = [
+    ('000100/000010/000001', Fraction(-6, 1), Fraction(-7, 1)),
+    ('001000/000100/000010', Fraction(6, 1), Fraction(7, 1)),
+    ('010000/001011/000101', Fraction(1, 1), Fraction(0, 1)),
+    ('010000/001000/000100', Fraction(-6, 1), Fraction(-7, 1)),
+    ('010000/000100/000001', Fraction(6, 1), Fraction(7, 1)),
+    ('010000/001100/000011', Fraction(-1, 1), Fraction(0, 1)),
+    ('010000/001001/000010', Fraction(-1, 1), Fraction(0, 1)),
+    ('100000/010001/000110', Fraction(-1, 1), Fraction(0, 1)),
+    ('100000/001000/000010', Fraction(-6, 1), Fraction(-7, 1)),
+    ('010000/001011/000101', Fraction(1, 1), Fraction(0, 1)),
+    ('000100/000010/000001', Fraction(-6, 1), Fraction(-7, 1)),
+    ('010000/000100/000001', Fraction(6, 1), Fraction(7, 1)),
+    ('100000/001000/000001', Fraction(1, 1), Fraction(0, 1)),
+    ('100000/000010/000001', Fraction(6, 1), Fraction(7, 1)),
+    ('010000/001000/000100', Fraction(-6, 1), Fraction(-7, 1)),
+    ('000100/000010/000001', Fraction(-6, 1), Fraction(-7, 1)),
+    ('100000/001001/000111', Fraction(-1, 1), Fraction(0, 1)),
+    ('000100/000010/000001', Fraction(-6, 1), Fraction(-7, 1)),
+    ('010000/001010/000111', Fraction(1, 1), Fraction(0, 1)),
+    ('000100/000010/000001', Fraction(-6, 1), Fraction(-7, 1)),
+]
+
+
+def test_criterion_b_witnesses_of_corruptions_are_pinned():
+    g, S = build_grassmann(6, 3, 2)
+    T = min_bitrade_grassmann(6, 3, 2, host=g)
+    assert check_criterion_b(g, S, T).ok
+    rng = random.Random(2024)
+    for want in J263_CRITERION_B_WITNESSES:
+        b = check_criterion_b(g, S, corrupt_one_vertex(T, rng))
+        assert not b.ok and b.detail == "neighbor sum mismatch"
+        assert b.witness == want and all(type(x) is type(y) for x, y in zip(b.witness, want))
+
+
+@pytest.mark.parametrize("family,ctor,params", [
+    ("johnson", min_bitrade_johnson, (8, 3)),
+    ("hamming", min_bitrade_hamming, (3, 3)),
+    ("halved_cube", min_bitrade_halved_cube, (8,)),
+])
+def test_criterion_b_matches_verify_eigenfunction(family, ctor, params):
+    g, S = build_family(family, params)
+    T = ctor(*params, host=g)
+    rng = random.Random(31)
+    theta = Fraction(-is_regular(g).value, S.s)
+    for B in [T] + [corrupt_one_vertex(T, rng) for _ in range(10)]:
+        assert check_criterion_b(g, S, B) == verify_eigenfunction(g, B.signed_function(), theta)
 
 
 # First three draws of corrupt_one_vertex(T, random.Random(2024)) on the minimum

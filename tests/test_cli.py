@@ -276,6 +276,17 @@ def test_out_of_range_parameters_are_usage_error(capsys):
     assert err == "usage error: johnson:3,2: need 2 <= 2w <= n\n"
 
 
+@pytest.mark.parametrize("verb,family,message", [
+    ("wd-bound", "johnson:3,2", "need 2 <= 2w <= n"),
+    ("wd-bound", "grassmann:2,2,2", "need 2 <= 2d <= n"),
+    ("wd-bound", "dual_polar_D:0,2", "need d >= 1"),
+    ("spectrum", "hamming:0,2", "need n >= 1, q >= 2"),
+])
+def test_formula_verbs_refuse_out_of_range_parameters(capsys, verb, family, message):
+    err = _usage_error_line(capsys, [verb, "--family", family])
+    assert err == f"usage error: {family}: {message}\n"
+
+
 def test_missing_bitrade_file_is_usage_error(capsys, tmp_path):
     path = str(tmp_path / "missing.json")
     err = _usage_error_line(capsys, ["verify", "--family", "johnson:6,3",

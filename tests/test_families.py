@@ -1,7 +1,9 @@
 """Family constructors: counts, degrees, clique systems, closed-form
 intersection arrays against the computed ones."""
 
+import hashlib
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -47,6 +49,7 @@ from drgtrades.gfq import (
 from drgtrades.graphs import (
     Graph,
     distance_regularity_check,
+    graph_to_json,
     is_bipartite,
     is_regular,
     max_clique_order,
@@ -108,6 +111,32 @@ def test_octahedron_small():
     assert len(S4.cliques) == 16 and S4.m == 4
     assert verify_clique_system(g4, S4).ok
     assert max_clique_order(g4) == 4
+
+
+# sha256 of json.dumps([graph_to_json(g), S.cliques.tolist(), S.s, S.m],
+# sort_keys=True) for build_octahedron(n), recorded when the edges were
+# still taken from the within-clique pairs.
+OCTAHEDRON_SHA256 = {
+    2: "c1bc4af0229135a1d0b3fc7a0757f2cd7d8ac914fa71cfc2d78dfa18e5cc50bc",
+    3: "7ddea41a4db36de6ccdf7a49a55728d8a0328c15b2e65fc2cebd76aaa11b4649",
+    4: "a0ca22e60efde34fbd5c5fe9780a3dfde31a492a3489a4be25ea08ae31a480f4",
+    5: "9034a7ef9df34db83bd3c185f8cb728901906898bad39395f057dff325645255",
+    6: "635c30bfe0cb6f63f45e6a0e79d9a9f6946418acd422972a2b66fcda49c8af65",
+}
+
+
+@pytest.mark.parametrize("n", sorted(OCTAHEDRON_SHA256))
+def test_octahedron_json_and_cliques_are_pinned(n):
+    g, S = build_octahedron(n)
+    doc = json.dumps([graph_to_json(g), S.cliques.tolist(), S.s, S.m], sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == OCTAHEDRON_SHA256[n]
+
+
+def test_octahedron_edges_are_the_within_clique_pairs():
+    g, S = build_octahedron(7)
+    pairs = {tuple(p) for row in S.cliques.tolist() for p in itertools.combinations(row, 2)}
+    assert g.edge_array().tolist() == sorted(map(list, pairs))
+    assert g.num_edges == 7 * 12
 
 
 # --- hamming -------------------------------------------------------------------
@@ -264,6 +293,25 @@ def test_dual_polar_d_1_is_an_edge(q):
 def test_dual_polar_d_0_rejected():
     with pytest.raises(InvalidParameters, match="need d >= 1"):
         build_dual_polar_D(0, 2)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("octahedron", (1,)), ("hamming", (0, 2)), ("hamming", (3, 1)),
+    ("johnson", (3, 2)), ("halved_cube", (3,)), ("doob", (0, 1)),
+    ("grassmann", (2, 2, 2)), ("dual_polar_D", (0, 2)),
+])
+def test_array_refuses_the_builders_parameters(name, params):
+    with pytest.raises(InvalidParameters) as built:
+        build_family(name, params)
+    with pytest.raises(InvalidParameters) as closed_form:
+        family_array(name, params)
+    assert str(closed_form.value) == str(built.value)
+
+
+@pytest.mark.parametrize("name,params", [("grassmann", (6, 3, 1)), ("dual_polar_D", (2, 1))])
+def test_q_ary_arrays_need_q_at_least_2(name, params):
+    with pytest.raises(InvalidParameters, match="need q >= 2"):
+        family_array(name, params)
 
 
 def test_dual_polar_2_3():

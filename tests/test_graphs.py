@@ -7,11 +7,14 @@ import random
 import numpy as np
 import pytest
 
+from drgtrades import graphs
+from drgtrades.bitrades import corrupt_one_vertex, double_johnson_bitrade, min_bitrade_grassmann
 from drgtrades.errors import Disconnected
 from drgtrades.families import (
     build_family,
     build_grassmann,
     build_hamming,
+    build_johnson,
     family_array,
     parse_family,
 )
@@ -202,7 +205,56 @@ def test_isometric_geodesic_path():
 def test_isometric_fails_for_hexagon_antipodes():
     g = cycle_graph(6)
     v = is_isometric_subgraph(g, [0, 3])
-    assert not v.ok and v.witness[2] is None  # internally unreachable
+    assert not v.ok and v.witness == ("v0", "v3", None, 3)  # internally unreachable
+
+
+def test_isometric_witness_of_double_johnson_is_pinned():
+    g, _ = build_johnson(12, 3)
+    v = is_isometric_subgraph(g, double_johnson_bitrade(12, 3, host=g).support)
+    assert not v.ok and v.witness == ("1,3,5", "7,10,11", None, 3)
+
+
+# is_isometric_subgraph witnesses of the supports of the first 20 draws of
+# corrupt_one_vertex(T, random.Random(2024)) on the minimum bitrade T of
+# J_2(6,3), recorded with the per-source BFS loop.
+J263_CORRUPTION_WITNESSES = [
+    ('000100/000010/000001', '010011/001011/000100', 3, 2),
+    ('000100/000010/000001', '100011/010111/001110', 4, 3),
+    ('010000/000100/000001', '100101/010011/001110', 4, 3),
+    ('010000/000100/000001', '100001/010010/001100', 4, 3),
+    ('000100/000010/000001', '100100/010001/001011', 4, 3),
+    ('010000/001000/000100', '100001/011101/000011', 4, 3),
+    ('001000/000100/000010', '100100/010010/001001', 4, 3),
+    ('100000/010000/000001', '110011/001010/000110', 4, 3),
+    ('100000/001000/000010', '101001/000101/000010', 3, 2),
+    ('001000/000100/000010', '100011/010110/001101', 4, 3),
+    ('000100/000010/000001', '101010/010011/000101', 3, 2),
+    ('010000/000100/000001', '101000/010010/000101', 3, 2),
+    ('100000/000010/000001', '100100/010000/001000', 4, 3),
+    ('100000/000010/000001', '100110/010100/000001', 3, 2),
+    ('010000/000100/000001', '100010/010110/001000', 4, 3),
+    ('000100/000010/000001', '110011/001011/000110', 3, 2),
+    ('100000/000010/000001', '100111/010101/001110', 4, 3),
+    ('000100/000010/000001', '100000/010010/000001', 3, 2),
+    ('010000/001000/000100', '101011/011010/000111', 4, 3),
+    ('000100/000010/000001', '010010/001000/000100', 3, 2),
+]
+
+
+def test_isometric_witnesses_of_corruptions_are_pinned():
+    g, _ = build_grassmann(6, 3, 2)
+    T = min_bitrade_grassmann(6, 3, 2, host=g)
+    assert is_isometric_subgraph(g, T.support).ok
+    rng = random.Random(2024)
+    for want in J263_CORRUPTION_WITNESSES:
+        v = is_isometric_subgraph(g, corrupt_one_vertex(T, rng).support)
+        assert not v.ok and v.witness == want
+
+
+def test_isometric_on_disconnected_host_raises():
+    g = Graph(list("abcd"), [(0, 1), (2, 3)])
+    with pytest.raises(Disconnected, match="'c' unreachable from 'a'"):
+        is_isometric_subgraph(g, [0, 2])
 
 
 def test_whole_vertex_set_is_isometric():
@@ -295,6 +347,48 @@ def test_level_products_match_sweep(name, params):
     arr = g._dense_bfs(k)
     assert arr is not None
     assert arr == _distance_regularity_sweep(g, k).value == family_array(name, params)
+
+
+# --- bit-parallel distances among a vertex set -----------------------------------
+
+def per_source_distances(g, verts):
+    """The reference for distances_among: one single-source BFS per vertex."""
+    return np.stack([g.multi_source_distances([v])[verts] for v in verts])
+
+
+@pytest.mark.parametrize("name,params", DR_HOSTS)
+def test_distances_among_match_per_source_bfs(name, params):
+    # 63, 64 and 65 sources straddle a word boundary; 130 fill three words
+    g, _ = build_family(name, params)
+    rng = np.random.default_rng(g.num_vertices)
+    for size in (1, 5, 63, 64, 65, 130):
+        if size <= g.num_vertices:
+            verts = rng.choice(g.num_vertices, size, replace=False)
+            assert (g.distances_among(verts) == per_source_distances(g, verts)).all()
+
+
+def test_distances_among_across_gather_blocks(monkeypatch):
+    monkeypatch.setattr(graphs, "_GATHER_BLOCK", 7)
+    rng = random.Random(5)
+    g = random_graph(rng, 90, 200)
+    verts = rng.sample(range(90), 70)
+    assert (g.distances_among(verts) == per_source_distances(g, verts)).all()
+
+
+def test_distances_among_marks_unreachable_pairs():
+    # two triangles, isolated vertices c and h, and a path d-e
+    g = Graph(list("abcdefghij"), [(0, 1), (1, 5), (0, 5), (3, 4), (6, 8), (8, 9), (6, 9)])
+    verts = [2, 0, 5, 3, 4, 7, 9, 6]
+    got = g.distances_among(verts)
+    assert (got == per_source_distances(g, verts)).all()
+    assert got[0].tolist() == [0, -1, -1, -1, -1, -1, -1, -1]
+    assert got[3].tolist() == [-1, -1, -1, 0, 1, -1, -1, -1]
+    assert (Graph(list("abc"), []).distances_among([2, 0]) == [[0, -1], [-1, 0]]).all()
+
+
+def test_distances_among_repeated_vertex():
+    g = cycle_graph(7)
+    assert g.distances_among([3, 0, 3]).tolist() == [[0, 3, 0], [3, 0, 3], [0, 3, 0]]
 
 
 def random_regular_graph(rng, n, k):
