@@ -67,7 +67,9 @@ class Graph:
             raise ValueError("edge endpoint out of range")
         if (e[:, 0] == e[:, 1]).any():
             raise ValueError("loops are not allowed")
-        keys = np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]])
+        und = np.concatenate([e, e[:, ::-1]])
+        keys = und[:, 0] * n + und[:, 1]
+        del und                 # before the sort, which sets the peak memory of large builds
         keys.sort()
         keys = keys[np.diff(keys, prepend=-1) != 0]
         self._flat = (keys % n).astype(np.int32)
