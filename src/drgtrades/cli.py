@@ -32,7 +32,7 @@ from .errors import (
     NotDistanceRegular,
     UnsupportedFieldOrder,
 )
-from .families import build_family, family_array, parse_family
+from .families import build_family, build_halved_cube, family_array, parse_family
 from .gfq import (
     DEFAULT_ENUMERATION_CAP,
     isotropic_count_product,
@@ -75,10 +75,13 @@ def _family(args):
         _usage_error(str(exc))
 
 
-def _build(args):
-    """The --family instance as (name, params, graph, clique system or None)."""
+def _build(args, cliques=True):
+    """The --family instance as (name, params, graph, clique system or None);
+    without cliques, also the odd halved cube, whose cliques are not Delsarte."""
     name, params = _family(args)
     cap = _resolve_cap(args)
+    if not cliques and name == "halved_cube":
+        return name, params, build_halved_cube(*params, check_delsarte=False, cap=cap)[0], None
     return (name, params) + build_family(name, params, cap=cap)
 
 
@@ -227,7 +230,7 @@ def cmd_wd_bound(args) -> int:
 
 
 def cmd_check_dr(args) -> int:
-    name, params, g, _ = _build(args)
+    name, params, g, _ = _build(args, cliques=False)
     v = distance_regularity_check(g)
     expected = family_array(name, params)
     match = v.ok and v.value == expected

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -30,13 +30,22 @@ from .gfq import (
     subspace_bases,
     totally_isotropic_mask,
 )
-from .graphs import CliqueSystem, Graph, IntersectionArray, clique_pairs
+from .graphs import CliqueSystem, Graph, IntersectionArray
 
 
 def _require(ok: bool, need: str):
     """A family's builder and its closed-form array refuse the same parameters."""
     if not ok:
         raise InvalidParameters(f"need {need}")
+
+
+def _require_field_order(q: int):
+    """The q-ary closed forms hold for every prime power q, built or not."""
+    _require(q >= 2, "q >= 2")
+    p = next((f for f in range(2, isqrt(q) + 1) if q % f == 0), q)
+    while q % p == 0:
+        q //= p
+    _require(q == 1, "q a prime power")
 
 
 def _guard(count: int, cap: int, what: str, unit: str = "vertices"):
@@ -50,7 +59,7 @@ def _host_with_cliques(labels, rows, s: int, m: int, family: str,
     order, and the host whose edges are the within-clique pairs."""
     cliques = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
     cliques = cliques[np.lexsort(cliques.T[::-1])]
-    g = Graph(labels, clique_pairs(cliques).reshape(-1, 2), family=family, params=params)
+    g = Graph(labels, cliques, family=family, params=params)
     return g, CliqueSystem(g, cliques, s=s, m=m)
 
 
@@ -273,7 +282,7 @@ def build_grassmann(n: int, d: int, q: int,
 
 def grassmann_array(n: int, d: int, q: int) -> IntersectionArray:
     _require(2 <= 2 * d <= n, "2 <= 2d <= n")
-    _require(q >= 2, "q >= 2")
+    _require_field_order(q)
     b = tuple(q ** (2 * i + 1)
               * gaussian_binomial(d - i, 1, q)
               * gaussian_binomial(n - d - i, 1, q) for i in range(d))
@@ -307,7 +316,7 @@ def build_dual_polar_D(d: int, q: int,
 
 def dual_polar_array(d: int, q: int) -> IntersectionArray:
     _require(d >= 1, "d >= 1")
-    _require(q >= 2, "q >= 2")
+    _require_field_order(q)
     b = tuple(q ** i * gaussian_binomial(d - i, 1, q) for i in range(d))
     c = tuple(gaussian_binomial(i, 1, q) for i in range(1, d + 1))
     return IntersectionArray(b[0], b, c)

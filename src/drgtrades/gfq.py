@@ -221,11 +221,11 @@ def hyperplane_bases(bases: np.ndarray, field: FieldSpec) -> np.ndarray:
     """The RREF bases of every (d-1)-subspace of every subspace in a
     (N, d, n) array of bases, as an (N, H, d-1, n) array with H = [d, 1]_q,
     hyperplanes in enumerate_subspaces(d, d-1) order: the RREF of each
-    (d-1)-subspace of F_q^d, as a coefficient matrix, times the basis."""
-    prods = matmul_batch(_hyperplane_coefficients(bases.shape[1], field.q),
-                         bases[:, None], field)
-    n, h, r, c = prods.shape
-    return rref_batch(prods.reshape(n * h, r, c), field).reshape(prods.shape)
+    (d-1)-subspace of F_q^d, as a coefficient matrix C, times the basis B.
+    C @ B is in RREF already: B's pivot columns hold C, and row i of C @ B
+    starts at the pivot of the row of B that row i of C starts at."""
+    return matmul_batch(_hyperplane_coefficients(bases.shape[1], field.q),
+                        bases[:, None], field)
 
 
 # --- matrices and subspaces -------------------------------------------------

@@ -46,8 +46,9 @@ class Graph:
 
     Vertex order is the label order handed in by the constructor; family
     builders always pass labels sorted, so indices are reproducible across
-    runs and serializations are byte-identical.  Adjacency is stored once,
-    as CSR arrays: the neighbors of v are _flat[_off[v]:_off[v + 1]], sorted.
+    runs and serializations are byte-identical.  Edges, given as index pairs
+    or as clique rows, are stored once, as CSR arrays: the neighbors of v
+    are _flat[_off[v]:_off[v + 1]], sorted.
     """
 
     def __init__(self, labels, edges, family=None, params=None):
@@ -61,19 +62,28 @@ class Graph:
                        dtype=np.int64)
         if e.size == 0:
             e = e.reshape(0, 2)
-        if e.ndim != 2 or e.shape[1] != 2:
-            raise ValueError("edges must be index pairs")
+        if e.ndim != 2 or e.shape[1] < 2:
+            raise ValueError("edges must be index pairs or cliques")
         if e.size and (e.min() < 0 or e.max() >= n):
             raise ValueError("edge endpoint out of range")
-        if (e[:, 0] == e[:, 1]).any():
-            raise ValueError("loops are not allowed")
-        und = np.concatenate([e, e[:, ::-1]])
-        keys = und[:, 0] * n + und[:, 1]
-        del und                 # before the sort, which sets the peak memory of large builds
-        keys.sort()
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        self._flat = (keys % n).astype(np.int32)
-        self._off = np.searchsorted(keys, np.arange(n + 1) * n)
+        if e.shape[1] > 2:      # rows of mutually adjacent vertices
+            if (np.diff(np.sort(e, axis=1), axis=1) == 0).any():
+                raise ValueError("loops are not allowed")
+            incidence = np.bincount(e.ravel(), minlength=n)
+            if (incidence == incidence[0]).all():
+                self._flat, self._off = _csr_from_cliques(e, int(incidence[0]))
+            else:
+                e = clique_pairs(e).reshape(-1, 2)
+        if e.shape[1] == 2:
+            if (e[:, 0] == e[:, 1]).any():
+                raise ValueError("loops are not allowed")
+            und = np.concatenate([e, e[:, ::-1]])
+            keys = und[:, 0] * n + und[:, 1]
+            del und             # before the sort, which sets the peak memory of large builds
+            keys.sort()
+            keys = keys[np.diff(keys, prepend=-1) != 0]
+            self._flat = (keys % n).astype(np.int32)
+            self._off = np.searchsorted(keys, np.arange(n + 1) * n)
         self._degrees = np.diff(self._off)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._dm = None
@@ -338,6 +348,20 @@ class CliqueSystem:
         return f"CliqueSystem({len(self.cliques)} cliques of size {self.s + 1}, m={self.m})"
 
 
+def _csr_from_cliques(rows: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the pairs within the rows of an (N, w) array, every vertex in r
+    rows and none twice in a row: each vertex gathers its rows, drops itself,
+    sorts the rest and keeps one of each run (an edge may lie in m > 1 rows)."""
+    flat = rows.astype(np.int32).ravel()
+    n, w = len(flat) // r, rows.shape[1]
+    nbrs = flat.reshape(-1, w)[np.argsort(flat, kind="stable").reshape(n, r) // w]
+    nbrs = nbrs[nbrs != np.arange(n, dtype=np.int32)[:, None, None]].reshape(n, r * (w - 1))
+    nbrs.sort(axis=1)
+    keep = np.ones(nbrs.shape, dtype=bool)
+    np.not_equal(nbrs[:, 1:], nbrs[:, :-1], out=keep[:, 1:])
+    return nbrs[keep], np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+
+
 # --- verdict-style checks -----------------------------------------------------
 
 
@@ -561,23 +585,29 @@ def clique_pairs(cliques: np.ndarray) -> np.ndarray:
 def verify_clique_system(g: Graph, S: CliqueSystem) -> Verdict:
     """Checks clique-ness, uniform size s+1, and exact edge multiplicity m.
 
-    Within-clique pairs are looked up in the sorted keys u*n+v (u < v) of
-    the host's edges; edge multiplicities are their bincount."""
+    The system holds when the sorted keys u*n+v (u <= v) of the
+    within-clique pairs are the host's edge keys (u < v), each m times.
+    Otherwise each pair is looked up in the edge keys, to name the first
+    bad clique or the first edge of wrong multiplicity."""
     n = g.num_vertices
+    holds = Verdict(True, value=(int(g.degrees[0]) if n else 0, S.s, S.m))
     rows = np.sort(S.cliques, axis=1)
-    pairs = clique_pairs(rows)
-    keys = pairs[..., 0] * n + pairs[..., 1]
+    i, j = np.triu_indices(rows.shape[1], 1)
+    keys = rows[:, i] * n + rows[:, j]
     edges = g.edge_array()
     edge_keys = edges[:, 0] * n + edges[:, 1]
+    if S.m >= 0 and np.array_equal(np.sort(keys, axis=None), np.repeat(edge_keys, S.m)):
+        return holds
+    repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     pos = np.searchsorted(edge_keys, keys)
     is_edge = np.append(edge_keys, -1)[pos] == keys
-    repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     bad = repeated | ~is_edge.all(axis=1)
     if bad.any():
         ci = int(np.argmax(bad))
         if repeated[ci]:
             return Verdict(False, witness=ci, detail="clique of wrong size")
-        u, v = pairs[ci, int(np.argmin(is_edge[ci]))].tolist()
+        p = int(np.argmin(is_edge[ci]))
+        u, v = rows[ci, i[p]], rows[ci, j[p]]
         return Verdict(False, witness=(ci, g.labels[u], g.labels[v]),
                        detail="clique contains a non-edge")
     got = np.bincount(pos.ravel(), minlength=len(edge_keys))
@@ -586,7 +616,7 @@ def verify_clique_system(g: Graph, S: CliqueSystem) -> Verdict:
         u, v = edges[wrong[0]].tolist()
         return Verdict(False, witness=(g.labels[u], g.labels[v], int(got[wrong[0]]), S.m),
                        detail="edge multiplicity mismatch")
-    return Verdict(True, value=(int(g.degrees[0]) if n else 0, S.s, S.m))
+    return holds
 
 
 def max_clique_order(g: Graph, node_budget: int = 2_000_000) -> int:

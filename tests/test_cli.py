@@ -13,8 +13,8 @@ from drgtrades import bitrades, cli, families
 from drgtrades.bitrades import MIN_BITRADES, bitrade_to_json, corrupt_one_vertex
 from drgtrades.cli import main
 from drgtrades.errors import CrossCheckViolation
-from drgtrades.families import parse_family
-from drgtrades.graphs import Verdict
+from drgtrades.families import family_array, parse_family
+from drgtrades.graphs import IntersectionArray, Verdict
 
 
 def run_cli(capsys, *argv):
@@ -285,6 +285,39 @@ def test_out_of_range_parameters_are_usage_error(capsys):
 def test_formula_verbs_refuse_out_of_range_parameters(capsys, verb, family, message):
     err = _usage_error_line(capsys, [verb, "--family", family])
     assert err == f"usage error: {family}: {message}\n"
+
+
+@pytest.mark.parametrize("verb,family", [("wd-bound", "grassmann:6,3,6"),
+                                         ("spectrum", "dual_polar_D:3,10")])
+def test_formula_verbs_refuse_q_that_is_not_a_prime_power(capsys, verb, family):
+    err = _usage_error_line(capsys, [verb, "--family", family])
+    assert err == f"usage error: {family}: need q a prime power\n"
+
+
+def test_formula_verbs_take_prime_q_beyond_the_field_tables(capsys):
+    code, out = run_cli(capsys, "wd-bound", "--family", "grassmann:4,2,11")
+    assert (code, out) == (0, "theta_min: -12\nw.d. bound: 24\n")
+    code, out = run_cli(capsys, "spectrum", "--family", "dual_polar_D:3,11")
+    assert code == 0
+    assert out == ("array: (133,132,121;1,12,133)\n"
+                   "eigenvalues: 133 11 -11 -133\ntheta_min: -133\n")
+
+
+def test_check_dr_builds_the_odd_halved_cube(capsys):
+    code, out = run_cli(capsys, "check-dr", "--family", "halved_cube:7")
+    assert code == 0
+    assert out == ("distance-regular: yes\n"
+                   "array: (21,10,3;1,6,15)\n"
+                   "matches closed form (21,10,3;1,6,15): yes\n")
+    assert family_array("halved_cube", (7,)) == IntersectionArray(21, (21, 10, 3), (1, 6, 15))
+
+
+@pytest.mark.parametrize("verb", ["cliques", "verify", "bitrade"])
+def test_clique_verbs_refuse_the_odd_halved_cube(capsys, verb):
+    assert main([verb, "--family", "halved_cube:7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: halved 7-cube cliques have order 7 < Hoffman bound for odd n\n"
 
 
 def test_missing_bitrade_file_is_usage_error(capsys, tmp_path):

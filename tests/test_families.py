@@ -139,6 +139,64 @@ def test_octahedron_edges_are_the_within_clique_pairs():
     assert g.num_edges == 7 * 12
 
 
+# --- host arrays ----------------------------------------------------------------
+
+def _host_digest(g, S):
+    h = hashlib.sha256()
+    h.update("\n".join(g.labels).encode())
+    h.update(f"{g._flat.dtype} {g._off.dtype}".encode())
+    h.update(g._flat.tobytes())
+    h.update(g._off.tobytes())
+    if S is not None:
+        h.update(f"{S.cliques.dtype} {S.cliques.shape} {S.s} {S.m}".encode())
+        h.update(S.cliques.tobytes())
+    return h.hexdigest()
+
+
+# _host_digest of each builder's output, recorded when hosts were still
+# assembled from the within-clique pairs and hyperplanes were re-reduced
+HOST_SHA256 = {
+    "octahedron:2": "fa0441977cf6bc38e6e6e1d80f65e9875d840335004c996708dbb9e577d1a056",
+    "octahedron:5": "b26d4df74e2dba7efbf7ea2dbd1914c09a9c872e6f3e2cf7551dafca86d2eb2e",
+    "hamming:3,3": "21eb91d77c38138cf61765e9f7db6ad311ee45da1ec6f0fafa5f454d9e8ffa2c",
+    "hamming:4,2": "6c268d15e446c95d119deec38afd5de595b98202d71f1619cf9133ea962e932e",
+    "hamming:2,5": "4cf3d0d29b9616b979abda2208c30392ce98e1244a33c96742dc57df1ddaf2b4",
+    "johnson:6,3": "6410fb8c1b783a1e5f3c1c5978596a8a6ea392c6f19bc4812201034bc7f60f4e",
+    "johnson:9,4": "d4b4f7e520ad3c9e89befe098b5ca209fc3eb8a859da0192bb0fee2917d5ec06",
+    "johnson:7,2": "837915bf92e597cdb047b2b1fdb876e68c1f9e7e963b65bb1c5bda59159cbd18",
+    "halved_cube:6": "ce5577b4b64dc45ec11cb60ea1880e1aa697e384e66bf4c877b5632d26eeddb2",
+    "halved_cube:8": "d41ea01dcfc4ce10338fe99d5710e08e8617b22c296048ae4627c75b2309ae37",
+    "shrikhande": "a4a96e57adcf8857bdfdf7e4463cab9af3a448921024213bf25dc1a0f5e80e16",
+    "doob:1,1": "42b2234e039cecbee9beee8d68d8abcb2dd5e54a21cda65b1ccb3e337de366a0",
+    "doob:2,0": "cf6d8a61686835ce1808beb6848ae3ec863fb187b1a70c35d546aa3559eadebf",
+    "grassmann:2,1,3": "45f849d1f547863440c0a2c3900c8479031bf49923d006e9e9b2c6266132152e",
+    "grassmann:4,2,2": "93c81e903f240ab1c72d801808583b8a19c24eb3485e82a176f40799719db3be",
+    "grassmann:6,3,2": "6659b7b04a16437c6c817383434db8c9f0f9cb48d5d586e219e8d600c358dcc5",
+    "grassmann:4,2,3": "ae8863a35b5effe3e382eac0d6e12deff81d8cd424d49a7465f16a7d2be5feb2",
+    "grassmann:4,2,4": "0f836462566c4d1b8b4182b5f9c1346c581d83b6f0f9c1b76fd4f60ab6c62302",
+    "grassmann:5,2,3": "48b7627d572ad1c7bff19a5faf92f8482f216b32d093ec3601515da082c0912a",
+    "grassmann:6,2,2": "ba062c1def6b6bbdb044d5b5140c9b2964ba38fce0b772aa5f4080e3dfceadcc",
+    "grassmann:4,2,9": "5bbad0df3227f0829966dd9cee0c9c08328b400c3d191364308c6096f4efe6c4",
+    "grassmann:7,3,2": "108b44f471e5edf492095759a9588466e9732e211cc14169e01b8a85ed574b61",
+    "dual_polar_D:1,2": "90afb4263b45a12c8b7089dbc8645d232b0fd196266a3e110dbccf9470fced4a",
+    "dual_polar_D:2,2": "939ca3139bceda1453f2679de12cd53f970c54cb49eb1d8d9bf362b30fa4e444",
+    "dual_polar_D:3,2": "07c52ae3472e5b3c855d773ac0a67ddf6d77ad8f25d67cdfad9385d10ed7667b",
+    "dual_polar_D:2,3": "c0b57e6a3f9c568faa9d71d46011cca95091ee1d86415cb4b5e2fa4e118d145e",
+    "dual_polar_D:3,3": "592ba4e394bfda4ddafd8a7b23e89ae1c28cb30b368f09f49807ca8e8eb4c980",
+    "halved_cube:5 raw": "1bb486e05808d885b19313baa82e9157876ca639b019a72b5da522dc89890104",
+    "halved_cube:7 raw": "d947a3ac6253884a53e6fa9b6ee11cb59df846ef32d536e2bc9f4478ccdfd4e0",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(HOST_SHA256))
+def test_host_arrays_are_pinned(spec):
+    if spec.endswith(" raw"):
+        out = build_halved_cube(int(spec.split(":")[1].split()[0]), check_delsarte=False)
+    else:
+        out = build_family(*parse_family(spec))
+    assert _host_digest(*out) == HOST_SHA256[spec]
+
+
 # --- hamming -------------------------------------------------------------------
 
 def test_hamming_examples():

@@ -181,6 +181,21 @@ def test_batched_matmul_matches_scalar_products(q):
                 assert xy[i][j] == acc
 
 
+@pytest.mark.parametrize("n,d,q", [(4, 2, q) for q in SUPPORTED_ORDERS]
+                         + [(3, 1, 2), (3, 3, 3), (5, 3, 2), (6, 3, 2), (5, 2, 3),
+                            (4, 3, 4), (3, 2, 8), (3, 2, 9), (5, 2, 5)])
+def test_hyperplane_products_are_already_reduced(n, d, q):
+    # C @ B for RREF C and B is in RREF, so hyperplane_bases skips rref_batch
+    F = make_field(q)
+    bases = gfq.subspace_bases(n, d, q)
+    prods = gfq.matmul_batch(gfq.subspace_bases(d, d - 1, q), bases[:, None], F)
+    got = gfq.hyperplane_bases(bases, F)
+    h = gaussian_binomial(d, 1, q)
+    assert got.shape == (len(bases), h, d - 1, n)
+    reduced = gfq.rref_batch(prods.reshape(len(bases) * h, d - 1, n), F).reshape(got.shape)
+    assert np.array_equal(got, reduced)
+
+
 # --- gaussian binomials vs enumeration ---------------------------------------
 
 def test_gaussian_binomial_small_values():

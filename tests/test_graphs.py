@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drgtrades import graphs
 from drgtrades.bitrades import corrupt_one_vertex, double_johnson_bitrade, min_bitrade_grassmann
@@ -23,6 +24,7 @@ from drgtrades.graphs import (
     Graph,
     IntersectionArray,
     bfs_distances,
+    clique_pairs,
     completely_regular_check,
     distance_regularity_check,
     graph_to_json,
@@ -465,6 +467,97 @@ def test_clique_system_rows():
         with pytest.raises(ValueError):
             CliqueSystem(g, rows, s=1, m=1)
     assert CliqueSystem(g, (), s=1, m=1).cliques.shape == (0, 2)
+
+
+@st.composite
+def clique_rows(draw):
+    """(labels, rows): layers of disjoint rows, each layer covering the same
+    w * t vertices once, so incidence is uniform; then maybe every row
+    repeated (edges in two rows), rows dropped or isolated vertices added
+    (uneven incidence), and rows and their entries shuffled."""
+    w, t, layers = draw(st.integers(3, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = w * t
+    rows = np.concatenate([rng.permutation(n).reshape(t, w) for _ in range(layers)])
+    if draw(st.booleans()):
+        rows = np.concatenate([rows, rows])
+    drop = draw(st.integers(0, len(rows) - 1))
+    rows = rng.permuted(rows[rng.permutation(len(rows))[drop:]], axis=1)
+    return [f"v{i:03d}" for i in range(n + draw(st.integers(0, 2)))], rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(clique_rows())
+def test_graph_from_clique_rows_equals_graph_from_their_pairs(case):
+    labels, rows = case
+    g, ref = Graph(labels, rows), Graph(labels, clique_pairs(rows).reshape(-1, 2))
+    for got, want in ((g._flat, ref._flat), (g._off, ref._off)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_wide_rows_refuse_loops_and_out_of_range_vertices():
+    # the first two have uneven incidence, the third uniform
+    for rows, message in [([[0, 1, 2], [1, 3, 1]], "loops are not allowed"),
+                          ([[0, 1, 2, 3], [2, 0, 3, 2]], "loops are not allowed"),
+                          ([[0, 1, 2, 2], [3, 3, 0, 1]], "loops are not allowed"),
+                          ([[0, 1, 2], [1, 2, 4]], "edge endpoint out of range"),
+                          ([[0, 1, 2], [-1, 2, 3]], "edge endpoint out of range"),
+                          ([[0], [1]], "edges must be index pairs or cliques")]:
+        with pytest.raises(ValueError, match=message):
+            Graph(list("abcd"), np.array(rows))
+
+
+def _mutated_systems(S):
+    rows, n = S.cliques, S.host.num_vertices
+    yield "drop", np.delete(rows, 5, axis=0), S.m
+    yield "duplicate", np.insert(rows, 9, rows[3], axis=0), S.m
+    swapped = rows.copy()
+    swapped[11, 2] = min(set(range(n)) - set(rows[11].tolist()))
+    yield "swap", swapped, S.m
+    exchanged = rows.copy()
+    exchanged[4, 1], exchanged[20, 0] = rows[20, 0], rows[4, 1]
+    yield "exchange", exchanged, S.m
+    repeated = rows.copy()
+    repeated[6, 3] = rows[6, 0]
+    yield "repeat", repeated, S.m
+    yield "multiplicity", rows, S.m + 1
+    yield "negative multiplicity", rows, -1
+    shuffled = np.random.default_rng(5).permuted(rows[::-1], axis=1)
+    yield "shuffled", shuffled, S.m
+
+
+# verify_clique_system's witnesses, recorded before the sorted-key accept path
+CLIQUE_WITNESSES = {
+    "grassmann:6,3,2": {
+        "drop": ("000100/000010/000001", "001000/000101/000011", 0, 1),
+        "duplicate": ("000100/000010/000001", "001000/000100/000011", 2, 1),
+        "swap": (11, "000100/000010/000001", "010000/001001/000011"),
+        "exchange": (4, "001000/000100/000010", "010000/000101/000010"),
+        "repeat": 6,
+        "multiplicity": ("000100/000010/000001", "001000/000010/000001", 1, 2),
+        "negative multiplicity": ("000100/000010/000001", "001000/000010/000001", 1, -1),
+        "shuffled": None,
+    },
+    "halved_cube:8": {
+        "drop": ("00000000", "00100001", 1, 2),
+        "duplicate": ("00000000", "00001001", 3, 2),
+        "swap": (11, "00000000", "00100111"),
+        "exchange": (4, "00000110", "00011000"),
+        "repeat": 6,
+        "multiplicity": ("00000000", "00000011", 2, 3),
+        "negative multiplicity": ("00000000", "00000011", 2, -1),
+        "shuffled": None,
+    },
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CLIQUE_WITNESSES))
+def test_clique_system_witnesses_are_pinned(spec):
+    g, S = build_family(*parse_family(spec))
+    for tag, rows, m in _mutated_systems(S):
+        v = verify_clique_system(g, CliqueSystem(g, rows, s=S.s, m=m))
+        assert v.witness == CLIQUE_WITNESSES[spec][tag], tag
+        assert v.ok == (tag == "shuffled"), tag
 
 
 # --- max clique -------------------------------------------------------------------
