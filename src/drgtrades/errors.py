@@ -9,10 +9,6 @@ class EnumerationTooLarge(RuntimeError):
     """Requested enumeration exceeds the configured cap."""
 
 
-class AmbientMismatch(ValueError):
-    """Operands live in different ambient spaces or over different fields."""
-
-
 class Disconnected(ValueError):
     """Distances are undefined on a disconnected graph."""
 

@@ -23,7 +23,6 @@ from .errors import (
 from .gfq import (
     DEFAULT_ENUMERATION_CAP,
     gaussian_binomial,
-    hyperbolic_form,
     hyperplane_bases,
     isotropic_count_product,
     make_field,
@@ -213,8 +212,8 @@ def doob_array(m: int, n: int) -> IntersectionArray:
 # --- Grassmann ----------------------------------------------------------------
 
 def _labels(rows: np.ndarray, d: int) -> list[str]:
-    """Subspace.label() of each flattened (d * n)-digit RREF basis in rows:
-    the d rows of n digits, '/'-joined."""
+    """The vertex label of each flattened (d * n)-digit RREF basis in rows:
+    the d rows of n digits, '/'-joined ("0" for d = 0)."""
     if d == 0:
         return ["0"] * len(rows)
     n = rows.shape[1] // d
@@ -309,7 +308,7 @@ def build_dual_polar_D(d: int, q: int,
             f"dual_polar_D({d},{q}) has {isotropic_count_product(d, q):,} vertices but "
             f"would enumerate {candidates:,} candidate {d}-subspaces, which exceeds cap {cap}")
     bases = subspace_bases(2 * d, d, q, cap)
-    bases = bases[totally_isotropic_mask(bases, hyperbolic_form(d, field))]
+    bases = bases[totally_isotropic_mask(bases, field)]
     labels, edges = _hyperplane_buckets(bases, field, 2)
     return Graph(labels, edges, family="dual_polar_D", params=(d, q))
 

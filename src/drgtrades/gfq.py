@@ -7,11 +7,11 @@ an element with base-p digits (c_0,...,c_{e-1}) has index sum(c_i * p^i) and
 stands for the polynomial c_0 + c_1 t + ... + c_{e-1} t^{e-1}.
 
 Subspaces of F_q^n are stored as reduced-row-echelon bases, which makes
-subspace equality a plain tuple comparison and allows enumeration by pivot
-pattern instead of by deduplicating spanning sets.  The builders work on
-whole batches of bases as int8 arrays (subspace_bases, hyperplane_bases);
-the per-subspace objects and functions are thin wrappers over the same
-batched product and RREF.
+subspace equality an array comparison and allows enumeration by pivot
+pattern instead of by deduplicating spanning sets.  All linear algebra works
+on whole batches of bases as int8 arrays: one product (matmul_batch), one
+RREF (rref_batch), enumeration (subspace_bases), every hyperplane of every
+basis (hyperplane_bases) and total isotropy (totally_isotropic_mask).
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    AmbientMismatch,
-    CrossCheckViolation,
-    EnumerationTooLarge,
-    UnsupportedFieldOrder,
-)
+from .errors import CrossCheckViolation, EnumerationTooLarge, UnsupportedFieldOrder
 
 DEFAULT_ENUMERATION_CAP = 100_000
 
@@ -50,30 +45,10 @@ class FieldSpec:
     per q, and equality is identity."""
 
     q: int
-    p: int
-    e: int
-    modulus: tuple[int, ...]  # empty for prime fields
     add_table: np.ndarray  # (q, q)
     mul_table: np.ndarray  # (q, q)
     neg_table: np.ndarray  # (q,)
     inv_table: np.ndarray  # (q,), index 0 unused
-
-    def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
-
-    def sub(self, a: int, b: int) -> int:
-        return int(self.add_table[a, self.neg_table[b]])
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
-
-    def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("no inverse of 0 in GF(%d)" % self.q)
-        return int(self.inv_table[a])
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -118,14 +93,13 @@ def make_field(q: int) -> FieldSpec:
                     for a in digits.tolist()]) @ weights
     neg = (add == 0).argmax(axis=1)
     inv = (mul == 1).argmax(axis=1)
-    return FieldSpec(q, p, e, modulus, _table(add), _table(mul), _table(neg), _table(inv))
+    return FieldSpec(q, _table(add), _table(mul), _table(neg), _table(inv))
 
 
 # --- batched linear algebra -------------------------------------------------
 #
 # Matrices are int8 arrays of element indices with the matrix axes last; the
-# leading axes are a batch.  The per-object API below (FFMatrix, Subspace,
-# rref, matmul, enumerate_subspaces, subspace_hyperplanes) wraps these.
+# leading axes are a batch.
 
 
 def _op(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -220,118 +194,12 @@ def _hyperplane_coefficients(d: int, q: int) -> np.ndarray:
 def hyperplane_bases(bases: np.ndarray, field: FieldSpec) -> np.ndarray:
     """The RREF bases of every (d-1)-subspace of every subspace in a
     (N, d, n) array of bases, as an (N, H, d-1, n) array with H = [d, 1]_q,
-    hyperplanes in enumerate_subspaces(d, d-1) order: the RREF of each
+    hyperplanes in subspace_bases(d, d-1, q) order: the RREF of each
     (d-1)-subspace of F_q^d, as a coefficient matrix C, times the basis B.
     C @ B is in RREF already: B's pivot columns hold C, and row i of C @ B
     starts at the pivot of the row of B that row i of C starts at."""
     return matmul_batch(_hyperplane_coefficients(bases.shape[1], field.q),
                         bases[:, None], field)
-
-
-# --- matrices and subspaces -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FFMatrix:
-    """Dense matrix of field-element indices, row-major."""
-
-    nrows: int
-    ncols: int
-    entries: tuple[int, ...]
-    field: FieldSpec
-
-    def __post_init__(self):
-        if len(self.entries) != self.nrows * self.ncols:
-            raise ValueError("entry count does not match dimensions")
-        if any(x >= self.field.q or x < 0 for x in self.entries):
-            raise ValueError("entry out of field range")
-
-    @classmethod
-    def from_rows(cls, rows, field: FieldSpec) -> "FFMatrix":
-        rows = [tuple(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        return cls(len(rows), ncols, tuple(x for r in rows for x in r), field)
-
-    @classmethod
-    def from_array(cls, a: np.ndarray, field: FieldSpec) -> "FFMatrix":
-        return cls(a.shape[0], a.shape[1], tuple(a.ravel().tolist()), field)
-
-    def array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int8).reshape(self.nrows, self.ncols)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.ncols:(i + 1) * self.ncols]
-
-    def rows(self):
-        return [self.row(i) for i in range(self.nrows)]
-
-
-def rref(m: FFMatrix) -> FFMatrix:
-    """Reduced row echelon form; preserves the row space, deterministic."""
-    if not m.nrows:
-        return m
-    return FFMatrix.from_array(rref_batch(m.array()[None], m.field)[0], m.field)
-
-
-def rank(m: FFMatrix) -> int:
-    red = rref(m)
-    return sum(1 for i in range(red.nrows) if any(red.row(i)))
-
-
-def stack(a: FFMatrix, b: FFMatrix) -> FFMatrix:
-    if a.ncols != b.ncols or a.field is not b.field:
-        raise AmbientMismatch("cannot stack matrices over different spaces")
-    return FFMatrix(a.nrows + b.nrows, a.ncols, a.entries + b.entries, a.field)
-
-
-def matmul(a: FFMatrix, b: FFMatrix) -> FFMatrix:
-    if a.ncols != b.nrows or a.field is not b.field:
-        raise AmbientMismatch("shape or field mismatch in matmul")
-    return FFMatrix.from_array(matmul_batch(a.array(), b.array(), a.field), a.field)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """Subspace of F_q^n, identified by its RREF basis (canonical form)."""
-
-    ambient_dim: int
-    dim: int
-    basis: FFMatrix
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.basis.field
-
-    @classmethod
-    def from_matrix(cls, m: FFMatrix) -> "Subspace":
-        red = rref(m)
-        rows = [r for r in red.rows() if any(r)]
-        return cls(m.ncols, len(rows), FFMatrix.from_rows(rows, m.field)
-                   if rows else FFMatrix(0, m.ncols, (), m.field))
-
-    def label(self) -> str:
-        """Deterministic string form: basis rows as digit strings, '/'-joined."""
-        if self.dim == 0:
-            return "0"
-        return "/".join("".join(str(x) for x in self.basis.row(i))
-                        for i in range(self.dim))
-
-    def rows(self):
-        return self.basis.rows()
-
-    def extend_ambient(self, n: int) -> "Subspace":
-        """Zero-pad every basis vector on the right up to ambient dimension n."""
-        if n < self.ambient_dim:
-            raise AmbientMismatch("cannot shrink ambient space")
-        pad = n - self.ambient_dim
-        rows = [tuple(r) + (0,) * pad for r in self.rows()]
-        m = FFMatrix.from_rows(rows, self.field) if rows else FFMatrix(0, n, (), self.field)
-        return Subspace(n, self.dim, m)
-
-
-def _subspaces(bases: np.ndarray, field: FieldSpec) -> list[Subspace]:
-    return [Subspace(bases.shape[2], bases.shape[1], FFMatrix.from_array(b, field))
-            for b in bases]
 
 
 def gaussian_binomial(a: int, b: int, q: int) -> int:
@@ -351,93 +219,24 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(n: int, d: int, field: FieldSpec,
-                        cap: int = DEFAULT_ENUMERATION_CAP) -> list[Subspace]:
-    """All d-dimensional subspaces of F_q^n, one RREF basis each, in
-    subspace_bases order."""
-    return _subspaces(subspace_bases(n, d, field.q, cap), field)
-
-
-def intersection_dim(a: Subspace, b: Subspace) -> int:
-    """dim(a meet b) = dim a + dim b - rank of the stacked bases."""
-    if a.ambient_dim != b.ambient_dim or a.field is not b.field:
-        raise AmbientMismatch("subspaces live in different ambient spaces")
-    if a.dim == 0 or b.dim == 0:
-        return 0
-    return a.dim + b.dim - rank(stack(a.basis, b.basis))
-
-
-def subspace_hyperplanes(s: Subspace) -> list[Subspace]:
-    """All (dim-1)-dimensional subspaces of s, canonicalized in the ambient."""
-    if s.dim == 0:
-        return []
-    return _subspaces(hyperplane_bases(s.basis.array()[None], s.field)[0], s.field)
-
-
 # --- quadratic form ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
-    """The hyperbolic form Q(v_1..v_d, u_1..u_d) = v_1 u_1 + ... + v_d u_d."""
-
-    field: FieldSpec
-    half_dim: int
-
-    @property
-    def ambient_dim(self) -> int:
-        return 2 * self.half_dim
-
-    def evaluate(self, vec) -> int:
-        F = self.field
-        d = self.half_dim
-        acc = 0
-        for i in range(d):
-            acc = F.add(acc, F.mul(vec[i], vec[d + i]))
-        return acc
-
-    def bilinear(self, x, y) -> int:
-        """Polarization B(x,y) = Q(x+y) - Q(x) - Q(y), bilinear over any q."""
-        F = self.field
-        xy = [F.add(a, b) for a, b in zip(x, y)]
-        return F.sub(F.sub(self.evaluate(xy), self.evaluate(x)), self.evaluate(y))
-
-
-def hyperbolic_form(d: int, field: FieldSpec) -> QuadraticForm:
-    return QuadraticForm(field, d)
-
-
-def is_totally_isotropic(s: Subspace, form: QuadraticForm) -> bool:
-    """True iff the form vanishes on all of s.
+def totally_isotropic_mask(bases: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Which bases of an (N, d, 2h) array span a subspace on which the
+    hyperbolic form Q(v_1..v_h, u_1..u_h) = v_1 u_1 + ... + v_h u_h vanishes.
 
     Expanding Q on a linear combination gives
-        Q(sum l_i b_i) = sum l_i^2 Q(b_i) + sum_{i<j} l_i l_j B(b_i, b_j),
-    so vanishing on the basis vectors plus vanishing of the polarization on
-    basis pairs is equivalent to Q(s) = {0}.
-    """
-    if s.ambient_dim != form.ambient_dim:
-        raise AmbientMismatch("subspace and form ambient dimensions differ")
-    rows = s.rows()
-    for r in rows:
-        if form.evaluate(r):
-            return False
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if form.bilinear(rows[i], rows[j]):
-                return False
-    return True
-
-
-def totally_isotropic_mask(bases: np.ndarray, form: QuadraticForm) -> np.ndarray:
-    """is_totally_isotropic for every basis in an (N, d, 2d) array at once:
-    Q on each basis row and the polarization on each pair of rows."""
-    F, h = form.field, form.half_dim
-    add, neg = F.add_table, F.neg_table
+        Q(sum l_i b_i) = sum l_i^2 Q(b_i) + sum_{i<j} l_i l_j B(b_i, b_j)
+    with the polarization B(x, y) = Q(x+y) - Q(x) - Q(y), so Q vanishing on
+    each basis row and B on each pair of rows is equivalent to Q(s) = {0}."""
+    h = bases.shape[2] // 2
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
 
     def q_form(v):
         acc = np.zeros(v.shape[:-1], dtype=np.int8)
         for i in range(h):
-            acc = add[acc, F.mul_table[v[..., i], v[..., h + i]]]
+            acc = add[acc, mul[v[..., i], v[..., h + i]]]
         return acc
 
     qrows = q_form(bases)
@@ -463,3 +262,29 @@ def isotropic_count_sum(d: int, q: int) -> int:
     same count."""
     return sum(q ** (i * (i - 1) // 2) * gaussian_binomial(d, i, q)
                for i in range(d + 1))
+
+
+# --- probe seam ---------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Subspace:
+    """One RREF basis, a (d, n) int8 array, and its field.
+
+    Serves only the benchmark's traced builder probes, which time
+    enumerate_subspaces and subspace_hyperplanes one subspace at a time; it
+    goes when those probes move to subspace_bases and hyperplane_bases."""
+
+    basis: np.ndarray
+    field: FieldSpec
+
+
+def enumerate_subspaces(n: int, d: int, field: FieldSpec,
+                        cap: int = DEFAULT_ENUMERATION_CAP) -> list[Subspace]:
+    """subspace_bases(n, d, q) as one Subspace per basis."""
+    return [Subspace(b, field) for b in subspace_bases(n, d, field.q, cap)]
+
+
+def subspace_hyperplanes(s: Subspace) -> list[Subspace]:
+    """hyperplane_bases of one Subspace, one Subspace per hyperplane."""
+    return [Subspace(h, s.field) for h in hyperplane_bases(s.basis[None], s.field)[0]]

@@ -267,12 +267,6 @@ class Graph:
         return f"Graph({self.num_vertices} vertices, {self.num_edges} edges{tag})"
 
 
-def bfs_distances(g: Graph, x: int) -> list[int]:
-    """Exact distances from x to every vertex; raises Disconnected if any
-    vertex is unreachable."""
-    return g.distances_from(x).tolist()
-
-
 @dataclass(frozen=True)
 class IntersectionArray:
     """Sequence (b_0,...,b_{rho-1}; c_1,...,c_rho) attached to degree k.

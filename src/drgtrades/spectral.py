@@ -1,11 +1,12 @@
 """Exact spectral machinery for intersection matrices.
 
 Everything here is big-integer / big-rational arithmetic: eigenvalues come
-from integer root extraction on the characteristic polynomial (computed by
-the three-term minor recurrence of a tridiagonal matrix), eigenvectors from
-the same recurrence, and the weight-distribution bound from the exact
-coefficient recursion.  No floating point is involved anywhere, because the
-results feed theorem checks where a tolerance would be meaningless.
+from bisection on the Sturm sequence of leading principal minors (the
+three-term recurrence of a tridiagonal matrix), each confirmed exactly at
+its integer point, eigenvectors from the same recurrence, and the
+weight-distribution bound from the exact coefficient recursion.  No floating
+point is involved anywhere, because the results feed theorem checks where a
+tolerance would be meaningless.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from math import lcm
 import numpy as np
 
 from .errors import (
-    CrossCheckViolation,
     NonIntegerSpectrum,
     NotAnEigenvalue,
     NotCompletelyRegular,
@@ -36,90 +36,55 @@ from .graphs import (
 )
 
 
-# --- characteristic polynomial and integer spectrum ---------------------------
+# --- Sturm sequence and integer spectrum ---------------------------------------
 
-def _char_poly(arr: IntersectionArray) -> list[int]:
-    """Monic characteristic polynomial of the intersection matrix, ascending
-    integer coefficients.  Uses the leading-principal-minor recurrence
-    p_i = (x - a_i) p_{i-1} - b_{i-1} c_i p_{i-2}."""
-    prev = [1]                      # det of the empty matrix
-    cur = [-arr.a(0), 1]            # x - a_0
+def _minors(arr: IntersectionArray, t: int, s: int = 1) -> list[int]:
+    """The leading principal minors s^(i+1) p_i(t/s), i = 0..rho, of
+    t I - s L for the intersection matrix L, where p_i is the monic
+    characteristic polynomial of L's leading (i+1)-block:
+    p_i = (x - a_i) p_{i-1} - b_{i-1} c_i p_{i-2}, p_{-1} = 1."""
+    prev, cur = 1, t - s * arr.a(0)
+    out = [cur]
     for i in range(1, arr.rho + 1):
-        shifted = [0] + cur                       # x * p_{i-1}
-        scaled = [arr.a(i) * t for t in cur]      # a_i * p_{i-1}
-        offdiag = arr.b[i - 1] * arr.c[i - 1]
-        nxt = [0] * (len(cur) + 1)
-        for j, t in enumerate(shifted):
-            nxt[j] += t
-        for j, t in enumerate(scaled):
-            nxt[j] -= t
-        for j, t in enumerate(prev):
-            nxt[j] -= offdiag * t
-        prev, cur = cur, nxt
-    return cur
-
-
-def _poly_eval(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _divisors(n: int):
-    n = abs(n)
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
-    return sorted(out)
-
-
-def _deflate(coeffs, root):
-    """Divide a monic-leading integer polynomial by (x - root), exactly."""
-    out = [0] * (len(coeffs) - 1)
-    carry = coeffs[-1]
-    for j in range(len(coeffs) - 2, -1, -1):
-        out[j] = carry
-        carry = coeffs[j] + carry * root
-    if carry != 0:
-        raise CrossCheckViolation(f"{root} is not a root of {coeffs}: remainder {carry}")
+        prev, cur = cur, ((t - s * arr.a(i)) * cur
+                          - s * s * arr.b[i - 1] * arr.c[i - 1] * prev)
+        out.append(cur)
     return out
+
+
+def _count_above(arr: IntersectionArray, t: int) -> int:
+    """Eigenvalues of L above t/2 for odd t: the sign changes of the Sturm
+    sequence 1, p_0, ..., p_rho at t/2.  No p_i vanishes there, since a
+    monic integer polynomial has only integer rational roots."""
+    signs = [True] + [m > 0 for m in _minors(arr, t, 2)]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 def intersection_matrix_eigenvalues(arr: IntersectionArray) -> list[int]:
     """All rho+1 eigenvalues of the intersection matrix, exact, descending.
 
     A tridiagonal matrix with positive off-diagonal products has rho+1
-    simple real eigenvalues; every family in scope has them integral, so the
-    rational-root search on the integer characteristic polynomial must find
-    them all.  Raises NonIntegerSpectrum otherwise.
+    simple real eigenvalues, all in [-k, k] since L is nonnegative with row
+    sums k.  For each one, bisection on the Sturm count finds the integer m
+    with the eigenvalue in (m - 1/2, m + 1/2]; the eigenvalue is m exactly
+    when p_rho(m) = 0.  Every family in scope has an integral spectrum;
+    raises NonIntegerSpectrum otherwise.
     """
-    poly = _char_poly(arr)
     roots = []
-    for _ in range(arr.rho + 1):
-        if poly[0] == 0:
-            root = 0
-        else:
-            root = None
-            for cand in _divisors(poly[0]):
-                if _poly_eval(poly, cand) == 0:
-                    root = cand
-                    break
-                if _poly_eval(poly, -cand) == 0:
-                    root = -cand
-                    break
-            if root is None:
-                raise NonIntegerSpectrum(
-                    f"no integer root of {poly}; remaining spectrum is irrational")
-        roots.append(root)
-        poly = _deflate(poly, root)
-    if len(set(roots)) != len(roots):
-        raise NonIntegerSpectrum("repeated root in a tridiagonal spectrum")
-    return sorted(roots, reverse=True)
+    for j in range(arr.rho + 1):
+        lo, hi = -arr.k, arr.k
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _count_above(arr, 2 * mid + 1) <= j:
+                hi = mid
+            else:
+                lo = mid + 1
+        if _minors(arr, lo)[-1] != 0 or lo in roots[-1:]:
+            raise NonIntegerSpectrum(
+                f"eigenvalue {j} (descending) of {arr} lies within 1/2 of {lo} "
+                f"but is not {lo}; the spectrum is not integral")
+        roots.append(lo)
+    return roots
 
 
 def theta_min(arr: IntersectionArray) -> int:
@@ -128,7 +93,8 @@ def theta_min(arr: IntersectionArray) -> int:
 
 def is_matrix_eigenvalue(arr: IntersectionArray, theta) -> bool:
     """Exact membership test: characteristic polynomial vanishes at theta."""
-    return _poly_eval(_char_poly(arr), Fraction(theta)) == 0
+    th = Fraction(theta)
+    return _minors(arr, th.numerator, th.denominator)[-1] == 0
 
 
 def standard_eigenvector(arr: IntersectionArray, theta) -> list[Fraction]:

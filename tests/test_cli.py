@@ -303,6 +303,18 @@ def test_formula_verbs_take_prime_q_beyond_the_field_tables(capsys):
                    "eigenvalues: 133 11 -11 -133\ntheta_min: -133\n")
 
 
+def test_formula_verbs_finish_on_large_grassmann_q(capsys):
+    # the spectrum search is a Sturm bisection, not a divisor search of the
+    # characteristic polynomial's constant term (about 2e26 here)
+    code, out = run_cli(capsys, "wd-bound", "--family", "grassmann:8,4,11")
+    assert (code, out) == (0, "theta_min: -1464\nw.d. bound: 3900096\n")
+    code, out = run_cli(capsys, "spectrum", "--family", "grassmann:8,4,11")
+    assert code == 0
+    assert out == ("array: (23576256,23544059,23191344,19487171;1,144,17689,2143296)\n"
+                   "eigenvalues: 23576256 2140368 191652 14508 -1464\n"
+                   "theta_min: -1464\n")
+
+
 def test_check_dr_builds_the_odd_halved_cube(capsys):
     code, out = run_cli(capsys, "check-dr", "--family", "halved_cube:7")
     assert code == 0

@@ -2,6 +2,7 @@
 intersection arrays against the computed ones."""
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import os
@@ -37,15 +38,7 @@ from drgtrades.families import (
     hamming_array,
     parse_family,
 )
-from drgtrades.gfq import (
-    enumerate_subspaces,
-    gaussian_binomial,
-    hyperbolic_form,
-    is_totally_isotropic,
-    isotropic_count_product,
-    make_field,
-    subspace_hyperplanes,
-)
+from drgtrades.gfq import gaussian_binomial, isotropic_count_product, make_field
 from drgtrades.graphs import (
     Graph,
     distance_regularity_check,
@@ -56,6 +49,13 @@ from drgtrades.graphs import (
     verify_clique_system,
 )
 from drgtrades.spectral import intersection_matrix_eigenvalues, theta_min
+from helpers import (
+    combination,
+    is_totally_isotropic,
+    label,
+    reference_bases,
+    reference_rref,
+)
 
 
 # Small instances exercised per family: (name, params, vertices, degree)
@@ -458,17 +458,22 @@ def test_bucket_size_cross_check_runs_under_optimize():
     assert res.stdout == "raised False\n"
 
 
-# --- array builders against the per-subspace pipeline ---------------------------
+# --- array builders against a scalar reference ----------------------------------
 
-def _reference_host(vertices, size):
-    """Labels, CSR and sorted clique rows the per-subspace way: one label per
-    Subspace, hyperplanes from subspace_hyperplanes, buckets in a dict."""
-    labels = sorted(s.label() for s in vertices)
+def _reference_host(vertices, size, F):
+    """Labels, CSR and sorted clique rows in scalar arithmetic: one label per
+    RREF basis B, each (d-1)-subspace of B as the scalar RREF of C B for
+    every (d-1)-subspace C of F_q^d, buckets in a dict."""
+    names = [label(b) for b in vertices]
+    labels = sorted(names)
     idx = {lab: i for i, lab in enumerate(labels)}
+    coefficients = reference_bases(len(vertices[0]), len(vertices[0]) - 1, F.q)
     buckets = {}
-    for s in vertices:
-        for h in subspace_hyperplanes(s):
-            buckets.setdefault(h.label(), []).append(idx[s.label()])
+    for b, name in zip(vertices, names):
+        v = idx[name]
+        for c in coefficients:
+            rows = reference_rref([combination(crow, b, F) for crow in c], F)
+            buckets.setdefault(tuple(map(tuple, rows)), []).append(v)
     assert {len(b) for b in buckets.values()} == {size}
     rows = np.array(sorted(sorted(b) for b in buckets.values()))
     i, j = np.triu_indices(size, 1)
@@ -486,8 +491,8 @@ def _assert_same_host(g, ref):
                          + [(5, 2, 3), (5, 2, 4), (6, 3, 2), (3, 1, 3)])
 def test_grassmann_matches_subspace_reference(n, d, q):
     g, S = build_grassmann(n, d, q)
-    ref, rows = _reference_host(enumerate_subspaces(n, d, make_field(q)),
-                                gaussian_binomial(n - d + 1, 1, q))
+    ref, rows = _reference_host(reference_bases(n, d, q),
+                                gaussian_binomial(n - d + 1, 1, q), make_field(q))
     _assert_same_host(g, ref)
     assert np.array_equal(S.cliques, rows)
 
@@ -495,8 +500,20 @@ def test_grassmann_matches_subspace_reference(n, d, q):
 @pytest.mark.parametrize("d, q", [(2, 2), (3, 2), (2, 3), (2, 4)])
 def test_dual_polar_matches_subspace_reference(d, q):
     F = make_field(q)
-    form = hyperbolic_form(d, F)
-    vertices = [s for s in enumerate_subspaces(2 * d, d, F)
-                if is_totally_isotropic(s, form)]
-    ref, _ = _reference_host(vertices, 2)
+    vertices = [b for b in reference_bases(2 * d, d, q) if is_totally_isotropic(b, F)]
+    ref, _ = _reference_host(vertices, 2, F)
     _assert_same_host(build_dual_polar_D(d, q), ref)
+
+
+def test_benchmark_builder_probes_run(monkeypatch):
+    # perfbench/worker.py times the builder's public gfq calls in traced
+    # runs; those calls must keep working
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "worker.py")
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the worker prepends src/
+    spec.loader.exec_module(worker)
+    probes = worker.builder_probes(4, 2, 2, None)
+    assert (probes["graphs.vertices"], probes["graphs.edges"],
+            probes["gfq.hyperplane_calls"]) == (35, 315, 35)

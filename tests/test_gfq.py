@@ -1,4 +1,5 @@
-"""Finite field tables, RREF canonicalization, subspace enumeration."""
+"""Finite field tables, batched RREF and products, subspace enumeration,
+hyperplanes and isotropy, each against a scalar reference."""
 
 import itertools
 import random
@@ -8,26 +9,27 @@ import pytest
 
 from drgtrades import gfq
 from drgtrades.errors import (
-    AmbientMismatch,
     CrossCheckViolation,
     EnumerationTooLarge,
     UnsupportedFieldOrder,
 )
 from drgtrades.gfq import (
-    FFMatrix,
     SUPPORTED_ORDERS,
-    Subspace,
-    enumerate_subspaces,
     gaussian_binomial,
-    hyperbolic_form,
-    intersection_dim,
-    is_totally_isotropic,
+    hyperplane_bases,
     isotropic_count_product,
     isotropic_count_sum,
     make_field,
-    rank,
-    rref,
-    subspace_hyperplanes,
+    rref_batch,
+    subspace_bases,
+    totally_isotropic_mask,
+)
+from helpers import (
+    field_lists,
+    hyperbolic_value,
+    is_totally_isotropic,
+    label,
+    reference_rref,
 )
 
 
@@ -35,37 +37,37 @@ from drgtrades.gfq import (
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_field_axioms_exhaustive(q):
-    F = make_field(q)
+    add, mul, neg, inv = field_lists(make_field(q))
     els = range(q)
     for a in els:
-        assert F.add(a, 0) == a
-        assert F.mul(a, 1) == a
-        assert F.add(a, F.neg(a)) == 0
+        assert add[a][0] == a
+        assert mul[a][1] == a
+        assert add[a][neg[a]] == 0
         if a:
-            assert F.mul(a, F.inv(a)) == 1
+            assert mul[a][inv[a]] == 1
         for b in els:
-            assert F.add(a, b) == F.add(b, a)
-            assert F.mul(a, b) == F.mul(b, a)
+            assert add[a][b] == add[b][a]
+            assert mul[a][b] == mul[b][a]
     for a, b, c in itertools.product(els, repeat=3):
-        assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
-        assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
-        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+        assert add[add[a][b]][c] == add[a][add[b][c]]
+        assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
 
 def test_gf2_add_is_xor():
-    F = make_field(2)
+    add = make_field(2).add_table
     for a in (0, 1):
         for b in (0, 1):
-            assert F.add(a, b) == a ^ b
+            assert add[a, b] == a ^ b
 
 
 def test_gf4_structure():
-    F = make_field(4)
+    mul = make_field(4).mul_table
     # t*t reduces modulo t^2+t+1 to t+1, i.e. index 3
-    assert F.mul(2, 2) == 3
+    assert mul[2, 2] == 3
     # nonzero elements form a cyclic group of order 3
     for a in (2, 3):
-        assert F.mul(F.mul(a, a), a) == 1
+        assert mul[mul[a, a], a] == 1
 
 
 def test_unsupported_orders_rejected():
@@ -76,64 +78,47 @@ def test_unsupported_orders_rejected():
 
 # --- rref --------------------------------------------------------------------
 
+def _rref(rows, F):
+    return rref_batch(np.array([rows], dtype=np.int8), F)[0].tolist()
+
+
+def _rank(reduced):
+    return sum(1 for r in reduced if any(r))
+
+
 def test_rref_identity_fixed():
-    F = make_field(3)
-    eye = FFMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], F)
-    assert rref(eye) == eye
+    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert _rref(eye, make_field(3)) == eye
 
 
 def test_rref_gf2_example():
-    F = make_field(2)
-    m = FFMatrix.from_rows([(1, 1, 0), (0, 1, 1)], F)
-    red = rref(m)
-    assert red.rows() == [(1, 0, 1), (0, 1, 1)]
+    assert _rref([(1, 1, 0), (0, 1, 1)], make_field(2)) == [[1, 0, 1], [0, 1, 1]]
 
 
 def test_rref_zero_matrix():
-    F = make_field(5)
-    z = FFMatrix.from_rows([[0, 0], [0, 0]], F)
-    assert rref(z) == z
-    assert rank(z) == 0
+    red = _rref([[0, 0], [0, 0]], make_field(5))
+    assert red == [[0, 0], [0, 0]]
+    assert _rank(red) == 0
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_rref_idempotent_and_rank_preserving(q):
     F = make_field(q)
+    add = F.add_table.tolist()
     rng = random.Random(1000 + q)
     for _ in range(40):
         nr = rng.randint(1, 4)
         nc = rng.randint(1, 6)
-        m = FFMatrix.from_rows(
-            [[rng.randrange(q) for _ in range(nc)] for _ in range(nr)], F)
-        red = rref(m)
-        assert rref(red) == red
-        assert rank(red) == rank(m)
-        # row-mixing does not change the canonical form
-        mixed = [list(m.row(i)) for i in range(nr)]
+        m = [[rng.randrange(q) for _ in range(nc)] for _ in range(nr)]
+        red = _rref(m, F)
+        assert _rref(red, F) == red
+        assert _rank(red) == _rank(reference_rref(m, F))
+        # adding one row to another does not change the canonical form
+        mixed = [list(r) for r in m]
         i, j = rng.randrange(nr), rng.randrange(nr)
         if i != j:
-            mixed[i] = [F.add(x, y) for x, y in zip(mixed[i], mixed[j])]
-        assert rref(FFMatrix.from_rows(mixed, F)) == red or rank(m) != rank(
-            FFMatrix.from_rows(mixed, F))
-
-
-def _reference_rref(rows, F):
-    """Row reduction one matrix at a time in scalar field arithmetic."""
-    rows = [list(r) for r in rows]
-    r = 0
-    for col in range(len(rows[0])):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        s = F.inv(rows[r][col])
-        rows[r] = [F.mul(s, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return rows
+            mixed[i] = [add[x][y] for x, y in zip(mixed[i], mixed[j])]
+        assert _rref(mixed, F) == red
 
 
 def _random_matrices(rng, q, count, nr, nc):
@@ -159,8 +144,7 @@ def test_batched_rref_matches_reference(q):
         batch = _random_matrices(rng, q, 60, nr, nc)
         got = gfq.rref_batch(batch, F)
         for m, red in zip(batch.tolist(), got.tolist()):
-            assert red == _reference_rref(m, F)
-            assert rref(FFMatrix.from_rows(m, F)).rows() == [tuple(r) for r in red]
+            assert red == reference_rref(m, F)
         if nr > 1:
             assert not got[:, -1].any(axis=1).all()  # rank-deficient cases occur
 
@@ -171,13 +155,14 @@ def test_batched_matmul_matches_scalar_products(q):
     rng = np.random.default_rng(3000 + q)
     a = rng.integers(0, q, size=(20, 3, 4)).astype(np.int8)
     b = rng.integers(0, q, size=(20, 4, 2)).astype(np.int8)
+    add, mul, _, _ = field_lists(F)
     got = gfq.matmul_batch(a, b, F)
     for x, y, xy in zip(a.tolist(), b.tolist(), got.tolist()):
         for i in range(3):
             for j in range(2):
                 acc = 0
                 for t in range(4):
-                    acc = F.add(acc, F.mul(x[i][t], y[t][j]))
+                    acc = add[acc][mul[x[i][t]][y[t][j]]]
                 assert xy[i][j] == acc
 
 
@@ -212,118 +197,93 @@ def test_enumeration_counts_match_binomial(q):
     F = make_field(q)
     for n in range(7):
         for d in range(n + 1):
-            subs = enumerate_subspaces(n, d, F)
-            assert len(subs) == gaussian_binomial(n, d, q)
-            assert len({s.label() for s in subs}) == len(subs)
+            bases = subspace_bases(n, d, q)
+            assert bases.shape == (gaussian_binomial(n, d, q), d, n)
+            assert np.array_equal(rref_batch(bases, F), bases)
+            assert len(np.unique(bases.reshape(len(bases), -1), axis=0)) == len(bases)
 
 
 def test_enumerate_brute_force_oracle():
-    # every 2-subspace of F_2^4 arises as a span; spans canonicalize into
-    # exactly the enumerated RREF list
-    F = make_field(2)
-    enumerated = {s.label() for s in enumerate_subspaces(4, 2, F)}
-    seen = set()
-    vecs = list(itertools.product(range(2), repeat=4))[1:]
-    for a, b in itertools.combinations(vecs, 2):
-        s = Subspace.from_matrix(FFMatrix.from_rows([a, b], F))
-        if s.dim == 2:
-            seen.add(s.label())
-    assert seen == enumerated
+    # every d-subspace of F_q^n arises as a span of d vectors; spans
+    # canonicalize into exactly the enumerated RREF bases
+    for n, d, q in [(4, 2, 2), (4, 2, 3), (3, 2, 4)]:
+        F = make_field(q)
+        seen = set()
+        vecs = list(itertools.product(range(q), repeat=n))[1:]
+        for rows in itertools.combinations(vecs, d):
+            red = reference_rref(rows, F)
+            if any(red[-1]):
+                seen.add(label(red))
+        assert seen == {label(b) for b in subspace_bases(n, d, q).tolist()}
 
 
 def test_enumeration_simple_cases():
-    F2 = make_field(2)
-    assert len(enumerate_subspaces(2, 1, F2)) == 3
-    F3 = make_field(3)
-    zero = enumerate_subspaces(3, 0, F3)
-    assert len(zero) == 1 and zero[0].dim == 0
+    assert subspace_bases(2, 1, 2).tolist() == [[[1, 0]], [[1, 1]], [[0, 1]]]
+    assert subspace_bases(3, 0, 3).shape == (1, 0, 3)
 
 
 def test_enumeration_count_cross_check(monkeypatch):
     monkeypatch.setattr(gfq, "gaussian_binomial", lambda a, b, q: 8)
     with pytest.raises(CrossCheckViolation, match="enumerated 7 subspaces"):
-        enumerate_subspaces(3, 1, make_field(2))
+        subspace_bases(3, 1, 2)
 
 
 def test_enumeration_cap():
-    F = make_field(3)
     with pytest.raises(EnumerationTooLarge):
-        enumerate_subspaces(6, 3, F, cap=1000)
+        subspace_bases(6, 3, 3, cap=1000)
 
 
-# --- intersections -----------------------------------------------------------
-
-def test_intersection_dim_cases():
-    F = make_field(2)
-    lines = enumerate_subspaces(2, 1, F)
-    for a in lines:
-        assert intersection_dim(a, a) == 1
-    for a, b in itertools.combinations(lines, 2):
-        assert intersection_dim(a, b) == 0
-    # two 3-dim subspaces of F_2^6 sharing a fixed 2-dim subspace
-    e = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
-    a = Subspace.from_matrix(FFMatrix.from_rows([e[0], e[1], e[2]], F))
-    b = Subspace.from_matrix(FFMatrix.from_rows([e[0], e[1], e[3]], F))
-    assert intersection_dim(a, b) == 2
-
-
-def test_intersection_ambient_mismatch():
-    F = make_field(2)
-    a = Subspace.from_matrix(FFMatrix.from_rows([(1, 0)], F))
-    b = Subspace.from_matrix(FFMatrix.from_rows([(1, 0, 0)], F))
-    with pytest.raises(AmbientMismatch):
-        intersection_dim(a, b)
-
+# --- hyperplanes --------------------------------------------------------------
 
 def test_subspace_hyperplanes():
-    F = make_field(2)
-    s = Subspace.from_matrix(FFMatrix.from_rows(
-        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], F))
-    hps = subspace_hyperplanes(s)
-    assert len(hps) == gaussian_binomial(3, 2, 2) == 7
-    assert len({h.label() for h in hps}) == 7
-    for h in hps:
-        assert h.dim == 2 and intersection_dim(h, s) == 2
+    # every (d-1)-subspace of a seeded d-subspace, once each, in RREF and
+    # inside it
+    for n, d, q in [(4, 3, 2), (5, 3, 3), (4, 2, 4)]:
+        F = make_field(q)
+        bases = subspace_bases(n, d, q)
+        s = bases[random.Random(n * 100 + q).randrange(len(bases))].tolist()
+        hps = hyperplane_bases(np.array([s], dtype=np.int8), F)[0].tolist()
+        assert len(hps) == gaussian_binomial(d, d - 1, q)
+        assert len({label(h) for h in hps}) == len(hps)
+        for h in hps:
+            assert reference_rref(h, F) == h and any(h[-1])
+            assert reference_rref(h + s, F)[d:] == [[0] * n] * (d - 1)
 
 
 # --- quadratic form ----------------------------------------------------------
 
 def test_isotropy_examples():
     F = make_field(2)
-    form = hyperbolic_form(2, F)
-    span = lambda *rows: Subspace.from_matrix(FFMatrix.from_rows(rows, F))
-    assert is_totally_isotropic(span((1, 0, 0, 0)), form)
-    assert is_totally_isotropic(span((1, 0, 0, 1)), form)
-    assert not is_totally_isotropic(span((1, 0, 1, 0)), form)
+    bases = np.array([[[1, 0, 0, 0]], [[1, 0, 0, 1]], [[1, 0, 1, 0]]], dtype=np.int8)
+    assert totally_isotropic_mask(bases, F).tolist() == [True, True, False]
+    assert [is_totally_isotropic(b, F) for b in bases.tolist()] == [True, True, False]
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_form_scales_quadratically(q):
     F = make_field(q)
-    form = hyperbolic_form(2, F)
+    mul = F.mul_table.tolist()
     for vec in itertools.product(range(q), repeat=4):
-        qv = form.evaluate(vec)
+        qv = hyperbolic_value(vec, F)
         for lam in range(q):
-            scaled = [F.mul(lam, x) for x in vec]
-            assert form.evaluate(scaled) == F.mul(F.mul(lam, lam), qv)
+            scaled = [mul[lam][x] for x in vec]
+            assert hyperbolic_value(scaled, F) == mul[mul[lam][lam]][qv]
 
 
 @pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2)])
 def test_isotropic_subspace_count(d, q):
     F = make_field(q)
-    form = hyperbolic_form(d, F)
-    count = sum(1 for s in enumerate_subspaces(2 * d, d, F)
-                if is_totally_isotropic(s, form))
+    count = sum(1 for b in subspace_bases(2 * d, d, q).tolist()
+                if is_totally_isotropic(b, F))
     assert count == isotropic_count_product(d, q)
 
 
 @pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2), (2, 4), (2, 5)])
 def test_totally_isotropic_mask_matches_per_subspace(d, q):
     F = make_field(q)
-    form = hyperbolic_form(d, F)
-    mask = gfq.totally_isotropic_mask(gfq.subspace_bases(2 * d, d, q), form)
-    assert mask.tolist() == [is_totally_isotropic(s, form)
-                             for s in enumerate_subspaces(2 * d, d, F)]
+    bases = subspace_bases(2 * d, d, q)
+    mask = totally_isotropic_mask(bases, F)
+    assert mask.tolist() == [is_totally_isotropic(b, F) for b in bases.tolist()]
     assert mask.sum() == isotropic_count_product(d, q)
 
 
@@ -331,13 +291,3 @@ def test_isotropic_count_identity():
     for d in range(1, 6):
         for q in (2, 3, 4, 5):
             assert isotropic_count_product(d, q) == isotropic_count_sum(d, q)
-
-
-def test_extend_ambient_preserves_rref():
-    F = make_field(3)
-    s = Subspace.from_matrix(FFMatrix.from_rows([(1, 0, 2), (0, 1, 1)], F))
-    ext = s.extend_ambient(5)
-    assert ext.ambient_dim == 5 and ext.dim == 2
-    assert ext.label() == "10200/01100"
-    # still canonical: re-reducing reproduces the same subspace
-    assert Subspace.from_matrix(ext.basis) == ext

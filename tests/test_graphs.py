@@ -23,7 +23,6 @@ from drgtrades.graphs import (
     CliqueSystem,
     Graph,
     IntersectionArray,
-    bfs_distances,
     clique_pairs,
     completely_regular_check,
     distance_regularity_check,
@@ -72,12 +71,12 @@ def floyd_warshall(g):
 
 def test_bfs_self_distance_zero():
     g = cycle_graph(4)
-    assert bfs_distances(g, 0)[0] == 0
+    assert g.distances_from(0)[0] == 0
 
 
 def test_bfs_square_opposite():
     g = cycle_graph(4)
-    assert bfs_distances(g, 0)[2] == 2
+    assert g.distances_from(0)[2] == 2
 
 
 def test_bfs_matches_floyd_warshall():
@@ -86,7 +85,7 @@ def test_bfs_matches_floyd_warshall():
         g = random_connected_graph(rng, rng.randint(4, 14), rng.randint(0, 10))
         fw = floyd_warshall(g)
         for x in range(g.num_vertices):
-            assert bfs_distances(g, x) == fw[x]
+            assert g.distances_from(x).tolist() == fw[x]
 
 
 def random_graph(rng, n, m):
@@ -125,7 +124,7 @@ def test_bfs_matches_hamming_distance_above_old_threshold():
 def test_bfs_disconnected_raises():
     g = Graph(["a", "b", "c"], [(0, 1)])
     with pytest.raises(Disconnected):
-        bfs_distances(g, 0)
+        g.distances_from(0)
 
 
 def test_distance_matrix_rows_match_bfs():

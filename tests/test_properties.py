@@ -1,9 +1,14 @@
 """Cross-cutting invariants: eigenvector closure on every family spectrum,
-Delsarte clique shell structure, error paths with small budgets."""
+Delsarte clique shell structure, error paths with small budgets, and the
+criteria and minimality equivalences on drawn corruptions and design
+differences."""
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drgtrades.errors import (
     CliqueSearchTooLarge,
@@ -11,7 +16,15 @@ from drgtrades.errors import (
     NotAnEigenvalue,
     NotDistanceRegular,
 )
-from drgtrades.bitrades import verify_delsarte_pair
+from drgtrades.bitrades import (
+    MIN_BITRADES,
+    check_criterion_a,
+    check_criterion_b,
+    check_criterion_c,
+    corrupt_one_vertex,
+    design_difference,
+    verify_delsarte_pair,
+)
 from drgtrades.families import (
     FAMILIES,
     build_johnson,
@@ -22,6 +35,7 @@ from drgtrades.graphs import (
     Graph,
     IntersectionArray,
     completely_regular_check,
+    is_isometric_subgraph,
     max_clique_order,
 )
 from drgtrades.spectral import (
@@ -31,6 +45,7 @@ from drgtrades.spectral import (
     standard_eigenvector,
     theta_min,
     verify_eigenfunction,
+    wd_bound,
     weight_distribution_of,
 )
 
@@ -139,3 +154,80 @@ def test_verify_delsarte_pair_requires_distance_regular():
     S = CliqueSystem(g, tuple(tuple(e) for e in g.edges()), s=1, m=1)
     with pytest.raises(NotDistanceRegular):
         verify_delsarte_pair(g, S)
+
+
+# --- drawn corruptions and design differences ---------------------------------
+
+EQUIVALENCE_HOSTS = [("grassmann", (4, 2, 2)), ("johnson", (6, 3)),
+                     ("hamming", (3, 3)), ("halved_cube", (6,))]
+
+
+def _clique_designs(S, n):
+    """Every vertex set meeting each clique of S exactly once, by exact cover
+    over the first clique not yet met."""
+    cliques = S.cliques.tolist()
+    member_of = [[] for _ in range(n)]
+    for i, c in enumerate(cliques):
+        for v in c:
+            member_of[v].append(i)
+    met, chosen, out = [False] * len(cliques), [], []
+
+    def extend():
+        if all(met):
+            out.append(frozenset(chosen))
+            return
+        for v in cliques[met.index(False)]:
+            if not any(met[i] for i in member_of[v]):
+                for i in member_of[v]:
+                    met[i] = True
+                chosen.append(v)
+                extend()
+                chosen.pop()
+                for i in member_of[v]:
+                    met[i] = False
+    extend()
+    return out
+
+
+@lru_cache(maxsize=None)
+def _equivalence_host(name, params):
+    """Host, clique system, minimum bitrade, w.d. bound at theta_min and the
+    clique designs."""
+    g, S = FAMILIES[name].build(*params)
+    arr = family_array(name, params)
+    return (g, S, MIN_BITRADES[name](*params, host=g), wd_bound(arr, theta_min(arr)),
+            _clique_designs(S, g.num_vertices))
+
+
+def _assert_equivalences(g, S, T, bound):
+    a, b, c = (check(g, S, T) for check in
+               (check_criterion_a, check_criterion_b, check_criterion_c))
+    assert a.ok == b.ok == c.ok
+    if a.ok:
+        assert (T.cardinality == bound) == is_isometric_subgraph(g, T.support).ok
+
+
+def test_design_hosts_have_designs():
+    # the spreads of PG(3,2) and the Latin squares of order 3; the other two
+    # hosts have none, so they are drawn through corruptions only
+    assert [len(_equivalence_host(*h)[4]) for h in EQUIVALENCE_HOSTS] == [56, 0, 12, 0]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from(EQUIVALENCE_HOSTS), st.integers(0, 2 ** 32 - 1))
+def test_criteria_agree_on_drawn_corruptions(host, seed):
+    g, S, T, bound = _equivalence_host(*host)[:4]
+    _assert_equivalences(g, S, T, bound)
+    _assert_equivalences(g, S, corrupt_one_vertex(T, random.Random(seed)), bound)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from([h for h in EQUIVALENCE_HOSTS if h[0] in ("grassmann", "hamming")]),
+       st.data())
+def test_equivalences_on_drawn_design_differences(host, data):
+    g, S, _, bound, designs = _equivalence_host(*host)
+    i, j = data.draw(st.lists(st.integers(0, len(designs) - 1), min_size=2, max_size=2,
+                              unique=True))
+    T = design_difference(g, S, designs[i], designs[j])
+    assert check_criterion_a(g, S, T).ok
+    _assert_equivalences(g, S, T, bound)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from drgtrades.errors import (
-    CrossCheckViolation,
+    NonIntegerSpectrum,
     NotAnEigenvalue,
     NotCompletelyRegular,
     ZeroFunction,
@@ -19,7 +19,6 @@ from drgtrades.errors import (
 from drgtrades.graphs import IntersectionArray, completely_regular_check
 from drgtrades.spectral import (
     VertexFunction,
-    _deflate,
     delta_function,
     intersection_matrix_eigenvalues,
     is_matrix_eigenvalue,
@@ -30,6 +29,8 @@ from drgtrades.spectral import (
     wd_coefficients,
     weight_distribution_of,
 )
+from drgtrades.families import grassmann_array
+from drgtrades.gfq import gaussian_binomial
 from helpers import cube_graph, cycle_graph
 
 H4 = IntersectionArray(4, (4, 3, 2, 1), (1, 2, 3, 4))          # 4-cube
@@ -54,6 +55,51 @@ def test_integer_spectra(arr, expected):
     assert got == expected
     # float oracle agrees to rounding
     assert [round(x) for x in float_eigs(arr)] == expected
+
+
+@pytest.mark.parametrize("q", [11, 13])
+@pytest.mark.parametrize("n,d", [(4, 2), (6, 3), (7, 3), (8, 4), (9, 4)])
+def test_grassmann_spectra_match_closed_form(n, d, q):
+    # theta_j = q^(j+1) [d-j]_q [n-d-j]_q - [j]_q, j = 0..d
+    def gb(m):
+        return gaussian_binomial(m, 1, q)
+    expected = [q ** (j + 1) * gb(d - j) * gb(n - d - j) - gb(j) for j in range(d + 1)]
+    assert intersection_matrix_eigenvalues(grassmann_array(n, d, q)) == expected
+
+
+def test_spectra_of_random_arrays_match_float_oracle():
+    # integral spectra come out exactly; any other spectrum raises
+    rng = random.Random(77)
+    integral = rejected = 0
+    for _ in range(400):
+        rho = rng.randint(1, 4)
+        k = rng.randint(1, 12)
+        c = sorted(rng.randint(1, k) for _ in range(rho))
+        b = sorted((rng.randint(1, k) for _ in range(rho)), reverse=True)
+        b[0] = k
+        try:
+            arr = IntersectionArray(k, tuple(b), tuple(c))
+        except ValueError:
+            continue
+        floats = float_eigs(arr)
+        if all(abs(x - round(x)) < 1e-6 for x in floats):
+            assert intersection_matrix_eigenvalues(arr) == [round(x) for x in floats]
+            integral += 1
+        else:
+            with pytest.raises(NonIntegerSpectrum):
+                intersection_matrix_eigenvalues(arr)
+            rejected += 1
+    assert integral >= 20 and rejected >= 20
+
+
+def test_irrational_eigenvalue_next_to_an_integer_one_raises():
+    # eigenvalues 3, -1 and the roots 2.518.., 1.178.., -2.696.. of
+    # x^3 - x^2 - 7x + 8: the second largest lies within 1/2 of 3, where the
+    # characteristic polynomial vanishes
+    arr = IntersectionArray(3, (3, 1, 2, 1), (2, 1, 1, 1))
+    assert is_matrix_eigenvalue(arr, 3) and is_matrix_eigenvalue(arr, -1)
+    with pytest.raises(NonIntegerSpectrum, match=r"eigenvalue 1 .* within 1/2 of 3 "):
+        intersection_matrix_eigenvalues(arr)
 
 
 def test_rho_zero_spectrum():
@@ -213,9 +259,3 @@ def test_completely_regular_antipodal_pair_in_cube():
     g = cube_graph(4)
     res = completely_regular_check(g, [g.index_of("0000"), g.index_of("1111")])
     assert res.ok and res.value.rho == 2
-
-
-def test_deflation_by_a_non_root_raises():
-    assert _deflate([-1, 0, 1], 1) == [1, 1]
-    with pytest.raises(CrossCheckViolation, match="remainder 3"):
-        _deflate([-1, 0, 1], 2)
