@@ -54,8 +54,8 @@ from .graphs import (
 )
 from .spectral import (
     VertexFunction,
-    intersection_matrix_eigenvalues,
     is_matrix_eigenvalue,
+    theta_min,
     wd_bound,
     wd_coefficients,
 )
@@ -90,12 +90,8 @@ class Bitrade:
         return sorted(self.host.labels[v] for v in side)
 
     def signed_function(self) -> VertexFunction:
-        vals = [Fraction(0)] * self.host.num_vertices
-        for v in self.t0:
-            vals[v] = Fraction(1)
-        for v in self.t1:
-            vals[v] = Fraction(-1)
-        return VertexFunction(self.host, tuple(vals))
+        sign = vertex_mask(self.host, self.t0).astype(int) - vertex_mask(self.host, self.t1)
+        return VertexFunction(self.host, tuple(Fraction(s) for s in sign.tolist()))
 
     def __repr__(self):
         return f"Bitrade(|T0|={len(self.t0)}, |T1|={len(self.t1)})"
@@ -137,14 +133,16 @@ class DelsartePairReport:
 
 def _host_array(g: Graph, host_array=None) -> IntersectionArray:
     """host_array when given, else the host's intersection array as proven
-    by distance_regularity_check; a host that is not distance-regular
-    raises NotDistanceRegular with the witness."""
-    if host_array is not None:
-        return host_array
-    dr = distance_regularity_check(g)
+    by distance_regularity_check.  A host that is not distance-regular (or,
+    with host_array given, not regular) raises NotDistanceRegular with the
+    witness; a given array whose degree is not the host's, ValueError."""
+    dr = distance_regularity_check(g) if host_array is None else is_regular(g)
     if not dr.ok:
         raise NotDistanceRegular(str(dr.witness))
-    return dr.value
+    if host_array is not None and host_array.k != dr.value:
+        raise ValueError(f"host array {host_array} has degree {host_array.k}, "
+                         f"the host has degree {dr.value}")
+    return dr.value if host_array is None else host_array
 
 
 def verify_delsarte_pair(g: Graph, S: CliqueSystem,
@@ -152,7 +150,7 @@ def verify_delsarte_pair(g: Graph, S: CliqueSystem,
     """A (k,s,m) pair is Delsarte when the host is distance-regular and the
     clique order s+1 reaches the Hoffman bound 1 - k/theta_min."""
     arr = _host_array(g, host_array)
-    th = intersection_matrix_eigenvalues(arr)[-1]
+    th = theta_min(arr)
     hoffman = 1 - Fraction(arr.k, th)
     return DelsartePairReport(S.s + 1 == hoffman, arr.k, S.s, th, hoffman)
 
@@ -345,7 +343,7 @@ def verify_pseudo_bitrade(g: Graph, T: Bitrade,
     """On a host without a Delsarte clique system only the eigenfunction
     criterion exists: the signed indicator at theta_min of arr, and the
     cardinality against the weight-distribution bound there."""
-    theta = intersection_matrix_eigenvalues(arr)[-1]
+    theta = theta_min(arr)
     b = _signed_eigenfunction(g, T, theta)
     bound = _integral_bound(arr, theta)
     return PseudoBitradeReport(theta, b, T.cardinality, bound,

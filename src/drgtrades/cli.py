@@ -18,6 +18,7 @@ from typing import NoReturn
 from . import report
 from .bitrades import (
     MIN_BITRADES,
+    _integral_bound,
     bitrade_from_json,
     bitrade_to_json,
     pseudo_bitrade_doob,
@@ -26,7 +27,6 @@ from .bitrades import (
 )
 from .errors import (
     CliquesNotDelsarte,
-    CrossCheckViolation,
     EnumerationTooLarge,
     InvalidParameters,
     NotDistanceRegular,
@@ -44,7 +44,7 @@ from .graphs import (
     is_regular,
     verify_clique_system,
 )
-from .spectral import intersection_matrix_eigenvalues, wd_bound
+from .spectral import intersection_matrix_eigenvalues, theta_min
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -220,12 +220,10 @@ def cmd_verify(args) -> int:
 
 def cmd_wd_bound(args) -> int:
     arr = family_array(*_family(args))
-    theta = intersection_matrix_eigenvalues(arr)[-1]
-    bound = wd_bound(arr, theta)
-    if bound.denominator != 1:
-        raise CrossCheckViolation(f"weight-distribution bound {bound} is not an integer")
-    doc = {"family": args.family, "theta_min": theta, "wd_bound": int(bound)}
-    _emit(args, doc, [f"theta_min: {theta}", f"w.d. bound: {int(bound)}"])
+    theta = theta_min(arr)
+    bound = _integral_bound(arr, theta)
+    doc = {"family": args.family, "theta_min": theta, "wd_bound": bound}
+    _emit(args, doc, [f"theta_min: {theta}", f"w.d. bound: {bound}"])
     return 0
 
 

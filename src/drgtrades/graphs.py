@@ -10,7 +10,6 @@ integers, so nothing leaves exact arithmetic.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -416,47 +415,30 @@ def is_isometric_subgraph(g: Graph, verts) -> Verdict:
 
 
 def is_bipartite(g: Graph) -> Verdict:
-    """BFS 2-coloring as value, or an odd cycle as witness."""
-    n = g.num_vertices
-    color = np.full(n, -1, dtype=np.int8)
-    parent = np.full(n, -1, dtype=np.int64)
-    color[0] = 0
-    dq = deque([0])
-    while dq:
-        u = dq.popleft()
-        cu = color[u]
-        for v in g.neighbors(u).tolist():
-            if color[v] < 0:
-                color[v] = 1 - cu
-                parent[v] = u
-                dq.append(v)
-            elif color[v] == cu:
-                cycle = _odd_cycle(parent, u, v)
-                return Verdict(False, witness=[g.labels[x] for x in cycle],
-                               detail="odd cycle")
-    if (color < 0).any():
+    """Distance parity from vertex 0 as the 2-coloring, or an odd cycle: the
+    first CSR edge with both ends at one distance, closed by stepping each end
+    to its least-index neighbor nearer vertex 0 until the two paths meet."""
+    dist = g.multi_source_distances([0])
+    heads = np.repeat(np.arange(g.num_vertices), g.degrees)
+    same = np.flatnonzero((dist[heads] == dist[g._flat]) & (dist[heads] >= 0))
+    if same.size:
+        paths = [[int(heads[same[0]])], [int(g._flat[same[0]])]]
+        while paths[0][-1] != paths[1][-1]:
+            for p in paths:
+                nbrs = g.neighbors(p[-1])
+                p.append(int(nbrs[dist[nbrs] == dist[p[-1]] - 1][0]))
+        cycle = paths[0] + paths[1][-2::-1]
+        return Verdict(False, witness=[g.labels[x] for x in cycle], detail="odd cycle")
+    if (dist < 0).any():
         raise Disconnected("2-coloring undefined on a disconnected graph")
-    return Verdict(True, value=tuple(int(c) for c in color))
-
-
-def _odd_cycle(parent, u, v):
-    def chain(x):
-        out = [x]
-        while parent[out[-1]] >= 0:
-            out.append(int(parent[out[-1]]))
-        return out
-
-    pu, pv = chain(u), chain(v)
-    while len(pu) >= 2 and len(pv) >= 2 and pu[-1] == pv[-1] and pu[-2] == pv[-2]:
-        pu.pop()
-        pv.pop()
-    return pu + pv[:-1][::-1]
+    return Verdict(True, value=tuple((dist % 2).tolist()))
 
 
 def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-segment sums of a flat array cut at offsets (robust to empty
-    segments, unlike reduceat)."""
-    c = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+    segments, unlike reduceat), in the dtype of values: object arrays of
+    Python ints sum exactly."""
+    c = np.concatenate(([0], np.cumsum(values)))
     return c[offsets[1:]] - c[offsets[:-1]]
 
 

@@ -54,6 +54,7 @@ from .graphs import (
 from .spectral import (
     delta_function,
     intersection_matrix_eigenvalues,
+    theta_min,
     wd_bound,
     wd_coefficients,
     weight_distribution_of,
@@ -121,7 +122,7 @@ def _criterion_2():
     expected = {2: 15, 3: 40, 4: 85, 5: 156}
     for q, size in expected.items():
         arr = grassmann_array(6, 3, q)
-        th = intersection_matrix_eigenvalues(arr)[-1]
+        th = theta_min(arr)
         _check(th == -gaussian_binomial(3, 1, q), f"theta_min wrong at q={q}")
         bound = wd_bound(arr, th)
         _check(bound == 2 * size == isotropic_count_product(3, q),

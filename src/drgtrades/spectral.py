@@ -1,17 +1,18 @@
-"""Exact spectral machinery for intersection matrices.
+"""Exact spectral machinery for intersection matrices and vertex functions.
 
 Everything here is big-integer / big-rational arithmetic: eigenvalues come
 from bisection on the Sturm sequence of leading principal minors (the
 three-term recurrence of a tridiagonal matrix), each confirmed exactly at
 its integer point, eigenvectors from the same recurrence, and the
-weight-distribution bound from the exact coefficient recursion.  No floating
+weight-distribution bound from the exact coefficient recursion.  Vertex
+functions hold Python-int numerators over one common denominator, so their
+neighbor, shell and clique sums are numpy sums on object arrays.  No floating
 point is involved anywhere, because the results feed theorem checks where a
-tolerance would be meaningless.
-"""
+tolerance would be meaningless."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -150,14 +151,22 @@ def wd_bound(arr: IntersectionArray, theta) -> Fraction:
 
 @dataclass(frozen=True)
 class VertexFunction:
-    """A rational-valued function on the vertices of a host graph."""
+    """A rational-valued function on the vertices of a host graph; num holds
+    its values as Python-int numerators over their common denominator den."""
 
     host: Graph
     values: tuple[Fraction, ...]
+    num: np.ndarray = field(init=False, compare=False, repr=False)
+    den: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.values) != self.host.num_vertices:
             raise ValueError("value count differs from vertex count")
+        den = lcm(*(v.denominator for v in self.values))
+        num = np.array([v.numerator * (den // v.denominator) for v in self.values],
+                       dtype=object)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def from_items(cls, host: Graph, items: dict) -> "VertexFunction":
@@ -167,40 +176,19 @@ class VertexFunction:
         return cls(host, tuple(vals))
 
 
-def _scaled_int_values(f: VertexFunction):
-    scale = lcm(*(v.denominator for v in f.values)) if f.values else 1
-    if scale > 10 ** 6:
-        return None, None
-    try:
-        return np.array([v.numerator * (scale // v.denominator) for v in f.values],
-                        dtype=np.int64), scale
-    except OverflowError:
-        return None, None
-
-
 def verify_eigenfunction(g: Graph, f: VertexFunction, theta) -> Verdict:
-    """Exact check of sum_{y ~ x} f(y) = theta * f(x) at every vertex."""
-    if all(v == 0 for v in f.values):
+    """Exact check of sum_{y ~ x} f(y) = theta * f(x) at every vertex, on
+    the numerators of f."""
+    if not f.num.any():
         raise ZeroFunction("eigenfunction candidates must not vanish identically")
     th = Fraction(theta)
-    ints, scale = _scaled_int_values(f)
-    if ints is not None:
-        nbsum = segment_sums(ints[g._flat], g._off)
-        lhs = nbsum * th.denominator
-        rhs = ints * th.numerator
-        bad = np.flatnonzero(lhs != rhs)
-        if bad.size:
-            x = int(bad[0])
-            got = Fraction(int(nbsum[x]), scale)
-            return Verdict(False, witness=(g.labels[x], got, th * f.values[x]),
-                           detail="neighbor sum mismatch")
+    nbsum = segment_sums(f.num[g._flat], g._off)
+    bad = np.flatnonzero(nbsum * th.denominator != f.num * th.numerator)
+    if not bad.size:
         return Verdict(True)
-    for x in range(g.num_vertices):
-        acc = sum((f.values[y] for y in g.neighbors(x).tolist()), Fraction(0))
-        if acc != th * f.values[x]:
-            return Verdict(False, witness=(g.labels[x], acc, th * f.values[x]),
-                           detail="neighbor sum mismatch")
-    return Verdict(True)
+    x = int(bad[0])
+    return Verdict(False, witness=(g.labels[x], Fraction(nbsum[x], f.den), th * f.values[x]),
+                   detail="neighbor sum mismatch")
 
 
 def delta_function(g: Graph, C, theta) -> VertexFunction:
@@ -218,16 +206,9 @@ def delta_function(g: Graph, C, theta) -> VertexFunction:
 def weight_distribution_of(g: Graph, f: VertexFunction, x: int) -> list[Fraction]:
     """Shell sums W^i = sum over the distance-i shell of x, up to ecc(x)."""
     dist = g.distances_from(x)
-    ints, scale = _scaled_int_values(f)
-    # int64 shell sums are exact while n * max|value| < 2**63
-    if ints is not None and len(ints) * max(-int(ints.min()), int(ints.max())) < 2 ** 63:
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(dist))))
-        sums = segment_sums(ints[np.argsort(dist, kind="stable")], bounds)
-        return [Fraction(int(w), scale) for w in sums]
-    out = [Fraction(0)] * (int(dist.max()) + 1)
-    for v, d in enumerate(dist.tolist()):
-        out[d] += f.values[v]
-    return out
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(dist))))
+    sums = segment_sums(f.num[np.argsort(dist, kind="stable")], bounds)
+    return [Fraction(w, f.den) for w in sums]
 
 
 # --- Delsarte-pair characterizations ------------------------------------------------
@@ -256,11 +237,11 @@ def clique_sum_characterization(g: Graph, S: CliqueSystem,
     independently so callers can cross-check them."""
     k = is_regular(g).value
     th = Fraction(-k, S.s)
-    vals = np.array([Fraction(v) for v in f.values], dtype=object)
-    acc = vals[S.cliques].sum(axis=1)
+    acc = f.num[S.cliques].sum(axis=1)
     bad = np.flatnonzero(acc != 0)
     sums = Verdict(True) if not bad.size else Verdict(
-        False, witness=(int(bad[0]), acc[bad[0]]), detail="clique sum nonzero")
+        False, witness=(int(bad[0]), Fraction(acc[bad[0]], f.den)),
+        detail="clique sum nonzero")
     eig = verify_eigenfunction(g, f, th)
     return CliqueSumReport(sums, eig, th)
 

@@ -1,7 +1,9 @@
-"""Small ad-hoc graphs and scalar GF(q) references shared across test
-modules."""
+"""Small ad-hoc graphs, scalar GF(q) references and scalar Fraction
+references for vertex-function sums, shared across test modules."""
 
 import itertools
+from collections import deque
+from fractions import Fraction
 from functools import lru_cache
 
 from drgtrades.graphs import Graph
@@ -24,6 +26,34 @@ def cube_graph(n):
 def cycle_graph(n):
     return Graph([f"v{i}" for i in range(n)],
                  [(i, (i + 1) % n) for i in range(n)])
+
+
+# --- scalar Fraction references, independent of spectral -----------------------
+
+def reference_neighbor_sums(g, values):
+    """sum_{y ~ x} values[y] for every vertex x, one Fraction at a time."""
+    adj = [[] for _ in range(g.num_vertices)]
+    for u, v in g.edges():
+        adj[u].append(v)
+        adj[v].append(u)
+    return [sum((Fraction(values[y]) for y in adj[x]), Fraction(0))
+            for x in range(g.num_vertices)]
+
+
+def reference_shell_sums(g, values, x):
+    """sum of values over each distance-i shell of x, by a deque BFS."""
+    dist = {x: 0}
+    queue = deque([x])
+    while queue:
+        u = queue.popleft()
+        for v in g.neighbors(u).tolist():
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    out = [Fraction(0)] * (max(dist.values()) + 1)
+    for v, d in dist.items():
+        out[d] += Fraction(values[v])
+    return out
 
 
 # --- scalar GF(q) references, independent of the batched engine in gfq ---------

@@ -32,7 +32,7 @@ from drgtrades.bitrades import (
     verify_delsarte_pair,
     verify_pseudo_bitrade,
 )
-from drgtrades.errors import CrossCheckViolation, DegenerateEmpty
+from drgtrades.errors import CrossCheckViolation, DegenerateEmpty, NotDistanceRegular
 from drgtrades.families import (
     build_doob,
     build_family,
@@ -43,8 +43,9 @@ from drgtrades.families import (
     build_octahedron,
     doob_array,
     hamming_array,
+    johnson_array,
 )
-from drgtrades.graphs import Verdict, distance_regularity_check, is_regular
+from drgtrades.graphs import CliqueSystem, Graph, Verdict, distance_regularity_check, is_regular
 from drgtrades.spectral import verify_eigenfunction, wd_bound
 
 
@@ -451,6 +452,21 @@ def test_halved_5_cube_is_not_delsarte():
     rep = verify_delsarte_pair(g, S)
     assert not rep.ok
     assert rep.hoffman_order == 6 and S.s + 1 == 5
+
+
+def test_given_host_array_on_a_non_regular_host_raises():
+    g = Graph(["a", "b", "c"], [(0, 1), (1, 2)])
+    S = CliqueSystem(g, g.edge_array(), s=1, m=1)
+    T = Bitrade(g, frozenset({0}), frozenset({2}))
+    with pytest.raises(NotDistanceRegular, match=r"\('b', 2, 1\)"):
+        verify_bitrade(g, S, T, host_array=hamming_array(1, 2))
+
+
+def test_given_host_array_of_another_degree_raises(johnson63):
+    g, S = johnson63
+    T = min_bitrade_johnson(6, 3, host=g)
+    with pytest.raises(ValueError, match="degree 12.*degree 9"):
+        verify_bitrade(g, S, T, host_array=johnson_array(7, 3))
 
 
 # --- serialization --------------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from drgtrades import bitrades, cli, families
+from drgtrades import bitrades, families
 from drgtrades.bitrades import MIN_BITRADES, bitrade_to_json, corrupt_one_vertex
 from drgtrades.cli import main
 from drgtrades.errors import CrossCheckViolation
@@ -399,7 +399,8 @@ def test_dual_polar_cap_names_candidates_and_vertices(capsys):
 
 
 def test_wd_bound_integrality_cross_check(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "wd_bound", lambda arr, th: Fraction(5, 2))
+    # wd-bound runs the integrality check of bitrades._integral_bound
+    monkeypatch.setattr(bitrades, "wd_bound", lambda arr, th: Fraction(5, 2))
     with pytest.raises(CrossCheckViolation, match="5/2 is not an integer"):
         main(["wd-bound", "--family", "johnson:6,3"])
 

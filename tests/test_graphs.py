@@ -1,6 +1,7 @@
 """Graph core: BFS, regularity, bipartiteness, complete regularity,
 clique systems, exact max clique."""
 
+import hashlib
 import itertools
 import random
 
@@ -10,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from drgtrades import graphs
 from drgtrades.bitrades import corrupt_one_vertex, double_johnson_bitrade, min_bitrade_grassmann
-from drgtrades.errors import Disconnected
+from drgtrades.errors import Disconnected, UnsupportedFieldOrder
+from drgtrades.gfq import DEFAULT_ENUMERATION_CAP, gaussian_binomial, make_field
 from drgtrades.families import (
+    build_dual_polar_D,
     build_family,
     build_grassmann,
     build_hamming,
@@ -163,6 +166,119 @@ def test_bipartite_odd_cycle_witness_is_cycle():
     assert len(set(cyc)) == len(cyc)
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         assert b in g.neighbors(a)
+
+
+def test_odd_cycle_witness_climbs_to_least_index_neighbors():
+    # the folded 5-cube: the 4-cube plus its antipodal edges.  0011 and 0111
+    # are adjacent at distance 2 from 0000, and each has two neighbors at
+    # distance 1: 0001 and 0010, and 1000 and 1111.
+    c = cube_graph(4)
+    g = Graph(c.labels, list(c.edges()) + [(i, 15 - i) for i in range(8)])
+    v = is_bipartite(g)
+    assert not v.ok and v.witness == ["0011", "0001", "0000", "1000", "0111"]
+
+
+def _two_colorable(g, verts):
+    """Brute force: some 0/1 coloring of verts, the first vertex colored 0,
+    leaves no edge inside verts monochromatic."""
+    verts = sorted(verts)
+    pos = {v: i for i, v in enumerate(verts)}
+    edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+    codes = np.arange(2 ** (len(verts) - 1))[:, None] << 1
+    colors = (codes >> np.arange(len(verts))) & 1
+    proper = np.ones(len(colors), dtype=bool)
+    for u, v in edges:
+        proper &= colors[:, u] != colors[:, v]
+    return bool(proper.any())
+
+
+def _component_of_zero(g):
+    seen, stack = {0}, [0]
+    while stack:
+        for v in g.neighbors(stack.pop()).tolist():
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on at most 12 vertices, often disconnected; half of them
+    bipartite by construction (edges only across a drawn side split)."""
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    if draw(st.booleans()):
+        side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        pairs = [(u, v) for u, v in pairs if side[u] != side[v]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph([f"v{i:02d}" for i in range(n)], edges)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_graphs())
+def test_bipartite_agrees_with_brute_force(g):
+    comp = _component_of_zero(g)
+    if not _two_colorable(g, comp):
+        v = is_bipartite(g)
+        assert not v.ok and v.detail == "odd cycle"
+        cyc = [g.index_of(lab) for lab in v.witness]
+        assert len(cyc) % 2 == 1 and len(cyc) >= 3 and len(set(cyc)) == len(cyc)
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            assert b in g.neighbors(a)
+    elif len(comp) < g.num_vertices:
+        with pytest.raises(Disconnected):
+            is_bipartite(g)
+    else:
+        v = is_bipartite(g)
+        assert v.ok and v.value[0] == 0 and set(v.value) <= {0, 1}
+        assert all(v.value[a] != v.value[b] for a, b in g.edges())
+
+
+# sha256 of bytes(is_bipartite(g).value), recorded from a queue BFS that
+# colored each vertex opposite its BFS parent, independently of distance parity
+BIPARTITE_SHA256 = {
+    ("cube", 3): "d17a42e02dc5e82f3011d1347e4cca78ae412e0f00378e767bbae7abaf32cebe",
+    ("cube", 4): "516f0f2b348f378bbfdfaa1783dcfa2095bb0f8285efe3b239dbe1059072e5b8",
+    ("cube", 5): "c10b6b6296286fb81e75d8366dd75207795616207142c46975f537a2648cf110",
+    ("dual_polar_D", 1, 2): "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2",
+    ("dual_polar_D", 2, 2): "073785f527f6e7d4a39b1ef1ee3e110e8855d3cbb2f8fc9ce78a73e50b83f300",
+    ("dual_polar_D", 3, 2): "6c00b41d1f632b9fe148be36445cf915d7f6a8520adc321b896011e068947639",
+    ("dual_polar_D", 1, 3): "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2",
+    ("dual_polar_D", 2, 3): "bbacd855fb1d7eb94cdda3b8ba09c12ca3c608980acb2667ebd6bd258c5bd63d",
+    ("dual_polar_D", 3, 3): "d024e956b23c83e78b63bb1ea79e604be99783c406cd68cc18b67a5ebef926b9",
+    ("dual_polar_D", 1, 4): "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2",
+    ("dual_polar_D", 2, 4): "08534f3c76653122deabb546c25618cd25ad87db052fcba64a34dd0bec89566f",
+    ("dual_polar_D", 1, 5): "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2",
+    ("dual_polar_D", 2, 5): "c7b82b0184b4dce097bc895b35043fd5c6a91fbb113ec90bb7fe84f77ef4c72c",
+    ("dual_polar_D", 1, 7): "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2",
+    ("dual_polar_D", 2, 7): "7072a30696893455857632c88a5714e4b8b4cc86e3d7efb45cab41eac9d8b3f4",
+    ("dual_polar_D", 1, 8): "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2",
+    ("dual_polar_D", 2, 8): "64764242212eb00e07cc4bba6c72ea654e53bedb5bbc6f65096e1cc80e43fdbf",
+    ("dual_polar_D", 1, 9): "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2",
+    ("dual_polar_D", 2, 9): "4cff9e12430c36376f2d9fae2d8cc30728e3f75daeaf1bf2ea000890ab87485a",
+}
+
+
+def test_pinned_dual_polar_hosts_are_all_buildable_ones():
+    buildable = set()
+    for q in range(2, 64):
+        try:
+            make_field(q)
+        except UnsupportedFieldOrder:
+            continue
+        d = 1
+        while gaussian_binomial(2 * d, d, q) <= DEFAULT_ENUMERATION_CAP:
+            buildable.add(("dual_polar_D", d, q))
+            d += 1
+    assert buildable == {h for h in BIPARTITE_SHA256 if h[0] == "dual_polar_D"}
+
+
+@pytest.mark.parametrize("host", sorted(BIPARTITE_SHA256))
+def test_bipartite_colorings_are_pinned(host):
+    g = cube_graph(host[1]) if host[0] == "cube" else build_dual_polar_D(*host[1:])
+    v = is_bipartite(g)
+    assert v.ok and hashlib.sha256(bytes(v.value)).hexdigest() == BIPARTITE_SHA256[host]
 
 
 # --- induced / isometric subgraphs --------------------------------------------

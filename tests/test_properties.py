@@ -23,7 +23,9 @@ from drgtrades.bitrades import (
     check_criterion_c,
     corrupt_one_vertex,
     design_difference,
+    pseudo_bitrade_doob,
     verify_delsarte_pair,
+    verify_pseudo_bitrade,
 )
 from drgtrades.families import (
     FAMILIES,
@@ -159,7 +161,8 @@ def test_verify_delsarte_pair_requires_distance_regular():
 # --- drawn corruptions and design differences ---------------------------------
 
 EQUIVALENCE_HOSTS = [("grassmann", (4, 2, 2)), ("johnson", (6, 3)),
-                     ("hamming", (3, 3)), ("halved_cube", (6,))]
+                     ("hamming", (3, 3)), ("halved_cube", (6,)),
+                     ("octahedron", (3,)), ("octahedron", (4,))]
 
 
 def _clique_designs(S, n):
@@ -208,12 +211,13 @@ def _assert_equivalences(g, S, T, bound):
 
 
 def test_design_hosts_have_designs():
-    # the spreads of PG(3,2) and the Latin squares of order 3; the other two
-    # hosts have none, so they are drawn through corruptions only
-    assert [len(_equivalence_host(*h)[4]) for h in EQUIVALENCE_HOSTS] == [56, 0, 12, 0]
+    # the spreads of PG(3,2), the Latin squares of order 3 and the antipodal
+    # pairs of the octahedra; J(6,3) and the halved 6-cube have none, so they
+    # are drawn through corruptions only
+    assert [len(_equivalence_host(*h)[4]) for h in EQUIVALENCE_HOSTS] == [56, 0, 12, 0, 3, 4]
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
+@settings(derandomize=True, max_examples=120, deadline=None)
 @given(st.sampled_from(EQUIVALENCE_HOSTS), st.integers(0, 2 ** 32 - 1))
 def test_criteria_agree_on_drawn_corruptions(host, seed):
     g, S, T, bound = _equivalence_host(*host)[:4]
@@ -221,8 +225,9 @@ def test_criteria_agree_on_drawn_corruptions(host, seed):
     _assert_equivalences(g, S, corrupt_one_vertex(T, random.Random(seed)), bound)
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(st.sampled_from([h for h in EQUIVALENCE_HOSTS if h[0] in ("grassmann", "hamming")]),
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.sampled_from([h for h in EQUIVALENCE_HOSTS
+                        if h[0] in ("grassmann", "hamming", "octahedron")]),
        st.data())
 def test_equivalences_on_drawn_design_differences(host, data):
     g, S, _, bound, designs = _equivalence_host(*host)
@@ -231,3 +236,18 @@ def test_equivalences_on_drawn_design_differences(host, data):
     T = design_difference(g, S, designs[i], designs[j])
     assert check_criterion_a(g, S, T).ok
     _assert_equivalences(g, S, T, bound)
+
+
+@lru_cache(maxsize=None)
+def _doob_pseudo_bitrade():
+    g = FAMILIES["doob"].build(1, 1)
+    return g, pseudo_bitrade_doob(1, 1, host=g)[0], family_array("doob", (1, 1))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_pseudo_bitrade_criterion_b_matches_verify_eigenfunction(seed):
+    g, T, arr = _doob_pseudo_bitrade()
+    for U in (T, corrupt_one_vertex(T, random.Random(seed))):
+        want = verify_eigenfunction(g, U.signed_function(), theta_min(arr))
+        assert verify_pseudo_bitrade(g, U, arr).b == want

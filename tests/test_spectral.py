@@ -6,9 +6,11 @@ intersection matrix (used here only as an oracle)."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drgtrades.errors import (
     NonIntegerSpectrum,
@@ -16,9 +18,10 @@ from drgtrades.errors import (
     NotCompletelyRegular,
     ZeroFunction,
 )
-from drgtrades.graphs import IntersectionArray, completely_regular_check
+from drgtrades.graphs import CliqueSystem, IntersectionArray, Verdict, completely_regular_check
 from drgtrades.spectral import (
     VertexFunction,
+    clique_sum_characterization,
     delta_function,
     intersection_matrix_eigenvalues,
     is_matrix_eigenvalue,
@@ -29,9 +32,9 @@ from drgtrades.spectral import (
     wd_coefficients,
     weight_distribution_of,
 )
-from drgtrades.families import grassmann_array
+from drgtrades.families import build_grassmann, grassmann_array
 from drgtrades.gfq import gaussian_binomial
-from helpers import cube_graph, cycle_graph
+from helpers import cube_graph, cycle_graph, reference_neighbor_sums, reference_shell_sums
 
 H4 = IntersectionArray(4, (4, 3, 2, 1), (1, 2, 3, 4))          # 4-cube
 J63 = IntersectionArray(9, (9, 4, 1), (1, 4, 9))               # triple graph on 6 points
@@ -233,8 +236,8 @@ def test_weight_distribution_shells():
 
 @pytest.mark.parametrize("numerator,denominator", [(1, 1), (1, 6), (1, 1000003), (2 ** 62, 1)])
 def test_weight_distribution_matches_shell_loop(numerator, denominator):
-    # small denominators take the int64 route; a denominator above 10**6 or
-    # values near 2**63 take the Fraction route
+    # the sums run on integer numerators over one common denominator, which
+    # may be large (1000003) and whose numerators may pass 2**63
     g = cube_graph(4)
     rng = random.Random(denominator)
     f = VertexFunction(g, tuple(Fraction(rng.randint(-9, 9) * numerator, denominator)
@@ -259,3 +262,75 @@ def test_completely_regular_antipodal_pair_in_cube():
     g = cube_graph(4)
     res = completely_regular_check(g, [g.index_of("0000"), g.index_of("1111")])
     assert res.ok and res.value.rho == 2
+
+
+# --- drawn rational functions against scalar Fraction references ------------------
+
+RATIONALS = st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 10 ** 12))
+
+
+@lru_cache(maxsize=None)
+def _function_host(name):
+    """Host, clique system and intersection array: the 4-cube with its
+    edges as cliques, or J_2(4,2) with its Delsarte system."""
+    if name == "cube":
+        g = cube_graph(4)
+        return g, CliqueSystem(g, g.edge_array(), s=1, m=1), H4
+    return (*build_grassmann(4, 2, 2), grassmann_array(4, 2, 2))
+
+
+@st.composite
+def drawn_functions(draw):
+    """A host, its clique system, an eigenvalue theta of it, and rational
+    values: drawn outright, or a drawn multiple of a theta-eigenfunction,
+    possibly changed at one drawn vertex."""
+    g, S, arr = _function_host(draw(st.sampled_from(["cube", "grassmann"])))
+    n = g.num_vertices
+    theta = draw(st.sampled_from(intersection_matrix_eigenvalues(arr)))
+    if draw(st.booleans()):
+        values = draw(st.lists(RATIONALS | st.just(Fraction(0)), min_size=n, max_size=n))
+    else:
+        scale = draw(RATIONALS) or Fraction(1)
+        base = delta_function(g, [draw(st.integers(0, n - 1))], theta)
+        values = [scale * v for v in base.values]
+        if draw(st.booleans()):
+            values[draw(st.integers(0, n - 1))] += draw(RATIONALS)
+    return g, S, theta, values
+
+
+def reference_eigenfunction(g, values, theta):
+    sums = reference_neighbor_sums(g, values)
+    for x, (acc, v) in enumerate(zip(sums, values)):
+        if acc != theta * v:
+            return Verdict(False, witness=(g.labels[x], acc, theta * v),
+                           detail="neighbor sum mismatch")
+    return Verdict(True)
+
+
+def reference_clique_sums(S, values):
+    for ci, clique in enumerate(S.cliques.tolist()):
+        acc = sum((values[v] for v in clique), Fraction(0))
+        if acc:
+            return Verdict(False, witness=(ci, acc), detail="clique sum nonzero")
+    return Verdict(True)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(drawn_functions(), st.integers(0, 2 ** 32 - 1))
+def test_vertex_function_sums_match_fraction_references(drawn, seed):
+    g, S, theta, values = drawn
+    f = VertexFunction(g, tuple(values))
+    assert [Fraction(a, f.den) for a in f.num] == values
+    x = seed % g.num_vertices
+    assert weight_distribution_of(g, f, x) == reference_shell_sums(g, values, x)
+    if not any(values):
+        with pytest.raises(ZeroFunction):
+            verify_eigenfunction(g, f, theta)
+        return
+    assert verify_eigenfunction(g, f, theta) == reference_eigenfunction(g, values, theta)
+    rep = clique_sum_characterization(g, S, f)
+    th_min = Fraction(-int(g.degrees[0]), S.s)
+    assert rep.theta == th_min
+    assert rep.sums_zero == reference_clique_sums(S, values)
+    assert rep.eigenfunction == reference_eigenfunction(g, values, th_min)
+    assert rep.agrees
