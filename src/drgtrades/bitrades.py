@@ -194,8 +194,11 @@ def _signed_eigenfunction(g: Graph, T: Bitrade, theta) -> Verdict:
 def check_criterion_c(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
     """The induced subgraph on T0 u T1 is regular of degree k/s with all
     edges between the sides (bipartite by independence)."""
-    k = is_regular(g).value
-    target = Fraction(k, S.s)
+    return _trade_subgraph_regular(g, T, Fraction(is_regular(g).value, S.s))
+
+
+def _trade_subgraph_regular(g: Graph, T: Bitrade, target: Fraction) -> Verdict:
+    """check_criterion_c with the degree k/s given."""
     sub, back = induced_subgraph(g, T.support)
     for i in range(sub.num_vertices):
         if sub.degree(i) != target:
@@ -238,7 +241,12 @@ def check_minimality(g: Graph, S: CliqueSystem, T: Bitrade,
     """|T0 u T1| against the weight-distribution bound at -k/s, and the
     isometric-subgraph test, which must agree (their equivalence is the
     content of the minimality theory; disagreement is a hard failure)."""
-    arr = _host_array(g, host_array)
+    return _minimality(g, S, T, _host_array(g, host_array))
+
+
+def _minimality(g: Graph, S: CliqueSystem, T: Bitrade,
+                arr: IntersectionArray) -> MinimalityReport:
+    """check_minimality against the host's proven array arr."""
     bound = _integral_bound(arr, Fraction(-arr.k, S.s))
     meets = T.cardinality == bound
     iso = is_isometric_subgraph(g, T.support)
@@ -262,7 +270,12 @@ def check_subgraph_dr(g: Graph, S: CliqueSystem, T: Bitrade,
     """For a minimal bitrade the trade subgraph must be distance-regular
     with shell sizes |W^i| computed from the host array; failure here is a
     violated equivalence, not a user error."""
-    arr = _host_array(g, host_array)
+    return _subgraph_dr(g, S, T, _host_array(g, host_array))
+
+
+def _subgraph_dr(g: Graph, S: CliqueSystem, T: Bitrade,
+                 arr: IntersectionArray) -> SubgraphReport:
+    """check_subgraph_dr against the host's proven array arr."""
     th = Fraction(-arr.k, S.s)
     sub, _ = induced_subgraph(g, T.support)
     dr = distance_regularity_check(sub)
@@ -308,21 +321,21 @@ class VerificationReport:
 def verify_bitrade(g: Graph, S: CliqueSystem, T: Bitrade,
                    host_array=None) -> VerificationReport:
     """Run criteria a/b/c on a distance-regular host; when all pass, also
-    minimality and the trade subgraph's distance regularity."""
+    minimality and the trade subgraph's distance regularity.  The degree
+    is read once, as arr.k, which _host_array has checked against the host."""
     arr = _host_array(g, host_array)
-    k = is_regular(g).value
-    th = Fraction(-k, S.s)
+    th = Fraction(-arr.k, S.s)
+    degree = Fraction(arr.k, S.s)
     a = check_criterion_a(g, S, T)
-    b = check_criterion_b(g, S, T)
-    c = check_criterion_c(g, S, T)
-    degree = Fraction(k, S.s)
+    b = _signed_eigenfunction(g, T, th)
+    c = _trade_subgraph_regular(g, T, degree)
     if not (a.ok and b.ok and c.ok):
         return VerificationReport(a, b, c, th, degree, T.cardinality)
-    mini = check_minimality(g, S, T, host_array=arr)
+    mini = _minimality(g, S, T, arr)
     sub_arr = None
     shells = None
     if mini.minimal:
-        rep = check_subgraph_dr(g, S, T, host_array=arr)
+        rep = _subgraph_dr(g, S, T, arr)
         sub_arr, shells = rep.array, rep.shell_sizes
     return VerificationReport(a, b, c, th, degree, T.cardinality, mini.bound,
                               mini.meets_bound, mini.isometric, mini.minimal,

@@ -26,6 +26,8 @@ from .gfq import (
     hyperplane_bases,
     isotropic_count_product,
     make_field,
+    matmul_batch,
+    rref_batch,
     subspace_bases,
     totally_isotropic_mask,
 )
@@ -273,10 +275,59 @@ def build_grassmann(n: int, d: int, q: int,
     field = make_field(q)
     _guard(gaussian_binomial(n, d, q), cap, f"grassmann({n},{d},{q})")
     clique_order = gaussian_binomial(n - d + 1, 1, q)
-    labels, buckets = _hyperplane_buckets(subspace_bases(n, d, q, cap), field,
-                                          clique_order)
-    return _host_with_cliques(labels, buckets, clique_order - 1, 1,
+    bases = subspace_bases(n, d, q, cap)
+    labels, buckets = _hyperplane_buckets(bases, field, clique_order)
+    g, S = _host_with_cliques(labels, buckets, clique_order - 1, 1,
                               "grassmann", (n, d, q))
+    g.generators = lambda: _grassmann_generators(bases, field)
+    return g, S
+
+
+def _grassmann_generators(bases: np.ndarray, field) -> list[np.ndarray]:
+    """Automorphisms of the Grassmann graph on the subspaces in bases
+    (N, d, n), as permutations of their label order: the actions U -> U M
+    of the n-cycle permutation matrix, the transvection e_1 += e_2 and, for
+    q > 2, diag(w, 1, ..., 1) with w primitive.  Together they generate
+    GL(n, q), which is transitive on d-subspaces.
+
+    A subspace's key packs its RREF digits base q, first digit most
+    significant, so key order is label order; an image's index is found by
+    searchsorted in the sorted keys, -1 where no vertex has its key.  Keys
+    fit in int64: q^(dn) is at most the square of the q^(d(n-d)) or more
+    vertices, so only a host of over 2^31 vertices could overflow them."""
+    nv, d, n = bases.shape
+    q = field.q
+    weights = q ** np.arange(d * n - 1, -1, -1, dtype=np.int64)
+    keys = bases.reshape(nv, d * n).astype(np.int64) @ weights
+    order = np.argsort(keys)
+    keys, bases = keys[order], bases[order]
+    cycle = np.roll(np.eye(n, dtype=np.int8), 1, axis=1)
+    transvection = np.eye(n, dtype=np.int8)
+    transvection[0, 1] = 1
+    mats = [cycle, transvection]
+    if q > 2:
+        diag = np.eye(n, dtype=np.int8)
+        diag[0, 0] = _primitive_element(field)
+        mats.append(diag)
+    perms = []
+    for m in mats:
+        image = rref_batch(matmul_batch(bases, m, field), field)
+        ikeys = image.reshape(nv, d * n).astype(np.int64) @ weights
+        pos = np.minimum(np.searchsorted(keys, ikeys), nv - 1)
+        perms.append(np.where(keys[pos] == ikeys, pos, -1))
+    return perms
+
+
+def _primitive_element(field) -> int:
+    """The least element index whose powers, read off mul_table, are all
+    q - 1 nonzero elements (index 1 is the identity)."""
+    for w in range(2, field.q):
+        x, order = w, 1
+        while x != 1:
+            x, order = field.mul_table[x, w], order + 1
+        if order == field.q - 1:
+            return w
+    raise CrossCheckViolation(f"GF({field.q}) has no primitive element")
 
 
 def grassmann_array(n: int, d: int, q: int) -> IntersectionArray:

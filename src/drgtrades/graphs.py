@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import CliqueSearchTooLarge, Disconnected
+from .errors import CliqueSearchTooLarge, CrossCheckViolation, Disconnected
 
 # Graphs up to this many vertices get a cached dense distance matrix
 # (computed by level-synchronous BFS over a float32 adjacency product;
@@ -86,6 +86,10 @@ class Graph:
         self._degrees = np.diff(self._off)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._dm = None
+        # zero-argument callable returning automorphisms as permutation
+        # arrays, set by builders that know some; only the certificate of
+        # distance_regularity_check calls it
+        self.generators = None
 
     # -- basic accessors ------------------------------------------------
 
@@ -134,19 +138,22 @@ class Graph:
         """Distances from a vertex set; -1 marks unreachable vertices.
 
         Level-synchronous BFS: each level gathers the frontier's CSR rows and
-        keeps the unreached vertices, deduplicated by the mask dist == level."""
+        keeps the unreached vertices, deduplicated by the mask dist == level.
+        It stops once every vertex has its distance."""
         sources = list(sources)
         if not sources:
             raise ValueError("empty source set")
         dist = np.full(self.num_vertices, -1, dtype=np.int32)
         dist[sources] = 0
         frontier = np.flatnonzero(dist == 0)
+        unreached = self.num_vertices - frontier.size
         level = 0
-        while frontier.size:
+        while frontier.size and unreached:
             nbrs = self.neighbors_of(frontier)
             level += 1
             dist[nbrs[dist[nbrs] < 0]] = level
             frontier = np.flatnonzero(dist == level)
+            unreached -= frontier.size
         return dist
 
     def distances_among(self, verts) -> np.ndarray:
@@ -503,12 +510,19 @@ def _completely_regular(g: Graph, C) -> tuple[Verdict, np.ndarray | None]:
 def distance_regularity_check(g: Graph) -> Verdict:
     """Common singleton intersection array as value, else a witness.
 
-    Up to DENSE_DISTANCE_CAP vertices the array is read off the dense BFS's
-    level products; the per-vertex sweep runs when that finds a non-uniform
-    count, since only the sweep names a witness, and on larger graphs."""
+    Three routes, in order.  A graph with generators gets the automorphism
+    certificate (_transitive_certificate), in O(E) memory at any size.
+    Without generators, or when they are not transitive, up to
+    DENSE_DISTANCE_CAP vertices the array is read off the dense BFS's level
+    products; the per-vertex sweep runs when that finds a non-uniform count,
+    since only the sweep names a witness, and on larger graphs."""
     reg = is_regular(g)
     if not reg.ok:
         return Verdict(False, witness=reg.witness, detail="not regular")
+    if g.generators is not None:
+        proof = _transitive_certificate(g, g.generators(), reg.value)
+        if proof is not None:
+            return proof
     if g.num_vertices <= DENSE_DISTANCE_CAP:
         arr = g._dense_bfs(reg.value)
         if arr is not None:
@@ -534,6 +548,52 @@ def _distance_regularity_sweep(g: Graph, k: int) -> Verdict:
             return Verdict(False, witness=(g.labels[x], str(arr), str(common)),
                            detail="intersection array differs between vertices")
     return Verdict(True, value=common)
+
+
+def _transitive_certificate(g: Graph, perms, k: int) -> Verdict | None:
+    """distance_regularity_check on a k-regular graph with automorphisms:
+    when the permutations generate a group transitive on the vertices, every
+    singleton is the image of {0}, so the graph is distance-regular iff {0}
+    is completely regular, with its array (a failure is the sweep's own
+    witness at vertex 0).  None when the orbit of vertex 0 is not every
+    vertex.  A permutation that is not one, or that maps an edge to a
+    non-edge, raises CrossCheckViolation."""
+    n = g.num_vertices
+    rows = g._flat.reshape(n, k)
+    step = max(1, _GATHER_BLOCK // max(1, k))
+    perms = [np.asarray(p) for p in perms]
+    for i, p in enumerate(perms):
+        if (p.shape != (n,) or p.dtype.kind not in "iu"
+                or not np.array_equal(np.sort(p), np.arange(n))):
+            raise CrossCheckViolation(f"generator {i} is not a permutation of the {n} vertices")
+        # p maps the neighbors of v into those of p(v), in a block of vertices at a time
+        for v0 in range(0, n, step):
+            image = p[rows[v0:v0 + step]]
+            image.sort(axis=1)
+            bad = np.flatnonzero((image != rows[p[v0:v0 + step]]).any(axis=1))
+            if bad.size:
+                v = v0 + int(bad[0])
+                u = next(u for u in rows[v].tolist() if p[u] not in rows[p[v]])
+                labs = [g.labels[x] for x in (v, u, p[v], p[u])]
+                raise CrossCheckViolation(
+                    f"generator {i} maps edge {labs[0]}-{labs[1]} to non-edge {labs[2]}-{labs[3]}")
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        image = np.concatenate([p[frontier] for p in perms])
+        frontier = np.unique(image[~seen[image]])
+        seen[frontier] = True
+    if not seen.all():
+        return None
+    dist = g.multi_source_distances([0])
+    if (dist < 0).any():
+        raise Disconnected("graph is disconnected")
+    arr, witness = _uniform_array(g, dist, k)
+    if arr is None:
+        return Verdict(False, witness=(g.labels[0],) + witness,
+                       detail="singleton not completely regular")
+    return Verdict(True, value=arr)
 
 
 def _common_count(P: np.ndarray, mask: np.ndarray, scratch: np.ndarray) -> int | None:

@@ -487,6 +487,20 @@ def test_bound_integrality_cross_check(monkeypatch, johnson63):
         check_minimality(g, S, min_bitrade_johnson(6, 3, host=g))
 
 
+def test_verify_bitrade_reads_the_degree_once(monkeypatch, johnson63):
+    g, S = johnson63
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return is_regular(h)
+
+    monkeypatch.setattr(bitrades, "is_regular", counted)
+    rep = verify_bitrade(g, S, min_bitrade_johnson(6, 3, host=g), host_array=johnson_array(6, 3))
+    assert rep.all_pass and rep.minimal
+    assert calls == [g]
+
+
 def test_dual_polar_bipartition_cross_check(monkeypatch):
     monkeypatch.setattr(bitrades, "is_bipartite",
                         lambda g: Verdict(False, witness=["x", "y", "z"], detail="odd cycle"))

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -313,6 +314,20 @@ def test_formula_verbs_finish_on_large_grassmann_q(capsys):
     assert out == ("array: (23576256,23544059,23191344,19487171;1,144,17689,2143296)\n"
                    "eigenvalues: 23576256 2140368 191652 14508 -1464\n"
                    "theta_min: -1464\n")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("check-dr",), "distance-regular: yes\narray: (648,512;1,81)\n"
+                    "matches closed form (648,512;1,81): yes\n"),
+    (("verify", "--bitrade", "min"), "cardinality: 18 vs bound 18\n"),
+], ids=["check-dr", "verify"])
+def test_grassmann_host_above_the_dense_cap_is_proven_quickly(capsys, argv, expected):
+    # J_8(4,2) has 4745 vertices: the automorphism certificate proves its
+    # array where the per-vertex sweep took minutes
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, argv[0], "--family", "grassmann:4,2,8", *argv[1:])
+    assert time.perf_counter() - t0 < 10
+    assert code == 0 and expected in out
 
 
 def test_check_dr_builds_the_odd_halved_cube(capsys):

@@ -3,7 +3,11 @@ clique systems, exact max clique."""
 
 import hashlib
 import itertools
+import os
 import random
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from drgtrades import graphs
 from drgtrades.bitrades import corrupt_one_vertex, double_johnson_bitrade, min_bitrade_grassmann
-from drgtrades.errors import Disconnected, UnsupportedFieldOrder
+from drgtrades.errors import CrossCheckViolation, Disconnected, UnsupportedFieldOrder
 from drgtrades.gfq import DEFAULT_ENUMERATION_CAP, gaussian_binomial, make_field
 from drgtrades.families import (
     build_dual_polar_D,
@@ -37,6 +41,7 @@ from drgtrades.graphs import (
     max_clique_order,
     verify_clique_system,
     _distance_regularity_sweep,
+    _transitive_certificate,
 )
 
 
@@ -464,6 +469,126 @@ def test_level_products_match_sweep(name, params):
     arr = g._dense_bfs(k)
     assert arr is not None
     assert arr == _distance_regularity_sweep(g, k).value == family_array(name, params)
+
+
+# --- the automorphism certificate --------------------------------------------------
+
+GRASSMANN_DR_HOSTS = [params for name, params in DR_HOSTS if name == "grassmann"]
+
+
+@pytest.mark.parametrize("params", GRASSMANN_DR_HOSTS + [(7, 3, 2), (4, 2, 8)])
+def test_certificate_matches_closed_form_and_level_products(params):
+    g, _ = build_grassmann(*params)
+    k = is_regular(g).value
+    proof = _transitive_certificate(g, g.generators(), k)
+    assert proof.ok and proof.value == family_array("grassmann", params)
+    assert distance_regularity_check(g) == proof
+    assert g._dm is None                # no dense route ran
+    if g.num_vertices <= graphs.DENSE_DISTANCE_CAP:
+        assert g._dense_bfs(k) == proof.value
+
+
+def test_grassmann_generators_are_computed_on_demand():
+    g, _ = build_grassmann(4, 2, 3)
+    perms = g.generators()
+    assert len(perms) == 3              # cycle, transvection, diag(w, 1, 1, 1)
+    assert all(sorted(p.tolist()) == list(range(g.num_vertices)) for p in perms)
+    assert len(build_grassmann(4, 2, 2)[0].generators()) == 2
+    assert build_johnson(6, 3)[0].generators is None
+
+
+def _edge_named(message):
+    """The labels of 'generator i maps edge a-b to non-edge c-d'."""
+    return re.fullmatch(r"generator \d+ maps edge (\S+)-(\S+) to non-edge (\S+)-(\S+)",
+                        message).groups()
+
+
+def test_certificate_refuses_a_non_automorphism():
+    g, _ = build_grassmann(4, 2, 2)
+    cycle, transvection = g.generators()
+    bad = transvection.copy()
+    bad[[0, 1]] = bad[[1, 0]]
+    with pytest.raises(CrossCheckViolation) as exc:
+        _transitive_certificate(g, [cycle, bad], is_regular(g).value)
+    assert str(exc.value).startswith("generator 1 ")
+    a, b, c, d = (g.index_of(lab) for lab in _edge_named(str(exc.value)))
+    assert b in g.neighbors(a) and d not in g.neighbors(c)
+    assert (c, d) == (bad[a], bad[b])
+    g.generators = lambda: [cycle, bad]
+    with pytest.raises(CrossCheckViolation, match="maps edge"):
+        distance_regularity_check(g)
+
+
+def test_certificate_check_runs_under_optimize():
+    # python -O strips assert statements; the check must not be one
+    code = "\n".join([
+        "from drgtrades.errors import CrossCheckViolation",
+        "from drgtrades.families import build_grassmann",
+        "from drgtrades.graphs import distance_regularity_check",
+        "g, _ = build_grassmann(4, 2, 2)",
+        "perms = g.generators()",
+        "perms[1][[0, 1]] = perms[1][[1, 0]]",
+        "g.generators = lambda: perms",
+        "try:",
+        "    distance_regularity_check(g)",
+        "except CrossCheckViolation as exc:",
+        "    print('raised', __debug__, exc)",
+    ])
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join([os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")])
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("raised False generator 1 maps edge ")
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda p: np.where(p == p[1], p[0], p),     # two vertices onto one
+    lambda p: np.where(p == 0, -1, p),          # an image that is no vertex
+    lambda p: p[:-1],                           # too short
+    lambda p: p.astype(float),                  # not integers
+], ids=["repeat", "missing", "short", "float"])
+def test_certificate_refuses_a_non_permutation(mangle):
+    g, _ = build_grassmann(4, 2, 2)
+    cycle, transvection = g.generators()
+    with pytest.raises(CrossCheckViolation, match="generator 1 is not a permutation"):
+        _transitive_certificate(g, [cycle, mangle(transvection)], is_regular(g).value)
+
+
+def test_non_transitive_generators_fall_back_to_the_dense_route():
+    g, _ = build_grassmann(4, 2, 2)
+    cycle = g.generators()[0]
+    k = is_regular(g).value
+    assert _transitive_certificate(g, [cycle], k) is None
+    g.generators = lambda: [cycle]
+    expected, _ = build_grassmann(4, 2, 2)
+    expected.generators = None
+    assert distance_regularity_check(g) == distance_regularity_check(expected)
+    assert g._dm is not None            # read off the level products
+
+
+# generators of the vertex-transitive pinned graphs, which are not distance-regular
+TRANSITIVE_PINNED = {
+    "prism": lambda: [np.array([1, 2, 0, 4, 5, 3]), np.array([3, 4, 5, 0, 1, 2])],
+    "wagner": lambda: [(np.arange(8) + 1) % 8],
+}
+
+
+@pytest.mark.parametrize("name,g,expected",
+                         [p for p in PINNED_WITNESSES if p[0] in TRANSITIVE_PINNED],
+                         ids=[p[0] for p in PINNED_WITNESSES if p[0] in TRANSITIVE_PINNED])
+def test_certificate_keeps_the_sweep_witness(monkeypatch, name, g, expected):
+    monkeypatch.setattr(g, "generators", TRANSITIVE_PINNED[name])
+    v = distance_regularity_check(g)
+    assert _transitive_certificate(g, g.generators(), 3) == v
+    assert (v.ok, v.witness, v.detail) == expected
+
+
+def test_certificate_on_a_disconnected_graph_raises():
+    g = Graph(list("abcdef"), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    g.generators = lambda: [np.array([1, 2, 0, 4, 5, 3]), np.array([3, 4, 5, 0, 1, 2])]
+    with pytest.raises(Disconnected, match="graph is disconnected"):
+        distance_regularity_check(g)
 
 
 # --- bit-parallel distances among a vertex set -----------------------------------
