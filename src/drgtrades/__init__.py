@@ -4,7 +4,6 @@ eigenfunction and weight-distribution machinery, and minimum-bitrade
 constructors, all in exact arithmetic."""
 
 from .errors import (
-    CliqueSearchTooLarge,
     CliquesNotDelsarte,
     CrossCheckViolation,
     DegenerateEmpty,
@@ -37,7 +36,6 @@ from .graphs import (
     is_bipartite,
     is_isometric_subgraph,
     is_regular,
-    max_clique_order,
     verify_clique_system,
 )
 from .spectral import (

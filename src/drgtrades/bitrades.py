@@ -283,12 +283,14 @@ def _subgraph_dr(g: Graph, S: CliqueSystem, T: Bitrade,
         raise CrossCheckViolation(
             f"trade subgraph of a minimal bitrade not distance-regular: {dr.witness}")
     shells = tuple(abs(int(w)) for w in wd_coefficients(arr, th).coefficients)
-    for x in range(sub.num_vertices):
-        dist = sub.distances_from(x)
-        got = tuple(int((dist == i).sum()) for i in range(int(dist.max()) + 1))
-        if got != shells:
-            raise CrossCheckViolation(
-                f"shells {got} at {sub.labels[x]} differ from |W^i| = {shells}")
+    dm = sub.distance_matrix()          # cached by the sweep
+    sizes = np.stack([np.count_nonzero(dm == i, axis=1) for i in range(len(shells))], axis=1)
+    bad = np.flatnonzero((dm.max(axis=1) != len(shells) - 1) | (sizes != shells).any(axis=1))
+    if bad.size:
+        x = int(bad[0])
+        got = tuple(np.bincount(dm[x]).tolist())
+        raise CrossCheckViolation(
+            f"shells {got} at {sub.labels[x]} differ from |W^i| = {shells}")
     return SubgraphReport(dr.value, shells)
 
 

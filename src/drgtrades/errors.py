@@ -13,10 +13,6 @@ class Disconnected(ValueError):
     """Distances are undefined on a disconnected graph."""
 
 
-class CliqueSearchTooLarge(RuntimeError):
-    """Exact maximum-clique search exceeded its node budget."""
-
-
 class NonIntegerSpectrum(ArithmeticError):
     """Intersection matrix has eigenvalues outside the integers."""
 

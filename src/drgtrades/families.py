@@ -64,6 +64,15 @@ def _host_with_cliques(labels, rows, s: int, m: int, family: str,
     return g, CliqueSystem(g, cliques, s=s, m=m)
 
 
+def _label_generators(g: Graph, maps) -> None:
+    """Give g automorphism generators, computed only when called, from maps
+    taking each vertex label to the label of its image.  The certificate of
+    distance_regularity_check checks that each is a permutation and an
+    automorphism, and that together they are transitive."""
+    g.generators = lambda: [np.array([g.index_of(f(lab)) for lab in g.labels])
+                            for f in maps]
+
+
 # --- octahedron -------------------------------------------------------------
 
 def build_octahedron(n: int,
@@ -79,6 +88,9 @@ def build_octahedron(n: int,
     g = Graph(labels, np.stack([u[far], v[far]], axis=1), family="octahedron", params=(n,))
     # pair j is vertices 2j ('+') and 2j+1 ('-'): rows come out sorted, in lexicographic order
     cliques = 2 * np.arange(n) + (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1)
+    # the pair cycle, and the swap within pair 0
+    _label_generators(g, [lambda v: f"{(int(v[:-1]) + 1) % n}{v[-1]}",
+                          lambda v: {"0+": "0-", "0-": "0+"}.get(v, v)])
     return g, CliqueSystem(g, cliques, s=n - 1, m=2 ** (n - 2))
 
 
@@ -100,7 +112,12 @@ def build_hamming(n: int, q: int,
     idx = {lab: i for i, lab in enumerate(labels)}
     cliques = [[idx[lab[:pos] + str(v) + lab[pos + 1:]] for v in range(q)]
                for lab in labels for pos in range(n) if lab[pos] == "0"]
-    return _host_with_cliques(labels, cliques, q - 1, 1, "hamming", (n, q))
+    g, S = _host_with_cliques(labels, cliques, q - 1, 1, "hamming", (n, q))
+    # the coordinate cycle, and +1 mod q in the last coordinate (the whole
+    # label when n = 1, where q may take two digits)
+    _label_generators(g, [lambda w: w[n - 1:] + w[:n - 1],
+                          lambda w: w[:n - 1] + str((int(w[n - 1:]) + 1) % q)])
+    return g, S
 
 
 def hamming_array(n: int, q: int) -> IntersectionArray:
@@ -127,7 +144,12 @@ def build_johnson(n: int, w: int,
     idx = {lab: i for i, lab in enumerate(labels)}
     cliques = [[idx[johnson_label(core + (x,))] for x in points if x not in core]
                for core in itertools.combinations(points, w - 1)]
-    return _host_with_cliques(labels, cliques, n - w, 1, "johnson", (n, w))
+    g, S = _host_with_cliques(labels, cliques, n - w, 1, "johnson", (n, w))
+    # the point cycle i -> i mod n + 1, and the transposition (1 2)
+    _label_generators(g, [lambda lab: johnson_label(int(x) % n + 1 for x in lab.split(",")),
+                          lambda lab: johnson_label({1: 2, 2: 1}.get(int(x), int(x))
+                                                    for x in lab.split(","))])
+    return g, S
 
 
 def johnson_array(n: int, w: int) -> IntersectionArray:
@@ -160,7 +182,11 @@ def build_halved_cube(n: int, check_delsarte: bool = True,
             word = "".join(w)
             cliques.append([idx[word[:pos] + "10"[int(b)] + word[pos + 1:]]
                             for pos, b in enumerate(word)])
-    return _host_with_cliques(labels, cliques, n - 1, 2, "halved_cube", (n,))
+    g, S = _host_with_cliques(labels, cliques, n - 1, 2, "halved_cube", (n,))
+    # the coordinate cycle, and the flip of coordinates 0 and 1
+    _label_generators(g, [lambda w: w[-1] + w[:-1],
+                          lambda w: "10"[int(w[0])] + "10"[int(w[1])] + w[2:]])
+    return g, S
 
 
 def halved_cube_array(n: int) -> IntersectionArray:
@@ -194,7 +220,12 @@ def build_doob(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Graph:
     edges = [np.stack([grid.take(u, axis=pos).ravel(), grid.take(v, axis=pos).ravel()], axis=1)
              for pos, (_, pairs) in enumerate(factors) for u, v in pairs]
     labels = [".".join(w) for w in itertools.product(*(f[0] for f in factors))]
-    return Graph(labels, np.concatenate(edges), family="doob", params=(m, n))
+    g = Graph(labels, np.concatenate(edges), family="doob", params=(m, n))
+    # each digit of a label is one Z_4 axis of a factor, Shrikhande's two
+    # included: both factors are Cayley graphs, so +1 on an axis is an automorphism
+    _label_generators(g, [lambda lab, p=p: lab[:p] + "1230"[int(lab[p])] + lab[p + 1:]
+                          for p, ch in enumerate(labels[0]) if ch != "."])
+    return g
 
 
 def build_shrikhande(cap: int = DEFAULT_ENUMERATION_CAP) -> Graph:

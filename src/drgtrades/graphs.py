@@ -15,15 +15,10 @@ from typing import Any
 
 import numpy as np
 
-from .errors import CliqueSearchTooLarge, CrossCheckViolation, Disconnected
+from .errors import CrossCheckViolation, Disconnected
 
-# Graphs up to this many vertices get a cached dense distance matrix
-# (computed by level-synchronous BFS over a float32 adjacency product;
-# all counts stay below 2**24, hence exact).  Larger graphs fall back to
-# per-source BFS.
-DENSE_DISTANCE_CAP = 4096
-
-# CSR entries distances_among gathers at once, bounding its peak memory
+# CSR entries gathered at once, bounding the peak memory of distances_among,
+# the shell counts and the automorphism check
 _GATHER_BLOCK = 1 << 22
 
 
@@ -198,75 +193,15 @@ class Graph:
                 f"vertex {self.labels[bad]!r} unreachable from {self.labels[x]!r}")
         return dist
 
-    @property
-    def is_connected(self) -> bool:
-        return not (self.multi_source_distances([0]) < 0).any()
-
     def distance_matrix(self) -> np.ndarray:
-        """Full distance matrix, cached.  Rows are BFS distance vectors."""
+        """Full distance matrix by the bit-parallel BFS, cached; rows are
+        BFS distance vectors."""
         if self._dm is None:
-            self._dense_bfs()
+            dm = self.distances_among(np.arange(self.num_vertices))
+            if (dm < 0).any():
+                raise Disconnected("graph is disconnected")
+            self._dm = dm
         return self._dm
-
-    def _dense_bfs(self, k: int | None = None) -> IntersectionArray | None:
-        """Level-synchronous BFS from every vertex at once; caches the
-        distance matrix D.
-
-        Level j multiplies its frontier F_j = (D == j) by the float32
-        adjacency A.  P_j = F_j @ A counts, at [x, y], the neighbors of y at
-        distance j from x, so it holds a_j on F_j itself and c_{j+1} on the
-        next frontier.  With the degree k given, returns the intersection
-        array (b_j = k - a_j - c_j) if each of these counts is uniform over
-        its pairs, else None.  Every count is at most n <= DENSE_DISTANCE_CAP
-        < 2**24, so the products are exact.
-        """
-        n = self.num_vertices
-        if n > DENSE_DISTANCE_CAP:
-            raise MemoryError(
-                f"dense distance matrix disabled for {n} > {DENSE_DISTANCE_CAP} vertices")
-        A = np.zeros((n, n), dtype=np.float32)
-        A[np.repeat(np.arange(n), self._degrees), self._flat] = 1.0
-        D = np.full((n, n), -1, dtype=np.int16)
-        np.fill_diagonal(D, 0)
-        frontier = np.eye(n, dtype=bool)
-        unreached = ~frontier
-        nxt = np.empty_like(frontier)
-        F = np.empty_like(A)
-        P = A.copy()                  # P_0 = F_0 @ A with F_0 the identity
-        a, c = [], [0]
-        level = 0
-        while True:
-            np.greater(P, 0, out=nxt)
-            nxt &= unreached
-            unreached ^= nxt
-            grew = nxt.any()
-            if k is not None and None not in a + c:
-                # F is free until it takes the next frontier
-                a.append(_common_count(P, frontier, F))
-                if grew:
-                    c.append(_common_count(P, nxt, F))
-            if not grew:
-                break
-            level += 1
-            D[nxt] = level
-            F[...] = nxt
-            np.matmul(F, A, out=P)
-            frontier, nxt = nxt, frontier
-        if unreached.any():
-            raise Disconnected("graph is disconnected")
-        self._dm = D
-        if k is None or None in a + c:
-            return None
-        b = [k - ai - ci for ai, ci in zip(a[:-1], c)]
-        return IntersectionArray(k, tuple(b), tuple(c[1:]))
-
-    def eccentricity(self, x: int) -> int:
-        return int(self.distances_from(x).max())
-
-    def diameter(self) -> int:
-        if self.num_vertices <= DENSE_DISTANCE_CAP:
-            return int(self.distance_matrix().max())
-        return max(self.eccentricity(x) for x in range(self.num_vertices))
 
     def __repr__(self):
         tag = f" {self.family}{self.params}" if self.family else ""
@@ -305,18 +240,6 @@ class IntersectionArray:
 
     def a(self, i: int) -> int:
         return self.k - self.b_at(i) - self.c_at(i)
-
-    def matrix(self) -> list[list[int]]:
-        """Tridiagonal intersection matrix: M[i][i]=a_i, M[i][i+1]=b_i,
-        M[i][i-1]=c_i."""
-        n = self.rho + 1
-        m = [[0] * n for _ in range(n)]
-        for i in range(n):
-            m[i][i] = self.a(i)
-            if i + 1 < n:
-                m[i][i + 1] = self.b[i]
-                m[i + 1][i] = self.c[i]
-        return m
 
     def __str__(self):
         bs = ",".join(str(x) for x in self.b)
@@ -450,11 +373,21 @@ def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def _shell_counts(g: Graph, dist: np.ndarray, k: int):
-    """Per-vertex counts of neighbors one shell out (fwd) and one shell in
-    (bwd) relative to the distance vector, on a k-regular graph, whose CSR
-    rows form an (n, k) array."""
-    step = dist.take(g._flat).reshape(len(dist), k) - dist[:, None]
-    return np.count_nonzero(step == 1, axis=1), np.count_nonzero(step == -1, axis=1)
+    """Counts of the neighbors one shell out (fwd) and one shell in (bwd) of
+    every vertex, relative to each distance row of dist, (n,) or (m, n), on a
+    k-regular graph, whose CSR rows form an (n, k) array; a block of vertices
+    at a time, gathering at most _GATHER_BLOCK entries."""
+    n = g.num_vertices
+    rows = g._flat.reshape(n, k)
+    fwd, bwd = np.empty(dist.shape, dtype=np.int64), np.empty(dist.shape, dtype=np.int64)
+    step = max(1, _GATHER_BLOCK // max(1, k * (dist.size // n)))
+    for v0 in range(0, n, step):
+        block = slice(v0, v0 + step)
+        diff = dist.take(rows[block], axis=-1)
+        diff -= dist[..., block, None]
+        fwd[..., block] = np.count_nonzero(diff == 1, axis=-1)
+        bwd[..., block] = np.count_nonzero(diff == -1, axis=-1)
+    return fwd, bwd
 
 
 def _uniform_array(g: Graph, dist: np.ndarray, k: int):
@@ -510,12 +443,10 @@ def _completely_regular(g: Graph, C) -> tuple[Verdict, np.ndarray | None]:
 def distance_regularity_check(g: Graph) -> Verdict:
     """Common singleton intersection array as value, else a witness.
 
-    Three routes, in order.  A graph with generators gets the automorphism
-    certificate (_transitive_certificate), in O(E) memory at any size.
-    Without generators, or when they are not transitive, up to
-    DENSE_DISTANCE_CAP vertices the array is read off the dense BFS's level
-    products; the per-vertex sweep runs when that finds a non-uniform count,
-    since only the sweep names a witness, and on larger graphs."""
+    A graph with generators gets the automorphism certificate
+    (_transitive_certificate), in O(E) memory at any size; without
+    generators, or when they are not transitive, the sweep reads every
+    singleton off the distance matrix."""
     reg = is_regular(g)
     if not reg.ok:
         return Verdict(False, witness=reg.witness, detail="not regular")
@@ -523,28 +454,37 @@ def distance_regularity_check(g: Graph) -> Verdict:
         proof = _transitive_certificate(g, g.generators(), reg.value)
         if proof is not None:
             return proof
-    if g.num_vertices <= DENSE_DISTANCE_CAP:
-        arr = g._dense_bfs(reg.value)
-        if arr is not None:
-            return Verdict(True, value=arr)
     return _distance_regularity_sweep(g, reg.value)
 
 
 def _distance_regularity_sweep(g: Graph, k: int) -> Verdict:
-    """distance_regularity_check on a k-regular graph, one singleton at a
-    time: the first vertex with non-uniform shell counts, or whose array
-    differs from vertex 0's, is the witness."""
-    if g.num_vertices <= DENSE_DISTANCE_CAP:
-        g.distance_matrix()     # distances_from reads the cached rows
-    common = None
-    for x in range(g.num_vertices):
-        arr, witness = _uniform_array(g, g.distances_from(x), k)
-        if arr is None:
-            return Verdict(False, witness=(g.labels[x],) + witness,
-                           detail="singleton not completely regular")
-        if common is None:
-            common = arr
-        elif arr != common:
+    """distance_regularity_check on a k-regular graph, every singleton read
+    off the distance matrix, a block of sources at a time, against vertex
+    0's array: b_i neighbors out and c_i in at distance i.  The first vertex
+    with non-uniform shell counts, or whose array differs from vertex 0's,
+    is the witness."""
+    dm = g.distance_matrix()
+    n = g.num_vertices
+    # the narrowest signed type that holds the distances: the gathers move fewer bytes
+    narrow = dm.astype(np.min_scalar_type(-1 - int(dm.max())))
+    common, witness = _uniform_array(g, dm[0], k)
+    if common is None:
+        return Verdict(False, witness=(g.labels[0],) + witness,
+                       detail="singleton not completely regular")
+    b, c = np.array(common.b + (0,)), np.array((0,) + common.c)
+    step = max(1, _GATHER_BLOCK // max(1, n * k))
+    for x0 in range(0, n, step):
+        dist = narrow[x0:x0 + step]
+        fwd, bwd = _shell_counts(g, dist, k)
+        at = np.minimum(dist, common.rho)
+        bad = np.flatnonzero((dist.max(axis=1) != common.rho)
+                             | (fwd != b[at]).any(axis=1) | (bwd != c[at]).any(axis=1))
+        if bad.size:
+            x = x0 + int(bad[0])
+            arr, witness = _uniform_array(g, dm[x], k)
+            if arr is None:
+                return Verdict(False, witness=(g.labels[x],) + witness,
+                               detail="singleton not completely regular")
             return Verdict(False, witness=(g.labels[x], str(arr), str(common)),
                            detail="intersection array differs between vertices")
     return Verdict(True, value=common)
@@ -596,20 +536,6 @@ def _transitive_certificate(g: Graph, perms, k: int) -> Verdict | None:
     return Verdict(True, value=arr)
 
 
-def _common_count(P: np.ndarray, mask: np.ndarray, scratch: np.ndarray) -> int | None:
-    """The value P takes on every entry under the nonempty mask, or None if
-    it varies.  P holds counts in [0, n] for an n x n P; the product with
-    the mask zeroes the other entries, so the maximum of P * mask is the
-    largest count under the mask and that of (n + 1 - P) * mask gives the
-    smallest.  scratch is an n x n float32 buffer."""
-    top = len(P) + 1
-    np.multiply(P, mask, out=scratch)
-    hi = scratch.max()
-    np.subtract(top, P, out=scratch)
-    scratch *= mask
-    return int(hi) if top - scratch.max() == hi else None
-
-
 def clique_pairs(cliques: np.ndarray) -> np.ndarray:
     """The vertex pairs inside each row of an (N, s+1) array, as an
     (N, s(s+1)/2, 2) array; pairs of a row come in lexicographic position
@@ -653,49 +579,6 @@ def verify_clique_system(g: Graph, S: CliqueSystem) -> Verdict:
         return Verdict(False, witness=(g.labels[u], g.labels[v], int(got[wrong[0]]), S.m),
                        detail="edge multiplicity mismatch")
     return holds
-
-
-def max_clique_order(g: Graph, node_budget: int = 2_000_000) -> int:
-    """Exact maximum clique cardinality via branch and bound with a greedy
-    coloring bound.  Raises CliqueSearchTooLarge past the node budget."""
-    adj = [frozenset(g.neighbors(v).tolist()) for v in range(g.num_vertices)]
-    best = 0
-    nodes = 0
-
-    def color_order(cands):
-        classes = []
-        for v in cands:
-            for cl in classes:
-                if not (adj[v] & cl):
-                    cl.add(v)
-                    break
-            else:
-                classes.append({v})
-        out = []
-        for bound, cl in enumerate(classes, start=1):
-            for v in sorted(cl):
-                out.append((v, bound))
-        return out
-
-    def expand(size, cands):
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise CliqueSearchTooLarge(f"exceeded {node_budget} search nodes")
-        if not cands:
-            best = max(best, size)
-            return
-        colored = color_order(cands)
-        for pos in range(len(colored) - 1, -1, -1):
-            v, bound = colored[pos]
-            if size + bound <= best:
-                return
-            rest = [u for u, _ in colored[:pos] if u in adj[v]]
-            expand(size + 1, rest)
-
-    order = sorted(range(g.num_vertices), key=lambda v: -g.degree(v))
-    expand(0, order)
-    return best
 
 
 def graph_to_json(g: Graph) -> dict:

@@ -308,7 +308,7 @@ def _si_constancy(name, params):
     meeting them in numbers that depend only on the nearer distance i.
     Pairs (x, clique) are scanned x-major, as the first failure is reported."""
     g, S = _pair(name, *params)
-    dist = np.stack([g.distances_from(x) for x in range(g.num_vertices)])
+    dist = g.distance_matrix()
     D = dist[:, S.cliques].reshape(-1, S.s + 1)       # one row per (x, clique)
     near = D.min(axis=1)
     same = (D == near[:, None]).sum(axis=1)

@@ -168,13 +168,6 @@ class VertexFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @classmethod
-    def from_items(cls, host: Graph, items: dict) -> "VertexFunction":
-        vals = [Fraction(0)] * host.num_vertices
-        for label, v in items.items():
-            vals[host.index_of(label)] = Fraction(v)
-        return cls(host, tuple(vals))
-
 
 def verify_eigenfunction(g: Graph, f: VertexFunction, theta) -> Verdict:
     """Exact check of sum_{y ~ x} f(y) = theta * f(x) at every vertex, on

@@ -1,12 +1,15 @@
-"""Small ad-hoc graphs, scalar GF(q) references and scalar Fraction
-references for vertex-function sums, shared across test modules."""
+"""Small ad-hoc graphs, scalar GF(q) references, scalar Fraction
+references for vertex-function sums, a per-vertex distance-regularity sweep
+and an exact maximum-clique search, shared across test modules."""
 
 import itertools
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
-from drgtrades.graphs import Graph
+import numpy as np
+
+from drgtrades.graphs import Graph, IntersectionArray, Verdict
 
 
 def cube_graph(n):
@@ -26,6 +29,87 @@ def cube_graph(n):
 def cycle_graph(n):
     return Graph([f"v{i}" for i in range(n)],
                  [(i, (i + 1) % n) for i in range(n)])
+
+
+# --- oracles for graph checks, independent of graphs' shell counts ------------
+
+def reference_sweep(g):
+    """distance_regularity_check's verdict on a connected regular graph, one
+    singleton at a time: one BFS per vertex, its shell counts, and the first
+    vertex whose counts are not uniform per distance, or whose array differs
+    from vertex 0's, as the witness."""
+    n, k = g.num_vertices, g.degree(0)
+    nbrs = np.stack([g.neighbors(v) for v in range(n)]).reshape(n, k)
+    common = None
+    for x in range(n):
+        dist = g.multi_source_distances([x])
+        step = dist[nbrs] - dist[:, None]
+        fwd, bwd = (step == 1).sum(axis=1), (step == -1).sum(axis=1)
+        b, c = [], []
+        for i in range(int(dist.max()) + 1):
+            shell = np.flatnonzero(dist == i)
+            for way, counts in (("forward", fwd[shell]), ("backward", bwd[shell])):
+                if counts.min() != counts.max():
+                    v = int(shell[counts.argmin()])
+                    return Verdict(False, witness=(g.labels[x], g.labels[v], i, way,
+                                                   int(counts.min()), int(counts.max())),
+                                   detail="singleton not completely regular")
+            b.append(int(fwd[shell[0]]))
+            c.append(int(bwd[shell[0]]))
+        arr = IntersectionArray(k, tuple(b[:-1]), tuple(c[1:]))
+        if common is None:
+            common = arr
+        elif arr != common:
+            return Verdict(False, witness=(g.labels[x], str(arr), str(common)),
+                           detail="intersection array differs between vertices")
+    return Verdict(True, value=common)
+
+
+class CliqueSearchTooLarge(RuntimeError):
+    """Exact maximum-clique search exceeded its node budget."""
+
+
+def max_clique_order(g, node_budget=2_000_000):
+    """Exact maximum clique cardinality via branch and bound with a greedy
+    coloring bound.  Raises CliqueSearchTooLarge past the node budget."""
+    adj = [frozenset(g.neighbors(v).tolist()) for v in range(g.num_vertices)]
+    best = 0
+    nodes = 0
+
+    def color_order(cands):
+        classes = []
+        for v in cands:
+            for cl in classes:
+                if not (adj[v] & cl):
+                    cl.add(v)
+                    break
+            else:
+                classes.append({v})
+        out = []
+        for bound, cl in enumerate(classes, start=1):
+            for v in sorted(cl):
+                out.append((v, bound))
+        return out
+
+    def expand(size, cands):
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise CliqueSearchTooLarge(f"exceeded {node_budget} search nodes")
+        if not cands:
+            best = max(best, size)
+            return
+        colored = color_order(cands)
+        for pos in range(len(colored) - 1, -1, -1):
+            v, bound = colored[pos]
+            if size + bound <= best:
+                return
+            rest = [u for u, _ in colored[:pos] if u in adj[v]]
+            expand(size + 1, rest)
+
+    order = sorted(range(g.num_vertices), key=lambda v: -g.degree(v))
+    expand(0, order)
+    return best
 
 
 # --- scalar Fraction references, independent of spectral -----------------------

@@ -19,6 +19,15 @@ from drgtrades.spectral import (
 )
 
 
+def function_from_items(g, items):
+    """The vertex function taking the value items[label] at each listed
+    label and 0 elsewhere."""
+    vals = [Fraction(0)] * g.num_vertices
+    for lab, v in items.items():
+        vals[g.index_of(lab)] = Fraction(v)
+    return VertexFunction(g, tuple(vals))
+
+
 @pytest.fixture(scope="module")
 def hamming33():
     return build_hamming(3, 3)
@@ -40,7 +49,7 @@ def test_trade_function_passes_both(hamming33):
 
 def test_single_vertex_indicator_fails_both(hamming33):
     g, S = hamming33
-    f = VertexFunction.from_items(g, {"000": 1})
+    f = function_from_items(g, {"000": 1})
     rep = clique_sum_characterization(g, S, f)
     assert not rep.sums_zero.ok and not rep.eigenfunction.ok and rep.agrees
 
@@ -64,7 +73,7 @@ def test_random_sparse_functions_agree(pair):
     for _ in range(100):
         support = rng.sample(range(g.num_vertices), rng.randint(1, 4))
         vals = {g.labels[v]: rng.choice((-2, -1, 1, 2)) for v in support}
-        f = VertexFunction.from_items(g, vals)
+        f = function_from_items(g, vals)
         rep = clique_sum_characterization(g, S, f)
         assert rep.agrees
 

@@ -330,6 +330,18 @@ def test_grassmann_host_above_the_dense_cap_is_proven_quickly(capsys, argv, expe
     assert code == 0 and expected in out
 
 
+@pytest.mark.parametrize("spec", ["hamming:6,4", "doob:1,4"])
+def test_family_hosts_of_4096_vertices_are_proven_quickly(capsys, spec):
+    # H(6,4) and its Doob twin: the automorphism certificate, where the sweep takes seconds
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "check-dr", "--family", spec)
+    assert time.perf_counter() - t0 < 2
+    assert code == 0
+    assert out == ("distance-regular: yes\n"
+                   "array: (18,15,12,9,6,3;1,2,3,4,5,6)\n"
+                   "matches closed form (18,15,12,9,6,3;1,2,3,4,5,6): yes\n")
+
+
 def test_check_dr_builds_the_odd_halved_cube(capsys):
     code, out = run_cli(capsys, "check-dr", "--family", "halved_cube:7")
     assert code == 0

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drgtrades import graphs
+from drgtrades import families, graphs
 from drgtrades.bitrades import corrupt_one_vertex, double_johnson_bitrade, min_bitrade_grassmann
 from drgtrades.errors import CrossCheckViolation, Disconnected, UnsupportedFieldOrder
 from drgtrades.gfq import DEFAULT_ENUMERATION_CAP, gaussian_binomial, make_field
@@ -38,14 +38,13 @@ from drgtrades.graphs import (
     is_bipartite,
     is_isometric_subgraph,
     is_regular,
-    max_clique_order,
     verify_clique_system,
     _distance_regularity_sweep,
     _transitive_certificate,
 )
 
 
-from helpers import cube_graph, cycle_graph
+from helpers import cube_graph, cycle_graph, max_clique_order, reference_sweep
 
 
 def random_connected_graph(rng, n, extra):
@@ -446,8 +445,7 @@ def test_distance_regularity_disconnected_raises():
         distance_regularity_check(g)
 
 
-# Every family host of at most DENSE_DISTANCE_CAP vertices whose
-# distance-regularity the suite checks.
+# Family hosts whose distance-regularity the suite checks by both routes.
 DR_HOSTS = [
     ("octahedron", (2,)), ("octahedron", (3,)), ("octahedron", (4,)),
     ("hamming", (2, 2)), ("hamming", (3, 2)), ("hamming", (4, 2)),
@@ -464,16 +462,28 @@ DR_HOSTS = [
 
 @pytest.mark.parametrize("name,params", DR_HOSTS)
 def test_level_products_match_sweep(name, params):
+    # the certificate, on every family but dual polar, against the sweep
     g, _ = build_family(name, params)
-    k = is_regular(g).value
-    arr = g._dense_bfs(k)
-    assert arr is not None
-    assert arr == _distance_regularity_sweep(g, k).value == family_array(name, params)
+    proof = distance_regularity_check(g)
+    assert (g._dm is None) == (name != "dual_polar_D")    # no sweep ran
+    g.generators = None
+    assert distance_regularity_check(g) == proof
+    assert proof.value == family_array(name, params)
+
+
+@pytest.mark.parametrize("name,params", [("hamming", (7, 4)), ("halved_cube", (14,))])
+def test_certificate_proves_hosts_of_thousands_of_vertices(name, params):
+    g, _ = build_family(name, params)
+    v = distance_regularity_check(g)
+    assert v.ok and v.value == family_array(name, params)
+    assert g._dm is None
 
 
 # --- the automorphism certificate --------------------------------------------------
 
 GRASSMANN_DR_HOSTS = [params for name, params in DR_HOSTS if name == "grassmann"]
+# hosts up to this size are also swept by the per-vertex reference
+REFERENCE_SWEEP_MAX = 700
 
 
 @pytest.mark.parametrize("params", GRASSMANN_DR_HOSTS + [(7, 3, 2), (4, 2, 8)])
@@ -483,18 +493,26 @@ def test_certificate_matches_closed_form_and_level_products(params):
     proof = _transitive_certificate(g, g.generators(), k)
     assert proof.ok and proof.value == family_array("grassmann", params)
     assert distance_regularity_check(g) == proof
-    assert g._dm is None                # no dense route ran
-    if g.num_vertices <= graphs.DENSE_DISTANCE_CAP:
-        assert g._dense_bfs(k) == proof.value
+    assert g._dm is None                # no sweep ran
+    if g.num_vertices <= REFERENCE_SWEEP_MAX:
+        assert reference_sweep(g) == proof
 
 
-def test_grassmann_generators_are_computed_on_demand():
+def test_grassmann_generators_are_computed_on_demand(monkeypatch):
     g, _ = build_grassmann(4, 2, 3)
     perms = g.generators()
     assert len(perms) == 3              # cycle, transvection, diag(w, 1, 1, 1)
     assert all(sorted(p.tolist()) == list(range(g.num_vertices)) for p in perms)
     assert len(build_grassmann(4, 2, 2)[0].generators()) == 2
-    assert build_johnson(6, 3)[0].generators is None
+
+    def never(*args):
+        raise AssertionError("a builder computed generators")
+    # label maps resolve their images through index_of
+    monkeypatch.setattr(families, "_grassmann_generators", never)
+    monkeypatch.setattr(Graph, "index_of", never)
+    for name, params in DR_HOSTS:
+        g, _ = build_family(name, params)
+        assert (g.generators is None) == (name == "dual_polar_D"), name
 
 
 def _edge_named(message):
@@ -555,7 +573,7 @@ def test_certificate_refuses_a_non_permutation(mangle):
         _transitive_certificate(g, [cycle, mangle(transvection)], is_regular(g).value)
 
 
-def test_non_transitive_generators_fall_back_to_the_dense_route():
+def test_non_transitive_generators_fall_back_to_the_sweep():
     g, _ = build_grassmann(4, 2, 2)
     cycle = g.generators()[0]
     k = is_regular(g).value
@@ -564,7 +582,7 @@ def test_non_transitive_generators_fall_back_to_the_dense_route():
     expected, _ = build_grassmann(4, 2, 2)
     expected.generators = None
     assert distance_regularity_check(g) == distance_regularity_check(expected)
-    assert g._dm is not None            # read off the level products
+    assert g._dm is not None            # the sweep's distance matrix
 
 
 # generators of the vertex-transitive pinned graphs, which are not distance-regular
@@ -642,21 +660,22 @@ def random_regular_graph(rng, n, k):
             return Graph([f"v{i:02d}" for i in range(n)], sorted(pairs))
 
 
-def test_level_products_agree_with_sweep_on_small_regular_graphs():
+def test_sweep_matches_reference_on_small_regular_graphs(monkeypatch):
     # circulants include cycles, complete and complete multipartite graphs
     rng = random.Random(17)
-    graphs = [circulant_graph(n, steps) for n in range(3, 13)
-              for r in (1, 2) for steps in itertools.combinations(range(1, n // 2 + 1), r)]
-    graphs += [random_regular_graph(rng, n, 3) for n in (8, 10, 12, 14) for _ in range(5)]
-    verdicts = set()
-    for g in graphs:
-        if not g.is_connected:
-            continue
-        k = is_regular(g).value
-        sweep = _distance_regularity_sweep(g, k)
-        assert g._dense_bfs(k) == (sweep.value if sweep.ok else None)
-        verdicts.add(sweep.ok)
-    assert verdicts == {True, False}
+    hosts = [circulant_graph(n, steps) for n in range(3, 13)
+             for r in (1, 2) for steps in itertools.combinations(range(1, n // 2 + 1), r)]
+    hosts += [random_regular_graph(rng, n, 3) for n in (8, 10, 12, 14) for _ in range(5)]
+    hosts = [g for g in hosts if (g.multi_source_distances([0]) >= 0).all()]
+    details = set()
+    for block in (graphs._GATHER_BLOCK, 7):     # 7 entries: one source, and a few vertices, a block
+        monkeypatch.setattr(graphs, "_GATHER_BLOCK", block)
+        for g in hosts:
+            g._dm = None
+            sweep = _distance_regularity_sweep(g, is_regular(g).value)
+            assert sweep == reference_sweep(g)
+            details.add(sweep.detail)
+    assert details == {"", "singleton not completely regular"}
 
 
 def test_distance_regularity_cycle():

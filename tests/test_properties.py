@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drgtrades.errors import (
-    CliqueSearchTooLarge,
     NonIntegerSpectrum,
     NotAnEigenvalue,
     NotDistanceRegular,
@@ -38,7 +37,6 @@ from drgtrades.graphs import (
     IntersectionArray,
     completely_regular_check,
     is_isometric_subgraph,
-    max_clique_order,
 )
 from drgtrades.spectral import (
     delta_function,
@@ -50,6 +48,7 @@ from drgtrades.spectral import (
     wd_bound,
     weight_distribution_of,
 )
+from helpers import CliqueSearchTooLarge, max_clique_order
 
 FAMILY_INSTANCES = [
     ("octahedron", (3,)),

@@ -43,7 +43,10 @@ J12_3 = IntersectionArray(27, (27, 16, 7), (1, 4, 9))
 
 
 def float_eigs(arr):
-    m = np.array(arr.matrix(), dtype=float)
+    """Eigenvalues of the tridiagonal intersection matrix: a_i on the
+    diagonal, b_i above it and c_i below it."""
+    m = np.diag([float(arr.a(i)) for i in range(arr.rho + 1)])
+    m += np.diag(arr.b, 1) + np.diag(arr.c, -1)
     return sorted(np.linalg.eigvals(m).real, reverse=True)
 
 
