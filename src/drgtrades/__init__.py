@@ -40,11 +40,8 @@ from .graphs import (
 )
 from .spectral import (
     VertexFunction,
-    WeightDistribution,
-    clique_sum_characterization,
     delta_function,
     intersection_matrix_eigenvalues,
-    radius_one_cr_characterization,
     standard_eigenvector,
     theta_min,
     verify_eigenfunction,

@@ -261,9 +261,6 @@ class SubgraphReport:
     array: IntersectionArray
     shell_sizes: tuple[int, ...]
 
-    def __bool__(self):
-        return True
-
 
 def check_subgraph_dr(g: Graph, S: CliqueSystem, T: Bitrade,
                       host_array=None) -> SubgraphReport:
@@ -282,7 +279,7 @@ def _subgraph_dr(g: Graph, S: CliqueSystem, T: Bitrade,
     if not dr.ok:
         raise CrossCheckViolation(
             f"trade subgraph of a minimal bitrade not distance-regular: {dr.witness}")
-    shells = tuple(abs(int(w)) for w in wd_coefficients(arr, th).coefficients)
+    shells = tuple(abs(int(w)) for w in wd_coefficients(arr, th))
     dm = sub.distance_matrix()          # cached by the sweep
     sizes = np.stack([np.count_nonzero(dm == i, axis=1) for i in range(len(shells))], axis=1)
     bad = np.flatnonzero((dm.max(axis=1) != len(shells) - 1) | (sizes != shells).any(axis=1))

@@ -259,6 +259,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_identity(args) -> int:
+    # not through main's InvalidParameters handler: there is no --family
+    if args.d < 0 or args.q < 2:
+        _usage_error(f"identity needs d >= 0 and q >= 2, got d={args.d}, q={args.q}")
     lhs = isotropic_count_product(args.d, args.q)
     rhs = isotropic_count_sum(args.d, args.q)
     doc = {"d": args.d, "q": args.q, "product_side": str(lhs),

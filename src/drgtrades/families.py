@@ -106,9 +106,12 @@ def build_hamming(n: int, q: int,
     """Words of length n over q symbols, adjacent at Hamming distance 1;
     cliques are the q-element lines obtained by freeing one coordinate."""
     _require(n >= 1 and q >= 2, "n >= 1, q >= 2")
+    # a label spells each symbol as one digit, so n >= 2 needs q <= 10; at
+    # n = 1 a label is its one symbol, and the labels sort as strings
+    _require(n == 1 or q <= 10, "q <= 10 to build n >= 2")
     _guard(q ** n, cap, f"hamming({n},{q})")
-    labels = ["".join(str(d) for d in w)
-              for w in itertools.product(range(q), repeat=n)]
+    labels = sorted("".join(str(d) for d in w)
+                    for w in itertools.product(range(q), repeat=n))
     idx = {lab: i for i, lab in enumerate(labels)}
     cliques = [[idx[lab[:pos] + str(v) + lab[pos + 1:]] for v in range(q)]
                for lab in labels for pos in range(n) if lab[pos] == "0"]

@@ -123,7 +123,9 @@ class Graph:
         return np.stack([heads[up], self._flat[up]], axis=1)
 
     def edges(self):
-        """Edge pairs (i, j) with i < j, lexicographically sorted."""
+        """Edge pairs (i, j) with i < j, lexicographically sorted, as Python
+        ints.  Serves only the benchmark's builder probes; the package reads
+        edge_array."""
         e = self.edge_array()
         return zip(e[:, 0].tolist(), e[:, 1].tolist())
 
@@ -584,7 +586,8 @@ def verify_clique_system(g: Graph, S: CliqueSystem) -> Verdict:
 def graph_to_json(g: Graph) -> dict:
     """Serialization with vertices sorted by label and lexicographic edges,
     bit-exact across runs."""
-    assert g.labels == sorted(g.labels), "constructors must sort labels"
+    if g.labels != sorted(g.labels):
+        raise CrossCheckViolation("graph_to_json: constructors must sort labels")
     return {
         "family": g.family,
         "params": list(g.params) if g.params is not None else None,

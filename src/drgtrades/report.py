@@ -291,7 +291,7 @@ def _criterion_11():
         eigs = intersection_matrix_eigenvalues(arr)
         verts = [rng.randrange(g.num_vertices) for _ in range(10)]
         for th in eigs:
-            coeffs = wd_coefficients(arr, th).coefficients
+            coeffs = wd_coefficients(arr, th)
             for x in verts:
                 f = delta_function(g, [x], th)
                 got = tuple(weight_distribution_of(g, f, x))

@@ -6,8 +6,8 @@ three-term recurrence of a tridiagonal matrix), each confirmed exactly at
 its integer point, eigenvectors from the same recurrence, and the
 weight-distribution bound from the exact coefficient recursion.  Vertex
 functions hold Python-int numerators over one common denominator, so their
-neighbor, shell and clique sums are numpy sums on object arrays.  No floating
-point is involved anywhere, because the results feed theorem checks where a
+neighbor and shell sums are numpy sums on object arrays.  No floating point
+is involved anywhere, because the results feed theorem checks where a
 tolerance would be meaningless."""
 
 from __future__ import annotations
@@ -24,17 +24,7 @@ from .errors import (
     NotCompletelyRegular,
     ZeroFunction,
 )
-from .graphs import (
-    CliqueSystem,
-    Graph,
-    IntersectionArray,
-    Verdict,
-    _completely_regular,
-    completely_regular_check,
-    is_regular,
-    segment_sums,
-    vertex_mask,
-)
+from .graphs import Graph, IntersectionArray, Verdict, _completely_regular, segment_sums
 
 
 # --- Sturm sequence and integer spectrum ---------------------------------------
@@ -119,17 +109,9 @@ def standard_eigenvector(arr: IntersectionArray, theta) -> list[Fraction]:
 
 # --- weight distribution --------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightDistribution:
-    """Coefficients W^0..W^rho for an eigenvalue of an intersection array."""
-
-    coefficients: tuple[Fraction, ...]
-    theta: Fraction
-    array: IntersectionArray
-
-
-def wd_coefficients(arr: IntersectionArray, theta) -> WeightDistribution:
-    """W^0 = 1, W^1 = theta, and
+def wd_coefficients(arr: IntersectionArray, theta) -> tuple[Fraction, ...]:
+    """The coefficients W^0..W^rho for an eigenvalue theta: W^0 = 1,
+    W^1 = theta, and
     W^i = ((theta - a_{i-1}) W^{i-1} - b_{i-2} W^{i-2}) / c_i  for i >= 2."""
     th = Fraction(theta)
     w = [Fraction(1)]
@@ -139,12 +121,12 @@ def wd_coefficients(arr: IntersectionArray, theta) -> WeightDistribution:
         nxt = ((th - arr.a(i - 1)) * w[i - 1] - arr.b_at(i - 2) * w[i - 2]) \
             / arr.c_at(i)
         w.append(nxt)
-    return WeightDistribution(tuple(w), th, arr)
+    return tuple(w)
 
 
 def wd_bound(arr: IntersectionArray, theta) -> Fraction:
     """Lower bound sum_i |W^i| on the support size of an eigenfunction."""
-    return sum(abs(w) for w in wd_coefficients(arr, theta).coefficients)
+    return sum(abs(w) for w in wd_coefficients(arr, theta))
 
 
 # --- vertex functions -------------------------------------------------------------
@@ -202,79 +184,3 @@ def weight_distribution_of(g: Graph, f: VertexFunction, x: int) -> list[Fraction
     bounds = np.concatenate(([0], np.cumsum(np.bincount(dist))))
     sums = segment_sums(f.num[np.argsort(dist, kind="stable")], bounds)
     return [Fraction(w, f.den) for w in sums]
-
-
-# --- Delsarte-pair characterizations ------------------------------------------------
-
-@dataclass(frozen=True)
-class CliqueSumReport:
-    """Verdicts of the two equivalent zero-sum tests for theta_min
-    eigenfunctions over a Delsarte pair."""
-
-    sums_zero: Verdict
-    eigenfunction: Verdict
-    theta: Fraction
-
-    def __bool__(self):
-        return self.sums_zero.ok
-
-    @property
-    def agrees(self) -> bool:
-        return self.sums_zero.ok == self.eigenfunction.ok
-
-
-def clique_sum_characterization(g: Graph, S: CliqueSystem,
-                                f: VertexFunction) -> CliqueSumReport:
-    """For a Delsarte pair: f sums to zero over every clique of S iff f is an
-    eigenfunction at the minimum eigenvalue -k/s.  Both verdicts are computed
-    independently so callers can cross-check them."""
-    k = is_regular(g).value
-    th = Fraction(-k, S.s)
-    acc = f.num[S.cliques].sum(axis=1)
-    bad = np.flatnonzero(acc != 0)
-    sums = Verdict(True) if not bad.size else Verdict(
-        False, witness=(int(bad[0]), Fraction(acc[bad[0]], f.den)),
-        detail="clique sum nonzero")
-    eig = verify_eigenfunction(g, f, th)
-    return CliqueSumReport(sums, eig, th)
-
-
-@dataclass(frozen=True)
-class ConstantMeetReport:
-    """Constant |B meet C| over the cliques versus radius-1 complete
-    regularity at the minimum eigenvalue."""
-
-    constant: bool
-    lam: int | None
-    cr: Verdict
-    radius_one: bool
-    theta_min_is_eigenvalue: bool
-    theta: Fraction
-
-    def __bool__(self):
-        return self.constant
-
-    @property
-    def agrees(self) -> bool:
-        rhs = self.cr.ok and self.radius_one and self.theta_min_is_eigenvalue
-        return self.constant == rhs
-
-
-def radius_one_cr_characterization(g: Graph, S: CliqueSystem,
-                                   B) -> ConstantMeetReport:
-    """For a Delsarte pair: a proper nonempty B meets every clique of S in a
-    constant number of vertices iff B is completely regular of covering
-    radius 1 with the minimum eigenvalue among its matrix's eigenvalues.
-    Covers weakened (lambda > 1) clique designs as well."""
-    Bset = set(int(v) for v in B)
-    if not Bset or len(Bset) >= g.num_vertices:
-        raise ValueError("B must be a proper nonempty subset")
-    k = is_regular(g).value
-    th = Fraction(-k, S.s)
-    meets = np.unique(vertex_mask(g, Bset)[S.cliques].sum(axis=1))
-    constant = meets.size == 1
-    lam = int(meets[0]) if constant else None
-    cr = completely_regular_check(g, Bset)
-    radius_one = bool(cr.ok and cr.value.rho == 1)
-    has_theta = bool(cr.ok and is_matrix_eigenvalue(cr.value, th))
-    return ConstantMeetReport(constant, lam, cr, radius_one, has_theta, th)

@@ -117,7 +117,7 @@ def max_clique_order(g, node_budget=2_000_000):
 def reference_neighbor_sums(g, values):
     """sum_{y ~ x} values[y] for every vertex x, one Fraction at a time."""
     adj = [[] for _ in range(g.num_vertices)]
-    for u, v in g.edges():
+    for u, v in g.edge_array().tolist():
         adj[u].append(v)
         adj[v].append(u)
     return [sum((Fraction(values[y]) for y in adj[x]), Fraction(0))

@@ -337,6 +337,37 @@ def test_empty_set_is_not_design(hamming33):
     assert not check_clique_design(g, S, set()).ok
 
 
+def test_design_cross_check_raises(hamming33, monkeypatch):
+    # the radius-1 cross-check is the only route for the constant-meet
+    # lemma; a matrix that misses -k/s must not pass as a design
+    g, S = hamming33
+    monkeypatch.setattr(bitrades, "is_matrix_eigenvalue", lambda arr, th: False)
+    with pytest.raises(CrossCheckViolation, match="radius 1"):
+        check_clique_design(g, S, latin_vertices(g, cyclic_latin_square(3, 0)))
+
+
+def test_design_cross_check_runs_under_optimize():
+    # python -O strips assert statements; the check must not be one
+    code = "\n".join([
+        "from drgtrades import bitrades",
+        "from drgtrades.errors import CrossCheckViolation",
+        "from drgtrades.families import build_hamming",
+        "g, S = build_hamming(3, 3)",
+        "square = {g.index_of(f'{r}{c}{(r + c) % 3}') for r in range(3) for c in range(3)}",
+        "bitrades.is_matrix_eigenvalue = lambda arr, th: False",
+        "try:",
+        "    bitrades.check_clique_design(g, S, square)",
+        "except CrossCheckViolation:",
+        "    print('raised', __debug__)",
+    ])
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join([os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")])
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "raised False\n"
+
+
 # --- halved cube ---------------------------------------------------------------------------
 
 def test_halved_cube_bitrades():

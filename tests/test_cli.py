@@ -218,6 +218,33 @@ def test_identity_verb(capsys):
     assert lhs == rhs and "equal: yes" in out
 
 
+@pytest.mark.parametrize("d,q", [(-1, 2), (2, 1)])
+def test_identity_refuses_out_of_range_parameters(capsys, d, q):
+    err = _usage_error_line(capsys, ["identity", "--d", str(d), "--q", str(q)])
+    assert err == f"usage error: identity needs d >= 0 and q >= 2, got d={d}, q={q}\n"
+
+
+def test_hamming_one_coordinate_beyond_ten_symbols(capsys):
+    # labels sort as strings, so "10" comes before "2"
+    code, out = run_cli(capsys, "build", "--family", "hamming:1,11", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["vertices"] == sorted(str(i) for i in range(11))
+    assert len(doc["edges"]) == 55
+    code, out = run_cli(capsys, "check-dr", "--family", "hamming:1,11")
+    assert (code, out) == (0, "distance-regular: yes\narray: (10;1)\n"
+                              "matches closed form (10;1): yes\n")
+    code, out = run_cli(capsys, "verify", "--family", "hamming:1,11")
+    assert code == 0 and out.endswith("shell sizes: (1, 1)\noverall: pass\n")
+
+
+def test_hamming_two_digit_symbols_are_refused_by_the_builder(capsys):
+    for verb in ("build", "check-dr"):
+        err = _usage_error_line(capsys, [verb, "--family", "hamming:2,11"])
+        assert err == "usage error: hamming:2,11: need q <= 10 to build n >= 2\n"
+    code, out = run_cli(capsys, "wd-bound", "--family", "hamming:2,11")
+    assert (code, out) == (0, "theta_min: -2\nw.d. bound: 4\n")
+
+
 def test_unknown_family_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build", "--family", "petersen:1"])

@@ -61,7 +61,7 @@ def floyd_warshall(g):
     n = g.num_vertices
     INF = 10 ** 9
     d = [[0 if i == j else INF for j in range(n)] for i in range(n)]
-    for u, v in g.edges():
+    for u, v in g.edge_array().tolist():
         d[u][v] = d[v][u] = 1
     for k in range(n):
         for i in range(n):
@@ -177,7 +177,7 @@ def test_odd_cycle_witness_climbs_to_least_index_neighbors():
     # are adjacent at distance 2 from 0000, and each has two neighbors at
     # distance 1: 0001 and 0010, and 1000 and 1111.
     c = cube_graph(4)
-    g = Graph(c.labels, list(c.edges()) + [(i, 15 - i) for i in range(8)])
+    g = Graph(c.labels, c.edge_array().tolist() + [(i, 15 - i) for i in range(8)])
     v = is_bipartite(g)
     assert not v.ok and v.witness == ["0011", "0001", "0000", "1000", "0111"]
 
@@ -187,7 +187,7 @@ def _two_colorable(g, verts):
     leaves no edge inside verts monochromatic."""
     verts = sorted(verts)
     pos = {v: i for i, v in enumerate(verts)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+    edges = [(pos[u], pos[v]) for u, v in g.edge_array().tolist() if u in pos and v in pos]
     codes = np.arange(2 ** (len(verts) - 1))[:, None] << 1
     colors = (codes >> np.arange(len(verts))) & 1
     proper = np.ones(len(colors), dtype=bool)
@@ -236,7 +236,7 @@ def test_bipartite_agrees_with_brute_force(g):
     else:
         v = is_bipartite(g)
         assert v.ok and v.value[0] == 0 and set(v.value) <= {0, 1}
-        assert all(v.value[a] != v.value[b] for a, b in g.edges())
+        assert all(v.value[a] != v.value[b] for a, b in g.edge_array().tolist())
 
 
 # sha256 of bytes(is_bipartite(g).value), recorded from a queue BFS that
@@ -693,7 +693,7 @@ def test_completely_regular_failure_witness():
 
 def test_cube_edge_cliques():
     g = cube_graph(3)
-    cliques = tuple(tuple(e) for e in g.edges())
+    cliques = tuple(tuple(e) for e in g.edge_array().tolist())
     S = CliqueSystem(g, cliques, s=1, m=1)
     v = verify_clique_system(g, S)
     assert v.ok
@@ -701,7 +701,7 @@ def test_cube_edge_cliques():
 
 def test_clique_system_multiplicity_witness():
     g = cube_graph(3)
-    cliques = tuple(tuple(e) for e in list(g.edges())[:-1])  # drop one edge
+    cliques = tuple(tuple(e) for e in g.edge_array().tolist()[:-1])  # drop one edge
     S = CliqueSystem(g, cliques, s=1, m=1)
     v = verify_clique_system(g, S)
     assert not v.ok and v.detail == "edge multiplicity mismatch"
@@ -858,3 +858,9 @@ def test_graph_json_deterministic():
     doc = graph_to_json(g1)
     assert doc["vertices"] == sorted(doc["vertices"])
     assert doc["edges"] == sorted(doc["edges"])
+
+
+def test_graph_json_refuses_unsorted_labels():
+    g = Graph(["b", "a"], [(0, 1)])
+    with pytest.raises(CrossCheckViolation, match="constructors must sort labels"):
+        graph_to_json(g)

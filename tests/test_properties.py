@@ -152,7 +152,7 @@ def test_verify_delsarte_pair_requires_distance_regular():
     labels = ["a1", "a2", "a3", "b1", "b2", "b3"]
     edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
     g = Graph(labels, edges)
-    S = CliqueSystem(g, tuple(tuple(e) for e in g.edges()), s=1, m=1)
+    S = CliqueSystem(g, tuple(tuple(e) for e in g.edge_array().tolist()), s=1, m=1)
     with pytest.raises(NotDistanceRegular):
         verify_delsarte_pair(g, S)
 
