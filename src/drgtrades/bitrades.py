@@ -50,6 +50,7 @@ from .graphs import (
     is_bipartite,
     is_isometric_subgraph,
     is_regular,
+    segment_sums,
     vertex_mask,
 )
 from .spectral import (
@@ -131,18 +132,30 @@ class DelsartePairReport:
         return self.ok
 
 
+def _degree(g: Graph) -> int:
+    """The host's common degree; a host that is not regular raises
+    NotDistanceRegular with is_regular's witness."""
+    reg = is_regular(g)
+    if not reg.ok:
+        raise NotDistanceRegular(str(reg.witness))
+    return reg.value
+
+
 def _host_array(g: Graph, host_array=None) -> IntersectionArray:
     """host_array when given, else the host's intersection array as proven
     by distance_regularity_check.  A host that is not distance-regular (or,
     with host_array given, not regular) raises NotDistanceRegular with the
     witness; a given array whose degree is not the host's, ValueError."""
-    dr = distance_regularity_check(g) if host_array is None else is_regular(g)
-    if not dr.ok:
-        raise NotDistanceRegular(str(dr.witness))
-    if host_array is not None and host_array.k != dr.value:
+    if host_array is None:
+        dr = distance_regularity_check(g)
+        if not dr.ok:
+            raise NotDistanceRegular(str(dr.witness))
+        return dr.value
+    k = _degree(g)
+    if host_array.k != k:
         raise ValueError(f"host array {host_array} has degree {host_array.k}, "
-                         f"the host has degree {dr.value}")
-    return dr.value if host_array is None else host_array
+                         f"the host has degree {k}")
+    return host_array
 
 
 def verify_delsarte_pair(g: Graph, S: CliqueSystem,
@@ -172,8 +185,7 @@ def check_criterion_a(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
 
 def check_criterion_b(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
     """The signed indicator function is an eigenfunction at -k/s."""
-    k = is_regular(g).value
-    return _signed_eigenfunction(g, T, Fraction(-k, S.s))
+    return _signed_eigenfunction(g, T, Fraction(-_degree(g), S.s))
 
 
 def _signed_eigenfunction(g: Graph, T: Bitrade, theta) -> Verdict:
@@ -192,26 +204,24 @@ def _signed_eigenfunction(g: Graph, T: Bitrade, theta) -> Verdict:
 
 
 def check_criterion_c(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
-    """The induced subgraph on T0 u T1 is regular of degree k/s with all
-    edges between the sides (bipartite by independence)."""
-    return _trade_subgraph_regular(g, T, Fraction(is_regular(g).value, S.s))
+    """The induced subgraph on T0 u T1 is regular of degree k/s (bipartite,
+    since Bitrade refuses a dependent side)."""
+    return _trade_subgraph_regular(g, T, Fraction(_degree(g), S.s))
 
 
 def _trade_subgraph_regular(g: Graph, T: Bitrade, target: Fraction) -> Verdict:
-    """check_criterion_c with the degree k/s given."""
-    sub, back = induced_subgraph(g, T.support)
-    for i in range(sub.num_vertices):
-        if sub.degree(i) != target:
-            return Verdict(False,
-                           witness=(sub.labels[i], sub.degree(i), target),
-                           detail="trade subgraph degree mismatch")
-        h = back[i]
-        side = T.t0 if h in T.t0 else T.t1
-        for j in sub.neighbors(i).tolist():
-            if back[j] in side:
-                return Verdict(False, witness=(sub.labels[i], sub.labels[j]),
-                               detail="edge inside one trade side")
-    return Verdict(True)
+    """check_criterion_c with the degree k/s given: each support vertex's
+    neighbors inside the support, counted off the host CSR; the witness is
+    the first support vertex by index whose count is not k/s."""
+    sup = np.array(sorted(T.support))
+    inside = vertex_mask(g, sup)[g.neighbors_of(sup)]
+    degs = segment_sums(inside, np.concatenate(([0], np.cumsum(g.degrees[sup]))))
+    bad = np.flatnonzero(degs * target.denominator != target.numerator)
+    if not bad.size:
+        return Verdict(True)
+    i = int(bad[0])
+    return Verdict(False, witness=(g.labels[sup[i]], int(degs[i]), target),
+                   detail="trade subgraph degree mismatch")
 
 
 # --- minimality and the trade subgraph ----------------------------------------------
@@ -267,20 +277,19 @@ def check_subgraph_dr(g: Graph, S: CliqueSystem, T: Bitrade,
     """For a minimal bitrade the trade subgraph must be distance-regular
     with shell sizes |W^i| computed from the host array; failure here is a
     violated equivalence, not a user error."""
-    return _subgraph_dr(g, S, T, _host_array(g, host_array))
+    arr = _host_array(g, host_array)
+    return _subgraph_dr(induced_subgraph(g, T.support)[0], S, arr)
 
 
-def _subgraph_dr(g: Graph, S: CliqueSystem, T: Bitrade,
-                 arr: IntersectionArray) -> SubgraphReport:
-    """check_subgraph_dr against the host's proven array arr."""
-    th = Fraction(-arr.k, S.s)
-    sub, _ = induced_subgraph(g, T.support)
+def _subgraph_dr(sub: Graph, S: CliqueSystem, arr: IntersectionArray) -> SubgraphReport:
+    """check_subgraph_dr on the trade subgraph sub, against the host's
+    proven array arr."""
     dr = distance_regularity_check(sub)
     if not dr.ok:
         raise CrossCheckViolation(
             f"trade subgraph of a minimal bitrade not distance-regular: {dr.witness}")
-    shells = tuple(abs(int(w)) for w in wd_coefficients(arr, th))
-    dm = sub.distance_matrix()          # cached by the sweep
+    shells = tuple(abs(int(w)) for w in wd_coefficients(arr, Fraction(-arr.k, S.s)))
+    dm = sub.distance_matrix()          # cached by the isometry test or the sweep
     sizes = np.stack([np.count_nonzero(dm == i, axis=1) for i in range(len(shells))], axis=1)
     bad = np.flatnonzero((dm.max(axis=1) != len(shells) - 1) | (sizes != shells).any(axis=1))
     if bad.size:
@@ -334,7 +343,7 @@ def verify_bitrade(g: Graph, S: CliqueSystem, T: Bitrade,
     sub_arr = None
     shells = None
     if mini.minimal:
-        rep = _subgraph_dr(g, S, T, arr)
+        rep = _subgraph_dr(mini.isometric.value, S, arr)
         sub_arr, shells = rep.array, rep.shell_sizes
     return VerificationReport(a, b, c, th, degree, T.cardinality, mini.bound,
                               mini.meets_bound, mini.isometric, mini.minimal,
@@ -542,9 +551,8 @@ def check_clique_design(g: Graph, S: CliqueSystem, dset) -> Verdict:
         return Verdict(False, witness=(ci, int(hits[ci])),
                        detail="clique not met exactly once")
     if len(D) < g.num_vertices:
+        th = Fraction(-_degree(g), S.s)
         cr = completely_regular_check(g, D)
-        k = is_regular(g).value
-        th = Fraction(-k, S.s)
         if not (cr.ok and cr.value.rho == 1 and is_matrix_eigenvalue(cr.value, th)):
             raise CrossCheckViolation(
                 "design is not completely regular of radius 1 at -k/s")

@@ -229,23 +229,13 @@ def totally_isotropic_mask(bases: np.ndarray, field: FieldSpec) -> np.ndarray:
     Expanding Q on a linear combination gives
         Q(sum l_i b_i) = sum l_i^2 Q(b_i) + sum_{i<j} l_i l_j B(b_i, b_j)
     with the polarization B(x, y) = Q(x+y) - Q(x) - Q(y), so Q vanishing on
-    each basis row and B on each pair of rows is equivalent to Q(s) = {0}."""
+    each basis row and B on each pair of rows is equivalent to Q(s) = {0}.
+    With M = V U^T for the halves [V | U] of a basis, Q(b_i) = M_ii and
+    B(b_i, b_j) = M_ij + M_ji in any characteristic."""
     h = bases.shape[2] // 2
-    add, mul, neg = field.add_table, field.mul_table, field.neg_table
-
-    def q_form(v):
-        acc = np.zeros(v.shape[:-1], dtype=np.int8)
-        for i in range(h):
-            acc = add[acc, mul[v[..., i], v[..., h + i]]]
-        return acc
-
-    qrows = q_form(bases)
-    ok = (qrows == 0).all(axis=1)
-    for i, j in itertools.combinations(range(bases.shape[1]), 2):
-        polar = add[add[q_form(add[bases[:, i], bases[:, j]]), neg[qrows[:, i]]],
-                    neg[qrows[:, j]]]
-        ok &= polar == 0
-    return ok
+    m = matmul_batch(bases[:, :, :h], bases[:, :, h:].transpose(0, 2, 1), field)
+    polar = _op(field.add_table, m, m.transpose(0, 2, 1))
+    return (m.diagonal(axis1=1, axis2=2) == 0).all(axis=1) & (polar == 0).all(axis=(1, 2))
 
 
 def isotropic_count_product(d: int, q: int) -> int:

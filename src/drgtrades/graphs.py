@@ -96,9 +96,6 @@ class Graph:
     def num_edges(self) -> int:
         return int(len(self._flat)) // 2
 
-    def degree(self, v: int) -> int:
-        return int(self._degrees[v])
-
     @property
     def degrees(self) -> np.ndarray:
         return self._degrees
@@ -329,7 +326,8 @@ def induced_subgraph(g: Graph, verts) -> tuple[Graph, list[int]]:
 def is_isometric_subgraph(g: Graph, verts) -> Verdict:
     """True iff induced-subgraph distances equal host distances on verts, both
     from one bit-parallel BFS (Graph.distances_among); the witness is the
-    first pair i < j, row by row, whose distances differ."""
+    first pair i < j, row by row, whose distances differ.  On success the
+    value is the induced subgraph, its distance matrix cached."""
     sub, back = induced_subgraph(g, verts)
     dhost = g.distances_among(back)
     if (dhost < 0).any():
@@ -338,7 +336,8 @@ def is_isometric_subgraph(g: Graph, verts) -> Verdict:
     dsub = sub.distances_among(np.arange(sub.num_vertices))
     bad = np.argwhere(np.triu(dsub != dhost, 1))
     if not bad.size:
-        return Verdict(True)
+        sub._dm = dsub          # equal to dhost, so connected
+        return Verdict(True, value=sub)
     i, j = bad[0].tolist()
     dij = int(dsub[i, j])
     return Verdict(False, witness=(sub.labels[i], sub.labels[j], None if dij < 0 else dij,

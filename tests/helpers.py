@@ -38,7 +38,7 @@ def reference_sweep(g):
     singleton at a time: one BFS per vertex, its shell counts, and the first
     vertex whose counts are not uniform per distance, or whose array differs
     from vertex 0's, as the witness."""
-    n, k = g.num_vertices, g.degree(0)
+    n, k = g.num_vertices, int(g.degrees[0])
     nbrs = np.stack([g.neighbors(v) for v in range(n)]).reshape(n, k)
     common = None
     for x in range(n):
@@ -107,7 +107,7 @@ def max_clique_order(g, node_budget=2_000_000):
             rest = [u for u, _ in colored[:pos] if u in adj[v]]
             expand(size + 1, rest)
 
-    order = sorted(range(g.num_vertices), key=lambda v: -g.degree(v))
+    order = sorted(range(g.num_vertices), key=lambda v: -int(g.degrees[v]))
     expand(0, order)
     return best
 

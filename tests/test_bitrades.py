@@ -45,7 +45,14 @@ from drgtrades.families import (
     hamming_array,
     johnson_array,
 )
-from drgtrades.graphs import CliqueSystem, Graph, Verdict, distance_regularity_check, is_regular
+from drgtrades.graphs import (
+    CliqueSystem,
+    Graph,
+    Verdict,
+    distance_regularity_check,
+    induced_subgraph,
+    is_regular,
+)
 from drgtrades.spectral import verify_eigenfunction, wd_bound
 
 
@@ -196,6 +203,45 @@ def test_criterion_b_matches_verify_eigenfunction(family, ctor, params):
     theta = Fraction(-is_regular(g).value, S.s)
     for B in [T] + [corrupt_one_vertex(T, rng) for _ in range(10)]:
         assert check_criterion_b(g, S, B) == verify_eigenfunction(g, B.signed_function(), theta)
+
+
+def reference_criterion_c(g, S, T):
+    """Criterion c by a loop over the induced subgraph's vertices: the first
+    whose degree is not k/s, as (label, degree, k/s)."""
+    target = Fraction(is_regular(g).value, S.s)
+    sub, _ = induced_subgraph(g, T.support)
+    for i in range(sub.num_vertices):
+        if sub.degrees[i] != target:
+            return Verdict(False, witness=(sub.labels[i], int(sub.degrees[i]), target),
+                           detail="trade subgraph degree mismatch")
+    return Verdict(True)
+
+
+@pytest.mark.parametrize("family,ctor,params", [
+    ("johnson", min_bitrade_johnson, (8, 3)),
+    ("hamming", min_bitrade_hamming, (3, 3)),
+    ("grassmann", min_bitrade_grassmann, (6, 3, 2)),
+])
+def test_criterion_c_matches_the_subgraph_loop(family, ctor, params):
+    g, S = build_family(family, params)
+    T = ctor(*params, host=g)
+    rng = random.Random(37)
+    for B in [T] + [corrupt_one_vertex(T, rng) for _ in range(10)]:
+        assert check_criterion_c(g, S, B) == reference_criterion_c(g, S, B)
+
+
+@pytest.mark.parametrize("s,want", [(3, ("000", 3, Fraction(1))),
+                                    (2, ("000", 3, Fraction(3, 2)))])
+def test_criterion_c_flags_excess_and_fractional_degrees(s, want):
+    # a true system with m = 1 splits each neighborhood into k/s cliques,
+    # which caps the support degree at k/s; here 000 has 3 support
+    # neighbors against k/s = 1 and 3/2
+    g, _ = build_hamming(3, 2)
+    S = CliqueSystem(g, [], s=s, m=1)
+    T = Bitrade(g, frozenset({0}), frozenset({1, 2, 4}))
+    c = check_criterion_c(g, S, T)
+    assert c == reference_criterion_c(g, S, T)
+    assert c.witness == want
 
 
 # First three draws of corrupt_one_vertex(T, random.Random(2024)) on the minimum
@@ -447,7 +493,6 @@ def test_doob_pseudo_bitrades():
     assert verdict.ok and T.cardinality == 8
     assert wd_bound(doob_array(1, 1), -3) == 8
     # trade subgraph is the 3-cube
-    from drgtrades.graphs import induced_subgraph
     sub, _ = induced_subgraph(g, T.support)
     assert distance_regularity_check(sub).value == hamming_array(3, 2)
 
@@ -493,6 +538,19 @@ def test_given_host_array_on_a_non_regular_host_raises():
         verify_bitrade(g, S, T, host_array=hamming_array(1, 2))
 
 
+@pytest.mark.parametrize("check", [
+    lambda g, S: check_criterion_b(g, S, Bitrade(g, frozenset({0, 2}), frozenset({1, 3}))),
+    lambda g, S: check_criterion_c(g, S, Bitrade(g, frozenset({0, 2}), frozenset({1, 3}))),
+    lambda g, S: check_clique_design(g, S, {0, 2}),
+], ids=["criterion_b", "criterion_c", "clique_design"])
+def test_non_regular_host_raises_with_the_regularity_witness(check):
+    # the path a-b-c-d, its edges as cliques: {a,c} meets every edge once
+    g = Graph(list("abcd"), [(0, 1), (1, 2), (2, 3)])
+    S = CliqueSystem(g, g.edge_array(), s=1, m=1)
+    with pytest.raises(NotDistanceRegular, match=r"\('b', 2, 1\)"):
+        check(g, S)
+
+
 def test_given_host_array_of_another_degree_raises(johnson63):
     g, S = johnson63
     T = min_bitrade_johnson(6, 3, host=g)
@@ -530,6 +588,59 @@ def test_verify_bitrade_reads_the_degree_once(monkeypatch, johnson63):
     rep = verify_bitrade(g, S, min_bitrade_johnson(6, 3, host=g), host_array=johnson_array(6, 3))
     assert rep.all_pass and rep.minimal
     assert calls == [g]
+
+
+def test_minimality_cross_check_raises(monkeypatch, johnson63):
+    g, S = johnson63
+    monkeypatch.setattr(bitrades, "is_isometric_subgraph",
+                        lambda h, verts: Verdict(False, witness=("x", "y", 3, 2)))
+    with pytest.raises(CrossCheckViolation,
+                       match=r"meets-bound=True but isometric=False: \('x', 'y', 3, 2\)"):
+        verify_bitrade(g, S, min_bitrade_johnson(6, 3, host=g))
+
+
+def test_subgraph_dr_cross_check_raises(monkeypatch, johnson63):
+    g, S = johnson63
+    monkeypatch.setattr(bitrades, "distance_regularity_check",
+                        lambda h: Verdict(False, witness=("x", 1, "forward", 2, 3)))
+    with pytest.raises(CrossCheckViolation, match=r"not distance-regular: \('x', 1, "):
+        verify_bitrade(g, S, min_bitrade_johnson(6, 3, host=g), host_array=johnson_array(6, 3))
+
+
+def test_subgraph_shell_cross_check_raises(monkeypatch, johnson63):
+    g, S = johnson63
+    monkeypatch.setattr(bitrades, "wd_coefficients", lambda arr, th: (1, -2, 4, -1))
+    with pytest.raises(CrossCheckViolation,
+                       match=r"shells \(1, 3, 3, 1\) at 1,3,5 differ from \|W\^i\| = \(1, 2, 4, 1\)"):
+        verify_bitrade(g, S, min_bitrade_johnson(6, 3, host=g))
+
+
+def test_valid_verify_bitrade_builds_one_trade_subgraph_and_one_bfs(monkeypatch, johnson63):
+    g, S = johnson63
+    T = min_bitrade_johnson(6, 3, host=g)
+    built, searched = [], []
+    init, among, multi = Graph.__init__, Graph.distances_among, Graph.multi_source_distances
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_among(self, verts):
+        searched.append(self)
+        return among(self, verts)
+
+    def counted_multi(self, sources):
+        searched.append(self)
+        return multi(self, sources)
+
+    monkeypatch.setattr(Graph, "__init__", counted_init)
+    monkeypatch.setattr(Graph, "distances_among", counted_among)
+    monkeypatch.setattr(Graph, "multi_source_distances", counted_multi)
+    rep = verify_bitrade(g, S, T)
+    assert rep.minimal and rep.subgraph_array == hamming_array(3, 2)
+    assert len(built) == 1 and built[0].num_vertices == 8
+    assert [h for h in searched if h is not g] == built
+    assert rep.isometric.value is built[0]
 
 
 def test_dual_polar_bipartition_cross_check(monkeypatch):

@@ -483,3 +483,29 @@ def test_byte_identical_across_hash_seeds():
         assert res.returncode == 0, res.stderr
         outs.append(res.stdout)
     assert outs[0] == outs[1]
+
+
+def test_report_verb_rows_summary_and_json(capsys, monkeypatch):
+    from drgtrades import report
+
+    def fails():
+        raise AssertionError("boom")
+
+    monkeypatch.setattr(report, "_CRITERIA", [(1, "cheap pass", 1.0, lambda: "ok"),
+                                              (2, "cheap fail", 2.5, fails)])
+    clock = iter(range(100))
+    monkeypatch.setattr(report, "perf_counter", lambda: next(clock))
+    code, out = run_cli(capsys, "report", "--all")
+    assert code == 1
+    assert out.splitlines() == [
+        "[ 1] PASS     1.00s / 1s  cheap pass  -- ok",
+        "[ 2] FAIL     1.00s / 2.5s  cheap fail  -- AssertionError: boom",
+        "1/2 criteria passed",
+    ]
+    code, out = run_cli(capsys, "report", "--json")
+    assert code == 1
+    rows = json.loads(out)
+    assert [sorted(r) for r in rows] == [
+        ["budget", "detail", "elapsed", "number", "passed", "title"]] * 2
+    assert [(r["number"], r["passed"], r["detail"]) for r in rows] == [
+        (1, True, "ok"), (2, False, "AssertionError: boom")]

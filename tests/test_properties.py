@@ -17,12 +17,14 @@ from drgtrades.errors import (
 )
 from drgtrades.bitrades import (
     MIN_BITRADES,
+    Bitrade,
     check_criterion_a,
     check_criterion_b,
     check_criterion_c,
     corrupt_one_vertex,
     design_difference,
     pseudo_bitrade_doob,
+    verify_bitrade,
     verify_delsarte_pair,
     verify_pseudo_bitrade,
 )
@@ -36,6 +38,7 @@ from drgtrades.graphs import (
     Graph,
     IntersectionArray,
     completely_regular_check,
+    is_bipartite,
     is_isometric_subgraph,
 )
 from drgtrades.spectral import (
@@ -235,6 +238,38 @@ def test_equivalences_on_drawn_design_differences(host, data):
     T = design_difference(g, S, designs[i], designs[j])
     assert check_criterion_a(g, S, T).ok
     _assert_equivalences(g, S, T, bound)
+
+
+DUAL_POLAR_HOSTS = [(2, 2), (3, 2), (2, 3)]
+
+
+@lru_cache(maxsize=None)
+def _dual_polar_edge_system(d, q):
+    """D_d(q), its edges as the (s, m) = (1, 1) clique system (Delsarte:
+    theta_min = -k puts the Hoffman bound at 2), and the 2-coloring as the
+    bitrade, which criterion a forces to be the whole bipartition."""
+    g = FAMILIES["dual_polar_D"].build(d, q)
+    S = CliqueSystem(g, g.edge_array(), s=1, m=1)
+    color = is_bipartite(g).value
+    sides = [frozenset(v for v, c in enumerate(color) if c == side) for side in (0, 1)]
+    return g, S, Bitrade(g, *sides)
+
+
+@pytest.mark.parametrize("d,q", DUAL_POLAR_HOSTS)
+def test_dual_polar_bipartition_is_the_minimum_edge_bitrade(d, q):
+    g, S, T = _dual_polar_edge_system(d, q)
+    assert verify_delsarte_pair(g, S).ok
+    rep = verify_bitrade(g, S, T)
+    assert rep.all_pass and rep.minimal and rep.isometric.ok
+    assert rep.bound == rep.cardinality == g.num_vertices
+    assert rep.subgraph_array == family_array("dual_polar_D", (d, q))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.sampled_from(DUAL_POLAR_HOSTS), st.integers(0, 2 ** 32 - 1))
+def test_criteria_agree_on_dual_polar_corruptions(host, seed):
+    g, S, T = _dual_polar_edge_system(*host)
+    _assert_equivalences(g, S, corrupt_one_vertex(T, random.Random(seed)), g.num_vertices)
 
 
 @lru_cache(maxsize=None)
