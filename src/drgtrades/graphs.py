@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import CrossCheckViolation, Disconnected
 
-# CSR entries gathered at once, bounding the peak memory of distances_among,
-# the shell counts and the automorphism check
-_GATHER_BLOCK = 1 << 22
+# entries gathered at once, bounding the peak memory of CSR assembly, the
+# clique-system check, distances_among, the shell counts and the automorphism
+# check; indexing casts int32 indices to intp, so 1 << 22 would cost 50 MB
+_GATHER_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -270,18 +271,36 @@ class CliqueSystem:
         return f"CliqueSystem({len(self.cliques)} cliques of size {self.s + 1}, m={self.m})"
 
 
+def _co_members(rows: np.ndarray, r: int):
+    """Co-members in the rows of an (N, w) array, every vertex in r rows and
+    none twice in a row: yields (v0, block) per block of vertices, block[i]
+    the sorted r(w-1) entries sharing a row with v0 + i.  A vertex gathers
+    its rows (a stable argsort of the entries) into one reused buffer (take
+    buffers its out unless mode="clip") and overwrites itself by -1, which
+    the sort puts first."""
+    w = rows.shape[1]
+    rows = rows.astype(np.int32)
+    at = np.argsort(rows, axis=None, kind="stable").reshape(-1, r)
+    step = min(len(at), max(1, _GATHER_BLOCK // (r * w)))
+    buf = np.empty((step, r * w), dtype=np.int32)
+    for v0 in range(0, len(at), step):
+        p, block = at[v0:v0 + step], buf[:len(at) - v0]
+        np.take(rows, p // w, axis=0, out=block.reshape(-1, r, w), mode="clip")
+        block[np.arange(len(p))[:, None], p % w + np.arange(0, r * w, w)] = -1
+        block.sort(axis=1)
+        yield v0, block[:, r:]
+
+
 def _csr_from_cliques(rows: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR of the pairs within the rows of an (N, w) array, every vertex in r
-    rows and none twice in a row: each vertex gathers its rows, drops itself,
-    sorts the rest and keeps one of each run (an edge may lie in m > 1 rows)."""
-    flat = rows.astype(np.int32).ravel()
-    n, w = len(flat) // r, rows.shape[1]
-    nbrs = flat.reshape(-1, w)[np.argsort(flat, kind="stable").reshape(n, r) // w]
-    nbrs = nbrs[nbrs != np.arange(n, dtype=np.int32)[:, None, None]].reshape(n, r * (w - 1))
-    nbrs.sort(axis=1)
-    keep = np.ones(nbrs.shape, dtype=bool)
-    np.not_equal(nbrs[:, 1:], nbrs[:, :-1], out=keep[:, 1:])
-    return nbrs[keep], np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    rows and none twice in a row: one of each run of a vertex's co-members."""
+    flat, degs = [], []
+    for _, nbrs in _co_members(rows, r):
+        keep = np.ones(nbrs.shape, dtype=bool)
+        np.not_equal(nbrs[:, 1:], nbrs[:, :-1], out=keep[:, 1:])
+        flat.append(nbrs[keep])
+        degs.append(np.count_nonzero(keep, axis=1))
+    return np.concatenate(flat), np.concatenate(([0], np.cumsum(np.concatenate(degs))))
 
 
 # --- verdict-style checks -----------------------------------------------------
@@ -546,22 +565,28 @@ def clique_pairs(cliques: np.ndarray) -> np.ndarray:
 
 
 def verify_clique_system(g: Graph, S: CliqueSystem) -> Verdict:
-    """Checks clique-ness, uniform size s+1, and exact edge multiplicity m.
-
-    The system holds when the sorted keys u*n+v (u <= v) of the
-    within-clique pairs are the host's edge keys (u < v), each m times.
-    Otherwise each pair is looked up in the edge keys, to name the first
-    bad clique or the first edge of wrong multiplicity."""
-    n = g.num_vertices
-    holds = Verdict(True, value=(int(g.degrees[0]) if n else 0, S.s, S.m))
+    """Checks clique-ness, uniform size s+1, and exact edge multiplicity m:
+    on a k-regular host (k > 0) with every vertex in r rows and r*s = k*m,
+    m >= 1, by comparing each vertex's co-members with its CSR row taken m
+    times, a block of vertices at a time; otherwise, or where a block
+    differs, by looking each pair up in the edge keys u*n+v (u < v), which
+    names the first bad clique or the first edge of wrong multiplicity."""
+    n, degs = g.num_vertices, g.degrees
+    holds = Verdict(True, value=(int(degs[0]) if n else 0, S.s, S.m))
     rows = np.sort(S.cliques, axis=1)
+    repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    if (rows.size and rows.min() >= 0 and rows.max() < n and degs[0] > 0
+            and (degs == degs[0]).all() and S.m >= 1 and not repeated.any()):
+        k, incidence = int(degs[0]), np.bincount(rows.ravel(), minlength=n)
+        r, csr = int(incidence[0]), g._flat.reshape(n, k, 1)
+        if (incidence == r).all() and r * S.s == k * S.m and all(
+                (nbrs.reshape(-1, k, S.m) == csr[v0:v0 + len(nbrs)]).all()
+                for v0, nbrs in _co_members(rows, r)):
+            return holds
     i, j = np.triu_indices(rows.shape[1], 1)
     keys = rows[:, i] * n + rows[:, j]
     edges = g.edge_array()
     edge_keys = edges[:, 0] * n + edges[:, 1]
-    if S.m >= 0 and np.array_equal(np.sort(keys, axis=None), np.repeat(edge_keys, S.m)):
-        return holds
-    repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     pos = np.searchsorted(edge_keys, keys)
     is_edge = np.append(edge_keys, -1)[pos] == keys
     bad = repeated | ~is_edge.all(axis=1)

@@ -1,6 +1,7 @@
 """Small ad-hoc graphs, scalar GF(q) references, scalar Fraction
-references for vertex-function sums, a per-vertex distance-regularity sweep
-and an exact maximum-clique search, shared across test modules."""
+references for vertex-function sums, a per-vertex distance-regularity sweep,
+a pair count of clique systems and an exact maximum-clique search, shared
+across test modules."""
 
 import itertools
 from collections import deque
@@ -63,6 +64,22 @@ def reference_sweep(g):
             return Verdict(False, witness=(g.labels[x], str(arr), str(common)),
                            detail="intersection array differs between vertices")
     return Verdict(True, value=common)
+
+
+def reference_clique_system(g, rows, m):
+    """verify_clique_system's verdict, True or False, by counting with Python
+    sets: every row holds distinct vertices, every pair inside a row is an
+    edge, and every edge lies in exactly m rows."""
+    count = {frozenset((u, v)): 0
+             for u in range(g.num_vertices) for v in g.neighbors(u).tolist()}
+    for row in np.asarray(rows).tolist():
+        if len(set(row)) < len(row):
+            return False
+        for pair in itertools.combinations(row, 2):
+            if frozenset(pair) not in count:
+                return False
+            count[frozenset(pair)] += 1
+    return all(c == m for c in count.values())
 
 
 class CliqueSearchTooLarge(RuntimeError):

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +45,8 @@ from drgtrades.graphs import (
 )
 
 
-from helpers import cube_graph, cycle_graph, max_clique_order, reference_sweep
+from helpers import (cube_graph, cycle_graph, max_clique_order, reference_clique_system,
+                     reference_sweep)
 
 
 def random_connected_graph(rng, n, extra):
@@ -749,9 +751,13 @@ def clique_rows(draw):
 @given(clique_rows())
 def test_graph_from_clique_rows_equals_graph_from_their_pairs(case):
     labels, rows = case
-    g, ref = Graph(labels, rows), Graph(labels, clique_pairs(rows).reshape(-1, 2))
-    for got, want in ((g._flat, ref._flat), (g._off, ref._off)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    ref = Graph(labels, clique_pairs(rows).reshape(-1, 2))
+    for block in (graphs._GATHER_BLOCK, 7):     # 7 entries: one or two vertices a block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_GATHER_BLOCK", block)
+            g = Graph(labels, rows)
+        for got, want in ((g._flat, ref._flat), (g._off, ref._off)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_wide_rows_refuse_loops_and_out_of_range_vertices():
@@ -811,12 +817,119 @@ CLIQUE_WITNESSES = {
 
 
 @pytest.mark.parametrize("spec", sorted(CLIQUE_WITNESSES))
-def test_clique_system_witnesses_are_pinned(spec):
+def test_clique_system_witnesses_are_pinned(spec, monkeypatch):
     g, S = build_family(*parse_family(spec))
-    for tag, rows, m in _mutated_systems(S):
-        v = verify_clique_system(g, CliqueSystem(g, rows, s=S.s, m=m))
-        assert v.witness == CLIQUE_WITNESSES[spec][tag], tag
-        assert v.ok == (tag == "shuffled"), tag
+    for block in (graphs._GATHER_BLOCK, 7):     # 7 entries: one or two vertices a block
+        monkeypatch.setattr(graphs, "_GATHER_BLOCK", block)
+        for tag, rows, m in _mutated_systems(S):
+            v = verify_clique_system(g, CliqueSystem(g, rows, s=S.s, m=m))
+            assert v.witness == CLIQUE_WITNESSES[spec][tag], tag
+            assert v.ok == (tag == "shuffled"), tag
+
+
+def _host(n, pairs):
+    return Graph([f"v{i:02d}" for i in range(n)], np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
+
+
+def _base_clique_systems(rng):
+    """(host, rows, m) of valid systems: Steiner triple systems on K_7 and
+    K_9, partitions into cliques, the edges of a cycle and of a star (uneven
+    incidence), random layers of disjoint rows (valid when no pair repeats),
+    family systems with m = 1 and 2, and singleton rows (s = 0) on an
+    edgeless host (any m) and on a cycle (m = 0)."""
+    fano = [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6], [2, 3, 6], [2, 4, 5]]
+    ag23 = sorted({tuple(sorted(((x + t * a) % 3) * 3 + (y + t * b) % 3 for t in range(3)))
+                   for x, y, a, b in itertools.product(range(3), repeat=4) if (a, b) != (0, 0)})
+    for n, lines in ((7, fano), (9, ag23)):
+        yield _host(n, list(itertools.combinations(range(n), 2))), np.array(lines), 1
+    for w in (2, 3, 4):
+        rows = rng.permutation(12).reshape(-1, w)
+        yield _host(12, clique_pairs(rows).reshape(-1, 2)), rows, 1
+    cycle = [(i, (i + 1) % 6) for i in range(6)]
+    yield _host(6, cycle), np.array(cycle), 1
+    yield _host(5, [(0, i) for i in range(1, 5)]), np.array([(0, i) for i in range(1, 5)]), 1
+    for w, t in ((3, 4), (4, 5), (3, 6)):
+        rows = np.concatenate([rng.permutation(w * t).reshape(t, w) for _ in range(2)])
+        yield _host(w * t, clique_pairs(rows).reshape(-1, 2)), rows, 1
+    for spec in ("octahedron:3", "halved_cube:4", "johnson:5,2", "hamming:2,3"):
+        g, S = build_family(*parse_family(spec))
+        yield g, S.cliques, S.m
+    yield _host(4, []), np.arange(4).reshape(4, 1), 1
+    yield _host(6, cycle), np.arange(6).reshape(6, 1), 0
+
+
+def _clique_system_cases(rng):
+    """Each valid base taken j = 0..3 times (m = 0 to 3 times the base's);
+    then, once and twice, with a wrong m, a row dropped or repeated, two
+    entries of different rows exchanged, a vertex repeated within a row, and
+    on a host missing one edge, with one extra edge or with no edges."""
+    for g, base, m0 in _base_clique_systems(rng):
+        n = g.num_vertices
+        for j in range(4):
+            yield g, np.tile(base, (j, 1)), m0 * j
+        for rows, m in ((base, m0), (np.tile(base, (2, 1)), 2 * m0)):
+            yield g, rows, m + 1
+            yield g, rows, m - 1
+            yield g, np.delete(rows, rng.integers(len(rows)), axis=0), m
+            yield g, np.insert(rows, 0, rows[rng.integers(len(rows))], axis=0), m
+            for _ in range(4):
+                a, b = rng.choice(len(rows), 2, replace=False)
+                changed = rows.copy()
+                changed[a, 0], changed[b, -1] = rows[b, -1], rows[a, 0]
+                yield g, changed, m
+            if rows.shape[1] > 1:
+                changed = rows.copy()
+                changed[a, -1] = changed[a, 0]
+                yield g, changed, m
+            edges = g.edge_array()
+            if len(edges):
+                yield _host(n, np.delete(edges, rng.integers(len(edges)), axis=0)), rows, m
+            missing = sorted(set(itertools.combinations(range(n), 2))
+                             - set(map(tuple, edges.tolist())))
+            if missing:
+                yield _host(n, np.concatenate([edges, [missing[rng.integers(len(missing))]]])), rows, m
+            yield _host(n, []), rows, m
+            yield _host(n, []), rows[:0], m
+
+
+def test_clique_system_matches_pair_count_reference(monkeypatch):
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for g, rows, m in _clique_system_cases(rng):
+        perm = rng.permutation(g.num_vertices)      # vertex 0 is nothing special
+        host = _host(g.num_vertices, perm[g.edge_array()])
+        S = CliqueSystem(host, rng.permuted(perm[rows], axis=1), s=rows.shape[1] - 1, m=m)
+        want = reference_clique_system(host, S.cliques, m)
+        for block in (graphs._GATHER_BLOCK, 7):
+            monkeypatch.setattr(graphs, "_GATHER_BLOCK", block)
+            assert verify_clique_system(host, S).ok == want, (host, S)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_clique_system_accept_path_builds_no_pair_keys(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the accept path read edge_array")
+    monkeypatch.setattr(Graph, "edge_array", refuse)
+    checked = 0
+    for name, params in DR_HOSTS:
+        g, S = build_family(name, params)
+        if S is not None:
+            assert verify_clique_system(g, S).ok, (name, params)
+            checked += 1
+    assert checked == 21
+
+
+def test_clique_system_check_peak_memory_is_below_the_host_csr():
+    # J_2(7,3): 1,240,155 edges in 2,667 cliques of 31; the CSR is 9.55 MiB
+    g, S = build_grassmann(7, 3, 2)
+    tracemalloc.start()
+    try:
+        assert verify_clique_system(g, S).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g._flat.nbytes + g._off.nbytes
 
 
 # --- max clique -------------------------------------------------------------------
