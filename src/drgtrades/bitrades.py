@@ -75,6 +75,8 @@ class Bitrade:
             raise ValueError("both trades must be nonempty")
         if self.t0 & self.t1:
             raise ValueError("trades must be disjoint")
+        if min(self.support) < 0 or max(self.support) >= self.host.num_vertices:
+            raise ValueError("vertex index out of range")
         for side, name in ((self.t0, "T0"), (self.t1, "T1")):
             if vertex_mask(self.host, side)[self.host.neighbors_of(list(side))].any():
                 raise ValueError(f"{name} is not an independent set")
@@ -92,7 +94,7 @@ class Bitrade:
 
     def signed_function(self) -> VertexFunction:
         sign = vertex_mask(self.host, self.t0).astype(int) - vertex_mask(self.host, self.t1)
-        return VertexFunction(self.host, tuple(Fraction(s) for s in sign.tolist()))
+        return VertexFunction(self.host, sign)
 
     def __repr__(self):
         return f"Bitrade(|T0|={len(self.t0)}, |T1|={len(self.t1)})"

@@ -138,6 +138,8 @@ class Graph:
         sources = list(sources)
         if not sources:
             raise ValueError("empty source set")
+        if min(sources) < 0 or max(sources) >= self.num_vertices:   # numpy would wrap or fail
+            raise ValueError("vertex index out of range")
         dist = np.full(self.num_vertices, -1, dtype=np.int32)
         dist[sources] = 0
         frontier = np.flatnonzero(dist == 0)
@@ -184,9 +186,9 @@ class Graph:
             level += 1
 
     def distances_from(self, x: int) -> np.ndarray:
-        if self._dm is not None:
+        if self._dm is not None and 0 <= x < self.num_vertices:
             return self._dm[x]
-        dist = self.multi_source_distances([x])
+        dist = self.multi_source_distances([x])         # refuses an out-of-range x
         if (dist < 0).any():
             bad = int(np.flatnonzero(dist < 0)[0])
             raise Disconnected(
@@ -252,7 +254,7 @@ class CliqueSystem:
     """A set of (s+1)-cliques covering every host edge exactly m times.
 
     The cliques are stored as one (N, s+1) integer array, one clique per
-    row; any rectangular sequence of rows is accepted."""
+    row; any rectangular sequence of rows of host vertices is accepted."""
 
     host: Graph
     cliques: np.ndarray
@@ -265,6 +267,8 @@ class CliqueSystem:
                 len(self.cliques), self.s + 1)
         except ValueError:
             raise ValueError("clique of wrong size in system") from None
+        if rows.size and (rows.min() < 0 or rows.max() >= self.host.num_vertices):
+            raise ValueError("clique entry out of range")
         object.__setattr__(self, "cliques", rows)
 
     def __repr__(self):
@@ -293,14 +297,19 @@ def _co_members(rows: np.ndarray, r: int):
 
 def _csr_from_cliques(rows: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR of the pairs within the rows of an (N, w) array, every vertex in r
-    rows and none twice in a row: one of each run of a vertex's co-members."""
-    flat, degs = [], []
-    for _, nbrs in _co_members(rows, r):
+    rows and none twice in a row: one of each run of a vertex's co-members,
+    written into one array of the gathered size, trimmed in place."""
+    n = rows.size // r
+    flat = np.empty(n * r * (rows.shape[1] - 1), dtype=np.int32)
+    off = np.zeros(n + 1, dtype=np.int64)
+    for v0, nbrs in _co_members(rows, r):
         keep = np.ones(nbrs.shape, dtype=bool)
         np.not_equal(nbrs[:, 1:], nbrs[:, :-1], out=keep[:, 1:])
-        flat.append(nbrs[keep])
-        degs.append(np.count_nonzero(keep, axis=1))
-    return np.concatenate(flat), np.concatenate(([0], np.cumsum(np.concatenate(degs))))
+        ends = off[v0] + np.cumsum(np.count_nonzero(keep, axis=1))
+        flat[off[v0]:ends[-1]] = nbrs[keep]
+        off[v0 + 1:v0 + 1 + len(ends)] = ends
+    flat.resize(off[-1], refcheck=False)
+    return flat, off
 
 
 # --- verdict-style checks -----------------------------------------------------
@@ -414,23 +423,15 @@ def _uniform_array(g: Graph, dist: np.ndarray, k: int):
     """(IntersectionArray, None) if shell counts of the k-regular graph g are
     uniform per distance, else (None, witness)."""
     fwd, bwd = _shell_counts(g, dist, k)
-    rho = int(dist.max())
     b, c = [], []
-    for i in range(rho + 1):
+    for i in range(int(dist.max()) + 1):
         shell = np.flatnonzero(dist == i)
-        fv = fwd[shell]
-        bv = bwd[shell]
-        if int(fv.min()) != int(fv.max()):
-            v = int(shell[int(fv.argmin())])
-            return None, (g.labels[v], i, "forward", int(fv.min()), int(fv.max()))
-        if int(bv.min()) != int(bv.max()):
-            v = int(shell[int(bv.argmin())])
-            return None, (g.labels[v], i, "backward", int(bv.min()), int(bv.max()))
-        if i < rho:
-            b.append(int(fv[0]))
-        if i >= 1:
-            c.append(int(bv[0]))
-    return IntersectionArray(k, tuple(b), tuple(c)), None
+        for way, counts, out in (("forward", fwd[shell], b), ("backward", bwd[shell], c)):
+            lo, hi = int(counts.min()), int(counts.max())
+            if lo != hi:
+                return None, (g.labels[int(shell[int(counts.argmin())])], i, way, lo, hi)
+            out.append(lo)
+    return IntersectionArray(k, tuple(b[:-1]), tuple(c[1:])), None
 
 
 def completely_regular_check(g: Graph, C) -> Verdict:
@@ -448,9 +449,6 @@ def _completely_regular(g: Graph, C) -> tuple[Verdict, np.ndarray | None]:
     reg = is_regular(g)
     if not reg.ok:
         return Verdict(False, witness=reg.witness, detail="host graph not regular"), None
-    C = sorted(set(int(v) for v in C))
-    if not C:
-        raise ValueError("empty vertex set")
     dist = g.multi_source_distances(C)
     if (dist < 0).any():
         raise Disconnected("set does not reach the whole graph")
@@ -575,8 +573,8 @@ def verify_clique_system(g: Graph, S: CliqueSystem) -> Verdict:
     holds = Verdict(True, value=(int(degs[0]) if n else 0, S.s, S.m))
     rows = np.sort(S.cliques, axis=1)
     repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
-    if (rows.size and rows.min() >= 0 and rows.max() < n and degs[0] > 0
-            and (degs == degs[0]).all() and S.m >= 1 and not repeated.any()):
+    if (rows.size and degs[0] > 0 and (degs == degs[0]).all() and S.m >= 1
+            and not repeated.any()):
         k, incidence = int(degs[0]), np.bincount(rows.ravel(), minlength=n)
         r, csr = int(incidence[0]), g._flat.reshape(n, k, 1)
         if (incidence == r).all() and r * S.s == k * S.m and all(

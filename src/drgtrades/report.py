@@ -290,13 +290,16 @@ def _criterion_11():
         arr = _host_dr(name, params)
         eigs = intersection_matrix_eigenvalues(arr)
         verts = [rng.randrange(g.num_vertices) for _ in range(10)]
-        for th in eigs:
+        # one check per center serves every theta; failures are named theta-major
+        sums = []
+        for x in verts:
+            fs, dist = delta_function(g, [x], eigs)
+            sums.append([tuple(weight_distribution_of(f, dist)) for f in fs])
+        for j, th in enumerate(eigs):
             coeffs = wd_coefficients(arr, th)
-            for x in verts:
-                f = delta_function(g, [x], th)
-                got = tuple(weight_distribution_of(g, f, x))
-                _check(got == coeffs,
-                       f"{name}{params} theta={th} x={g.labels[x]}: {got} != {coeffs}")
+            for x, got in zip(verts, sums):
+                _check(got[j] == coeffs,
+                       f"{name}{params} theta={th} x={g.labels[x]}: {got[j]} != {coeffs}")
     for name, params in (("johnson", (6, 3)), ("hamming", (4, 2)),
                          ("grassmann", (4, 2, 2))):
         _si_constancy(name, params)

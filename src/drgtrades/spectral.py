@@ -12,7 +12,7 @@ tolerance would be meaningless."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -95,13 +95,9 @@ def standard_eigenvector(arr: IntersectionArray, theta) -> list[Fraction]:
     eigenvalue and NotAnEigenvalue is raised."""
     th = Fraction(theta)
     nu = [Fraction(1)]
-    if arr.rho >= 1:
-        nu.append((th - arr.a(0)) / arr.b[0])
-    for i in range(1, arr.rho):
-        nxt = ((th - arr.a(i)) * nu[i] - arr.c_at(i) * nu[i - 1]) / arr.b[i]
-        nu.append(nxt)
-    residual = arr.c_at(arr.rho) * (nu[-2] if arr.rho >= 1 else 0) \
-        + (arr.a(arr.rho) - th) * nu[-1]
+    for i in range(arr.rho):
+        nu.append(((th - arr.a(i)) * nu[i] - arr.c_at(i) * (nu[i - 1] if i else 0)) / arr.b[i])
+    residual = arr.c_at(arr.rho) * (nu[-2] if arr.rho else 0) + (arr.a(arr.rho) - th) * nu[-1]
     if residual != 0:
         raise NotAnEigenvalue(f"recurrence residual {residual} for theta={theta}")
     return nu
@@ -114,13 +110,9 @@ def wd_coefficients(arr: IntersectionArray, theta) -> tuple[Fraction, ...]:
     W^1 = theta, and
     W^i = ((theta - a_{i-1}) W^{i-1} - b_{i-2} W^{i-2}) / c_i  for i >= 2."""
     th = Fraction(theta)
-    w = [Fraction(1)]
-    if arr.rho >= 1:
-        w.append(th)
+    w = [Fraction(1), th][:arr.rho + 1]
     for i in range(2, arr.rho + 1):
-        nxt = ((th - arr.a(i - 1)) * w[i - 1] - arr.b_at(i - 2) * w[i - 2]) \
-            / arr.c_at(i)
-        w.append(nxt)
+        w.append(((th - arr.a(i - 1)) * w[i - 1] - arr.b_at(i - 2) * w[i - 2]) / arr.c_at(i))
     return tuple(w)
 
 
@@ -131,24 +123,23 @@ def wd_bound(arr: IntersectionArray, theta) -> Fraction:
 
 # --- vertex functions -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexFunction:
-    """A rational-valued function on the vertices of a host graph; num holds
-    its values as Python-int numerators over their common denominator den."""
+    """A rational-valued function on the vertices of a host graph: num holds
+    its values as Python-int numerators over the common denominator den."""
 
     host: Graph
-    values: tuple[Fraction, ...]
-    num: np.ndarray = field(init=False, compare=False, repr=False)
-    den: int = field(init=False, compare=False, repr=False)
+    num: np.ndarray
+    den: int = 1
 
     def __post_init__(self):
-        if len(self.values) != self.host.num_vertices:
+        if len(self.num) != self.host.num_vertices:
             raise ValueError("value count differs from vertex count")
-        den = lcm(*(v.denominator for v in self.values))
-        num = np.array([v.numerator * (den // v.denominator) for v in self.values],
-                       dtype=object)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "num", np.asarray(self.num, dtype=object))
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.num)
 
 
 def verify_eigenfunction(g: Graph, f: VertexFunction, theta) -> Verdict:
@@ -166,21 +157,26 @@ def verify_eigenfunction(g: Graph, f: VertexFunction, theta) -> Verdict:
                    detail="neighbor sum mismatch")
 
 
-def delta_function(g: Graph, C, theta) -> VertexFunction:
-    """The function equal to nu_i on the distance-i shell around the
-    completely regular set C, where nu is the standard eigenvector of C's
-    intersection matrix at theta.  Always an eigenfunction of g at theta."""
+def delta_function(g: Graph, C, thetas) -> tuple[list[VertexFunction], np.ndarray]:
+    """For each theta of thetas, the function equal to nu_i on the distance-i
+    shell around the completely regular set C, nu the standard eigenvector of
+    C's matrix at theta (an eigenfunction of g at theta), and the distances to
+    C: one complete-regularity check serves every theta."""
     res, dist = _completely_regular(g, C)
     if not res.ok:
         raise NotCompletelyRegular(str(res.witness))
-    nu = standard_eigenvector(res.value, theta)  # may raise NotAnEigenvalue
-    values = tuple(nu[int(d)] for d in dist)
-    return VertexFunction(g, values)
+    out = []
+    for theta in thetas:
+        nu = standard_eigenvector(res.value, theta)  # may raise NotAnEigenvalue
+        den = lcm(*(v.denominator for v in nu))
+        shells = np.array([v.numerator * (den // v.denominator) for v in nu], dtype=object)
+        out.append(VertexFunction(g, shells[dist], den))
+    return out, dist
 
 
-def weight_distribution_of(g: Graph, f: VertexFunction, x: int) -> list[Fraction]:
-    """Shell sums W^i = sum over the distance-i shell of x, up to ecc(x)."""
-    dist = g.distances_from(x)
+def weight_distribution_of(f: VertexFunction, dist: np.ndarray) -> list[Fraction]:
+    """Shell sums W^i = sum of f over the vertices at distance i, for i up
+    to dist's maximum: the shells of x when dist is g.distances_from(x)."""
     bounds = np.concatenate(([0], np.cumsum(np.bincount(dist))))
     sums = segment_sums(f.num[np.argsort(dist, kind="stable")], bounds)
     return [Fraction(w, f.den) for w in sums]

@@ -1,16 +1,18 @@
 """Small ad-hoc graphs, scalar GF(q) references, scalar Fraction
-references for vertex-function sums, a per-vertex distance-regularity sweep,
-a pair count of clique systems and an exact maximum-clique search, shared
-across test modules."""
+references for vertex functions and their sums, a per-vertex
+distance-regularity sweep, a pair count of clique systems and an exact
+maximum-clique search, shared across test modules."""
 
 import itertools
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
-from drgtrades.graphs import Graph, IntersectionArray, Verdict
+from drgtrades.graphs import Graph, IntersectionArray, Verdict, completely_regular_check
+from drgtrades.spectral import VertexFunction
 
 
 def cube_graph(n):
@@ -141,8 +143,8 @@ def reference_neighbor_sums(g, values):
             for x in range(g.num_vertices)]
 
 
-def reference_shell_sums(g, values, x):
-    """sum of values over each distance-i shell of x, by a deque BFS."""
+def reference_distances(g, x):
+    """Distances from x to every vertex it reaches, by a deque BFS."""
     dist = {x: 0}
     queue = deque([x])
     while queue:
@@ -151,10 +153,38 @@ def reference_shell_sums(g, values, x):
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
+    return dist
+
+
+def reference_shell_sums(g, values, x, dist=None):
+    """sum of values over each distance-i shell of x, by a deque BFS unless
+    its distances dist are given."""
+    dist = reference_distances(g, x) if dist is None else dist
     out = [Fraction(0)] * (max(dist.values()) + 1)
     for v, d in dist.items():
         out[d] += Fraction(values[v])
     return out
+
+
+def vertex_function(g, values):
+    """The VertexFunction of per-vertex rationals: each numerator over the
+    least common denominator."""
+    values = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return VertexFunction(g, [v.numerator * (den // v.denominator) for v in values], den)
+
+
+def reference_delta_values(g, x, theta, dist=None):
+    """The delta function at theta around the singleton {x}, one Fraction per
+    vertex: nu_{d(x, v)}, with nu from the array of {x} by the three-term
+    recurrence nu_{i+1} = ((theta - a_i) nu_i - c_i nu_{i-1}) / b_i."""
+    arr = completely_regular_check(g, [x]).value
+    nu = [Fraction(1)]
+    for i in range(arr.rho):
+        prev = nu[i - 1] if i else 0
+        nu.append(((theta - arr.a(i)) * nu[i] - arr.c_at(i) * prev) / arr.b[i])
+    dist = reference_distances(g, x) if dist is None else dist
+    return [nu[dist[v]] for v in range(g.num_vertices)]
 
 
 # --- scalar GF(q) references, independent of the batched engine in gfq ---------

@@ -85,6 +85,13 @@ def test_bitrade_rejects_dependent_side(johnson63):
         Bitrade(g, frozenset([u, v]), frozenset([far]))
 
 
+def test_bitrade_rejects_out_of_range_vertices(johnson63):
+    g, _ = johnson63
+    for t0 in ({-1}, {g.num_vertices}):
+        with pytest.raises(ValueError, match="vertex index out of range"):
+            Bitrade(g, frozenset(t0), frozenset([1]))
+
+
 # --- Pasch configuration ----------------------------------------------------------
 
 def test_pasch_blocks_match_parity_form(johnson63):

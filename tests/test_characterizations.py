@@ -19,7 +19,8 @@ import pytest
 from drgtrades.bitrades import check_clique_design, min_bitrade_johnson
 from drgtrades.families import build_hamming, build_johnson, build_octahedron
 from drgtrades.graphs import completely_regular_check
-from drgtrades.spectral import VertexFunction, is_matrix_eigenvalue, verify_eigenfunction
+from drgtrades.spectral import is_matrix_eigenvalue, verify_eigenfunction
+from helpers import vertex_function
 
 
 def theta_min_of_pair(g, S):
@@ -52,7 +53,7 @@ def function_from_items(g, items):
     vals = [Fraction(0)] * g.num_vertices
     for lab, v in items.items():
         vals[g.index_of(lab)] = Fraction(v)
-    return VertexFunction(g, tuple(vals))
+    return vertex_function(g, vals)
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +84,7 @@ def test_single_vertex_indicator_fails_both(hamming33):
 
 def test_parity_function_on_binary_cube():
     g, S = build_hamming(3, 2)
-    f = VertexFunction(g, tuple(
-        Fraction((-1) ** lab.count("1")) for lab in g.labels))
+    f = vertex_function(g, [(-1) ** lab.count("1") for lab in g.labels])
     sums_zero, eig = clique_sums_and_eigenfunction(g, S, f)
     assert sums_zero and eig.ok
 

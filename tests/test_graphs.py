@@ -136,6 +136,21 @@ def test_bfs_disconnected_raises():
         g.distances_from(0)
 
 
+def test_out_of_range_vertex_indices_are_refused():
+    # numpy would check vertex 4 for -1 and fail with IndexError on 9
+    g = cycle_graph(5)
+    for sources in ([-1], [9], [0, 5]):
+        with pytest.raises(ValueError, match="vertex index out of range"):
+            completely_regular_check(g, sources)
+    for x in (-1, 5):
+        with pytest.raises(ValueError, match="vertex index out of range"):
+            g.distances_from(x)
+    g.distance_matrix()
+    with pytest.raises(ValueError, match="vertex index out of range"):
+        g.distances_from(-1)
+    assert g.distances_from(4).tolist() == [1, 2, 2, 1, 0]
+
+
 def test_distance_matrix_rows_match_bfs():
     g, _ = build_grassmann(5, 2, 3)       # 1210 vertices
     dm = g.distance_matrix()
@@ -728,6 +743,15 @@ def test_clique_system_rows():
         with pytest.raises(ValueError):
             CliqueSystem(g, rows, s=1, m=1)
     assert CliqueSystem(g, (), s=1, m=1).cliques.shape == (0, 2)
+
+
+def test_clique_system_refuses_entries_outside_the_host():
+    # the pair key 0*5+7 of (0, 7) is that of the edge (1, 2), and the row
+    # (-1, 0) would be named through vertex 4
+    g = cycle_graph(5)
+    for rows in (((0, 1), (0, 7), (2, 3), (3, 4), (0, 4)), ((-1, 0),)):
+        with pytest.raises(ValueError, match="clique entry out of range"):
+            CliqueSystem(g, rows, s=1, m=1)
 
 
 @st.composite

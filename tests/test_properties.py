@@ -112,7 +112,7 @@ def test_delsarte_clique_shell_structure(name, params):
         assert res.ok and res.value.rho == diameter - 1
         assert not is_matrix_eigenvalue(res.value, th)
         with pytest.raises(NotAnEigenvalue):
-            delta_function(g, clique, th)
+            delta_function(g, clique, [th])
 
 
 @pytest.mark.parametrize("name,params", [
@@ -123,7 +123,7 @@ def test_theta_min_sum_over_clique_is_zero(name, params):
     g, S = FAMILIES[name].build(*params)
     arr = family_array(name, params)
     th = theta_min(arr)
-    f = delta_function(g, [0], th)
+    (f,), _ = delta_function(g, [0], [th])
     assert verify_eigenfunction(g, f, th).ok
     for clique in S.cliques:
         assert sum((f.values[v] for v in clique), Fraction(0)) == 0
@@ -137,9 +137,9 @@ def test_weight_distribution_zero_off_support_basepoint():
     T = min_bitrade_johnson(6, 3, host=g)
     f = T.signed_function()
     outside = next(v for v in range(g.num_vertices) if v not in T.support)
-    assert all(w == 0 for w in weight_distribution_of(g, f, outside))
+    assert all(w == 0 for w in weight_distribution_of(f, g.distances_from(outside)))
     inside = next(iter(T.t0))
-    w = weight_distribution_of(g, f, inside)
+    w = weight_distribution_of(f, g.distances_from(inside))
     assert tuple(w) == (1, -3, 3, -1)
 
 

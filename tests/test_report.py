@@ -1,0 +1,77 @@
+"""Criterion 11's route: one complete-regularity check per center serves
+every eigenvalue, against per-(theta, x) Fraction references, with its
+call count and its first-failure message pinned."""
+
+import random
+
+import pytest
+
+from drgtrades import graphs, report, spectral
+from drgtrades.spectral import (
+    delta_function,
+    intersection_matrix_eigenvalues,
+    wd_coefficients,
+    weight_distribution_of,
+)
+from helpers import reference_delta_values, reference_distances, reference_shell_sums
+
+
+@pytest.fixture(scope="module")
+def shell_hosts():
+    """(name, params, host, array) of every criterion-11 host, built and
+    proven once."""
+    return [(name, params, report._graph(name, *params), report._host_dr(name, params))
+            for name, params in report._SHELL_SUITE]
+
+
+def test_criterion_11_route_matches_per_pair_references(shell_hosts):
+    rng = random.Random(1111)
+    for name, params, g, arr in shell_hosts:
+        eigs = intersection_matrix_eigenvalues(arr)
+        for x in (rng.randrange(g.num_vertices) for _ in range(2)):
+            fs, dist = delta_function(g, [x], eigs)
+            ref_dist = reference_distances(g, x)
+            assert dist.tolist() == [ref_dist[v] for v in range(g.num_vertices)]
+            for th, f in zip(eigs, fs):
+                values = reference_delta_values(g, x, th, ref_dist)
+                assert list(f.values) == values, (name, params, th, x)
+                got = weight_distribution_of(f, dist)
+                assert got == reference_shell_sums(g, values, x, ref_dist)
+                assert tuple(got) == wd_coefficients(arr, th)
+
+
+def test_criterion_11_runs_one_check_per_center(monkeypatch, shell_hosts):
+    calls = {"check": 0, "bfs": 0}
+    check, bfs = spectral._completely_regular, graphs.Graph.multi_source_distances
+
+    def counted_check(*args):
+        calls["check"] += 1
+        return check(*args)
+
+    def counted_bfs(*args):
+        calls["bfs"] += 1
+        return bfs(*args)
+
+    monkeypatch.setattr(spectral, "_completely_regular", counted_check)
+    monkeypatch.setattr(graphs.Graph, "multi_source_distances", counted_bfs)
+    report._criterion_11()
+    centers = 10 * len(report._SHELL_SUITE)
+    assert calls == {"check": centers, "bfs": centers}
+
+
+def test_criterion_11_names_the_first_failing_pair(monkeypatch, shell_hosts):
+    # two eigenvalues of J(6,3) get a wrong last coefficient: the theta-major
+    # scan names the first of them at the first center
+    j63 = report._host_dr("johnson", (6, 3))
+
+    def wrong(arr, theta):
+        w = wd_coefficients(arr, theta)
+        return w[:-1] + (w[-1] + 1,) if arr == j63 and theta in (3, -3) else w
+
+    monkeypatch.setattr(report, "wd_coefficients", wrong)
+    res = report.run_criterion(11)
+    assert not res.passed
+    assert res.detail == (
+        "AssertionError: johnson(6, 3) theta=3 x=1,4,6: "
+        "(Fraction(1, 1), Fraction(3, 1), Fraction(-3, 1), Fraction(-1, 1)) != "
+        "(Fraction(1, 1), Fraction(3, 1), Fraction(-3, 1), Fraction(0, 1))")

@@ -20,7 +20,6 @@ from drgtrades.errors import (
 )
 from drgtrades.graphs import CliqueSystem, IntersectionArray, Verdict, completely_regular_check
 from drgtrades.spectral import (
-    VertexFunction,
     delta_function,
     intersection_matrix_eigenvalues,
     is_matrix_eigenvalue,
@@ -33,7 +32,13 @@ from drgtrades.spectral import (
 )
 from drgtrades.families import build_grassmann, grassmann_array
 from drgtrades.gfq import gaussian_binomial
-from helpers import cube_graph, cycle_graph, reference_neighbor_sums, reference_shell_sums
+from helpers import (
+    cube_graph,
+    cycle_graph,
+    reference_neighbor_sums,
+    reference_shell_sums,
+    vertex_function,
+)
 
 H4 = IntersectionArray(4, (4, 3, 2, 1), (1, 2, 3, 4))          # 4-cube
 J63 = IntersectionArray(9, (9, 4, 1), (1, 4, 9))               # triple graph on 6 points
@@ -180,15 +185,14 @@ def test_wd_bound_family_closed_forms():
 
 def test_constant_function_is_degree_eigenfunction():
     g = cube_graph(3)
-    f = VertexFunction(g, tuple(Fraction(1) for _ in range(8)))
+    f = vertex_function(g, [1] * 8)
     assert verify_eigenfunction(g, f, 3).ok
     assert not verify_eigenfunction(g, f, 2).ok
 
 
 def test_parity_eigenfunction_on_cube():
     g = cube_graph(4)
-    f = VertexFunction(g, tuple(
-        Fraction((-1) ** lab.count("1")) for lab in g.labels))
+    f = vertex_function(g, [(-1) ** lab.count("1") for lab in g.labels])
     assert verify_eigenfunction(g, f, -4).ok
     v = verify_eigenfunction(g, f, -2)
     assert not v.ok and v.witness is not None
@@ -196,21 +200,21 @@ def test_parity_eigenfunction_on_cube():
 
 def test_zero_function_rejected():
     g = cycle_graph(4)
-    f = VertexFunction(g, (Fraction(0),) * 4)
+    f = vertex_function(g, [0] * 4)
     with pytest.raises(ZeroFunction):
         verify_eigenfunction(g, f, 0)
 
 
 def test_delta_function_whole_set_constant():
     g = cube_graph(3)
-    f = delta_function(g, range(8), 3)
+    (f,), _ = delta_function(g, range(8), [3])
     assert all(v == 1 for v in f.values)
 
 
 def test_delta_function_singleton_alternates():
     g = cube_graph(4)
     x = g.index_of("0000")
-    f = delta_function(g, [x], -4)
+    (f,), _ = delta_function(g, [x], [-4])
     for v, lab in enumerate(g.labels):
         assert f.values[v] == (-1) ** lab.count("1")
     assert verify_eigenfunction(g, f, -4).ok
@@ -219,21 +223,21 @@ def test_delta_function_singleton_alternates():
 def test_delta_function_every_eigenvalue_verifies():
     g = cube_graph(4)
     arr = IntersectionArray(4, (4, 3, 2, 1), (1, 2, 3, 4))
-    for th in intersection_matrix_eigenvalues(arr):
-        f = delta_function(g, [3], th)
+    eigs = intersection_matrix_eigenvalues(arr)
+    for th, f in zip(eigs, delta_function(g, [3], eigs)[0]):
         assert verify_eigenfunction(g, f, th).ok
 
 
 def test_delta_function_not_cr_raises():
     g = cube_graph(3)
     with pytest.raises(NotCompletelyRegular):
-        delta_function(g, [g.index_of("000"), g.index_of("011")], -3)
+        delta_function(g, [g.index_of("000"), g.index_of("011")], [-3])
 
 
 def test_weight_distribution_shells():
     g = cube_graph(4)
-    ones = VertexFunction(g, (Fraction(1),) * 16)
-    assert weight_distribution_of(g, ones, 0) == [1, 4, 6, 4, 1]
+    ones = vertex_function(g, [1] * 16)
+    assert weight_distribution_of(ones, g.distances_from(0)) == [1, 4, 6, 4, 1]
 
 
 @pytest.mark.parametrize("numerator,denominator", [(1, 1), (1, 6), (1, 1000003), (2 ** 62, 1)])
@@ -242,19 +246,26 @@ def test_weight_distribution_matches_shell_loop(numerator, denominator):
     # may be large (1000003) and whose numerators may pass 2**63
     g = cube_graph(4)
     rng = random.Random(denominator)
-    f = VertexFunction(g, tuple(Fraction(rng.randint(-9, 9) * numerator, denominator)
-                                for _ in range(16)))
+    f = vertex_function(g, [Fraction(rng.randint(-9, 9) * numerator, denominator)
+                            for _ in range(16)])
     dist = g.distances_from(5).tolist()
     want = [sum((v for v, d in zip(f.values, dist) if d == i), Fraction(0))
             for i in range(max(dist) + 1)]
-    assert weight_distribution_of(g, f, 5) == want
+    assert weight_distribution_of(f, g.distances_from(5)) == want
+
+
+def test_weight_distribution_refuses_an_out_of_range_center():
+    # the shells of -1 would be those of vertex 7
+    g = cube_graph(3)
+    with pytest.raises(ValueError, match="vertex index out of range"):
+        weight_distribution_of(vertex_function(g, [1] * 8), g.distances_from(-1))
 
 
 def test_weight_distribution_eigenfunction_matches_coefficients():
     g = cube_graph(4)
     x = g.index_of("0101")
-    f = delta_function(g, [x], -2)
-    w = weight_distribution_of(g, f, x)
+    (f,), dist = delta_function(g, [x], [-2])
+    w = weight_distribution_of(f, dist)
     expect = wd_coefficients(IntersectionArray(4, (4, 3, 2, 1), (1, 2, 3, 4)), -2)
     assert tuple(w) == expect
 
@@ -293,7 +304,7 @@ def drawn_functions(draw):
         values = draw(st.lists(RATIONALS | st.just(Fraction(0)), min_size=n, max_size=n))
     else:
         scale = draw(RATIONALS) or Fraction(1)
-        base = delta_function(g, [draw(st.integers(0, n - 1))], theta)
+        (base,), _ = delta_function(g, [draw(st.integers(0, n - 1))], [theta])
         values = [scale * v for v in base.values]
         if draw(st.booleans()):
             values[draw(st.integers(0, n - 1))] += draw(RATIONALS)
@@ -313,10 +324,10 @@ def reference_eigenfunction(g, values, theta):
 @given(drawn_functions(), st.integers(0, 2 ** 32 - 1))
 def test_vertex_function_sums_match_fraction_references(drawn, seed):
     g, S, theta, values = drawn
-    f = VertexFunction(g, tuple(values))
+    f = vertex_function(g, values)
     assert [Fraction(a, f.den) for a in f.num] == values
     x = seed % g.num_vertices
-    assert weight_distribution_of(g, f, x) == reference_shell_sums(g, values, x)
+    assert weight_distribution_of(f, g.distances_from(x)) == reference_shell_sums(g, values, x)
     if not any(values):
         with pytest.raises(ZeroFunction):
             verify_eigenfunction(g, f, theta)
