@@ -28,17 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CrossCheckViolation, DegenerateEmpty, NotDistanceRegular
-from .families import (
-    build_dual_polar_D,
-    build_grassmann,
-    build_hamming,
-    build_halved_cube,
-    build_johnson,
-    build_octahedron,
-    build_doob,
-    johnson_label,
-)
-from .gfq import DEFAULT_ENUMERATION_CAP
+from .families import build_dual_polar_D, johnson_label
 from .graphs import (
     CliqueSystem,
     Graph,
@@ -50,7 +40,6 @@ from .graphs import (
     is_bipartite,
     is_isometric_subgraph,
     is_regular,
-    segment_sums,
     vertex_mask,
 )
 from .spectral import (
@@ -160,10 +149,17 @@ def _host_array(g: Graph, host_array=None) -> IntersectionArray:
     return host_array
 
 
+def _on_host(g: Graph, *parts) -> None:
+    """Refuse a bitrade or clique system that lies on another graph than g."""
+    if any(part.host is not g for part in parts):
+        raise ValueError("bitrade or clique system lies on another host")
+
+
 def verify_delsarte_pair(g: Graph, S: CliqueSystem,
                          host_array=None) -> DelsartePairReport:
     """A (k,s,m) pair is Delsarte when the host is distance-regular and the
     clique order s+1 reaches the Hoffman bound 1 - k/theta_min."""
+    _on_host(g, S)
     arr = _host_array(g, host_array)
     th = theta_min(arr)
     hoffman = 1 - Fraction(arr.k, th)
@@ -174,6 +170,7 @@ def verify_delsarte_pair(g: Graph, S: CliqueSystem,
 
 def check_criterion_a(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
     """Every clique meets each of T0 and T1 exactly once, or misses both."""
+    _on_host(g, S, T)
     hits0 = vertex_mask(g, T.t0)[S.cliques].sum(axis=1)
     hits1 = vertex_mask(g, T.t1)[S.cliques].sum(axis=1)
     bad = np.flatnonzero((hits0 != hits1) | (hits0 > 1))
@@ -187,6 +184,7 @@ def check_criterion_a(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
 
 def check_criterion_b(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
     """The signed indicator function is an eigenfunction at -k/s."""
+    _on_host(g, S, T)
     return _signed_eigenfunction(g, T, Fraction(-_degree(g), S.s))
 
 
@@ -208,16 +206,17 @@ def _signed_eigenfunction(g: Graph, T: Bitrade, theta) -> Verdict:
 def check_criterion_c(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
     """The induced subgraph on T0 u T1 is regular of degree k/s (bipartite,
     since Bitrade refuses a dependent side)."""
+    _on_host(g, S, T)
     return _trade_subgraph_regular(g, T, Fraction(_degree(g), S.s))
 
 
 def _trade_subgraph_regular(g: Graph, T: Bitrade, target: Fraction) -> Verdict:
     """check_criterion_c with the degree k/s given: each support vertex's
-    neighbors inside the support, counted off the host CSR; the witness is
-    the first support vertex by index whose count is not k/s."""
+    neighbors inside the support, counted off the host CSR as the times it
+    is a support vertex's neighbor; the witness is the first support vertex
+    by index whose count is not k/s."""
     sup = np.array(sorted(T.support))
-    inside = vertex_mask(g, sup)[g.neighbors_of(sup)]
-    degs = segment_sums(inside, np.concatenate(([0], np.cumsum(g.degrees[sup]))))
+    degs = np.bincount(g.neighbors_of(sup), minlength=g.num_vertices)[sup]
     bad = np.flatnonzero(degs * target.denominator != target.numerator)
     if not bad.size:
         return Verdict(True)
@@ -253,6 +252,7 @@ def check_minimality(g: Graph, S: CliqueSystem, T: Bitrade,
     """|T0 u T1| against the weight-distribution bound at -k/s, and the
     isometric-subgraph test, which must agree (their equivalence is the
     content of the minimality theory; disagreement is a hard failure)."""
+    _on_host(g, S, T)
     return _minimality(g, S, T, _host_array(g, host_array))
 
 
@@ -279,6 +279,7 @@ def check_subgraph_dr(g: Graph, S: CliqueSystem, T: Bitrade,
     """For a minimal bitrade the trade subgraph must be distance-regular
     with shell sizes |W^i| computed from the host array; failure here is a
     violated equivalence, not a user error."""
+    _on_host(g, S, T)
     arr = _host_array(g, host_array)
     return _subgraph_dr(induced_subgraph(g, T.support)[0], S, arr)
 
@@ -333,6 +334,7 @@ def verify_bitrade(g: Graph, S: CliqueSystem, T: Bitrade,
     """Run criteria a/b/c on a distance-regular host; when all pass, also
     minimality and the trade subgraph's distance regularity.  The degree
     is read once, as arr.k, which _host_array has checked against the host."""
+    _on_host(g, S, T)
     arr = _host_array(g, host_array)
     th = Fraction(-arr.k, S.s)
     degree = Fraction(arr.k, S.s)
@@ -362,10 +364,13 @@ class PseudoBitradeReport:
 
 
 def verify_pseudo_bitrade(g: Graph, T: Bitrade,
-                          arr: IntersectionArray) -> PseudoBitradeReport:
+                          host_array=None) -> PseudoBitradeReport:
     """On a host without a Delsarte clique system only the eigenfunction
-    criterion exists: the signed indicator at theta_min of arr, and the
-    cardinality against the weight-distribution bound there."""
+    criterion exists: the signed indicator at theta_min of the host's array
+    (proven as in _host_array), and the cardinality against the
+    weight-distribution bound there."""
+    _on_host(g, T)
+    arr = _host_array(g, host_array)
     theta = theta_min(arr)
     b = _signed_eigenfunction(g, T, theta)
     bound = _integral_bound(arr, theta)
@@ -397,48 +402,38 @@ def _johnson_blocks(w: int, shifts):
             for shift in shifts for bits, parity in _cube(w))
 
 
-def min_bitrade_johnson(n: int, w: int, host: Graph | None = None) -> Bitrade:
+def min_bitrade_johnson(n: int, w: int, host: Graph) -> Bitrade:
     """Blocks {a_1^{b_1},...,a_w^{b_w}} over the fixed points a_i^0 = 2i-1,
     a_i^1 = 2i, split by the parity of b_1+...+b_w."""
-    if host is None:
-        host, _ = build_johnson(n, w)
     return _split(host, _johnson_blocks(w, (0,)))
 
 
-def min_bitrade_hamming(n: int, q: int, host: Graph | None = None) -> Bitrade:
+def min_bitrade_hamming(n: int, q: int, host: Graph) -> Bitrade:
     """Binary words inside the q-ary cube, split by weight parity."""
-    if host is None:
-        host, _ = build_hamming(n, q)
     return _split(host, _cube(n))
 
 
-def min_bitrade_halved_cube(n: int, host: Graph | None = None) -> Bitrade:
+def min_bitrade_halved_cube(n: int, host: Graph) -> Bitrade:
     """Doubled words (x,x), split by the weight parity of x."""
-    if host is None:
-        host, _ = build_halved_cube(n)
     return _split(host, ((word * 2, parity) for word, parity in _cube(n // 2)))
 
 
-def min_bitrade_octahedron(n: int, host: Graph | None = None) -> Bitrade:
+def min_bitrade_octahedron(n: int, host: Graph) -> Bitrade:
     """A square: two antipodal pairs, one per side."""
-    if host is None:
-        host, _ = build_octahedron(n)
     return _split(host, (("0+", 0), ("0-", 0), ("1+", 1), ("1-", 1)))
 
 
-def min_bitrade_grassmann(n: int, d: int, q: int, host: Graph | None = None,
-                          cap: int = DEFAULT_ENUMERATION_CAP) -> Bitrade:
+def min_bitrade_grassmann(n: int, d: int, q: int, host: Graph) -> Bitrade:
     """The bipartition of the dual polar graph on F_q^{2d}, embedded into
     the d-subspaces of F_q^n by zero-extending basis vectors.
 
     The two color classes come from BFS 2-coloring started at the
     lexicographically least vertex, which is canonical given canonical
-    labels."""
+    labels.  D_d(q) is built under the host's vertex count as cap: its
+    [2d,d]_q candidate subspaces are at most the host's [n,d]_q."""
     if n < 2 * d:
         raise ValueError("need n >= 2d")
-    if host is None:
-        host, _ = build_grassmann(n, d, q, cap=cap)
-    dp = build_dual_polar_D(d, q, cap=cap)
+    dp = build_dual_polar_D(d, q, cap=host.num_vertices)
     bip = is_bipartite(dp)
     if not bip.ok:
         raise CrossCheckViolation(f"dual polar graph D_{d}({q}) has an odd cycle: {bip.witness}")
@@ -447,38 +442,26 @@ def min_bitrade_grassmann(n: int, d: int, q: int, host: Graph | None = None,
                          for v, lab in enumerate(dp.labels)))
 
 
-def pseudo_bitrade_doob(m: int, n: int,
-                        host: Graph | None = None) -> tuple[Bitrade, Verdict]:
+def pseudo_bitrade_doob(m: int, n: int, host: Graph) -> tuple[Bitrade, Verdict]:
     """In the Doob graph there is no Delsarte clique system, so only the
     eigenfunction route exists: the vertex set {(0,j)}^m x {0,1}^n is split
-    by a parity and certified directly against the minimum eigenvalue
-    -(2m+n).  Both natural parities are tried; the certified one is
-    returned."""
-    if host is None:
-        host = build_doob(m, n)
+    by the parity of its coordinates' sum and certified directly against
+    the minimum eigenvalue -(2m+n)."""
     theta = -(2 * m + n)
-    members = []
-    for shr in itertools.product(range(4), repeat=m):
-        for bits in itertools.product((0, 1), repeat=n):
-            tokens = [f"0{j}" for j in shr] + [str(b) for b in bits]
-            members.append((".".join(tokens),
-                            sum(shr) + sum(bits),          # parity candidate 1
-                            sum(j // 2 for j in shr) + sum(bits)))  # candidate 2
-    for pick in (1, 2):
-        T = _split(host, ((item[0], item[pick] % 2) for item in members))
-        verdict = _signed_eigenfunction(host, T, theta)
-        if verdict.ok:
-            return T, verdict
-    raise CrossCheckViolation("no natural parity split certifies as an eigenfunction")
+    words = itertools.product(*[("00", "01", "02", "03")] * m, *[("0", "1")] * n)
+    T = _split(host, ((".".join(w), sum(map(int, w)) % 2) for w in words))
+    verdict = _signed_eigenfunction(host, T, theta)
+    if not verdict.ok:
+        raise CrossCheckViolation(
+            f"parity split of doob({m},{n}) is not an eigenfunction at {theta}: {verdict.witness}")
+    return T, verdict
 
 
-def double_johnson_bitrade(n: int, w: int, host: Graph | None = None) -> Bitrade:
+def double_johnson_bitrade(n: int, w: int, host: Graph) -> Bitrade:
     """Union of two point-disjoint minimum blocks systems, the second shifted
     to points 2w+1..4w: a valid bitrade of twice the minimum cardinality."""
     if n < 4 * w:
         raise ValueError("need n >= 4w for point-disjoint copies")
-    if host is None:
-        host, _ = build_johnson(n, w)
     return _split(host, _johnson_blocks(w, (0, 2 * w)))
 
 
@@ -543,6 +526,7 @@ def check_clique_design(g: Graph, S: CliqueSystem, dset) -> Verdict:
     """True iff the set meets every clique of S in exactly one vertex.  A
     positive verdict is cross-checked against radius-1 complete regularity
     with the minimum eigenvalue."""
+    _on_host(g, S)
     D = set(int(v) for v in dset)
     if not D:
         return Verdict(False, detail="empty set is not a design")

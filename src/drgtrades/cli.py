@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
     T = _make_bitrade(args, name, params, g, S)
 
     if S is None:
-        rep = verify_pseudo_bitrade(g, T, family_array(name, params))
+        rep = verify_pseudo_bitrade(g, T)
         doc = {
             "criterion_b": rep.b.ok, "theta": str(rep.theta),
             "cardinality": rep.cardinality, "bound": rep.bound,

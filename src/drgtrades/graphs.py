@@ -459,30 +459,24 @@ def _completely_regular(g: Graph, C) -> tuple[Verdict, np.ndarray | None]:
 
 
 def distance_regularity_check(g: Graph) -> Verdict:
-    """Common singleton intersection array as value, else a witness.
+    """Common singleton intersection array as value, else a witness: the
+    first vertex with non-uniform shell counts, or whose array differs from
+    vertex 0's (b_i neighbors out and c_i in at distance i).
 
-    A graph with generators gets the automorphism certificate
-    (_transitive_certificate), in O(E) memory at any size; without
-    generators, or when they are not transitive, the sweep reads every
-    singleton off the distance matrix."""
+    When the generators are transitive (_transitive), every singleton is the
+    image of {0}, so vertex 0's BFS row is the only row read, in O(E) memory
+    at any size; otherwise every row of the distance matrix is, a block of
+    sources at a time."""
     reg = is_regular(g)
     if not reg.ok:
         return Verdict(False, witness=reg.witness, detail="not regular")
-    if g.generators is not None:
-        proof = _transitive_certificate(g, g.generators(), reg.value)
-        if proof is not None:
-            return proof
-    return _distance_regularity_sweep(g, reg.value)
-
-
-def _distance_regularity_sweep(g: Graph, k: int) -> Verdict:
-    """distance_regularity_check on a k-regular graph, every singleton read
-    off the distance matrix, a block of sources at a time, against vertex
-    0's array: b_i neighbors out and c_i in at distance i.  The first vertex
-    with non-uniform shell counts, or whose array differs from vertex 0's,
-    is the witness."""
-    dm = g.distance_matrix()
-    n = g.num_vertices
+    k, n = reg.value, g.num_vertices
+    if g.generators is not None and _transitive(g, g.generators(), k):
+        dm = g.multi_source_distances([0])[None]
+        if (dm < 0).any():
+            raise Disconnected("graph is disconnected")
+    else:
+        dm = g.distance_matrix()
     # the narrowest signed type that holds the distances: the gathers move fewer bytes
     narrow = dm.astype(np.min_scalar_type(-1 - int(dm.max())))
     common, witness = _uniform_array(g, dm[0], k)
@@ -491,7 +485,7 @@ def _distance_regularity_sweep(g: Graph, k: int) -> Verdict:
                        detail="singleton not completely regular")
     b, c = np.array(common.b + (0,)), np.array((0,) + common.c)
     step = max(1, _GATHER_BLOCK // max(1, n * k))
-    for x0 in range(0, n, step):
+    for x0 in range(1, len(dm), step):
         dist = narrow[x0:x0 + step]
         fwd, bwd = _shell_counts(g, dist, k)
         at = np.minimum(dist, common.rho)
@@ -508,12 +502,9 @@ def _distance_regularity_sweep(g: Graph, k: int) -> Verdict:
     return Verdict(True, value=common)
 
 
-def _transitive_certificate(g: Graph, perms, k: int) -> Verdict | None:
-    """distance_regularity_check on a k-regular graph with automorphisms:
-    when the permutations generate a group transitive on the vertices, every
-    singleton is the image of {0}, so the graph is distance-regular iff {0}
-    is completely regular, with its array (a failure is the sweep's own
-    witness at vertex 0).  None when the orbit of vertex 0 is not every
+def _transitive(g: Graph, perms, k: int) -> bool:
+    """True when the permutations generate a group transitive on the
+    vertices of the k-regular graph g, i.e. the orbit of vertex 0 is every
     vertex.  A permutation that is not one, or that maps an edge to a
     non-edge, raises CrossCheckViolation."""
     n = g.num_vertices
@@ -542,16 +533,7 @@ def _transitive_certificate(g: Graph, perms, k: int) -> Verdict | None:
         image = np.concatenate([p[frontier] for p in perms])
         frontier = np.unique(image[~seen[image]])
         seen[frontier] = True
-    if not seen.all():
-        return None
-    dist = g.multi_source_distances([0])
-    if (dist < 0).any():
-        raise Disconnected("graph is disconnected")
-    arr, witness = _uniform_array(g, dist, k)
-    if arr is None:
-        return Verdict(False, witness=(g.labels[0],) + witness,
-                       detail="singleton not completely regular")
-    return Verdict(True, value=arr)
+    return bool(seen.all())
 
 
 def clique_pairs(cliques: np.ndarray) -> np.ndarray:

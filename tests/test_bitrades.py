@@ -19,6 +19,7 @@ from drgtrades.bitrades import (
     check_criterion_b,
     check_criterion_c,
     check_minimality,
+    check_subgraph_dr,
     corrupt_one_vertex,
     design_difference,
     double_johnson_bitrade,
@@ -35,6 +36,7 @@ from drgtrades.bitrades import (
 from drgtrades.errors import CrossCheckViolation, DegenerateEmpty, NotDistanceRegular
 from drgtrades.families import (
     build_doob,
+    build_dual_polar_D,
     build_family,
     build_grassmann,
     build_halved_cube,
@@ -90,6 +92,42 @@ def test_bitrade_rejects_out_of_range_vertices(johnson63):
     for t0 in ({-1}, {g.num_vertices}):
         with pytest.raises(ValueError, match="vertex index out of range"):
             Bitrade(g, frozenset(t0), frozenset([1]))
+
+
+def verify_pseudo_bitrade_of(g, S, T):
+    return verify_pseudo_bitrade(g, T)
+
+
+@pytest.mark.parametrize("check", [
+    verify_bitrade,
+    verify_pseudo_bitrade_of,
+    check_criterion_a,
+    check_criterion_b,
+    check_criterion_c,
+    check_minimality,
+    check_subgraph_dr,
+], ids=["verify", "pseudo", "a", "b", "c", "minimality", "subgraph_dr"])
+def test_checks_refuse_a_bitrade_or_system_on_another_host(check, johnson63, hamming33):
+    g, S = johnson63
+    T = min_bitrade_johnson(6, 3, host=g)
+    h, SH = hamming33
+    # verify_bitrade(h, S, T) once returned a=True, b=False, c=False
+    foreign = [(h, S, T), (h, SH, T)]
+    if check is not verify_pseudo_bitrade_of:
+        foreign.append((h, S, min_bitrade_hamming(3, 3, host=h)))
+    for args in foreign:
+        with pytest.raises(ValueError, match="on another host"):
+            check(*args)
+    assert check(g, S, T)
+
+
+def test_delsarte_and_design_checks_refuse_a_system_on_another_host(johnson63, hamming33):
+    g, S = johnson63
+    h, _ = hamming33
+    # both once answered for H(3,3) from the cliques of J(6,3)
+    for check in (lambda: verify_delsarte_pair(h, S), lambda: check_clique_design(h, S, {0})):
+        with pytest.raises(ValueError, match="on another host"):
+            check()
 
 
 # --- Pasch configuration ----------------------------------------------------------
@@ -265,7 +303,7 @@ CORRUPTIONS_2024 = {
 def test_seeded_corruptions_are_pinned():
     from drgtrades import report
     for name, params, ctor in report._CORRUPTION_FAMILIES:
-        T = ctor(*params)
+        T = ctor(*params, host=build_family(name, params)[0])
         rng = random.Random(2024)
         got = []
         for _ in range(3):
@@ -287,7 +325,7 @@ def test_double_pasch_not_minimal_not_isometric():
 
 
 def test_double_johnson_sides_are_pinned():
-    T = double_johnson_bitrade(12, 3)
+    T = double_johnson_bitrade(12, 3, host=build_johnson(12, 3)[0])
     assert T.labels(T.t0) == ["1,3,5", "1,4,6", "2,3,6", "2,4,5",
                               "7,10,12", "7,9,11", "8,10,11", "8,9,12"]
     assert T.labels(T.t1) == ["1,3,6", "1,4,5", "2,3,5", "2,4,6",
@@ -479,6 +517,21 @@ def test_grassmann_bitrade_4_2_2():
     assert rep.subgraph_array.b == (3, 2) and rep.subgraph_array.c == (1, 3)
 
 
+def test_grassmann_trade_is_built_under_the_host_vertex_count(monkeypatch):
+    # [2d,d]_q <= [n,d]_q, so the host's size bounds the trade's candidates
+    caps = []
+
+    def spy(d, q, cap):
+        caps.append(cap)
+        return build_dual_polar_D(d, q, cap)
+    monkeypatch.setattr(bitrades, "build_dual_polar_D", spy)
+    for params in ((4, 2, 2), (6, 2, 2), (6, 3, 2)):
+        g, S = build_grassmann(*params)
+        T = min_bitrade_grassmann(*params, host=g)
+        assert caps[-1] == g.num_vertices and check_criterion_a(g, S, T).ok
+    assert len(caps) == 3
+
+
 def test_grassmann_bitrade_extension_6_2_2():
     from drgtrades.families import build_grassmann
     g, S = build_grassmann(6, 2, 2)
@@ -509,6 +562,7 @@ def test_verify_pseudo_bitrade_doob():
     T, _ = pseudo_bitrade_doob(1, 1, host=g)
     rep = verify_pseudo_bitrade(g, T, doob_array(1, 1))
     assert rep.ok and rep.b.ok and (rep.theta, rep.cardinality, rep.bound) == (-3, 8, 8)
+    assert verify_pseudo_bitrade(g, T) == rep      # the array proven, as given
     half = Bitrade(g, T.t0, frozenset(sorted(T.t1)[1:]))
     rep = verify_pseudo_bitrade(g, half, doob_array(1, 1))
     assert not rep.ok and not rep.b.ok and rep.cardinality == 7
@@ -519,6 +573,24 @@ def test_doob_2_0_pseudo_bitrade():
     T, verdict = pseudo_bitrade_doob(2, 0, host=g)
     assert verdict.ok and T.cardinality == 16
     assert wd_bound(doob_array(2, 0), -4) == 16
+
+
+def test_verify_pseudo_bitrade_proves_the_host_array():
+    # the triangular prism is 3-regular but not distance-regular
+    g = Graph(list("abcdef"), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                               (0, 3), (1, 4), (2, 5)])
+    T = Bitrade(g, frozenset({0}), frozenset({4}))
+    with pytest.raises(NotDistanceRegular):
+        verify_pseudo_bitrade(g, T)
+    with pytest.raises(ValueError, match="degree 6.*degree 3"):
+        verify_pseudo_bitrade(g, T, doob_array(1, 0))
+
+
+def test_doob_split_that_is_not_an_eigenfunction_raises(monkeypatch):
+    monkeypatch.setattr(bitrades, "_signed_eigenfunction",
+                        lambda g, T, theta: Verdict(False, witness=("00", 1, 2)))
+    with pytest.raises(CrossCheckViolation, match=r"doob\(1,1\) is not an eigenfunction at -3"):
+        pseudo_bitrade_doob(1, 1, host=build_doob(1, 1))
 
 
 # --- delsarte pair reports ----------------------------------------------------------------------
@@ -654,7 +726,7 @@ def test_dual_polar_bipartition_cross_check(monkeypatch):
     monkeypatch.setattr(bitrades, "is_bipartite",
                         lambda g: Verdict(False, witness=["x", "y", "z"], detail="odd cycle"))
     with pytest.raises(CrossCheckViolation, match="odd cycle"):
-        min_bitrade_grassmann(4, 2, 2)
+        min_bitrade_grassmann(4, 2, 2, host=build_grassmann(4, 2, 2)[0])
 
 
 def test_bound_integrality_cross_check_runs_under_optimize():

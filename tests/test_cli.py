@@ -14,7 +14,7 @@ from drgtrades import bitrades, families
 from drgtrades.bitrades import MIN_BITRADES, bitrade_to_json, corrupt_one_vertex
 from drgtrades.cli import main
 from drgtrades.errors import CrossCheckViolation
-from drgtrades.families import family_array, parse_family
+from drgtrades.families import build_family, family_array, parse_family
 from drgtrades.graphs import IntersectionArray, Verdict
 
 
@@ -114,7 +114,8 @@ CORRUPTED_VERIFY = [
 @pytest.mark.parametrize("family, doc, expected", CORRUPTED_VERIFY)
 def test_verify_corrupted_file_output_is_pinned(tmp_path, capsys, family, doc, expected):
     name, params = parse_family(family)
-    bad = corrupt_one_vertex(MIN_BITRADES[name](*params), random.Random(5))
+    host = build_family(name, params)[0]
+    bad = corrupt_one_vertex(MIN_BITRADES[name](*params, host=host), random.Random(5))
     assert bitrade_to_json(bad) == doc
     path = tmp_path / "corrupted.json"
     path.write_text(json.dumps(doc))

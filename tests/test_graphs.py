@@ -40,8 +40,7 @@ from drgtrades.graphs import (
     is_isometric_subgraph,
     is_regular,
     verify_clique_system,
-    _distance_regularity_sweep,
-    _transitive_certificate,
+    _transitive,
 )
 
 
@@ -506,10 +505,9 @@ REFERENCE_SWEEP_MAX = 700
 @pytest.mark.parametrize("params", GRASSMANN_DR_HOSTS + [(7, 3, 2), (4, 2, 8)])
 def test_certificate_matches_closed_form_and_level_products(params):
     g, _ = build_grassmann(*params)
-    k = is_regular(g).value
-    proof = _transitive_certificate(g, g.generators(), k)
+    assert _transitive(g, g.generators(), is_regular(g).value)
+    proof = distance_regularity_check(g)
     assert proof.ok and proof.value == family_array("grassmann", params)
-    assert distance_regularity_check(g) == proof
     assert g._dm is None                # no sweep ran
     if g.num_vertices <= REFERENCE_SWEEP_MAX:
         assert reference_sweep(g) == proof
@@ -544,7 +542,7 @@ def test_certificate_refuses_a_non_automorphism():
     bad = transvection.copy()
     bad[[0, 1]] = bad[[1, 0]]
     with pytest.raises(CrossCheckViolation) as exc:
-        _transitive_certificate(g, [cycle, bad], is_regular(g).value)
+        _transitive(g, [cycle, bad], is_regular(g).value)
     assert str(exc.value).startswith("generator 1 ")
     a, b, c, d = (g.index_of(lab) for lab in _edge_named(str(exc.value)))
     assert b in g.neighbors(a) and d not in g.neighbors(c)
@@ -587,14 +585,14 @@ def test_certificate_refuses_a_non_permutation(mangle):
     g, _ = build_grassmann(4, 2, 2)
     cycle, transvection = g.generators()
     with pytest.raises(CrossCheckViolation, match="generator 1 is not a permutation"):
-        _transitive_certificate(g, [cycle, mangle(transvection)], is_regular(g).value)
+        _transitive(g, [cycle, mangle(transvection)], is_regular(g).value)
 
 
 def test_non_transitive_generators_fall_back_to_the_sweep():
     g, _ = build_grassmann(4, 2, 2)
     cycle = g.generators()[0]
     k = is_regular(g).value
-    assert _transitive_certificate(g, [cycle], k) is None
+    assert not _transitive(g, [cycle], k)
     g.generators = lambda: [cycle]
     expected, _ = build_grassmann(4, 2, 2)
     expected.generators = None
@@ -614,9 +612,13 @@ TRANSITIVE_PINNED = {
                          ids=[p[0] for p in PINNED_WITNESSES if p[0] in TRANSITIVE_PINNED])
 def test_certificate_keeps_the_sweep_witness(monkeypatch, name, g, expected):
     monkeypatch.setattr(g, "generators", TRANSITIVE_PINNED[name])
+    monkeypatch.setattr(g, "_dm", None)
+    assert _transitive(g, g.generators(), 3)
     v = distance_regularity_check(g)
-    assert _transitive_certificate(g, g.generators(), 3) == v
+    assert g._dm is None                # vertex 0's row alone
     assert (v.ok, v.witness, v.detail) == expected
+    monkeypatch.setattr(g, "generators", None)
+    assert distance_regularity_check(g) == v
 
 
 def test_certificate_on_a_disconnected_graph_raises():
@@ -689,7 +691,7 @@ def test_sweep_matches_reference_on_small_regular_graphs(monkeypatch):
         monkeypatch.setattr(graphs, "_GATHER_BLOCK", block)
         for g in hosts:
             g._dm = None
-            sweep = _distance_regularity_sweep(g, is_regular(g).value)
+            sweep = distance_regularity_check(g)
             assert sweep == reference_sweep(g)
             details.add(sweep.detail)
     assert details == {"", "singleton not completely regular"}
