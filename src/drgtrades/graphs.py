@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import CrossCheckViolation, Disconnected
 
-# entries gathered at once, bounding the peak memory of CSR assembly, the
-# clique-system check, distances_among, the shell counts and the automorphism
-# check; indexing casts int32 indices to intp, so 1 << 22 would cost 50 MB
+# entries gathered at once, bounding the peak memory of CSR assembly, the clique-system
+# check, the BFS frontier, the pulls of distances_among, bounded or not, the shell counts
+# and the automorphism check; indexing casts int32 indices to intp, so 1 << 22 costs 50 MB
 _GATHER_BLOCK = 1 << 20
 
 
@@ -80,6 +80,8 @@ class Graph:
             self._flat = (keys % n).astype(np.int32)
             self._off = np.searchsorted(keys, np.arange(n + 1) * n)
         self._degrees = np.diff(self._off)
+        regular = n and (self._degrees == self._degrees[0]).all()   # _rows[v]: v's CSR row
+        self._rows = self._flat.reshape(n, self._degrees[0]) if regular else None
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._dm = None
         # zero-argument callable returning automorphisms as permutation
@@ -106,6 +108,8 @@ class Graph:
 
     def neighbors_of(self, vs: np.ndarray) -> np.ndarray:
         """The neighbor rows of the vertices vs, concatenated in that order."""
+        if self._rows is not None:
+            return self._rows[vs].ravel()
         lens = self._degrees[vs]
         starts = self._off[vs] - (np.cumsum(lens) - lens)
         return self._flat[np.repeat(starts, lens) + np.arange(int(lens.sum()))]
@@ -130,11 +134,16 @@ class Graph:
     # -- distances --------------------------------------------------------
 
     def multi_source_distances(self, sources) -> np.ndarray:
-        """Distances from a vertex set; -1 marks unreachable vertices.
+        """Distances from a vertex set; -1 marks unreachable vertices."""
+        return self._bfs(sources)
 
-        Level-synchronous BFS: each level gathers the frontier's CSR rows and
-        keeps the unreached vertices, deduplicated by the mask dist == level.
-        It stops once every vertex has its distance."""
+    def _bfs(self, sources, depth=None) -> np.ndarray:
+        """multi_source_distances, with -1 also beyond depth levels if given.
+
+        Level-synchronous BFS: each level gathers the frontier's CSR rows, a
+        block of at most _GATHER_BLOCK entries at a time, and keeps the
+        unreached vertices, deduplicated by the mask dist == level.  It stops
+        once every vertex has its distance."""
         sources = list(sources)
         if not sources:
             raise ValueError("empty source set")
@@ -144,41 +153,55 @@ class Graph:
         dist[sources] = 0
         frontier = np.flatnonzero(dist == 0)
         unreached = self.num_vertices - frontier.size
+        step = max(1, _GATHER_BLOCK // max(1, int(self._degrees.max())))
         level = 0
-        while frontier.size and unreached:
-            nbrs = self.neighbors_of(frontier)
+        while frontier.size and unreached and level != depth:
             level += 1
-            dist[nbrs[dist[nbrs] < 0]] = level
+            for f0 in range(0, frontier.size, step):
+                nbrs = self.neighbors_of(frontier[f0:f0 + step])
+                dist[nbrs[dist[nbrs] < 0]] = level
             frontier = np.flatnonzero(dist == level)
             unreached -= frontier.size
         return dist
 
-    def distances_among(self, verts) -> np.ndarray:
+    def distances_among(self, verts, depth=None) -> np.ndarray:
         """Distances between the vertices verts as a matrix, -1 marking
         unreachable pairs, by bit-parallel BFS (Akiba, Iwata and Yoshida, SIGMOD
         2013): reach[v] has a bit, 64 to a uint64 word, for each source within
         the current level of v.  A level ORs the reach rows of v's neighbors;
-        the bits v lacked, read at verts, are the pairs at that distance."""
+        the bits v lacked, read at verts, are the pairs at that distance.
+
+        With depth, pairs farther apart stay -1; level 1 pushes each source's
+        bit to its neighbors, and level j >= 2 pulls only over the rows within
+        depth - j of verts (after Beamer, Asanovic and Patterson, SC 2012)."""
         verts = np.asarray(verts, dtype=np.int64).reshape(-1)
         m, src = len(verts), np.arange(len(verts))
+        word, bit = src // 64, np.uint64(1) << (src % 64).astype(np.uint64)
         reach = np.zeros((self.num_vertices, (m + 63) // 64), dtype="<u8")
-        np.bitwise_or.at(reach, (verts, src // 64), np.uint64(1) << (src % 64).astype(np.uint64))
+        np.bitwise_or.at(reach, (verts, word), bit)
         step = max(1, _GATHER_BLOCK // max(1, int(self._degrees.max(initial=0))))
+        pull = np.flatnonzero(self._degrees)            # reduceat needs nonempty rows
+        if depth is not None:       # the vertices beyond depth - 2 of verts never pull
+            near = self._bfs(verts, depth=max(0, depth - 2))
+            near[near < 0] = depth
         dist = np.full((m, m), -1, dtype=np.int32)
         new, level = reach, 0
         while True:
             bits = np.unpackbits(new[verts].view(np.uint8), axis=1, count=m, bitorder="little")
             dist[bits.T == 1] = level
-            if (dist >= 0).all():
+            if (dist >= 0).all() or level == depth:
                 return dist
             new = np.zeros_like(reach)
-            for v0 in range(0, self.num_vertices, step):
-                # reduceat needs nonempty rows; those of a vertex range are one run of _flat
-                vs = v0 + np.flatnonzero(self._degrees[v0:v0 + step])
-                if vs.size:
-                    lo, hi = self._off[vs[0]], self._off[vs[-1] + 1]
-                    new[vs] = np.bitwise_or.reduceat(reach[self._flat[lo:hi]],
-                                                     self._off[vs] - lo, axis=0)
+            rows = pull if depth is None else pull[near[pull] < depth - level]
+            if depth is not None and not level:     # level 1 pushes instead
+                rows, lens = pull[:0], self._degrees[verts]
+                np.bitwise_or.at(new, (self.neighbors_of(verts), np.repeat(word, lens)),
+                                 np.repeat(bit, lens))
+            for i in range(0, len(rows), step):
+                vs = rows[i:i + step]
+                lens = self._degrees[vs]
+                new[vs] = np.bitwise_or.reduceat(reach[self.neighbors_of(vs)],
+                                                 np.cumsum(lens) - lens, axis=0)
             new &= ~reach
             if not new.any():
                 return dist
@@ -355,13 +378,14 @@ def is_isometric_subgraph(g: Graph, verts) -> Verdict:
     """True iff induced-subgraph distances equal host distances on verts, both
     from one bit-parallel BFS (Graph.distances_among); the witness is the
     first pair i < j, row by row, whose distances differ.  On success the
-    value is the induced subgraph, its distance matrix cached."""
+    value is the induced subgraph, its distance matrix cached.  A subgraph
+    path is a host path, so a connected subgraph's diameter bounds the search."""
     sub, back = induced_subgraph(g, verts)
-    dhost = g.distances_among(back)
+    dsub = sub.distances_among(np.arange(sub.num_vertices))
+    dhost = g.distances_among(back, depth=int(dsub.max()) if (dsub >= 0).all() else None)
     if (dhost < 0).any():
         i, j = np.argwhere(dhost < 0)[0].tolist()
         raise Disconnected(f"vertex {sub.labels[j]!r} unreachable from {sub.labels[i]!r}")
-    dsub = sub.distances_among(np.arange(sub.num_vertices))
     bad = np.argwhere(np.triu(dsub != dhost, 1))
     if not bad.size:
         sub._dm = dsub          # equal to dhost, so connected
@@ -404,10 +428,10 @@ def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def _shell_counts(g: Graph, dist: np.ndarray, k: int):
     """Counts of the neighbors one shell out (fwd) and one shell in (bwd) of
     every vertex, relative to each distance row of dist, (n,) or (m, n), on a
-    k-regular graph, whose CSR rows form an (n, k) array; a block of vertices
-    at a time, gathering at most _GATHER_BLOCK entries."""
-    n = g.num_vertices
-    rows = g._flat.reshape(n, k)
+    k-regular graph; a block of vertices at a time, gathering at most
+    _GATHER_BLOCK entries of the narrowest signed type that holds dist."""
+    n, rows = g.num_vertices, g._rows
+    dist = dist.astype(np.min_scalar_type(-1 - int(dist.max())), copy=False)
     fwd, bwd = np.empty(dist.shape, dtype=np.int64), np.empty(dist.shape, dtype=np.int64)
     step = max(1, _GATHER_BLOCK // max(1, k * (dist.size // n)))
     for v0 in range(0, n, step):
@@ -477,8 +501,6 @@ def distance_regularity_check(g: Graph) -> Verdict:
             raise Disconnected("graph is disconnected")
     else:
         dm = g.distance_matrix()
-    # the narrowest signed type that holds the distances: the gathers move fewer bytes
-    narrow = dm.astype(np.min_scalar_type(-1 - int(dm.max())))
     common, witness = _uniform_array(g, dm[0], k)
     if common is None:
         return Verdict(False, witness=(g.labels[0],) + witness,
@@ -486,7 +508,7 @@ def distance_regularity_check(g: Graph) -> Verdict:
     b, c = np.array(common.b + (0,)), np.array((0,) + common.c)
     step = max(1, _GATHER_BLOCK // max(1, n * k))
     for x0 in range(1, len(dm), step):
-        dist = narrow[x0:x0 + step]
+        dist = dm[x0:x0 + step]
         fwd, bwd = _shell_counts(g, dist, k)
         at = np.minimum(dist, common.rho)
         bad = np.flatnonzero((dist.max(axis=1) != common.rho)
@@ -507,8 +529,7 @@ def _transitive(g: Graph, perms, k: int) -> bool:
     vertices of the k-regular graph g, i.e. the orbit of vertex 0 is every
     vertex.  A permutation that is not one, or that maps an edge to a
     non-edge, raises CrossCheckViolation."""
-    n = g.num_vertices
-    rows = g._flat.reshape(n, k)
+    n, rows = g.num_vertices, g._rows
     step = max(1, _GATHER_BLOCK // max(1, k))
     perms = [np.asarray(p) for p in perms]
     for i, p in enumerate(perms):
@@ -530,9 +551,9 @@ def _transitive(g: Graph, perms, k: int) -> bool:
     seen[0] = True
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
-        image = np.concatenate([p[frontier] for p in perms])
-        frontier = np.unique(image[~seen[image]])
-        seen[frontier] = True
+        fresh = np.zeros(n, dtype=bool)
+        fresh[np.concatenate([p[frontier] for p in perms])] = True
+        seen, frontier = seen | fresh, np.flatnonzero(fresh & ~seen)
     return bool(seen.all())
 
 
@@ -558,7 +579,7 @@ def verify_clique_system(g: Graph, S: CliqueSystem) -> Verdict:
     if (rows.size and degs[0] > 0 and (degs == degs[0]).all() and S.m >= 1
             and not repeated.any()):
         k, incidence = int(degs[0]), np.bincount(rows.ravel(), minlength=n)
-        r, csr = int(incidence[0]), g._flat.reshape(n, k, 1)
+        r, csr = int(incidence[0]), g._rows[..., None]
         if (incidence == r).all() and r * S.s == k * S.m and all(
                 (nbrs.reshape(-1, k, S.m) == csr[v0:v0 + len(nbrs)]).all()
                 for v0, nbrs in _co_members(rows, r)):

@@ -316,10 +316,10 @@ def _si_constancy(name, params):
     near = D.min(axis=1)
     same = (D == near[:, None]).sum(axis=1)
     nxt = (D == near[:, None] + 1).sum(axis=1)
-    levels, first = np.unique(near, return_index=True)
-    at = np.searchsorted(levels, near)
+    first = np.full(int(near.max()) + 1, len(near))     # the first pair at each distance
+    np.minimum.at(first, near, np.arange(len(near)))
     spans = same + nxt != S.s + 1
-    varies = (same != same[first][at]) | (nxt != nxt[first][at])
+    varies = (same != same[first[near]]) | (nxt != nxt[first[near]])
     bad = np.flatnonzero(spans | varies)
     if bad.size:
         _check(not spans[bad[0]], f"{name}: clique spans more than two shells")

@@ -697,16 +697,18 @@ def test_subgraph_shell_cross_check_raises(monkeypatch, johnson63):
 def test_valid_verify_bitrade_builds_one_trade_subgraph_and_one_bfs(monkeypatch, johnson63):
     g, S = johnson63
     T = min_bitrade_johnson(6, 3, host=g)
-    built, searched = [], []
+    built, searched, host_depths = [], [], []
     init, among, multi = Graph.__init__, Graph.distances_among, Graph.multi_source_distances
 
     def counted_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    def counted_among(self, verts):
+    def counted_among(self, verts, depth=None):
         searched.append(self)
-        return among(self, verts)
+        if self is g:
+            host_depths.append(depth)
+        return among(self, verts, depth)
 
     def counted_multi(self, sources):
         searched.append(self)
@@ -720,6 +722,7 @@ def test_valid_verify_bitrade_builds_one_trade_subgraph_and_one_bfs(monkeypatch,
     assert len(built) == 1 and built[0].num_vertices == 8
     assert [h for h in searched if h is not g] == built
     assert rep.isometric.value is built[0]
+    assert host_depths == [3]           # the isometry search, bounded by the 3-cube's diameter
 
 
 def test_dual_polar_bipartition_cross_check(monkeypatch):

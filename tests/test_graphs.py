@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drgtrades import families, graphs
-from drgtrades.bitrades import corrupt_one_vertex, double_johnson_bitrade, min_bitrade_grassmann
+from drgtrades.bitrades import (MIN_BITRADES, corrupt_one_vertex, double_johnson_bitrade,
+                                min_bitrade_grassmann)
 from drgtrades.errors import CrossCheckViolation, Disconnected, UnsupportedFieldOrder
 from drgtrades.gfq import DEFAULT_ENUMERATION_CAP, gaussian_binomial, make_field
 from drgtrades.families import (
@@ -45,7 +46,7 @@ from drgtrades.graphs import (
 
 
 from helpers import (cube_graph, cycle_graph, max_clique_order, reference_clique_system,
-                     reference_sweep)
+                     reference_distances, reference_sweep)
 
 
 def random_connected_graph(rng, n, extra):
@@ -106,19 +107,36 @@ def random_graph(rng, n, m):
     return Graph([f"v{i:02d}" for i in range(n)], sorted(edges))
 
 
-def test_multi_source_distances_match_floyd_warshall():
+def test_multi_source_distances_match_floyd_warshall(monkeypatch):
     rng = random.Random(11)
-    graphs = [random_connected_graph(rng, 60, 120), random_graph(rng, 40, 30),
-              Graph(["a", "b", "c", "d"], [(0, 1)])]
-    graphs += [random_graph(rng, rng.randint(2, 30), rng.randint(0, 40)) for _ in range(20)]
-    for g in graphs:
+    hosts = [random_connected_graph(rng, 60, 120), random_graph(rng, 40, 30),
+             Graph(["a", "b", "c", "d"], [(0, 1)])]
+    hosts += [random_graph(rng, rng.randint(2, 30), rng.randint(0, 40)) for _ in range(20)]
+    for g in hosts:
         fw = floyd_warshall(g)
         for _ in range(4):
             sources = rng.sample(range(g.num_vertices), rng.randint(1, min(3, g.num_vertices)))
-            want = [min(fw[x][v] for x in sources) for v in range(g.num_vertices)]
-            want = [-1 if d >= 10 ** 9 else d for d in want]
-            assert g.multi_source_distances(sources).tolist() == want
-    assert -1 in graphs[2].multi_source_distances([0]).tolist()
+            want = np.array([min(fw[x][v] for x in sources) for v in range(g.num_vertices)])
+            want[want >= 10 ** 9] = -1
+            for block in (graphs._GATHER_BLOCK, 5):     # 5 entries: a vertex or two a block
+                monkeypatch.setattr(graphs, "_GATHER_BLOCK", block)
+                assert g.multi_source_distances(sources).tolist() == want.tolist()
+                for depth in range(4):      # -1 also beyond depth
+                    got = g._bfs(sources, depth=depth)
+                    assert got.tolist() == np.where(want > depth, -1, want).tolist()
+    assert -1 in hosts[2].multi_source_distances([0]).tolist()
+
+
+def test_neighbors_of_concatenates_csr_rows():
+    rng = random.Random(29)
+    hosts = [cube_graph(4), build_johnson(6, 3)[0], random_graph(rng, 30, 40),
+             Graph(list("abc"), [(0, 1)])]
+    assert [g._rows is not None for g in hosts] == [True, True, False, False]
+    for g in hosts:
+        for vs in ([], [0], rng.choices(range(g.num_vertices), k=25)):
+            want = [w for v in vs for w in g.neighbors(v).tolist()]
+            assert g.neighbors_of(vs).tolist() == want
+            assert g.neighbors_of(np.array(vs, dtype=np.int64)).tolist() == want
 
 
 def test_bfs_matches_hamming_distance_above_old_threshold():
@@ -392,6 +410,12 @@ def test_isometric_on_disconnected_host_raises():
     g = Graph(list("abcd"), [(0, 1), (2, 3)])
     with pytest.raises(Disconnected, match="'c' unreachable from 'a'"):
         is_isometric_subgraph(g, [0, 2])
+    # two 4-cycles: a connected support is searched to its diameter inside its
+    # cycle; one with a part in each cycle searches unbounded, and raises
+    g = Graph(list("abcdefgh"), [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+    assert is_isometric_subgraph(g, [0, 1, 2]).ok
+    with pytest.raises(Disconnected, match="^vertex 'f' unreachable from 'a'$"):
+        is_isometric_subgraph(g, [0, 1, 2, 5, 6])
 
 
 def test_whole_vertex_set_is_isometric():
@@ -651,7 +675,40 @@ def test_distances_among_across_gather_blocks(monkeypatch):
     rng = random.Random(5)
     g = random_graph(rng, 90, 200)
     verts = rng.sample(range(90), 70)
-    assert (g.distances_among(verts) == per_source_distances(g, verts)).all()
+    want = per_source_distances(g, verts)
+    assert (g.distances_among(verts) == want).all()
+    # bounded: the pairs within depth, and -1 beyond
+    for depth in range(int(want.max()) + 2):
+        assert (g.distances_among(verts, depth=depth) == np.where(want > depth, -1, want)).all()
+
+
+@pytest.mark.parametrize("name,params", DR_HOSTS)
+def test_blocked_bfs_matches_deque_bfs(monkeypatch, name, params):
+    g, _ = build_family(name, params)
+    x = g.num_vertices // 3
+    ref = reference_distances(g, x)
+    want = [ref[v] for v in range(g.num_vertices)]
+    for block in (graphs._GATHER_BLOCK, 100):   # 100 entries: a few vertices a block
+        monkeypatch.setattr(graphs, "_GATHER_BLOCK", block)
+        assert g.multi_source_distances([x]).tolist() == want
+
+
+@pytest.mark.parametrize("name,params", [h for h in DR_HOSTS if h[0] in MIN_BITRADES])
+def test_bounded_isometry_search_matches_unbounded(name, params):
+    # on the minimum bitrade and on drawn one-vertex corruptions of it
+    g, _ = build_family(name, params)
+    T = MIN_BITRADES[name](*params, host=g)
+    rng = random.Random(f"{name}{params}")
+    bounded = 0
+    for support in [T.support] + [corrupt_one_vertex(T, rng).support for _ in range(5)]:
+        sub, back = induced_subgraph(g, support)
+        dsub = sub.distances_among(np.arange(sub.num_vertices))
+        dhost = g.distances_among(back)
+        if (dsub >= 0).all():
+            assert (g.distances_among(back, depth=int(dsub.max())) == dhost).all()
+            bounded += 1
+        assert is_isometric_subgraph(g, support).ok == (dsub == dhost).all()
+    assert bounded >= 1
 
 
 def test_distances_among_marks_unreachable_pairs():
@@ -946,15 +1003,32 @@ def test_clique_system_accept_path_builds_no_pair_keys(monkeypatch):
     assert checked == 21
 
 
-def test_clique_system_check_peak_memory_is_below_the_host_csr():
+@pytest.fixture(scope="module")
+def j273():
     # J_2(7,3): 1,240,155 edges in 2,667 cliques of 31; the CSR is 9.55 MiB
-    g, S = build_grassmann(7, 3, 2)
+    return build_grassmann(7, 3, 2)
+
+
+def test_clique_system_check_peak_memory_is_below_the_host_csr(j273):
+    g, S = j273
     tracemalloc.start()
     try:
         assert verify_clique_system(g, S).ok
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < g._flat.nbytes + g._off.nbytes
+
+
+def test_singleton_bfs_peak_memory_is_below_the_host_csr(j273):
+    g, _ = j273
+    tracemalloc.start()
+    try:
+        dist = g.multi_source_distances([0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (dist >= 0).all() and dist.max() == 3
     assert peak < g._flat.nbytes + g._off.nbytes
 
 
