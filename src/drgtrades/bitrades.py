@@ -286,20 +286,20 @@ def check_subgraph_dr(g: Graph, S: CliqueSystem, T: Bitrade,
 
 def _subgraph_dr(sub: Graph, S: CliqueSystem, arr: IntersectionArray) -> SubgraphReport:
     """check_subgraph_dr on the trade subgraph sub, against the host's
-    proven array arr."""
+    proven array arr.  Every vertex of a distance-regular graph has the
+    shells k_0 = 1, k_{i+1} = k_i b_i / c_{i+1} of its proven array, so
+    vertex 0 names a mismatch."""
     dr = distance_regularity_check(sub)
     if not dr.ok:
         raise CrossCheckViolation(
             f"trade subgraph of a minimal bitrade not distance-regular: {dr.witness}")
     shells = tuple(abs(int(w)) for w in wd_coefficients(arr, Fraction(-arr.k, S.s)))
-    dm = sub.distance_matrix()          # cached by the isometry test or the sweep
-    sizes = np.stack([np.count_nonzero(dm == i, axis=1) for i in range(len(shells))], axis=1)
-    bad = np.flatnonzero((dm.max(axis=1) != len(shells) - 1) | (sizes != shells).any(axis=1))
-    if bad.size:
-        x = int(bad[0])
-        got = tuple(np.bincount(dm[x]).tolist())
+    got = [1]
+    for b, c in zip(dr.value.b, dr.value.c):
+        got.append(got[-1] * b // c)
+    if tuple(got) != shells:
         raise CrossCheckViolation(
-            f"shells {got} at {sub.labels[x]} differ from |W^i| = {shells}")
+            f"shells {tuple(got)} at {sub.labels[0]} differ from |W^i| = {shells}")
     return SubgraphReport(dr.value, shells)
 
 
@@ -530,6 +530,8 @@ def check_clique_design(g: Graph, S: CliqueSystem, dset) -> Verdict:
     D = set(int(v) for v in dset)
     if not D:
         return Verdict(False, detail="empty set is not a design")
+    if min(D) < 0 or max(D) >= g.num_vertices:
+        raise ValueError("vertex index out of range")
     hits = vertex_mask(g, D)[S.cliques].sum(axis=1)
     bad = np.flatnonzero(hits != 1)
     if bad.size:

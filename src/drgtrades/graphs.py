@@ -53,6 +53,8 @@ class Graph:
         self.family = family
         self.params = tuple(params) if params is not None else None
         n = len(self.labels)
+        if not n:
+            raise ValueError("a graph needs at least one vertex")
         e = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                        dtype=np.int64)
         if e.size == 0:
@@ -80,7 +82,7 @@ class Graph:
             self._flat = (keys % n).astype(np.int32)
             self._off = np.searchsorted(keys, np.arange(n + 1) * n)
         self._degrees = np.diff(self._off)
-        regular = n and (self._degrees == self._degrees[0]).all()   # _rows[v]: v's CSR row
+        regular = (self._degrees == self._degrees[0]).all()     # _rows[v]: v's CSR row
         self._rows = self._flat.reshape(n, self._degrees[0]) if regular else None
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._dm = None
@@ -174,12 +176,16 @@ class Graph:
         With depth, pairs farther apart stay -1; level 1 pushes each source's
         bit to its neighbors, and level j >= 2 pulls only over the rows within
         depth - j of verts (after Beamer, Asanovic and Patterson, SC 2012)."""
-        verts = np.asarray(verts, dtype=np.int64).reshape(-1)
+        verts = np.asarray(verts).reshape(-1)
+        if verts.size and (verts.dtype.kind not in "iu" or verts.min() < 0
+                           or verts.max() >= self.num_vertices):
+            raise ValueError("vertex index out of range")
+        verts = verts.astype(np.int64, copy=False)
         m, src = len(verts), np.arange(len(verts))
         word, bit = src // 64, np.uint64(1) << (src % 64).astype(np.uint64)
         reach = np.zeros((self.num_vertices, (m + 63) // 64), dtype="<u8")
         np.bitwise_or.at(reach, (verts, word), bit)
-        step = max(1, _GATHER_BLOCK // max(1, int(self._degrees.max(initial=0))))
+        step = max(1, _GATHER_BLOCK // max(1, int(self._degrees.max())))
         pull = np.flatnonzero(self._degrees)            # reduceat needs nonempty rows
         if depth is not None:       # the vertices beyond depth - 2 of verts never pull
             near = self._bfs(verts, depth=max(0, depth - 2))
@@ -363,6 +369,8 @@ def induced_subgraph(g: Graph, verts) -> tuple[Graph, list[int]]:
     back = sorted(set(int(v) for v in verts))
     if not back:
         raise ValueError("empty vertex set")
+    if back[0] < 0 or back[-1] >= g.num_vertices:
+        raise ValueError("vertex index out of range")
     hosts = np.array(back)
     pos = np.full(g.num_vertices, -1, dtype=np.int64)
     pos[hosts] = np.arange(len(back))
@@ -573,7 +581,7 @@ def verify_clique_system(g: Graph, S: CliqueSystem) -> Verdict:
     differs, by looking each pair up in the edge keys u*n+v (u < v), which
     names the first bad clique or the first edge of wrong multiplicity."""
     n, degs = g.num_vertices, g.degrees
-    holds = Verdict(True, value=(int(degs[0]) if n else 0, S.s, S.m))
+    holds = Verdict(True, value=(int(degs[0]), S.s, S.m))
     rows = np.sort(S.cliques, axis=1)
     repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     if (rows.size and degs[0] > 0 and (degs == degs[0]).all() and S.m >= 1

@@ -16,6 +16,7 @@ from time import perf_counter
 import numpy as np
 
 from .bitrades import (
+    MIN_BITRADES,
     _host_array,
     check_criterion_a,
     check_criterion_b,
@@ -45,11 +46,7 @@ from .gfq import (
     isotropic_count_product,
     isotropic_count_sum,
 )
-from .graphs import (
-    is_regular,
-    verify_clique_system,
-    vertex_mask,
-)
+from .graphs import is_regular, verify_clique_system
 from .spectral import (
     delta_function,
     intersection_matrix_eigenvalues,
@@ -130,6 +127,23 @@ def _criterion_2():
     return "trade sizes 15, 40, 85, 156 for q = 2, 3, 4, 5"
 
 
+def _minimum_pipeline(name, params, bound, subgraph_array, host=None):
+    """verify_bitrade on the family's minimum bitrade (MIN_BITRADES) against
+    the host's proven array: criteria a-c pass, the bitrade is minimal with
+    cardinality = bound = `bound`, and its trade subgraph has the array
+    subgraph_array.  host is (graph, clique system, proven array) for a host
+    kept out of the memo.  Returns the report."""
+    g, S, arr = host or (*_pair(name, *params), _host_dr(name, params))
+    rep = verify_bitrade(g, S, MIN_BITRADES[name](*params, host=g), host_array=arr)
+    where = f"{name}{params}"
+    _check(rep.all_pass, f"{where} criteria a={rep.a.ok} b={rep.b.ok} c={rep.c.ok}")
+    _check(rep.minimal and rep.cardinality == rep.bound == bound,
+           f"{where} cardinality {rep.cardinality}, bound {rep.bound}, expected {bound}")
+    _check(rep.subgraph_array == subgraph_array,
+           f"{where} trade subgraph array {rep.subgraph_array}, expected {subgraph_array}")
+    return rep
+
+
 def _criterion_3():
     """Full binary pipeline: 3-spaces in dimension 6."""
     g, S = _pair("grassmann", 6, 3, 2)
@@ -140,70 +154,36 @@ def _criterion_3():
     arr = _host_dr("grassmann", (6, 3, 2))
     _check(arr == grassmann_array(6, 3, 2), "host array closed form")
     _check(verify_delsarte_pair(g, S, host_array=arr).ok, "Delsarte pair")
-    T = min_bitrade_grassmann(6, 3, 2, host=g)
-    rep = verify_bitrade(g, S, T, host_array=arr)
-    _check(rep.all_pass, f"criteria: a={rep.a.ok} b={rep.b.ok} c={rep.c.ok}")
-    _check(rep.cardinality == 30 == rep.bound, "cardinality vs bound")
-    _check(rep.isometric.ok, "isometric")
-    _check(rep.minimal, "minimal")
-    _check(rep.subgraph_array.b == (7, 6, 4) and rep.subgraph_array.c == (1, 3, 7),
-           f"trade subgraph array {rep.subgraph_array}")
+    rep = _minimum_pipeline("grassmann", (6, 3, 2), 30, dual_polar_array(3, 2))
     _check(rep.shell_sizes == (1, 7, 14, 8), f"shells {rep.shell_sizes}")
-    _check(rep.subgraph_array == dual_polar_array(3, 2), "dual polar array")
     return "1395-vertex host, 30-vertex bitrade, all checks exact"
 
 
 def _criterion_4():
-    """Small binary pipeline at d=2, ambient 4 and 6 (zero-extension)."""
+    """Small binary pipeline at d=2, ambient 4 and 6 (zero-extension); the
+    array of D_2(2) is that of K_{3,3}, the only graph that has it."""
     for n in (4, 6):
-        g, S = _pair("grassmann", n, 2, 2)
-        arr = _host_dr("grassmann", (n, 2, 2))
-        T = min_bitrade_grassmann(n, 2, 2, host=g)
-        rep = verify_bitrade(g, S, T, host_array=arr)
-        _check(rep.all_pass and rep.minimal and rep.cardinality == 6,
-               f"pipeline at n={n}")
-        # the trade subgraph is complete bipartite on 3+3: the neighbor rows
-        # of T0 hold every vertex of T1
-        _check(len(T.t0) == 3 and len(T.t1) == 3, "sides 3+3")
-        hits = vertex_mask(g, T.t1)[g.neighbors_of(list(T.t0))].sum()
-        _check(hits == len(T.t0) * len(T.t1), "complete bipartite")
+        _minimum_pipeline("grassmann", (n, 2, 2), 6, dual_polar_array(2, 2))
     return "6-vertex bitrade is complete bipartite 3+3 in both ambients"
 
 
 def _criterion_5():
     """Minimum triple-system bitrade on six points."""
-    g, S = _pair("johnson", 6, 3)
-    arr = _host_dr("johnson", (6, 3))
-    T = min_bitrade_johnson(6, 3, host=g)
-    _check(T.cardinality == 8, "8 blocks")
-    rep = verify_bitrade(g, S, T, host_array=arr)
-    _check(rep.all_pass and rep.minimal and rep.bound == 8, "bound 2^3")
-    _check(rep.subgraph_array == hamming_array(3, 2),
-           f"subgraph array {rep.subgraph_array}")
+    _minimum_pipeline("johnson", (6, 3), 8, hamming_array(3, 2))
     return "8 blocks, bound 8, trade subgraph = binary 3-cube"
 
 
 def _criterion_6():
     """Halved 8-cube doubled-word bitrade."""
-    g, S = _pair("halved_cube", 8)
-    arr = _host_dr("halved_cube", (8,))
-    T = min_bitrade_halved_cube(8, host=g)
-    _check(T.cardinality == 16, "16 vertices")
-    rep = verify_bitrade(g, S, T, host_array=arr)
-    _check(rep.all_pass and rep.minimal and rep.bound == 16, "bound 2^4")
-    _check(rep.subgraph_array == hamming_array(4, 2),
-           f"subgraph array {rep.subgraph_array}")
+    _minimum_pipeline("halved_cube", (8,), 16, hamming_array(4, 2))
     return "16 vertices, bound 16, trade subgraph = binary 4-cube"
 
 
 def _criterion_7():
     """Ternary words: parity bitrade and a difference of latin squares."""
+    rep = _minimum_pipeline("hamming", (3, 3), 8, hamming_array(3, 2))
+    _check(rep.theta == -3, f"theta {rep.theta}")
     g, S = _pair("hamming", 3, 3)
-    arr = _host_dr("hamming", (3, 3))
-    T = min_bitrade_hamming(3, 3, host=g)
-    rep = verify_bitrade(g, S, T, host_array=arr)
-    _check(rep.all_pass and rep.theta == -3 and rep.bound == 8 and rep.minimal,
-           "parity bitrade")
     sq = lambda shift: {g.index_of(f"{r}{c}{(r + c + shift) % 3}")
                         for r in range(3) for c in range(3)}
     D = design_difference(g, S, sq(0), sq(1))
@@ -327,9 +307,8 @@ def _si_constancy(name, params):
 
 
 def _criterion_12():
-    """Ternary pipeline: 3-spaces in dimension 6 over GF(3).
-
-    Same checks as the binary pipeline.  The host intersection array is
+    """Ternary pipeline: 3-spaces in dimension 6 over GF(3), on a host built
+    here, not memoized, so that it is freed with the criterion.  Its array is
     proven by the automorphism certificate of distance_regularity_check
     (generators transitive on the 33880 vertices, one completely regular
     singleton) and must equal the closed form."""
@@ -338,13 +317,8 @@ def _criterion_12():
     _check(is_regular(g).value == 507, "degree")
     arr = _host_array(g)
     _check(arr == grassmann_array(6, 3, 3), "host array closed form")
-    T = min_bitrade_grassmann(6, 3, 3, host=g)
-    _check(T.cardinality == 80 == isotropic_count_product(3, 3), "80 vertices")
-    rep = verify_bitrade(g, S, T, host_array=arr)
-    _check(rep.all_pass, f"criteria a={rep.a.ok} b={rep.b.ok} c={rep.c.ok}")
-    _check(rep.minimal and rep.bound == 80, "meets bound 80")
-    _check(rep.subgraph_array == dual_polar_array(3, 3),
-           f"subgraph array {rep.subgraph_array}")
+    _minimum_pipeline("grassmann", (6, 3, 3), isotropic_count_product(3, 3),
+                      dual_polar_array(3, 3), host=(g, S, arr))
     return "33880-vertex host, 80-vertex bitrade, exact"
 
 

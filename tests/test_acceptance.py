@@ -7,11 +7,28 @@ pipeline (criterion 12) included.
 
 from drgtrades import report
 
+# each criterion's detail on a pass, as `report` prints it
+PASS_DETAILS = {
+    1: "product = shell sum for all d <= 5, q in {2,3,4,5}",
+    2: "trade sizes 15, 40, 85, 156 for q = 2, 3, 4, 5",
+    3: "1395-vertex host, 30-vertex bitrade, all checks exact",
+    4: "6-vertex bitrade is complete bipartite 3+3 in both ambients",
+    5: "8 blocks, bound 8, trade subgraph = binary 3-cube",
+    6: "16 vertices, bound 16, trade subgraph = binary 4-cube",
+    7: "theta -3, bound 8; latin-square difference is a bitrade",
+    8: "array of the quaternary 3-cube; 8-vertex pseudo-bitrade at theta -3",
+    9: "agreement on 5 valid instances and 100 corruptions",
+    10: "both directions of the bound/isometry equivalence exercised",
+    11: "shell sums match recursion; shell/clique constants uniform",
+    12: "33880-vertex host, 80-vertex bitrade, exact",
+}
+
 
 def _run(number):
     res = report.run_criterion(number)
     print(res.line())
     assert res.passed, res.detail
+    assert res.detail == PASS_DETAILS[number]
     assert res.elapsed < res.budget, (
         f"criterion {number} took {res.elapsed:.2f}s, budget {res.budget}s")
     return res

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drgtrades import families, graphs
-from drgtrades.bitrades import (MIN_BITRADES, corrupt_one_vertex, double_johnson_bitrade,
-                                min_bitrade_grassmann)
+from drgtrades.bitrades import (MIN_BITRADES, check_clique_design, corrupt_one_vertex,
+                                double_johnson_bitrade, min_bitrade_grassmann)
 from drgtrades.errors import CrossCheckViolation, Disconnected, UnsupportedFieldOrder
 from drgtrades.gfq import DEFAULT_ENUMERATION_CAP, gaussian_binomial, make_field
 from drgtrades.families import (
@@ -166,6 +166,25 @@ def test_out_of_range_vertex_indices_are_refused():
     with pytest.raises(ValueError, match="vertex index out of range"):
         g.distances_from(-1)
     assert g.distances_from(4).tolist() == [1, 2, 2, 1, 0]
+
+
+# on J(6,3)'s 20 vertices numpy would read -1 as vertex 19 and 0.5 as vertex 0, and
+# fail with a bare IndexError on vertex 20 or on the empty graph's vertex 0
+@pytest.mark.parametrize("call", [
+    lambda g, S: g.distances_among([-1, 0]),
+    lambda g, S: g.distances_among([20]),
+    lambda g, S: g.distances_among([0.5]),
+    lambda g, S: induced_subgraph(g, [20, 0]),
+    lambda g, S: is_isometric_subgraph(g, [-1, 0]),
+    lambda g, S: check_clique_design(g, S, {-1}),
+    lambda g, S: is_regular(Graph([], [])),
+    lambda g, S: distance_regularity_check(Graph([], [])),
+], ids=["among-negative", "among-past-end", "among-float", "induced-past-end",
+        "isometric-negative", "design-negative", "regular-empty", "dr-empty"])
+def test_vertex_indices_outside_the_host_are_refused(call):
+    g, S = build_johnson(6, 3)
+    with pytest.raises(ValueError, match="vertex index out of range|at least one vertex"):
+        call(g, S)
 
 
 def test_distance_matrix_rows_match_bfs():
@@ -501,7 +520,7 @@ DR_HOSTS = [
 
 
 @pytest.mark.parametrize("name,params", DR_HOSTS)
-def test_level_products_match_sweep(name, params):
+def test_certificate_matches_sweep(name, params):
     # the certificate, on every family but dual polar, against the sweep
     g, _ = build_family(name, params)
     proof = distance_regularity_check(g)
@@ -527,7 +546,7 @@ REFERENCE_SWEEP_MAX = 700
 
 
 @pytest.mark.parametrize("params", GRASSMANN_DR_HOSTS + [(7, 3, 2), (4, 2, 8)])
-def test_certificate_matches_closed_form_and_level_products(params):
+def test_certificate_matches_closed_form(params):
     g, _ = build_grassmann(*params)
     assert _transitive(g, g.generators(), is_regular(g).value)
     proof = distance_regularity_check(g)

@@ -1,12 +1,17 @@
 """Criterion 11's route: one complete-regularity check per center serves
 every eigenvalue, against per-(theta, x) Fraction references, with its
-call count and its first-failure message pinned."""
+call count and its first-failure message pinned.  The minimum-bitrade
+criteria: one shared routine verifies each, and names the trade subgraph's
+array when it differs from the closed form."""
 
+import ast
+import inspect
 import random
 
 import pytest
 
 from drgtrades import graphs, report, spectral
+from drgtrades.families import hamming_array
 from drgtrades.spectral import (
     delta_function,
     intersection_matrix_eigenvalues,
@@ -75,3 +80,27 @@ def test_criterion_11_names_the_first_failing_pair(monkeypatch, shell_hosts):
         "AssertionError: johnson(6, 3) theta=3 x=1,4,6: "
         "(Fraction(1, 1), Fraction(3, 1), Fraction(-3, 1), Fraction(-1, 1)) != "
         "(Fraction(1, 1), Fraction(3, 1), Fraction(-3, 1), Fraction(0, 1))")
+
+
+@pytest.mark.parametrize("number", [3, 4, 5, 6, 7, 12])
+def test_minimum_criteria_verify_through_one_routine(number):
+    fn = getattr(report, f"_criterion_{number}")
+    called = {node.func.id for node in ast.walk(ast.parse(inspect.getsource(fn)))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "_minimum_pipeline" in called and "verify_bitrade" not in called
+
+
+@pytest.mark.parametrize("number,patched,wrong,detail", [
+    (3, "dual_polar_array", lambda d, q: hamming_array(d, q),
+     "AssertionError: grassmann(6, 3, 2) trade subgraph array (7,6,4;1,3,7), "
+     "expected (3,2,1;1,2,3)"),
+    (5, "hamming_array", lambda n, q: hamming_array(n, q + 1),
+     "AssertionError: johnson(6, 3) trade subgraph array (3,2,1;1,2,3), "
+     "expected (6,4,2;1,2,3)"),
+], ids=["criterion-3", "criterion-5"])
+def test_a_wrong_closed_form_names_the_trade_subgraph_array(monkeypatch, number, patched,
+                                                            wrong, detail):
+    monkeypatch.setattr(report, patched, wrong)
+    res = report.run_criterion(number)
+    assert not res.passed
+    assert res.detail == detail

@@ -33,3 +33,12 @@ def test_package_does_not_call_np_unique():
     assert found == [], (
         "np.unique imports numpy.ma on its first call, about 4 ms of every verdict; "
         "deduplicate with a boolean mask and np.flatnonzero instead")
+
+
+def test_bitrades_reads_no_distance_matrix():
+    # a distance-regular trade subgraph's shells follow from its proven array,
+    # k_0 = 1, k_{i+1} = k_i b_i / c_{i+1}, so no m x m matrix is read for them
+    found = [f"{name}:{node.lineno}" for name, tree in package_trees() if name == "bitrades.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "distance_matrix"]
+    assert found == []
