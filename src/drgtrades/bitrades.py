@@ -40,6 +40,7 @@ from .graphs import (
     is_bipartite,
     is_isometric_subgraph,
     is_regular,
+    vertex_indices,
     vertex_mask,
 )
 from .spectral import (
@@ -64,8 +65,7 @@ class Bitrade:
             raise ValueError("both trades must be nonempty")
         if self.t0 & self.t1:
             raise ValueError("trades must be disjoint")
-        if min(self.support) < 0 or max(self.support) >= self.host.num_vertices:
-            raise ValueError("vertex index out of range")
+        vertex_indices(self.host, self.support)
         for side, name in ((self.t0, "T0"), (self.t1, "T1")):
             if vertex_mask(self.host, side)[self.host.neighbors_of(list(side))].any():
                 raise ValueError(f"{name} is not an independent set")
@@ -527,11 +527,9 @@ def check_clique_design(g: Graph, S: CliqueSystem, dset) -> Verdict:
     positive verdict is cross-checked against radius-1 complete regularity
     with the minimum eigenvalue."""
     _on_host(g, S)
-    D = set(int(v) for v in dset)
+    D = set(vertex_indices(g, dset).tolist())
     if not D:
         return Verdict(False, detail="empty set is not a design")
-    if min(D) < 0 or max(D) >= g.num_vertices:
-        raise ValueError("vertex index out of range")
     hits = vertex_mask(g, D)[S.cliques].sum(axis=1)
     bad = np.flatnonzero(hits != 1)
     if bad.size:

@@ -23,13 +23,15 @@ from .errors import (
 from .gfq import (
     DEFAULT_ENUMERATION_CAP,
     gaussian_binomial,
-    hyperplane_bases,
+    hyperplane_keys,
     isotropic_count_product,
     make_field,
     matmul_batch,
+    pack_digits,
     rref_batch,
     subspace_bases,
     totally_isotropic_mask,
+    unpack_digits,
 )
 from .graphs import CliqueSystem, Graph, IntersectionArray
 
@@ -57,9 +59,10 @@ def _guard(count: int, cap: int, what: str, unit: str = "vertices"):
 def _host_with_cliques(labels, rows, s: int, m: int, family: str,
                        params: tuple) -> tuple[Graph, CliqueSystem]:
     """The clique system with each row sorted and the rows in lexicographic
-    order, and the host whose edges are the within-clique pairs."""
-    cliques = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
-    cliques = cliques[np.lexsort(cliques.T[::-1])]
+    order (in place for int64 rows), and the host of the within-clique pairs."""
+    cliques = np.asarray(rows, dtype=np.int64)
+    cliques.sort(axis=1)
+    cliques[:] = cliques[np.lexsort(cliques.T[::-1])]
     g = Graph(labels, cliques, family=family, params=params)
     return g, CliqueSystem(g, cliques, s=s, m=m)
 
@@ -260,42 +263,38 @@ def _labels(rows: np.ndarray, d: int) -> list[str]:
     return [text[i:i + width] for i in range(0, len(text), width)]
 
 
-def _lexsort_rows(rows: np.ndarray) -> np.ndarray:
-    return np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
-
-
 def _hyperplane_buckets(bases: np.ndarray, field, size: int):
-    """The labels of the subspaces in bases (N, d, n), sorted, and the
-    sorted vertex indices grouped by the (d-1)-subspaces they contain, as one
-    row of size members per (d-1)-subspace.
-
-    Every label has the same length and separator positions, so label order
-    is the lexicographic order of the flattened digits.  Hyperplanes are
-    grouped by lexsorting their RREF rows; a group of the wrong size names
-    the (d-1)-subspace whose first member comes earliest in (vertex
-    enumeration, hyperplane) order."""
+    """The labels of the subspaces in bases (N, d, n), sorted (labels share
+    their length and separator positions, so label order is pack_digits key
+    order), the sorted vertex indices grouped by the (d-1)-subspaces they
+    contain, as one row of size members per (d-1)-subspace, and the keys in
+    label order.  Hyperplanes are grouped by sorting their hyperplane_keys; a
+    group of the wrong size names the (d-1)-subspace whose first member comes
+    earliest in (vertex enumeration, hyperplane) order."""
     nv, d, n = bases.shape
     flat = bases.reshape(nv, d * n)
-    order = _lexsort_rows(flat)
+    keys = pack_digits(flat, field.q)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
     labels = _labels(flat[order], d)
     vertex = np.empty(nv, dtype=np.int64)
     vertex[order] = np.arange(nv)
-    keys = hyperplane_bases(bases, field)
-    per_vertex = keys.shape[1]
-    keys = keys.reshape(nv * per_vertex, (d - 1) * n)
-    at = _lexsort_rows(keys)
-    keys = keys[at]
-    first = np.ones(len(at), dtype=bool)
-    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    sizes = np.bincount(np.cumsum(first) - 1)
+    per_vertex = gaussian_binomial(d, 1, field.q)
+    rows = np.empty((nv * per_vertex // size, size), dtype=np.int64)
+    hkeys = hyperplane_keys(bases, field).ravel()
+    at = np.argsort(hkeys, kind="stable")
+    hkeys = hkeys[at]
+    starts = np.flatnonzero(np.r_[True, hkeys[1:] != hkeys[:-1]])
+    sizes = np.diff(np.r_[starts, len(at)])
     bad = np.flatnonzero(sizes != size)
     if bad.size:
         g = bad[np.argmin(at[starts[bad]])]
-        raise CrossCheckViolation(
-            f"(d-1)-subspace {_labels(keys[starts[g]][None], d - 1)[0]} lies in "
-            f"{sizes[g]} vertices, expected {size}")
-    return labels, vertex[at // per_vertex].reshape(-1, size)
+        digits = unpack_digits(hkeys[starts[g], None], field.q, (d - 1) * n)
+        raise CrossCheckViolation(f"(d-1)-subspace {_labels(digits, d - 1)[0]} lies in "
+                                  f"{sizes[g]} vertices, expected {size}")
+    np.floor_divide(at, per_vertex, out=at)
+    np.take(vertex, at, out=rows.reshape(-1), mode="clip")
+    return labels, rows, keys
 
 
 def build_grassmann(n: int, d: int, q: int,
@@ -309,32 +308,21 @@ def build_grassmann(n: int, d: int, q: int,
     field = make_field(q)
     _guard(gaussian_binomial(n, d, q), cap, f"grassmann({n},{d},{q})")
     clique_order = gaussian_binomial(n - d + 1, 1, q)
-    bases = subspace_bases(n, d, q, cap)
-    labels, buckets = _hyperplane_buckets(bases, field, clique_order)
-    g, S = _host_with_cliques(labels, buckets, clique_order - 1, 1,
-                              "grassmann", (n, d, q))
-    g.generators = lambda: _grassmann_generators(bases, field)
+    labels, rows, keys = _hyperplane_buckets(subspace_bases(n, d, q, cap), field, clique_order)
+    g, S = _host_with_cliques(labels, rows, clique_order - 1, 1, "grassmann", (n, d, q))
+    g.generators = lambda: _grassmann_generators(keys, d, n, field)
     return g, S
 
 
-def _grassmann_generators(bases: np.ndarray, field) -> list[np.ndarray]:
-    """Automorphisms of the Grassmann graph on the subspaces in bases
-    (N, d, n), as permutations of their label order: the actions U -> U M
-    of the n-cycle permutation matrix, the transvection e_1 += e_2 and, for
-    q > 2, diag(w, 1, ..., 1) with w primitive.  Together they generate
-    GL(n, q), which is transitive on d-subspaces.
-
-    A subspace's key packs its RREF digits base q, first digit most
-    significant, so key order is label order; an image's index is found by
-    searchsorted in the sorted keys, -1 where no vertex has its key.  Keys
-    fit in int64: q^(dn) is at most the square of the q^(d(n-d)) or more
-    vertices, so only a host of over 2^31 vertices could overflow them."""
-    nv, d, n = bases.shape
-    q = field.q
-    weights = q ** np.arange(d * n - 1, -1, -1, dtype=np.int64)
-    keys = bases.reshape(nv, d * n).astype(np.int64) @ weights
-    order = np.argsort(keys)
-    keys, bases = keys[order], bases[order]
+def _grassmann_generators(keys: np.ndarray, d: int, n: int, field) -> list[np.ndarray]:
+    """Automorphisms of the Grassmann graph on the d-subspaces of F_q^n with
+    the sorted pack_digits keys, as permutations of label order: U -> U M
+    for the n-cycle permutation matrix, the transvection e_1 += e_2 and, for
+    q > 2, diag(w, 1, ..., 1) with w primitive, which generate GL(n, q), so
+    a transitive group.  An image's index is searchsorted in the keys, -1
+    where no vertex has its key."""
+    nv, q = len(keys), field.q
+    bases = unpack_digits(keys, q, d * n).reshape(nv, d, n)
     cycle = np.roll(np.eye(n, dtype=np.int8), 1, axis=1)
     transvection = np.eye(n, dtype=np.int8)
     transvection[0, 1] = 1
@@ -346,7 +334,7 @@ def _grassmann_generators(bases: np.ndarray, field) -> list[np.ndarray]:
     perms = []
     for m in mats:
         image = rref_batch(matmul_batch(bases, m, field), field)
-        ikeys = image.reshape(nv, d * n).astype(np.int64) @ weights
+        ikeys = pack_digits(image.reshape(nv, d * n), q)
         pos = np.minimum(np.searchsorted(keys, ikeys), nv - 1)
         perms.append(np.where(keys[pos] == ikeys, pos, -1))
     return perms
@@ -394,7 +382,7 @@ def build_dual_polar_D(d: int, q: int,
             f"would enumerate {candidates:,} candidate {d}-subspaces, which exceeds cap {cap}")
     bases = subspace_bases(2 * d, d, q, cap)
     bases = bases[totally_isotropic_mask(bases, field)]
-    labels, edges = _hyperplane_buckets(bases, field, 2)
+    labels, edges, _ = _hyperplane_buckets(bases, field, 2)
     return Graph(labels, edges, family="dual_polar_D", params=(d, q))
 
 

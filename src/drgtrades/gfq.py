@@ -10,8 +10,9 @@ Subspaces of F_q^n are stored as reduced-row-echelon bases, which makes
 subspace equality an array comparison and allows enumeration by pivot
 pattern instead of by deduplicating spanning sets.  All linear algebra works
 on whole batches of bases as int8 arrays: one product (matmul_batch), one
-RREF (rref_batch), enumeration (subspace_bases), every hyperplane of every
-basis (hyperplane_bases) and total isotropy (totally_isotropic_mask).
+RREF (rref_batch), enumeration (subspace_bases), the points and hyperplanes
+of every basis (point_rows, hyperplane_bases, or as int64 keys by
+hyperplane_keys) and total isotropy (totally_isotropic_mask).
 """
 
 from __future__ import annotations
@@ -184,22 +185,65 @@ def subspace_bases(n: int, d: int, q: int,
     return out
 
 
+def point_rows(bases: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """lambda @ B for every basis B of an (N, d, n) array and every lambda in
+    F_q^d with a leading 1, in subspace_bases(d, 1, q) order: B_t plus each
+    combination of the rows after t, those built from the last row up."""
+    nb, d, n = bases.shape
+    add, mul = field.add_table, field.mul_table
+    span, led = np.zeros((nb, 1, n), dtype=np.int8), []
+    for t in range(d - 1, -1, -1):
+        row = bases[:, t, None]
+        led.append(_op(add, row, span) if t < d - 1 else row.copy())
+        if t:       # a * B_t plus the combinations after t, for each a
+            span = np.concatenate([span, led[-1]] + [_op(add, _op(mul, a, row), span)
+                                                     for a in range(2, field.q)], axis=1)
+    return np.concatenate(led[::-1], axis=1)
+
+
+def pack_digits(rows: np.ndarray, q: int) -> np.ndarray:
+    """Each row of base-q digits on the last axis as one int64, first digit
+    most significant, so key order is row order; ValueError if they cannot fit."""
+    if q ** rows.shape[-1] > 2 ** 63:
+        raise ValueError(f"{rows.shape[-1]} base-{q} digits do not fit an int64 key")
+    out = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for j in range(rows.shape[-1]):
+        out *= q
+        out += rows[..., j]
+    return out
+
+
+def unpack_digits(keys: np.ndarray, q: int, width: int) -> np.ndarray:
+    """The width base-q digits of each key, the inverse of pack_digits."""
+    digits = [(keys // q ** j % q).astype(np.int8) for j in range(width - 1, -1, -1)]
+    return np.stack(digits, -1) if digits else np.zeros(keys.shape + (0,), dtype=np.int8)
+
+
 @lru_cache(maxsize=None)
-def _hyperplane_coefficients(d: int, q: int) -> np.ndarray:
-    out = subspace_bases(d, d - 1, q)
+def _hyperplane_points(d: int, q: int) -> np.ndarray:
+    """For each (d-1)-subspace of F_q^d, in subspace_bases(d, d-1, q) order,
+    the positions of its RREF rows among the points of subspace_bases(d, 1, q)."""
+    position = np.zeros(q ** d, dtype=np.intp)
+    position[pack_digits(subspace_bases(d, 1, q)[:, 0], q)] = np.arange(gaussian_binomial(d, 1, q))
+    out = position[pack_digits(subspace_bases(d, d - 1, q), q)]
     out.setflags(write=False)
     return out
 
 
 def hyperplane_bases(bases: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """The RREF bases of every (d-1)-subspace of every subspace in a
-    (N, d, n) array of bases, as an (N, H, d-1, n) array with H = [d, 1]_q,
-    hyperplanes in subspace_bases(d, d-1, q) order: the RREF of each
-    (d-1)-subspace of F_q^d, as a coefficient matrix C, times the basis B.
-    C @ B is in RREF already: B's pivot columns hold C, and row i of C @ B
-    starts at the pivot of the row of B that row i of C starts at."""
-    return matmul_batch(_hyperplane_coefficients(bases.shape[1], field.q),
-                        bases[:, None], field)
+    """The RREF bases C @ B of the (d-1)-subspaces of every basis B of an
+    (N, d, n) array, (N, H, d-1, n) with H = [d, 1]_q, for each RREF C of
+    subspace_bases(d, d-1, q): each row of C is a point, so C @ B is gathered
+    from point_rows.  C @ B is in RREF already: B's pivot columns hold C, and
+    row i of C @ B starts at the pivot of the row of B that row i of C does."""
+    return point_rows(bases, field)[:, _hyperplane_points(bases.shape[1], field.q)]
+
+
+def hyperplane_keys(bases: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """pack_digits of each flattened hyperplane_bases row, as an (N, H)
+    array: the packed point rows of each hyperplane, packed base q^n."""
+    q, at = field.q, _hyperplane_points(bases.shape[1], field.q)
+    return pack_digits(pack_digits(point_rows(bases, field), q)[:, at], q ** bases.shape[2])
 
 
 def gaussian_binomial(a: int, b: int, q: int) -> int:

@@ -146,11 +146,9 @@ class Graph:
         block of at most _GATHER_BLOCK entries at a time, and keeps the
         unreached vertices, deduplicated by the mask dist == level.  It stops
         once every vertex has its distance."""
-        sources = list(sources)
-        if not sources:
+        sources = vertex_indices(self, sources)
+        if not sources.size:
             raise ValueError("empty source set")
-        if min(sources) < 0 or max(sources) >= self.num_vertices:   # numpy would wrap or fail
-            raise ValueError("vertex index out of range")
         dist = np.full(self.num_vertices, -1, dtype=np.int32)
         dist[sources] = 0
         frontier = np.flatnonzero(dist == 0)
@@ -176,11 +174,7 @@ class Graph:
         With depth, pairs farther apart stay -1; level 1 pushes each source's
         bit to its neighbors, and level j >= 2 pulls only over the rows within
         depth - j of verts (after Beamer, Asanovic and Patterson, SC 2012)."""
-        verts = np.asarray(verts).reshape(-1)
-        if verts.size and (verts.dtype.kind not in "iu" or verts.min() < 0
-                           or verts.max() >= self.num_vertices):
-            raise ValueError("vertex index out of range")
-        verts = verts.astype(np.int64, copy=False)
+        verts = vertex_indices(self, verts)
         m, src = len(verts), np.arange(len(verts))
         word, bit = src // 64, np.uint64(1) << (src % 64).astype(np.uint64)
         reach = np.zeros((self.num_vertices, (m + 63) // 64), dtype="<u8")
@@ -215,9 +209,8 @@ class Graph:
             level += 1
 
     def distances_from(self, x: int) -> np.ndarray:
-        if self._dm is not None and 0 <= x < self.num_vertices:
-            return self._dm[x]
-        dist = self.multi_source_distances([x])         # refuses an out-of-range x
+        x = int(vertex_indices(self, [x])[0])
+        dist = self.multi_source_distances([x]) if self._dm is None else self._dm[x]
         if (dist < 0).any():
             bad = int(np.flatnonzero(dist < 0)[0])
             raise Disconnected(
@@ -356,8 +349,19 @@ def is_regular(g: Graph) -> Verdict:
     return Verdict(True, value=k)
 
 
+def vertex_indices(g: Graph, vertices) -> np.ndarray:
+    """The vertices as an int64 index array, refused with ValueError unless
+    each is an integer index of g: numpy would truncate a float, wrap a
+    negative index and fail with a bare IndexError past the end."""
+    out = np.asarray(vertices if isinstance(vertices, np.ndarray) else list(vertices)).ravel()
+    if out.size and (out.dtype.kind not in "iu" or out.min() < 0 or out.max() >= g.num_vertices):
+        raise ValueError("vertex index out of range")
+    return out.astype(np.int64, copy=False)
+
+
 def vertex_mask(g: Graph, vertices) -> np.ndarray:
-    """Boolean indicator of a vertex set over the vertices of g."""
+    """Boolean indicator of a vertex set over the vertices of g, for
+    indices that vertex_indices has accepted."""
     out = np.zeros(g.num_vertices, dtype=bool)
     out[list(vertices)] = True
     return out
@@ -366,12 +370,10 @@ def vertex_mask(g: Graph, vertices) -> np.ndarray:
 def induced_subgraph(g: Graph, verts) -> tuple[Graph, list[int]]:
     """Subgraph on verts with inherited labels; second item maps subgraph
     indices back to host indices."""
-    back = sorted(set(int(v) for v in verts))
-    if not back:
+    hosts = np.flatnonzero(vertex_mask(g, vertex_indices(g, verts)))
+    if not hosts.size:
         raise ValueError("empty vertex set")
-    if back[0] < 0 or back[-1] >= g.num_vertices:
-        raise ValueError("vertex index out of range")
-    hosts = np.array(back)
+    back = hosts.tolist()
     pos = np.full(g.num_vertices, -1, dtype=np.int64)
     pos[hosts] = np.arange(len(back))
     heads = np.repeat(hosts, g.degrees[hosts])

@@ -11,6 +11,7 @@ from math import lcm
 
 import numpy as np
 
+from drgtrades.gfq import SUPPORTED_ORDERS, make_field, subspace_bases, totally_isotropic_mask
 from drgtrades.graphs import Graph, IntersectionArray, Verdict, completely_regular_check
 from drgtrades.spectral import VertexFunction
 
@@ -268,3 +269,20 @@ def is_totally_isotropic(rows, F):
 
 def label(rows):
     return "/".join("".join(map(str, r)) for r in rows) if rows else "0"
+
+
+# the bases point_rows and hyperplane_keys are checked on: Grassmann vertices
+# over every supported field, d = 1, and dual polar vertices
+ORACLE_BASES = ([("grassmann", (4, 2, q)) for q in SUPPORTED_ORDERS]
+                + [("grassmann", p) for p in [(3, 1, 2), (4, 1, 7), (5, 3, 2), (6, 3, 2),
+                                               (5, 2, 3), (4, 3, 4), (3, 2, 9)]]
+                + [("dual_polar", p) for p in [(1, 2), (2, 2), (3, 2), (2, 3), (2, 5)]])
+
+
+def oracle_bases(kind, params):
+    """The vertex bases of a Grassmann or dual polar host, and q."""
+    if kind == "grassmann":
+        return subspace_bases(*params), params[2]
+    d, q = params
+    bases = subspace_bases(2 * d, d, q)
+    return bases[totally_isotropic_mask(bases, make_field(q))], q

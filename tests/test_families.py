@@ -9,12 +9,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from drgtrades import families
+from drgtrades import families, gfq
 from drgtrades.errors import (
     CliquesNotDelsarte,
     CrossCheckViolation,
@@ -49,10 +50,12 @@ from drgtrades.graphs import (
 )
 from drgtrades.spectral import intersection_matrix_eigenvalues, theta_min
 from helpers import (
+    ORACLE_BASES,
     combination,
     is_totally_isotropic,
     label,
     max_clique_order,
+    oracle_bases,
     reference_bases,
     reference_rref,
 )
@@ -410,7 +413,7 @@ def test_every_builder_honours_the_cap(name):
 # --- builder cross-checks ------------------------------------------------------------
 
 def _duplicate_first_hyperplane(real):
-    """hyperplane_bases, except that the first vertex's first hyperplane row
+    """hyperplane_keys, except that the first vertex's first hyperplane key
     is overwritten by its second, so one bucket comes out a vertex short and
     another a vertex over."""
     def duplicating(bases, field):
@@ -430,8 +433,8 @@ _BUCKET_MESSAGES = {
 @pytest.mark.parametrize("build, params", [(build_grassmann, (4, 2, 2)),
                                            (build_dual_polar_D, (2, 2))])
 def test_bucket_size_cross_check(monkeypatch, build, params):
-    monkeypatch.setattr(families, "hyperplane_bases",
-                        _duplicate_first_hyperplane(families.hyperplane_bases))
+    monkeypatch.setattr(families, "hyperplane_keys",
+                        _duplicate_first_hyperplane(families.hyperplane_keys))
     with pytest.raises(CrossCheckViolation, match=re.escape(_BUCKET_MESSAGES[build])):
         build(*params)
 
@@ -442,8 +445,8 @@ def test_bucket_size_cross_check_runs_under_optimize():
         "from drgtrades import families",
         "from drgtrades.errors import CrossCheckViolation",
         "from test_families import _duplicate_first_hyperplane",
-        "families.hyperplane_bases = _duplicate_first_hyperplane(",
-        "    families.hyperplane_bases)",
+        "families.hyperplane_keys = _duplicate_first_hyperplane(",
+        "    families.hyperplane_keys)",
         "try:",
         "    families.build_grassmann(4, 2, 2)",
         "except CrossCheckViolation:",
@@ -503,6 +506,55 @@ def test_dual_polar_matches_subspace_reference(d, q):
     vertices = [b for b in reference_bases(2 * d, d, q) if is_totally_isotropic(b, F)]
     ref, _ = _reference_host(vertices, 2, F)
     _assert_same_host(build_dual_polar_D(d, q), ref)
+
+
+def _lexsort_buckets(bases, F, size):
+    """_hyperplane_buckets' labels and rows by the route it replaced: the
+    hyperplane digits as the products C @ B, vertices and hyperplanes ordered
+    by np.lexsort of their digits."""
+    nv, d, n = bases.shape
+    flat = bases.reshape(nv, d * n)
+    order = np.lexsort(flat.T[::-1])
+    vertex = np.empty(nv, dtype=np.int64)
+    vertex[order] = np.arange(nv)
+    hyper = gfq.matmul_batch(gfq.subspace_bases(d, d - 1, F.q), bases[:, None], F)
+    per_vertex = hyper.shape[1]
+    hyper = hyper.reshape(nv * per_vertex, (d - 1) * n)
+    at = np.lexsort(hyper.T[::-1]) if hyper.shape[1] else np.arange(len(hyper))
+    labels = [label(b) for b in flat[order].reshape(nv, d, n).tolist()]
+    return labels, vertex[at // per_vertex].reshape(-1, size)
+
+
+@pytest.mark.parametrize("kind, params", ORACLE_BASES)
+def test_hyperplane_buckets_match_the_lexsort_route(kind, params):
+    bases, q = oracle_bases(kind, params)
+    d = bases.shape[1]
+    size = 2 if kind == "dual_polar" else gaussian_binomial(params[0] - d + 1, 1, q)
+    labels, rows, keys = families._hyperplane_buckets(bases, make_field(q), size)
+    want_labels, want_rows = _lexsort_buckets(bases, make_field(q), size)
+    assert labels == want_labels
+    assert np.array_equal(rows, want_rows)
+    ordered = gfq.unpack_digits(keys, q, bases[0].size).reshape(bases.shape)
+    assert [label(b) for b in ordered.tolist()] == labels
+
+
+def test_hyperplane_bucket_peak_memory():
+    # J_2(7,3): 11,811 vertices in 2,667 buckets of 31
+    bases, F = gfq.subspace_bases(7, 3, 2), make_field(2)
+    families._hyperplane_buckets(bases, F, 31)      # the hyperplane table is cached
+    tracemalloc.start()
+    try:
+        families._hyperplane_buckets(bases, F, 31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2 ** 20
+
+
+def test_vertex_keys_wider_than_int64_are_refused():
+    # a vertex of D_6(2) has 6 rows of 12 binary digits
+    with pytest.raises(ValueError, match="72 base-2 digits do not fit"):
+        families._hyperplane_buckets(np.eye(6, 12, dtype=np.int8)[None], make_field(2), 2)
 
 
 def test_benchmark_builder_probes_run(monkeypatch):

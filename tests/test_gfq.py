@@ -25,10 +25,12 @@ from drgtrades.gfq import (
     totally_isotropic_mask,
 )
 from helpers import (
+    ORACLE_BASES,
     field_lists,
     hyperbolic_value,
     is_totally_isotropic,
     label,
+    oracle_bases,
     reference_rref,
 )
 
@@ -179,6 +181,46 @@ def test_hyperplane_products_are_already_reduced(n, d, q):
     assert got.shape == (len(bases), h, d - 1, n)
     reduced = gfq.rref_batch(prods.reshape(len(bases) * h, d - 1, n), F).reshape(got.shape)
     assert np.array_equal(got, reduced)
+
+
+@pytest.mark.parametrize("kind, params", ORACLE_BASES)
+def test_point_rows_are_the_products_with_every_point(kind, params):
+    bases, q = oracle_bases(kind, params)
+    F, d = make_field(q), bases.shape[1]
+    points = subspace_bases(d, 1, q)[:, 0]
+    assert np.array_equal(gfq.point_rows(bases, F), gfq.matmul_batch(points, bases, F))
+
+
+@pytest.mark.parametrize("kind, params", ORACLE_BASES)
+def test_hyperplane_keys_pack_the_hyperplane_products(kind, params):
+    bases, q = oracle_bases(kind, params)
+    F, (nv, d, n) = make_field(q), bases.shape
+    prods = gfq.matmul_batch(subspace_bases(d, d - 1, q), bases[:, None], F)
+    assert np.array_equal(hyperplane_bases(bases, F), prods)
+    want = gfq.pack_digits(prods.reshape(nv, len(prods[0]), (d - 1) * n), q)
+    assert np.array_equal(gfq.hyperplane_keys(bases, F), want)
+
+
+def test_pack_digits_against_python_integers():
+    rng = np.random.default_rng(5)
+    for q, width in [(2, 63), (3, 39), (9, 19), (7, 5), (4, 0)]:
+        rows = rng.integers(0, q, size=(20, width)).astype(np.int8)
+        want = [sum(int(x) * q ** (width - 1 - j) for j, x in enumerate(r)) for r in rows]
+        keys = gfq.pack_digits(rows, q)
+        assert keys.tolist() == want
+        assert np.array_equal(gfq.unpack_digits(keys, q, width), rows)
+
+
+def test_keys_wider_than_int64_are_refused():
+    # q^width keys fit below 2^63 up to 63 binary or 39 ternary digits
+    assert gfq.pack_digits(np.ones((1, 63), dtype=np.int8), 2).tolist() == [2 ** 63 - 1]
+    assert gfq.pack_digits(np.full((1, 39), 2, dtype=np.int8), 3).tolist() == [3 ** 39 - 1]
+    for q, width in [(2, 64), (3, 40), (2, 72)]:   # 72: the vertex keys of D_6(2)
+        with pytest.raises(ValueError, match="do not fit an int64 key"):
+            gfq.pack_digits(np.zeros((1, width), dtype=np.int8), q)
+    # the hyperplanes of a 7-subspace of F_2^12 have 72 digits
+    with pytest.raises(ValueError, match="do not fit an int64 key"):
+        gfq.hyperplane_keys(np.eye(7, 12, dtype=np.int8)[None], make_field(2))
 
 
 # --- gaussian binomials vs enumeration ---------------------------------------

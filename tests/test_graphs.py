@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drgtrades import families, graphs
-from drgtrades.bitrades import (MIN_BITRADES, check_clique_design, corrupt_one_vertex,
-                                double_johnson_bitrade, min_bitrade_grassmann)
+from drgtrades.bitrades import (MIN_BITRADES, Bitrade, check_clique_design,
+                                corrupt_one_vertex, double_johnson_bitrade,
+                                min_bitrade_grassmann)
 from drgtrades.errors import CrossCheckViolation, Disconnected, UnsupportedFieldOrder
 from drgtrades.gfq import DEFAULT_ENUMERATION_CAP, gaussian_binomial, make_field
 from drgtrades.families import (
@@ -169,18 +170,27 @@ def test_out_of_range_vertex_indices_are_refused():
 
 
 # on J(6,3)'s 20 vertices numpy would read -1 as vertex 19 and 0.5 as vertex 0, and
-# fail with a bare IndexError on vertex 20 or on the empty graph's vertex 0
+# fail with a bare IndexError on vertex 20, on 0.5 or on the empty graph's vertex 0
 @pytest.mark.parametrize("call", [
     lambda g, S: g.distances_among([-1, 0]),
     lambda g, S: g.distances_among([20]),
     lambda g, S: g.distances_among([0.5]),
     lambda g, S: induced_subgraph(g, [20, 0]),
+    lambda g, S: induced_subgraph(g, [0.5, 1]),
     lambda g, S: is_isometric_subgraph(g, [-1, 0]),
+    lambda g, S: is_isometric_subgraph(g, [0.5, 1]),
     lambda g, S: check_clique_design(g, S, {-1}),
+    lambda g, S: check_clique_design(g, S, {0.5}),
+    lambda g, S: Bitrade(g, frozenset([0.5]), frozenset([19])),
+    lambda g, S: g.distances_from(0.5),
+    lambda g, S: g.multi_source_distances([0.5]),
+    lambda g, S: completely_regular_check(g, [0.5]),
     lambda g, S: is_regular(Graph([], [])),
     lambda g, S: distance_regularity_check(Graph([], [])),
 ], ids=["among-negative", "among-past-end", "among-float", "induced-past-end",
-        "isometric-negative", "design-negative", "regular-empty", "dr-empty"])
+        "induced-float", "isometric-negative", "isometric-float", "design-negative",
+        "design-float", "bitrade-float", "from-float", "sources-float",
+        "completely-regular-float", "regular-empty", "dr-empty"])
 def test_vertex_indices_outside_the_host_are_refused(call):
     g, S = build_johnson(6, 3)
     with pytest.raises(ValueError, match="vertex index out of range|at least one vertex"):
