@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,12 +101,16 @@ def bitrade_to_json(T: Bitrade) -> dict:
 
 
 def bitrade_from_json(host: Graph, doc) -> Bitrade:
-    """The bitrade a bitrade_to_json document describes.  Raises KeyError
-    on a label the host lacks, and ValueError when doc is not an object with
-    "T0" and "T1" lists of labels or its sides do not form a bitrade."""
+    """The bitrade a bitrade_to_json document describes.  Raises KeyError on a
+    label the host lacks, and ValueError when doc is not an object with "T0" and
+    "T1" lists of labels, a side lists one twice, or the sides are no bitrade."""
     sides = [doc.get(k) for k in ("T0", "T1")] if isinstance(doc, dict) else [None]
     if not all(isinstance(s, list) and all(isinstance(lab, str) for lab in s) for s in sides):
         raise ValueError('expected an object with "T0" and "T1" lists of vertex labels')
+    twice = [(name, lab) for name, side in zip(("T0", "T1"), sides)
+             for lab, count in Counter(side).items() if count > 1]
+    if twice:
+        raise ValueError("%s lists the label %r twice" % twice[0])
     return _split(host, [(lab, i) for i, side in enumerate(sides) for lab in side])
 
 
@@ -205,16 +210,12 @@ def _signed_eigenfunction(g: Graph, T: Bitrade, theta) -> Verdict:
 
 def check_criterion_c(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
     """The induced subgraph on T0 u T1 is regular of degree k/s (bipartite,
-    since Bitrade refuses a dependent side)."""
+    since Bitrade refuses a dependent side): each support vertex's neighbors
+    inside the support, counted off the host CSR as the times it is a
+    support vertex's neighbor; the witness is the first support vertex by
+    index whose count is not k/s."""
     _on_host(g, S, T)
-    return _trade_subgraph_regular(g, T, Fraction(_degree(g), S.s))
-
-
-def _trade_subgraph_regular(g: Graph, T: Bitrade, target: Fraction) -> Verdict:
-    """check_criterion_c with the degree k/s given: each support vertex's
-    neighbors inside the support, counted off the host CSR as the times it
-    is a support vertex's neighbor; the witness is the first support vertex
-    by index whose count is not k/s."""
+    target = Fraction(_degree(g), S.s)
     sup = np.array(sorted(T.support))
     degs = np.bincount(g.neighbors_of(sup), minlength=g.num_vertices)[sup]
     bad = np.flatnonzero(degs * target.denominator != target.numerator)
@@ -253,12 +254,7 @@ def check_minimality(g: Graph, S: CliqueSystem, T: Bitrade,
     isometric-subgraph test, which must agree (their equivalence is the
     content of the minimality theory; disagreement is a hard failure)."""
     _on_host(g, S, T)
-    return _minimality(g, S, T, _host_array(g, host_array))
-
-
-def _minimality(g: Graph, S: CliqueSystem, T: Bitrade,
-                arr: IntersectionArray) -> MinimalityReport:
-    """check_minimality against the host's proven array arr."""
+    arr = _host_array(g, host_array)
     bound = _integral_bound(arr, Fraction(-arr.k, S.s))
     meets = T.cardinality == bound
     iso = is_isometric_subgraph(g, T.support)
@@ -332,24 +328,23 @@ class VerificationReport:
 def verify_bitrade(g: Graph, S: CliqueSystem, T: Bitrade,
                    host_array=None) -> VerificationReport:
     """Run criteria a/b/c on a distance-regular host; when all pass, also
-    minimality and the trade subgraph's distance regularity.  The degree
-    is read once, as arr.k, which _host_array has checked against the host."""
+    minimality and the trade subgraph's distance regularity, against the
+    host array proven (or checked) once."""
     _on_host(g, S, T)
     arr = _host_array(g, host_array)
     th = Fraction(-arr.k, S.s)
-    degree = Fraction(arr.k, S.s)
     a = check_criterion_a(g, S, T)
-    b = _signed_eigenfunction(g, T, th)
-    c = _trade_subgraph_regular(g, T, degree)
+    b = check_criterion_b(g, S, T)
+    c = check_criterion_c(g, S, T)
     if not (a.ok and b.ok and c.ok):
-        return VerificationReport(a, b, c, th, degree, T.cardinality)
-    mini = _minimality(g, S, T, arr)
+        return VerificationReport(a, b, c, th, -th, T.cardinality)
+    mini = check_minimality(g, S, T, arr)
     sub_arr = None
     shells = None
     if mini.minimal:
         rep = _subgraph_dr(mini.isometric.value, S, arr)
         sub_arr, shells = rep.array, rep.shell_sizes
-    return VerificationReport(a, b, c, th, degree, T.cardinality, mini.bound,
+    return VerificationReport(a, b, c, th, -th, T.cardinality, mini.bound,
                               mini.meets_bound, mini.isometric, mini.minimal,
                               sub_arr, shells)
 
@@ -442,11 +437,11 @@ def min_bitrade_grassmann(n: int, d: int, q: int, host: Graph) -> Bitrade:
                          for v, lab in enumerate(dp.labels)))
 
 
-def pseudo_bitrade_doob(m: int, n: int, host: Graph) -> tuple[Bitrade, Verdict]:
+def pseudo_bitrade_doob(m: int, n: int, host: Graph) -> Bitrade:
     """In the Doob graph there is no Delsarte clique system, so only the
-    eigenfunction route exists: the vertex set {(0,j)}^m x {0,1}^n is split
-    by the parity of its coordinates' sum and certified directly against
-    the minimum eigenvalue -(2m+n)."""
+    eigenfunction route exists: the vertex set {(0,j)}^m x {0,1}^n is split by
+    the parity of its coordinates' sum and certified directly against the
+    minimum eigenvalue -(2m+n), raising CrossCheckViolation if it fails."""
     theta = -(2 * m + n)
     words = itertools.product(*[("00", "01", "02", "03")] * m, *[("0", "1")] * n)
     T = _split(host, ((".".join(w), sum(map(int, w)) % 2) for w in words))
@@ -454,7 +449,7 @@ def pseudo_bitrade_doob(m: int, n: int, host: Graph) -> tuple[Bitrade, Verdict]:
     if not verdict.ok:
         raise CrossCheckViolation(
             f"parity split of doob({m},{n}) is not an eigenfunction at {theta}: {verdict.witness}")
-    return T, verdict
+    return T
 
 
 def double_johnson_bitrade(n: int, w: int, host: Graph) -> Bitrade:
@@ -471,6 +466,7 @@ MIN_BITRADES = {
     "johnson": min_bitrade_johnson,
     "halved_cube": min_bitrade_halved_cube,
     "grassmann": min_bitrade_grassmann,
+    "doob": pseudo_bitrade_doob,
 }
 
 

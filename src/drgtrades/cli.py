@@ -21,7 +21,6 @@ from .bitrades import (
     _integral_bound,
     bitrade_from_json,
     bitrade_to_json,
-    pseudo_bitrade_doob,
     verify_bitrade,
     verify_pseudo_bitrade,
 )
@@ -128,8 +127,6 @@ def cmd_cliques(args) -> int:
 
 def _make_bitrade(args, name, params, g, S):
     if args.bitrade == "min":
-        if name == "doob":
-            return pseudo_bitrade_doob(*params, host=g)[0]
         ctor = MIN_BITRADES.get(name)
         if ctor is None:
             _usage_error(f"no minimum bitrade constructor for {name}")

@@ -55,14 +55,12 @@ class Graph:
         n = len(self.labels)
         if not n:
             raise ValueError("a graph needs at least one vertex")
-        e = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                       dtype=np.int64)
+        e = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] < 2:
             raise ValueError("edges must be index pairs or cliques")
-        if e.size and (e.min() < 0 or e.max() >= n):
-            raise ValueError("edge endpoint out of range")
+        e = vertex_indices(self, e).reshape(e.shape)
         if e.shape[1] > 2:      # rows of mutually adjacent vertices
             if (np.diff(np.sort(e, axis=1), axis=1) == 0).any():
                 raise ValueError("loops are not allowed")
@@ -285,13 +283,10 @@ class CliqueSystem:
 
     def __post_init__(self):
         try:
-            rows = np.asarray(self.cliques, dtype=np.int64).reshape(
-                len(self.cliques), self.s + 1)
+            rows = np.asarray(self.cliques).reshape(len(self.cliques), self.s + 1)
         except ValueError:
             raise ValueError("clique of wrong size in system") from None
-        if rows.size and (rows.min() < 0 or rows.max() >= self.host.num_vertices):
-            raise ValueError("clique entry out of range")
-        object.__setattr__(self, "cliques", rows)
+        object.__setattr__(self, "cliques", vertex_indices(self.host, rows).reshape(rows.shape))
 
     def __repr__(self):
         return f"CliqueSystem({len(self.cliques)} cliques of size {self.s + 1}, m={self.m})"
@@ -338,15 +333,16 @@ def _csr_from_cliques(rows: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def is_regular(g: Graph) -> Verdict:
-    """Common degree as value, or a witness vertex of deviating degree."""
+    """Common degree as value, or a witness vertex of deviating degree.  A
+    graph has its (n, k) row view exactly when it is regular, so only an
+    irregular graph is scanned, for its witness."""
+    if g._rows is not None:
+        return Verdict(True, value=g._rows.shape[1])
     degs = g.degrees
     k = int(degs[0])
-    bad = np.flatnonzero(degs != k)
-    if bad.size:
-        v = int(bad[0])
-        return Verdict(False, witness=(g.labels[v], int(degs[v]), k),
-                       detail="degree deviates from vertex 0")
-    return Verdict(True, value=k)
+    v = int(np.flatnonzero(degs != k)[0])
+    return Verdict(False, witness=(g.labels[v], int(degs[v]), k),
+                   detail="degree deviates from vertex 0")
 
 
 def vertex_indices(g: Graph, vertices) -> np.ndarray:

@@ -25,12 +25,6 @@ from .bitrades import (
     corrupt_one_vertex,
     design_difference,
     double_johnson_bitrade,
-    min_bitrade_grassmann,
-    min_bitrade_halved_cube,
-    min_bitrade_hamming,
-    min_bitrade_johnson,
-    min_bitrade_octahedron,
-    pseudo_bitrade_doob,
     verify_bitrade,
     verify_delsarte_pair,
 )
@@ -193,31 +187,26 @@ def _criterion_7():
 
 
 def _criterion_8():
-    """Doob graph: array matches the quaternary cube, pseudo-bitrade certified."""
+    """Doob graph: array matches the quaternary cube, pseudo-bitrade certified
+    (by its constructor, which raises unless it is an eigenfunction at -3)."""
     g = _graph("doob", 1, 1)
     arr = _host_dr("doob", (1, 1))
     _check(arr == hamming_array(3, 4), f"array {arr}")
-    T, verdict = pseudo_bitrade_doob(1, 1, host=g)
-    _check(verdict.ok, "eigenfunction certificate")
+    T = MIN_BITRADES["doob"](1, 1, host=g)
     _check(T.cardinality == 8 == wd_bound(arr, -3), "bound 2^3")
     return "array of the quaternary 3-cube; 8-vertex pseudo-bitrade at theta -3"
 
 
-_CORRUPTION_FAMILIES = (
-    ("octahedron", (3,), min_bitrade_octahedron),
-    ("hamming", (3, 3), min_bitrade_hamming),
-    ("johnson", (6, 3), min_bitrade_johnson),
-    ("halved_cube", (8,), min_bitrade_halved_cube),
-    ("grassmann", (4, 2, 2), min_bitrade_grassmann),
-)
+_CORRUPTION_FAMILIES = (("octahedron", (3,)), ("hamming", (3, 3)), ("johnson", (6, 3)),
+                        ("halved_cube", (8,)), ("grassmann", (4, 2, 2)))
 
 
 def _criterion_9():
     """Criteria a, b, c agree on valid bitrades and on one-vertex corruptions."""
     rng = random.Random(90209)
-    for name, params, ctor in _CORRUPTION_FAMILIES:
+    for name, params in _CORRUPTION_FAMILIES:
         g, S = _pair(name, *params)
-        T = ctor(*params, host=g)
+        T = MIN_BITRADES[name](*params, host=g)
         rep = verify_bitrade(g, S, T, host_array=_host_dr(name, params))
         _check(rep.all_pass and rep.criteria_agree, f"valid instance {name}")
         for i in range(20):
@@ -240,9 +229,9 @@ def _criterion_10():
     _check(not rep.meets_bound and not rep.isometric.ok,
            "double instance fails both sides")
     _check(T.cardinality == 16 and rep.bound == 8, "16 vs 8")
-    for name, params, ctor in _CORRUPTION_FAMILIES:
+    for name, params in _CORRUPTION_FAMILIES:
         gg, SS = _pair(name, *params)
-        TT = ctor(*params, host=gg)
+        TT = MIN_BITRADES[name](*params, host=gg)
         rr = check_minimality(gg, SS, TT, host_array=_host_dr(name, params))
         _check(rr.meets_bound and rr.isometric.ok, f"minimal {name} passes both")
     return "both directions of the bound/isometry equivalence exercised"

@@ -11,6 +11,7 @@ import pytest
 
 from drgtrades import bitrades
 from drgtrades.bitrades import (
+    MIN_BITRADES,
     Bitrade,
     bitrade_from_json,
     bitrade_to_json,
@@ -302,8 +303,8 @@ CORRUPTIONS_2024 = {
 
 def test_seeded_corruptions_are_pinned():
     from drgtrades import report
-    for name, params, ctor in report._CORRUPTION_FAMILIES:
-        T = ctor(*params, host=build_family(name, params)[0])
+    for name, params in report._CORRUPTION_FAMILIES:
+        T = MIN_BITRADES[name](*params, host=build_family(name, params)[0])
         rng = random.Random(2024)
         got = []
         for _ in range(3):
@@ -544,13 +545,13 @@ def test_grassmann_bitrade_extension_6_2_2():
 
 def test_doob_pseudo_bitrades():
     g = build_doob(1, 0)
-    T, verdict = pseudo_bitrade_doob(1, 0, host=g)
-    assert verdict.ok and T.cardinality == 4
+    T = pseudo_bitrade_doob(1, 0, host=g)
+    assert verify_eigenfunction(g, T.signed_function(), -2).ok and T.cardinality == 4
     assert wd_bound(doob_array(1, 0), -2) == 4
 
     g = build_doob(1, 1)
-    T, verdict = pseudo_bitrade_doob(1, 1, host=g)
-    assert verdict.ok and T.cardinality == 8
+    T = pseudo_bitrade_doob(1, 1, host=g)
+    assert verify_eigenfunction(g, T.signed_function(), -3).ok and T.cardinality == 8
     assert wd_bound(doob_array(1, 1), -3) == 8
     # trade subgraph is the 3-cube
     sub, _ = induced_subgraph(g, T.support)
@@ -559,7 +560,7 @@ def test_doob_pseudo_bitrades():
 
 def test_verify_pseudo_bitrade_doob():
     g = build_doob(1, 1)
-    T, _ = pseudo_bitrade_doob(1, 1, host=g)
+    T = pseudo_bitrade_doob(1, 1, host=g)
     rep = verify_pseudo_bitrade(g, T, doob_array(1, 1))
     assert rep.ok and rep.b.ok and (rep.theta, rep.cardinality, rep.bound) == (-3, 8, 8)
     assert verify_pseudo_bitrade(g, T) == rep      # the array proven, as given
@@ -570,8 +571,8 @@ def test_verify_pseudo_bitrade_doob():
 
 def test_doob_2_0_pseudo_bitrade():
     g = build_doob(2, 0)
-    T, verdict = pseudo_bitrade_doob(2, 0, host=g)
-    assert verdict.ok and T.cardinality == 16
+    T = pseudo_bitrade_doob(2, 0, host=g)
+    assert verify_pseudo_bitrade(g, T).b.ok and T.cardinality == 16
     assert wd_bound(doob_array(2, 0), -4) == 16
 
 
@@ -655,18 +656,14 @@ def test_bound_integrality_cross_check(monkeypatch, johnson63):
         check_minimality(g, S, min_bitrade_johnson(6, 3, host=g))
 
 
-def test_verify_bitrade_reads_the_degree_once(monkeypatch, johnson63):
-    g, S = johnson63
-    calls = []
-
-    def counted(h):
-        calls.append(h)
-        return is_regular(h)
-
-    monkeypatch.setattr(bitrades, "is_regular", counted)
-    rep = verify_bitrade(g, S, min_bitrade_johnson(6, 3, host=g), host_array=johnson_array(6, 3))
-    assert rep.all_pass and rep.minimal
-    assert calls == [g]
+def test_is_regular_reads_a_regular_graph_without_a_degree_scan():
+    # a host of its own, whose degree array is dropped: the degree comes from
+    # its (n, k) row view, so criteria b and c, which read it, still run
+    g, S = build_johnson(6, 3)
+    T = min_bitrade_johnson(6, 3, host=g)
+    g._degrees = None
+    assert is_regular(g) == Verdict(True, value=9)
+    assert check_criterion_b(g, S, T).ok and check_criterion_c(g, S, T).ok
 
 
 def test_minimality_cross_check_raises(monkeypatch, johnson63):

@@ -409,7 +409,11 @@ def test_malformed_bitrade_file_is_usage_error(capsys, tmp_path):
     ({"T0": ["1,2,3", "1,2,4"], "T1": ["4,5,6"]}, "T0 is not an independent set"),
     ({"T0": ["1,2,3"], "T1": ["1,2,3"]}, "trades must be disjoint"),
     ({"T0": [], "T1": ["4,5,6"]}, "both trades must be nonempty"),
-], ids=["no-T1", "list", "dependent-side", "overlap", "empty-side"])
+    # the minimum bitrade with a T0 block listed twice: 9 entries, not the 8-block verdict
+    ({"T0": ["1,3,5", "1,4,6", "2,3,6", "2,4,5", "1,3,5"],
+      "T1": ["1,3,6", "1,4,5", "2,3,5", "2,4,6"]}, "T0 lists the label '1,3,5' twice"),
+    ({"T0": ["1,2,3"], "T1": ["4,5,6", "1,2,3", "4,5,6"]}, "T1 lists the label '4,5,6' twice"),
+], ids=["no-T1", "list", "dependent-side", "overlap", "empty-side", "T0-twice", "T1-twice"])
 def test_bitrade_file_shape_is_usage_error(capsys, tmp_path, doc, message):
     path = tmp_path / "shape.json"
     path.write_text(json.dumps(doc))

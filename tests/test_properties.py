@@ -275,7 +275,7 @@ def test_criteria_agree_on_dual_polar_corruptions(host, seed):
 @lru_cache(maxsize=None)
 def _doob_pseudo_bitrade():
     g = FAMILIES["doob"].build(1, 1)
-    return g, pseudo_bitrade_doob(1, 1, host=g)[0], family_array("doob", (1, 1))
+    return g, pseudo_bitrade_doob(1, 1, host=g), family_array("doob", (1, 1))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

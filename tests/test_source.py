@@ -42,3 +42,20 @@ def test_bitrades_reads_no_distance_matrix():
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "distance_matrix"]
     assert found == []
+
+
+def test_verify_bitrade_runs_the_public_criteria():
+    # one function per criterion: the verdict calls the checks that the
+    # package exports, and no private twin of them exists
+    trees = dict(package_trees())
+    verify = next(node for node in ast.walk(trees["bitrades.py"])
+                  if isinstance(node, ast.FunctionDef) and node.name == "verify_bitrade")
+    called = {node.func.id for node in ast.walk(verify)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert {"check_criterion_a", "check_criterion_b", "check_criterion_c",
+            "check_minimality"} <= called
+    twins = [f"{name}:{node.lineno}" for name, tree in trees.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and node.name in ("_trade_subgraph_regular", "_minimality")]
+    assert twins == []
