@@ -45,7 +45,6 @@ from .graphs import (
     vertex_mask,
 )
 from .spectral import (
-    VertexFunction,
     is_matrix_eigenvalue,
     theta_min,
     wd_bound,
@@ -81,10 +80,6 @@ class Bitrade:
 
     def labels(self, side) -> list[str]:
         return sorted(self.host.labels[v] for v in side)
-
-    def signed_function(self) -> VertexFunction:
-        sign = vertex_mask(self.host, self.t0).astype(int) - vertex_mask(self.host, self.t1)
-        return VertexFunction(self.host, sign)
 
     def __repr__(self):
         return f"Bitrade(|T0|={len(self.t0)}, |T1|={len(self.t1)})"
@@ -307,7 +302,6 @@ class VerificationReport:
     b: Verdict
     c: Verdict
     theta: Fraction
-    subgraph_degree: Fraction
     cardinality: int
     bound: int | None = None
     meets_bound: bool | None = None
@@ -337,14 +331,14 @@ def verify_bitrade(g: Graph, S: CliqueSystem, T: Bitrade,
     b = check_criterion_b(g, S, T)
     c = check_criterion_c(g, S, T)
     if not (a.ok and b.ok and c.ok):
-        return VerificationReport(a, b, c, th, -th, T.cardinality)
+        return VerificationReport(a, b, c, th, T.cardinality)
     mini = check_minimality(g, S, T, arr)
     sub_arr = None
     shells = None
     if mini.minimal:
         rep = _subgraph_dr(mini.isometric.value, S, arr)
         sub_arr, shells = rep.array, rep.shell_sizes
-    return VerificationReport(a, b, c, th, -th, T.cardinality, mini.bound,
+    return VerificationReport(a, b, c, th, T.cardinality, mini.bound,
                               mini.meets_bound, mini.isometric, mini.minimal,
                               sub_arr, shells)
 

@@ -186,7 +186,7 @@ def cmd_verify(args) -> int:
     rep = verify_bitrade(g, S, T)
     which = args.criterion
     titles = {"a": "clique intersections", "b": f"eigenfunction at {rep.theta}",
-              "c": f"trade subgraph {rep.subgraph_degree}-regular"}
+              "c": f"trade subgraph {-rep.theta}-regular"}
     checks = {k: getattr(rep, k) for k in "abc" if which in (k, "all")}
     lines = [f"criterion {k} ({titles[k]}): {_fmt_verdict(v)}" for k, v in checks.items()]
     ok = all(v.ok for v in checks.values())

@@ -51,9 +51,16 @@ def _require_field_order(q: int):
     _require(q == 1, "q a prime power")
 
 
-def _guard(count: int, cap: int, what: str, unit: str = "vertices"):
+def _guard(count: int, cap: int, what: str, k: int, unit: str = "vertices", vertices=None):
+    """Refuse a build of more than cap vertices (or of the unit it enumerates),
+    then one of more than 2,000 * cap CSR entries, the vertices times the degree
+    k, which a complete graph reaches under the vertex cap; J_4(6,2), the
+    densest host with d >= 2 that the default cap admits, has 158M."""
     if count > cap:
         raise EnumerationTooLarge(f"{what}: {count} {unit} exceeds cap {cap}")
+    entries = (count if vertices is None else vertices) * k
+    if entries > 2_000 * cap:
+        raise EnumerationTooLarge(f"{what}: {entries} adjacency entries exceed 2000 x cap {cap}")
 
 
 def _host_with_cliques(labels, rows, s: int, m: int, family: str,
@@ -84,17 +91,15 @@ def build_octahedron(n: int,
     is all 2^n transversals (one vertex per pair), each edge lying in
     2^(n-2) of them.  The cap bounds the transversals."""
     _require(n >= 2, "n >= 2")
-    _guard(2 ** n, cap, f"octahedron({n})", "cliques")
+    _guard(2 ** n, cap, f"octahedron({n})", octahedron_array(n).k, "cliques", 2 * n)
     labels = sorted(f"{i}{s}" for i in range(n) for s in "+-")
-    u, v = np.triu_indices(2 * n, 1)
-    far = u // 2 != v // 2
-    g = Graph(labels, np.stack([u[far], v[far]], axis=1), family="octahedron", params=(n,))
     # pair j is vertices 2j ('+') and 2j+1 ('-'): rows come out sorted, in lexicographic order
-    cliques = 2 * np.arange(n) + (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1)
+    transversals = 2 * np.arange(n) + (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1)
+    g, S = _host_with_cliques(labels, transversals, n - 1, 2 ** (n - 2), "octahedron", (n,))
     # the pair cycle, and the swap within pair 0
     _label_generators(g, [lambda v: f"{(int(v[:-1]) + 1) % n}{v[-1]}",
                           lambda v: {"0+": "0-", "0-": "0+"}.get(v, v)])
-    return g, CliqueSystem(g, cliques, s=n - 1, m=2 ** (n - 2))
+    return g, S
 
 
 def octahedron_array(n: int) -> IntersectionArray:
@@ -112,7 +117,7 @@ def build_hamming(n: int, q: int,
     # a label spells each symbol as one digit, so n >= 2 needs q <= 10; at
     # n = 1 a label is its one symbol, and the labels sort as strings
     _require(n == 1 or q <= 10, "q <= 10 to build n >= 2")
-    _guard(q ** n, cap, f"hamming({n},{q})")
+    _guard(q ** n, cap, f"hamming({n},{q})", hamming_array(n, q).k)
     labels = sorted("".join(str(d) for d in w)
                     for w in itertools.product(range(q), repeat=n))
     idx = {lab: i for i, lab in enumerate(labels)}
@@ -144,7 +149,7 @@ def build_johnson(n: int, w: int,
     """w-subsets of {1..n}, adjacent when sharing w-1 points; one clique per
     (w-1)-subset, consisting of the n-w+1 supersets."""
     _require(2 <= 2 * w <= n, "2 <= 2w <= n")
-    _guard(comb(n, w), cap, f"johnson({n},{w})")
+    _guard(comb(n, w), cap, f"johnson({n},{w})", johnson_array(n, w).k)
     points = range(1, n + 1)
     labels = sorted(johnson_label(s) for s in itertools.combinations(points, w))
     idx = {lab: i for i, lab in enumerate(labels)}
@@ -177,7 +182,7 @@ def build_halved_cube(n: int, check_delsarte: bool = True,
     if check_delsarte and n % 2 == 1:
         raise CliquesNotDelsarte(
             f"halved {n}-cube cliques have order {n} < Hoffman bound for odd n")
-    _guard(2 ** (n - 1), cap, f"halved_cube({n})")
+    _guard(2 ** (n - 1), cap, f"halved_cube({n})", halved_cube_array(n).k)
     labels = sorted("".join(str(b) for b in w)
                     for w in itertools.product((0, 1), repeat=n)
                     if sum(w) % 2 == 0)
@@ -215,7 +220,7 @@ def build_doob(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Graph:
     A vertex is labelled by its factor labels, '.'-joined.  The labels of
     one factor share a length, so product order is label order."""
     _require(m >= 1 and n >= 0, "m >= 1, n >= 0")
-    _guard(16 ** m * 4 ** n, cap, f"doob({m},{n})")
+    _guard(16 ** m * 4 ** n, cap, f"doob({m},{n})", doob_array(m, n).k)
     shrikhande = ([f"{a}{b}" for a in range(4) for b in range(4)],
                   [(4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
                    for a in range(4) for b in range(4) for da, db in _SHRIKHANDE_DIFFS])
@@ -306,9 +311,9 @@ def build_grassmann(n: int, d: int, q: int,
     the (M,1) system."""
     _require(2 <= 2 * d <= n, "2 <= 2d <= n")
     field = make_field(q)
-    _guard(gaussian_binomial(n, d, q), cap, f"grassmann({n},{d},{q})")
+    _guard(gaussian_binomial(n, d, q), cap, f"grassmann({n},{d},{q})", grassmann_array(n, d, q).k)
     clique_order = gaussian_binomial(n - d + 1, 1, q)
-    labels, rows, keys = _hyperplane_buckets(subspace_bases(n, d, q, cap), field, clique_order)
+    labels, rows, keys = _hyperplane_buckets(subspace_bases(n, d, q), field, clique_order)
     g, S = _host_with_cliques(labels, rows, clique_order - 1, 1, "grassmann", (n, d, q))
     g.generators = lambda: _grassmann_generators(keys, d, n, field)
     return g, S
@@ -380,7 +385,8 @@ def build_dual_polar_D(d: int, q: int,
         raise EnumerationTooLarge(
             f"dual_polar_D({d},{q}) has {isotropic_count_product(d, q):,} vertices but "
             f"would enumerate {candidates:,} candidate {d}-subspaces, which exceeds cap {cap}")
-    bases = subspace_bases(2 * d, d, q, cap)
+    _guard(isotropic_count_product(d, q), cap, f"dual_polar_D({d},{q})", dual_polar_array(d, q).k)
+    bases = subspace_bases(2 * d, d, q)
     bases = bases[totally_isotropic_mask(bases, field)]
     labels, edges, _ = _hyperplane_buckets(bases, field, 2)
     return Graph(labels, edges, family="dual_polar_D", params=(d, q))

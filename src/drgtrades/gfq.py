@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CrossCheckViolation, EnumerationTooLarge, UnsupportedFieldOrder
+from .errors import CrossCheckViolation, UnsupportedFieldOrder
 
 DEFAULT_ENUMERATION_CAP = 100_000
 
@@ -153,8 +153,7 @@ def rref_batch(m: np.ndarray, field: FieldSpec) -> np.ndarray:
     return m
 
 
-def subspace_bases(n: int, d: int, q: int,
-                   cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def subspace_bases(n: int, d: int, q: int) -> np.ndarray:
     """The RREF bases of all d-dimensional subspaces of F_q^n, as one
     (N, d, n) int8 array.
 
@@ -164,9 +163,6 @@ def subspace_bases(n: int, d: int, q: int,
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
     total = gaussian_binomial(n, d, q)
-    if total > cap:
-        raise EnumerationTooLarge(
-            f"{total} subspaces for (n={n}, d={d}, q={q}) exceeds cap {cap}")
     blocks = []
     for pivots in itertools.combinations(range(n), d):
         free = [(i, j) for i in range(d) for j in range(n)
@@ -313,10 +309,9 @@ class Subspace:
     field: FieldSpec
 
 
-def enumerate_subspaces(n: int, d: int, field: FieldSpec,
-                        cap: int = DEFAULT_ENUMERATION_CAP) -> list[Subspace]:
+def enumerate_subspaces(n: int, d: int, field: FieldSpec) -> list[Subspace]:
     """subspace_bases(n, d, q) as one Subspace per basis."""
-    return [Subspace(b, field) for b in subspace_bases(n, d, field.q, cap)]
+    return [Subspace(b, field) for b in subspace_bases(n, d, field.q)]
 
 
 def subspace_hyperplanes(s: Subspace) -> list[Subspace]:

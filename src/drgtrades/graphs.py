@@ -206,15 +206,6 @@ class Graph:
             reach |= new
             level += 1
 
-    def distances_from(self, x: int) -> np.ndarray:
-        x = int(vertex_indices(self, [x])[0])
-        dist = self.multi_source_distances([x]) if self._dm is None else self._dm[x]
-        if (dist < 0).any():
-            bad = int(np.flatnonzero(dist < 0)[0])
-            raise Disconnected(
-                f"vertex {self.labels[bad]!r} unreachable from {self.labels[x]!r}")
-        return dist
-
     def distance_matrix(self) -> np.ndarray:
         """Full distance matrix by the bit-parallel BFS, cached; rows are
         BFS distance vectors."""
@@ -293,12 +284,12 @@ class CliqueSystem:
 
 
 def _co_members(rows: np.ndarray, r: int):
-    """Co-members in the rows of an (N, w) array, every vertex in r rows and
-    none twice in a row: yields (v0, block) per block of vertices, block[i]
-    the sorted r(w-1) entries sharing a row with v0 + i.  A vertex gathers
-    its rows (a stable argsort of the entries) into one reused buffer (take
-    buffers its out unless mode="clip") and overwrites itself by -1, which
-    the sort puts first."""
+    """Co-members in the rows of an (N, w) array, every vertex in r rows (a
+    vertex twice in a row is among its own co-members): yields (v0, block)
+    per block of vertices, block[i] the sorted r(w-1) entries sharing a row
+    with v0 + i.  A vertex gathers its rows (a stable argsort of the entries)
+    into one reused buffer (take buffers its out unless mode="clip") and
+    overwrites itself by -1, which the sort puts first."""
     w = rows.shape[1]
     rows = rows.astype(np.int32)
     at = np.argsort(rows, axis=None, kind="stable").reshape(-1, r)
@@ -577,19 +568,19 @@ def verify_clique_system(g: Graph, S: CliqueSystem) -> Verdict:
     m >= 1, by comparing each vertex's co-members with its CSR row taken m
     times, a block of vertices at a time; otherwise, or where a block
     differs, by looking each pair up in the edge keys u*n+v (u < v), which
-    names the first bad clique or the first edge of wrong multiplicity."""
-    n, degs = g.num_vertices, g.degrees
-    holds = Verdict(True, value=(int(degs[0]), S.s, S.m))
-    rows = np.sort(S.cliques, axis=1)
-    repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
-    if (rows.size and degs[0] > 0 and (degs == degs[0]).all() and S.m >= 1
-            and not repeated.any()):
-        k, incidence = int(degs[0]), np.bincount(rows.ravel(), minlength=n)
+    names the first bad clique or the first edge of wrong multiplicity (a row
+    repeating a vertex fails the comparison: no CSR row holds its own vertex)."""
+    n, k = g.num_vertices, is_regular(g).value
+    holds = Verdict(True, value=(int(g.degrees[0]), S.s, S.m))
+    if k and S.m >= 1:
+        incidence = np.bincount(S.cliques.ravel(), minlength=n)
         r, csr = int(incidence[0]), g._rows[..., None]
         if (incidence == r).all() and r * S.s == k * S.m and all(
                 (nbrs.reshape(-1, k, S.m) == csr[v0:v0 + len(nbrs)]).all()
-                for v0, nbrs in _co_members(rows, r)):
+                for v0, nbrs in _co_members(S.cliques, r)):
             return holds
+    rows = np.sort(S.cliques, axis=1)
+    repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     i, j = np.triu_indices(rows.shape[1], 1)
     keys = rows[:, i] * n + rows[:, j]
     edges = g.edge_array()

@@ -137,10 +137,6 @@ class VertexFunction:
             raise ValueError("value count differs from vertex count")
         object.__setattr__(self, "num", np.asarray(self.num, dtype=object))
 
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a, self.den) for a in self.num)
-
 
 def verify_eigenfunction(g: Graph, f: VertexFunction, theta) -> Verdict:
     """Exact check of sum_{y ~ x} f(y) = theta * f(x) at every vertex, on
@@ -153,7 +149,8 @@ def verify_eigenfunction(g: Graph, f: VertexFunction, theta) -> Verdict:
     if not bad.size:
         return Verdict(True)
     x = int(bad[0])
-    return Verdict(False, witness=(g.labels[x], Fraction(nbsum[x], f.den), th * f.values[x]),
+    return Verdict(False, witness=(g.labels[x], Fraction(nbsum[x], f.den),
+                                   th * Fraction(f.num[x], f.den)),
                    detail="neighbor sum mismatch")
 
 
@@ -176,7 +173,8 @@ def delta_function(g: Graph, C, thetas) -> tuple[list[VertexFunction], np.ndarra
 
 def weight_distribution_of(f: VertexFunction, dist: np.ndarray) -> list[Fraction]:
     """Shell sums W^i = sum of f over the vertices at distance i, for i up
-    to dist's maximum: the shells of x when dist is g.distances_from(x)."""
+    to dist's maximum: the shells of x when dist is
+    g.multi_source_distances([x])."""
     bounds = np.concatenate(([0], np.cumsum(np.bincount(dist))))
     sums = segment_sums(f.num[np.argsort(dist, kind="stable")], bounds)
     return [Fraction(w, f.den) for w in sums]

@@ -1,7 +1,7 @@
 """Small ad-hoc graphs, scalar GF(q) references, scalar Fraction
-references for vertex functions and their sums, a per-vertex
-distance-regularity sweep, a pair count of clique systems and an exact
-maximum-clique search, shared across test modules."""
+references for vertex functions and their sums, the signed indicator of a
+bitrade, a per-vertex distance-regularity sweep, a pair count of clique
+systems and an exact maximum-clique search, shared across test modules."""
 
 import itertools
 from collections import deque
@@ -173,6 +173,17 @@ def vertex_function(g, values):
     values = [Fraction(v) for v in values]
     den = lcm(*(v.denominator for v in values))
     return VertexFunction(g, [v.numerator * (den // v.denominator) for v in values], den)
+
+
+def values(f):
+    """The value of f at each vertex, one Fraction per vertex."""
+    return tuple(Fraction(a, f.den) for a in f.num)
+
+
+def signed_function(T):
+    """The signed indicator of the bitrade T: +1 on T0, -1 on T1, 0 elsewhere."""
+    return VertexFunction(T.host, [1 if v in T.t0 else -1 if v in T.t1 else 0
+                                   for v in range(T.host.num_vertices)])
 
 
 def reference_delta_values(g, x, theta, dist=None):

@@ -45,9 +45,12 @@ from drgtrades.families import (
     build_johnson,
     build_octahedron,
     doob_array,
+    dual_polar_array,
+    grassmann_array,
     hamming_array,
     johnson_array,
 )
+from drgtrades.gfq import SUPPORTED_ORDERS, gaussian_binomial, isotropic_count_product
 from drgtrades.graphs import (
     CliqueSystem,
     Graph,
@@ -57,6 +60,7 @@ from drgtrades.graphs import (
     is_regular,
 )
 from drgtrades.spectral import verify_eigenfunction, wd_bound
+from helpers import signed_function
 
 
 @pytest.fixture(scope="module")
@@ -248,7 +252,7 @@ def test_criterion_b_matches_verify_eigenfunction(family, ctor, params):
     rng = random.Random(31)
     theta = Fraction(-is_regular(g).value, S.s)
     for B in [T] + [corrupt_one_vertex(T, rng) for _ in range(10)]:
-        assert check_criterion_b(g, S, B) == verify_eigenfunction(g, B.signed_function(), theta)
+        assert check_criterion_b(g, S, B) == verify_eigenfunction(g, signed_function(B), theta)
 
 
 def reference_criterion_c(g, S, T):
@@ -509,13 +513,21 @@ def test_octahedron_design_is_antipodal_pair():
 
 # --- grassmann -------------------------------------------------------------------------------
 
-def test_grassmann_bitrade_4_2_2():
-    from drgtrades.families import build_grassmann
-    g, S = build_grassmann(4, 2, 2)
-    T = min_bitrade_grassmann(4, 2, 2, host=g)
-    rep = verify_bitrade(g, S, T)
-    assert rep.all_pass and rep.cardinality == 6 == rep.bound and rep.minimal
-    assert rep.subgraph_array.b == (3, 2) and rep.subgraph_array.c == (1, 3)
+# every J_q(n,d) with d >= 2 and at most 12,000 vertices over a supported field:
+# the paper's q-ary headline, each host checked like report criterion 12
+GRASSMANN_GRID = [(n, d, q) for q in SUPPORTED_ORDERS for n in range(4, 10)
+                  for d in range(2, n // 2 + 1) if gaussian_binomial(n, d, q) <= 12_000]
+
+
+@pytest.mark.parametrize("n,d,q", GRASSMANN_GRID)
+def test_grassmann_bitrade_grid(n, d, q):
+    g, S = build_grassmann(n, d, q)
+    arr = distance_regularity_check(g).value
+    assert arr == grassmann_array(n, d, q)
+    rep = verify_bitrade(g, S, min_bitrade_grassmann(n, d, q, host=g), host_array=arr)
+    assert rep.all_pass and rep.minimal
+    assert rep.cardinality == rep.bound == isotropic_count_product(d, q)
+    assert rep.subgraph_array == dual_polar_array(d, q)
 
 
 def test_grassmann_trade_is_built_under_the_host_vertex_count(monkeypatch):
@@ -533,25 +545,17 @@ def test_grassmann_trade_is_built_under_the_host_vertex_count(monkeypatch):
     assert len(caps) == 3
 
 
-def test_grassmann_bitrade_extension_6_2_2():
-    from drgtrades.families import build_grassmann
-    g, S = build_grassmann(6, 2, 2)
-    T = min_bitrade_grassmann(6, 2, 2, host=g)
-    rep = verify_bitrade(g, S, T)
-    assert rep.all_pass and rep.cardinality == 6 == rep.bound and rep.minimal
-
-
 # --- doob ------------------------------------------------------------------------------------
 
 def test_doob_pseudo_bitrades():
     g = build_doob(1, 0)
     T = pseudo_bitrade_doob(1, 0, host=g)
-    assert verify_eigenfunction(g, T.signed_function(), -2).ok and T.cardinality == 4
+    assert verify_eigenfunction(g, signed_function(T), -2).ok and T.cardinality == 4
     assert wd_bound(doob_array(1, 0), -2) == 4
 
     g = build_doob(1, 1)
     T = pseudo_bitrade_doob(1, 1, host=g)
-    assert verify_eigenfunction(g, T.signed_function(), -3).ok and T.cardinality == 8
+    assert verify_eigenfunction(g, signed_function(T), -3).ok and T.cardinality == 8
     assert wd_bound(doob_array(1, 1), -3) == 8
     # trade subgraph is the 3-cube
     sub, _ = induced_subgraph(g, T.support)

@@ -20,7 +20,7 @@ from drgtrades.bitrades import check_clique_design, min_bitrade_johnson
 from drgtrades.families import build_hamming, build_johnson, build_octahedron
 from drgtrades.graphs import completely_regular_check
 from drgtrades.spectral import is_matrix_eigenvalue, verify_eigenfunction
-from helpers import vertex_function
+from helpers import signed_function, vertex_function
 
 
 def theta_min_of_pair(g, S):
@@ -71,7 +71,7 @@ def latin_union(g, shifts):
 def test_trade_function_passes_both(hamming33):
     g, S = build_johnson(6, 3)
     T = min_bitrade_johnson(6, 3, host=g)
-    sums_zero, eig = clique_sums_and_eigenfunction(g, S, T.signed_function())
+    sums_zero, eig = clique_sums_and_eigenfunction(g, S, signed_function(T))
     assert sums_zero and eig.ok
 
 

@@ -457,6 +457,14 @@ def test_dual_polar_cap_names_candidates_and_vertices(capsys):
         "candidate 4-subspaces, which exceeds cap 100000\n")
 
 
+def test_entry_count_cap_names_the_entries(capsys):
+    # J_8(6,1) is complete on 37,449 vertices: under the vertex cap, over the entry cap
+    code = main(["build", "--family", "grassmann:6,1,8"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: grassmann(6,1,8): 1402390152 adjacency entries exceed 2000 x cap 100000\n")
+
+
 def test_wd_bound_integrality_cross_check(capsys, monkeypatch):
     # wd-bound runs the integrality check of bitrades._integral_bound
     monkeypatch.setattr(bitrades, "wd_bound", lambda arr, th: Fraction(5, 2))

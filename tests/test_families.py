@@ -2,7 +2,6 @@
 intersection arrays against the computed ones."""
 
 import hashlib
-import importlib.util
 import itertools
 import json
 import os
@@ -232,7 +231,7 @@ def test_johnson_examples():
 
 def test_johnson_distance_is_w_minus_overlap():
     g, _ = build_johnson(6, 3)
-    d = g.distances_from(g.index_of("1,2,3"))
+    d = g.multi_source_distances([g.index_of("1,2,3")])
     assert d[g.index_of("4,5,6")] == 3
     assert d[g.index_of("1,2,4")] == 1
     assert d[g.index_of("1,4,5")] == 2
@@ -410,6 +409,21 @@ def test_every_builder_honours_the_cap(name):
         build_family(name, SMALLEST[name], cap=1)
 
 
+# each passes the vertex cap, as a complete graph whose CSR would hold 1.4e9 to 1e10
+# entries; the refusal comes before anything of that size is allocated
+@pytest.mark.parametrize("name,params", [("johnson", (100000, 1)), ("hamming", (1, 100000)),
+                                         ("grassmann", (6, 1, 8))])
+def test_complete_hosts_are_refused_by_entry_count(name, params):
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationTooLarge, match="adjacency entries exceed 2000 x cap"):
+            build_family(name, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 # --- builder cross-checks ------------------------------------------------------------
 
 def _duplicate_first_hyperplane(real):
@@ -557,15 +571,34 @@ def test_vertex_keys_wider_than_int64_are_refused():
         families._hyperplane_buckets(np.eye(6, 12, dtype=np.int8)[None], make_field(2), 2)
 
 
-def test_benchmark_builder_probes_run(monkeypatch):
-    # perfbench/worker.py times the builder's public gfq calls in traced
-    # runs; those calls must keep working
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "worker.py")
-    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
-    worker = importlib.util.module_from_spec(spec)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the worker prepends src/
-    spec.loader.exec_module(worker)
-    probes = worker.builder_probes(4, 2, 2, None)
+# perfbench's trace mode, as its worker runs it, on J_2(4,2): the tracer rebinds
+# the package names it times and the probes call the builder's public gfq calls
+_TRACE_RUN = """
+import json, sys
+from time import perf_counter, thread_time
+sys.path.insert(0, "perfbench")
+import tracer, worker, workloads
+spans = tracer.Tracer()
+tracer.instrument(spans, [workloads])
+spec = workloads.PipelineSpec(4, 2, 2, vertices=35, edges=315, cardinality=6, shells=(1, 3, 2))
+out = workloads.large_sparse(0, (perf_counter(), thread_time()), spec=spec)
+print(json.dumps({"failures": out.failures, "spans": sorted(spans.summary()),
+                  "probes": worker.builder_probes(4, 2, 2, None)}))
+"""
+
+
+def test_benchmark_builder_probes_run():
+    # a name the tracer pins that the package drops would break only the
+    # benchmark's traced runs; run one in a process of its own, writing no bytecode
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.path.join(root, "src"))
+    res = subprocess.run([sys.executable, "-c", _TRACE_RUN], capture_output=True,
+                         text=True, cwd=root, env=env)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout.splitlines()[-1])
+    assert doc["failures"] == []
+    assert {"families.build_grassmann", "graphs.verify_clique_system",
+            "bitrades.verify_bitrade"} <= set(doc["spans"])
+    probes = doc["probes"]
     assert (probes["graphs.vertices"], probes["graphs.edges"],
             probes["gfq.hyperplane_calls"]) == (35, 315, 35)

@@ -10,7 +10,6 @@ import pytest
 from drgtrades import gfq
 from drgtrades.errors import (
     CrossCheckViolation,
-    EnumerationTooLarge,
     UnsupportedFieldOrder,
 )
 from drgtrades.gfq import (
@@ -268,11 +267,6 @@ def test_enumeration_count_cross_check(monkeypatch):
     monkeypatch.setattr(gfq, "gaussian_binomial", lambda a, b, q: 8)
     with pytest.raises(CrossCheckViolation, match="enumerated 7 subspaces"):
         subspace_bases(3, 1, 2)
-
-
-def test_enumeration_cap():
-    with pytest.raises(EnumerationTooLarge):
-        subspace_bases(6, 3, 3, cap=1000)
 
 
 # --- hyperplanes --------------------------------------------------------------

@@ -81,12 +81,12 @@ def floyd_warshall(g):
 
 def test_bfs_self_distance_zero():
     g = cycle_graph(4)
-    assert g.distances_from(0)[0] == 0
+    assert g.multi_source_distances([0])[0] == 0
 
 
 def test_bfs_square_opposite():
     g = cycle_graph(4)
-    assert g.distances_from(0)[2] == 2
+    assert g.multi_source_distances([0])[2] == 2
 
 
 def test_bfs_matches_floyd_warshall():
@@ -95,7 +95,7 @@ def test_bfs_matches_floyd_warshall():
         g = random_connected_graph(rng, rng.randint(4, 14), rng.randint(0, 10))
         fw = floyd_warshall(g)
         for x in range(g.num_vertices):
-            assert g.distances_from(x).tolist() == fw[x]
+            assert g.multi_source_distances([x]).tolist() == fw[x]
 
 
 def random_graph(rng, n, m):
@@ -150,8 +150,9 @@ def test_bfs_matches_hamming_distance_above_old_threshold():
 
 def test_bfs_disconnected_raises():
     g = Graph(["a", "b", "c"], [(0, 1)])
+    assert g.multi_source_distances([0]).tolist() == [0, 1, -1]
     with pytest.raises(Disconnected):
-        g.distances_from(0)
+        g.distance_matrix()
 
 
 def test_out_of_range_vertex_indices_are_refused():
@@ -162,11 +163,8 @@ def test_out_of_range_vertex_indices_are_refused():
             completely_regular_check(g, sources)
     for x in (-1, 5):
         with pytest.raises(ValueError, match="vertex index out of range"):
-            g.distances_from(x)
-    g.distance_matrix()
-    with pytest.raises(ValueError, match="vertex index out of range"):
-        g.distances_from(-1)
-    assert g.distances_from(4).tolist() == [1, 2, 2, 1, 0]
+            g.multi_source_distances([x])
+    assert g.multi_source_distances([4]).tolist() == [1, 2, 2, 1, 0]
 
 
 # on J(6,3)'s 20 vertices numpy would read -1 as vertex 19 and 0.5 as vertex 0, and
@@ -182,14 +180,13 @@ def test_out_of_range_vertex_indices_are_refused():
     lambda g, S: check_clique_design(g, S, {-1}),
     lambda g, S: check_clique_design(g, S, {0.5}),
     lambda g, S: Bitrade(g, frozenset([0.5]), frozenset([19])),
-    lambda g, S: g.distances_from(0.5),
     lambda g, S: g.multi_source_distances([0.5]),
     lambda g, S: completely_regular_check(g, [0.5]),
     lambda g, S: is_regular(Graph([], [])),
     lambda g, S: distance_regularity_check(Graph([], [])),
 ], ids=["among-negative", "among-past-end", "among-float", "induced-past-end",
         "induced-float", "isometric-negative", "isometric-float", "design-negative",
-        "design-float", "bitrade-float", "from-float", "sources-float",
+        "design-float", "bitrade-float", "sources-float",
         "completely-regular-float", "regular-empty", "dr-empty"])
 def test_vertex_indices_outside_the_host_are_refused(call):
     g, S = build_johnson(6, 3)
@@ -833,6 +830,18 @@ def test_clique_system_rows():
         with pytest.raises(ValueError):
             CliqueSystem(g, rows, s=1, m=1)
     assert CliqueSystem(g, (), s=1, m=1).cliques.shape == (0, 2)
+
+
+def test_repeated_vertex_rows_fail_the_gather_route(monkeypatch):
+    # on C4 each vertex lies in two rows and r*s = k*m, so the co-member gather
+    # runs; a row that repeats its vertex lists it among its own co-members,
+    # which no CSR row holds, and the witness route names that row
+    gathered = []
+    real = graphs._co_members
+    monkeypatch.setattr(graphs, "_co_members", lambda rows, r: gathered.append(r) or real(rows, r))
+    g = cycle_graph(4)
+    v = verify_clique_system(g, CliqueSystem(g, [[0, 0], [1, 1], [2, 2], [3, 3]], s=1, m=1))
+    assert (v.witness, v.detail, gathered) == (0, "clique of wrong size", [2])
 
 
 def test_clique_system_refuses_entries_outside_the_host():

@@ -51,7 +51,7 @@ from drgtrades.spectral import (
     wd_bound,
     weight_distribution_of,
 )
-from helpers import CliqueSearchTooLarge, max_clique_order
+from helpers import CliqueSearchTooLarge, max_clique_order, signed_function, values
 
 FAMILY_INSTANCES = [
     ("octahedron", (3,)),
@@ -126,7 +126,7 @@ def test_theta_min_sum_over_clique_is_zero(name, params):
     (f,), _ = delta_function(g, [0], [th])
     assert verify_eigenfunction(g, f, th).ok
     for clique in S.cliques:
-        assert sum((f.values[v] for v in clique), Fraction(0)) == 0
+        assert sum((values(f)[v] for v in clique), Fraction(0)) == 0
 
 
 def test_weight_distribution_zero_off_support_basepoint():
@@ -135,11 +135,11 @@ def test_weight_distribution_zero_off_support_basepoint():
     g, S = build_johnson(6, 3)
     from drgtrades.bitrades import min_bitrade_johnson
     T = min_bitrade_johnson(6, 3, host=g)
-    f = T.signed_function()
+    f = signed_function(T)
     outside = next(v for v in range(g.num_vertices) if v not in T.support)
-    assert all(w == 0 for w in weight_distribution_of(f, g.distances_from(outside)))
+    assert all(w == 0 for w in weight_distribution_of(f, g.multi_source_distances([outside])))
     inside = next(iter(T.t0))
-    w = weight_distribution_of(f, g.distances_from(inside))
+    w = weight_distribution_of(f, g.multi_source_distances([inside]))
     assert tuple(w) == (1, -3, 3, -1)
 
 
@@ -283,5 +283,5 @@ def _doob_pseudo_bitrade():
 def test_pseudo_bitrade_criterion_b_matches_verify_eigenfunction(seed):
     g, T, arr = _doob_pseudo_bitrade()
     for U in (T, corrupt_one_vertex(T, random.Random(seed))):
-        want = verify_eigenfunction(g, U.signed_function(), theta_min(arr))
+        want = verify_eigenfunction(g, signed_function(U), theta_min(arr))
         assert verify_pseudo_bitrade(g, U, arr).b == want

@@ -18,7 +18,8 @@ from drgtrades.spectral import (
     wd_coefficients,
     weight_distribution_of,
 )
-from helpers import reference_delta_values, reference_distances, reference_shell_sums
+from helpers import (reference_delta_values, reference_distances, reference_shell_sums,
+                     values)
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +39,10 @@ def test_criterion_11_route_matches_per_pair_references(shell_hosts):
             ref_dist = reference_distances(g, x)
             assert dist.tolist() == [ref_dist[v] for v in range(g.num_vertices)]
             for th, f in zip(eigs, fs):
-                values = reference_delta_values(g, x, th, ref_dist)
-                assert list(f.values) == values, (name, params, th, x)
+                want = reference_delta_values(g, x, th, ref_dist)
+                assert list(values(f)) == want, (name, params, th, x)
                 got = weight_distribution_of(f, dist)
-                assert got == reference_shell_sums(g, values, x, ref_dist)
+                assert got == reference_shell_sums(g, want, x, ref_dist)
                 assert tuple(got) == wd_coefficients(arr, th)
 
 

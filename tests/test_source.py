@@ -59,3 +59,15 @@ def test_verify_bitrade_runs_the_public_criteria():
              if isinstance(node, ast.FunctionDef)
              and node.name in ("_trade_subgraph_regular", "_minimality")]
     assert twins == []
+
+
+def test_only_families_raises_enumeration_too_large():
+    # every cap refusal is a family builder's, made before it allocates the host
+    found = []
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", None) == "EnumerationTooLarge" and name != "families.py":
+                    found.append(f"{name}:{node.lineno}")
+    assert found == []

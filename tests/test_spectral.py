@@ -37,6 +37,7 @@ from helpers import (
     cycle_graph,
     reference_neighbor_sums,
     reference_shell_sums,
+    values,
     vertex_function,
 )
 
@@ -208,7 +209,7 @@ def test_zero_function_rejected():
 def test_delta_function_whole_set_constant():
     g = cube_graph(3)
     (f,), _ = delta_function(g, range(8), [3])
-    assert all(v == 1 for v in f.values)
+    assert all(v == 1 for v in values(f))
 
 
 def test_delta_function_singleton_alternates():
@@ -216,7 +217,7 @@ def test_delta_function_singleton_alternates():
     x = g.index_of("0000")
     (f,), _ = delta_function(g, [x], [-4])
     for v, lab in enumerate(g.labels):
-        assert f.values[v] == (-1) ** lab.count("1")
+        assert values(f)[v] == (-1) ** lab.count("1")
     assert verify_eigenfunction(g, f, -4).ok
 
 
@@ -237,7 +238,7 @@ def test_delta_function_not_cr_raises():
 def test_weight_distribution_shells():
     g = cube_graph(4)
     ones = vertex_function(g, [1] * 16)
-    assert weight_distribution_of(ones, g.distances_from(0)) == [1, 4, 6, 4, 1]
+    assert weight_distribution_of(ones, g.multi_source_distances([0])) == [1, 4, 6, 4, 1]
 
 
 @pytest.mark.parametrize("numerator,denominator", [(1, 1), (1, 6), (1, 1000003), (2 ** 62, 1)])
@@ -248,17 +249,17 @@ def test_weight_distribution_matches_shell_loop(numerator, denominator):
     rng = random.Random(denominator)
     f = vertex_function(g, [Fraction(rng.randint(-9, 9) * numerator, denominator)
                             for _ in range(16)])
-    dist = g.distances_from(5).tolist()
-    want = [sum((v for v, d in zip(f.values, dist) if d == i), Fraction(0))
+    dist = g.multi_source_distances([5]).tolist()
+    want = [sum((v for v, d in zip(values(f), dist) if d == i), Fraction(0))
             for i in range(max(dist) + 1)]
-    assert weight_distribution_of(f, g.distances_from(5)) == want
+    assert weight_distribution_of(f, g.multi_source_distances([5])) == want
 
 
 def test_weight_distribution_refuses_an_out_of_range_center():
     # the shells of -1 would be those of vertex 7
     g = cube_graph(3)
     with pytest.raises(ValueError, match="vertex index out of range"):
-        weight_distribution_of(vertex_function(g, [1] * 8), g.distances_from(-1))
+        weight_distribution_of(vertex_function(g, [1] * 8), g.multi_source_distances([-1]))
 
 
 def test_weight_distribution_eigenfunction_matches_coefficients():
@@ -301,14 +302,14 @@ def drawn_functions(draw):
     n = g.num_vertices
     theta = draw(st.sampled_from(intersection_matrix_eigenvalues(arr)))
     if draw(st.booleans()):
-        values = draw(st.lists(RATIONALS | st.just(Fraction(0)), min_size=n, max_size=n))
+        vals = draw(st.lists(RATIONALS | st.just(Fraction(0)), min_size=n, max_size=n))
     else:
         scale = draw(RATIONALS) or Fraction(1)
         (base,), _ = delta_function(g, [draw(st.integers(0, n - 1))], [theta])
-        values = [scale * v for v in base.values]
+        vals = [scale * v for v in values(base)]
         if draw(st.booleans()):
-            values[draw(st.integers(0, n - 1))] += draw(RATIONALS)
-    return g, S, theta, values
+            vals[draw(st.integers(0, n - 1))] += draw(RATIONALS)
+    return g, S, theta, vals
 
 
 def reference_eigenfunction(g, values, theta):
@@ -327,7 +328,8 @@ def test_vertex_function_sums_match_fraction_references(drawn, seed):
     f = vertex_function(g, values)
     assert [Fraction(a, f.den) for a in f.num] == values
     x = seed % g.num_vertices
-    assert weight_distribution_of(f, g.distances_from(x)) == reference_shell_sums(g, values, x)
+    assert (weight_distribution_of(f, g.multi_source_distances([x]))
+            == reference_shell_sums(g, values, x))
     if not any(values):
         with pytest.raises(ZeroFunction):
             verify_eigenfunction(g, f, theta)
