@@ -132,6 +132,13 @@ def _degree(g: Graph) -> int:
     return reg.value
 
 
+def _theta(k: int, S: CliqueSystem) -> Fraction:
+    """-k/s, the eigenvalue of a (k,s,m) pair's bitrades; ValueError if s = 0."""
+    if not S.s:
+        raise ValueError("a clique system with s = 0 has no eigenvalue -k/s")
+    return Fraction(-k, S.s)
+
+
 def _host_array(g: Graph, host_array=None) -> IntersectionArray:
     """host_array when given, else the host's intersection array as proven
     by distance_regularity_check.  A host that is not distance-regular (or,
@@ -185,7 +192,7 @@ def check_criterion_a(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
 def check_criterion_b(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
     """The signed indicator function is an eigenfunction at -k/s."""
     _on_host(g, S, T)
-    return _signed_eigenfunction(g, T, Fraction(-_degree(g), S.s))
+    return _signed_eigenfunction(g, T, _theta(_degree(g), S))
 
 
 def _signed_eigenfunction(g: Graph, T: Bitrade, theta) -> Verdict:
@@ -210,7 +217,7 @@ def check_criterion_c(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
     support vertex's neighbor; the witness is the first support vertex by
     index whose count is not k/s."""
     _on_host(g, S, T)
-    target = Fraction(_degree(g), S.s)
+    target = -_theta(_degree(g), S)
     sup = np.array(sorted(T.support))
     degs = np.bincount(g.neighbors_of(sup), minlength=g.num_vertices)[sup]
     bad = np.flatnonzero(degs * target.denominator != target.numerator)
@@ -250,7 +257,7 @@ def check_minimality(g: Graph, S: CliqueSystem, T: Bitrade,
     content of the minimality theory; disagreement is a hard failure)."""
     _on_host(g, S, T)
     arr = _host_array(g, host_array)
-    bound = _integral_bound(arr, Fraction(-arr.k, S.s))
+    bound = _integral_bound(arr, _theta(arr.k, S))
     meets = T.cardinality == bound
     iso = is_isometric_subgraph(g, T.support)
     if meets != iso.ok:
@@ -272,19 +279,19 @@ def check_subgraph_dr(g: Graph, S: CliqueSystem, T: Bitrade,
     violated equivalence, not a user error."""
     _on_host(g, S, T)
     arr = _host_array(g, host_array)
-    return _subgraph_dr(induced_subgraph(g, T.support)[0], S, arr)
+    return _subgraph_dr(induced_subgraph(g, T.support)[0], arr, _theta(arr.k, S))
 
 
-def _subgraph_dr(sub: Graph, S: CliqueSystem, arr: IntersectionArray) -> SubgraphReport:
+def _subgraph_dr(sub: Graph, arr: IntersectionArray, theta: Fraction) -> SubgraphReport:
     """check_subgraph_dr on the trade subgraph sub, against the host's
-    proven array arr.  Every vertex of a distance-regular graph has the
-    shells k_0 = 1, k_{i+1} = k_i b_i / c_{i+1} of its proven array, so
-    vertex 0 names a mismatch."""
+    proven array arr at theta = -k/s.  Every vertex of a distance-regular
+    graph has the shells k_0 = 1, k_{i+1} = k_i b_i / c_{i+1} of its proven
+    array, so vertex 0 names a mismatch."""
     dr = distance_regularity_check(sub)
     if not dr.ok:
         raise CrossCheckViolation(
             f"trade subgraph of a minimal bitrade not distance-regular: {dr.witness}")
-    shells = tuple(abs(int(w)) for w in wd_coefficients(arr, Fraction(-arr.k, S.s)))
+    shells = tuple(abs(int(w)) for w in wd_coefficients(arr, theta))
     got = [1]
     for b, c in zip(dr.value.b, dr.value.c):
         got.append(got[-1] * b // c)
@@ -326,7 +333,7 @@ def verify_bitrade(g: Graph, S: CliqueSystem, T: Bitrade,
     host array proven (or checked) once."""
     _on_host(g, S, T)
     arr = _host_array(g, host_array)
-    th = Fraction(-arr.k, S.s)
+    th = _theta(arr.k, S)
     a = check_criterion_a(g, S, T)
     b = check_criterion_b(g, S, T)
     c = check_criterion_c(g, S, T)
@@ -336,7 +343,7 @@ def verify_bitrade(g: Graph, S: CliqueSystem, T: Bitrade,
     sub_arr = None
     shells = None
     if mini.minimal:
-        rep = _subgraph_dr(mini.isometric.value, S, arr)
+        rep = _subgraph_dr(mini.isometric.value, arr, th)
         sub_arr, shells = rep.array, rep.shell_sizes
     return VerificationReport(a, b, c, th, T.cardinality, mini.bound,
                               mini.meets_bound, mini.isometric, mini.minimal,
@@ -527,7 +534,7 @@ def check_clique_design(g: Graph, S: CliqueSystem, dset) -> Verdict:
         return Verdict(False, witness=(ci, int(hits[ci])),
                        detail="clique not met exactly once")
     if len(D) < g.num_vertices:
-        th = Fraction(-_degree(g), S.s)
+        th = _theta(_degree(g), S)
         cr = completely_regular_check(g, D)
         if not (cr.ok and cr.value.rho == 1 and is_matrix_eigenvalue(cr.value, th)):
             raise CrossCheckViolation(

@@ -2,16 +2,14 @@
 reproducible batch commands.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error.
-The enumeration cap comes from --cap, then the DRG_CAP environment
-variable, then the library default.  Output is deterministic: everything
-printed is derived from sorted structures.
+The enumeration cap comes from --cap, else the library default.  Output is
+deterministic: everything printed is derived from sorted structures.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import NoReturn
 
@@ -31,12 +29,9 @@ from .errors import (
     NotDistanceRegular,
     UnsupportedFieldOrder,
 )
-from .families import build_family, build_halved_cube, family_array, parse_family
-from .gfq import (
-    DEFAULT_ENUMERATION_CAP,
-    isotropic_count_product,
-    isotropic_count_sum,
-)
+from .families import (DEFAULT_ENUMERATION_CAP, build_family, build_halved_cube,
+                       family_array, parse_family)
+from .gfq import isotropic_count_product, isotropic_count_sum
 from .graphs import (
     distance_regularity_check,
     graph_to_json,
@@ -52,19 +47,9 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def _resolve_cap(args) -> int:
-    cap, source = args.cap, "--cap"
-    if cap is None:
-        env = os.environ.get("DRG_CAP")
-        if not env:
-            return DEFAULT_ENUMERATION_CAP
-        source = "DRG_CAP"
-        try:
-            cap = int(env)
-        except ValueError:
-            _usage_error(f"DRG_CAP must be an integer, got {env!r}")
-    if cap <= 0:
-        _usage_error(f"{source} must be positive, got {cap}")
-    return cap
+    if args.cap <= 0:
+        _usage_error(f"--cap must be positive, got {args.cap}")
+    return args.cap
 
 
 def _family(args):
@@ -295,8 +280,8 @@ def main(argv=None) -> int:
         p.add_argument("--family", required=True,
                        help="family spec, e.g. johnson:6,3 or grassmann:6,3,2")
         p.add_argument("--json", action="store_true", help="machine output")
-        p.add_argument("--cap", type=int, default=None,
-                       help="enumeration cap (env DRG_CAP also honored)")
+        p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                       help="enumeration cap")
         if bitrade:
             p.add_argument("--bitrade", default="min",
                            help="'min' or a bitrade JSON file")

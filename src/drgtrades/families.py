@@ -21,7 +21,6 @@ from .errors import (
     InvalidParameters,
 )
 from .gfq import (
-    DEFAULT_ENUMERATION_CAP,
     gaussian_binomial,
     hyperplane_keys,
     isotropic_count_product,
@@ -34,6 +33,8 @@ from .gfq import (
     unpack_digits,
 )
 from .graphs import CliqueSystem, Graph, IntersectionArray
+
+DEFAULT_ENUMERATION_CAP = 100_000
 
 
 def _require(ok: bool, need: str):

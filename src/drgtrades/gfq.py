@@ -10,9 +10,9 @@ Subspaces of F_q^n are stored as reduced-row-echelon bases, which makes
 subspace equality an array comparison and allows enumeration by pivot
 pattern instead of by deduplicating spanning sets.  All linear algebra works
 on whole batches of bases as int8 arrays: one product (matmul_batch), one
-RREF (rref_batch), enumeration (subspace_bases), the points and hyperplanes
-of every basis (point_rows, hyperplane_bases, or as int64 keys by
-hyperplane_keys) and total isotropy (totally_isotropic_mask).
+RREF (rref_batch), enumeration (subspace_bases), the points of every basis
+(point_rows) and its hyperplanes as int64 keys (hyperplane_keys), and total
+isotropy (totally_isotropic_mask).
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CrossCheckViolation, UnsupportedFieldOrder
-
-DEFAULT_ENUMERATION_CAP = 100_000
 
 # Irreducible modulus per extension order, constant term first, leading 1 last.
 _MODULI = {
@@ -226,18 +224,12 @@ def _hyperplane_points(d: int, q: int) -> np.ndarray:
     return out
 
 
-def hyperplane_bases(bases: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """The RREF bases C @ B of the (d-1)-subspaces of every basis B of an
-    (N, d, n) array, (N, H, d-1, n) with H = [d, 1]_q, for each RREF C of
-    subspace_bases(d, d-1, q): each row of C is a point, so C @ B is gathered
-    from point_rows.  C @ B is in RREF already: B's pivot columns hold C, and
-    row i of C @ B starts at the pivot of the row of B that row i of C does."""
-    return point_rows(bases, field)[:, _hyperplane_points(bases.shape[1], field.q)]
-
-
 def hyperplane_keys(bases: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """pack_digits of each flattened hyperplane_bases row, as an (N, H)
-    array: the packed point rows of each hyperplane, packed base q^n."""
+    """The hyperplanes of every basis B of an (N, d, n) array as (N, H) int64
+    keys, H = [d, 1]_q: for each RREF C of subspace_bases(d, d-1, q), the
+    basis C @ B, gathered from point_rows (each row of C is a point) and
+    packed base q^n.  C @ B is in RREF already: B's pivot columns hold C, and
+    row i of C @ B starts at the pivot of the row of B that row i of C does."""
     q, at = field.q, _hyperplane_points(bases.shape[1], field.q)
     return pack_digits(pack_digits(point_rows(bases, field), q)[:, at], q ** bases.shape[2])
 
@@ -297,23 +289,15 @@ def isotropic_count_sum(d: int, q: int) -> int:
 # --- probe seam ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Subspace:
-    """One RREF basis, a (d, n) int8 array, and its field.
-
-    Serves only the benchmark's traced builder probes, which time
-    enumerate_subspaces and subspace_hyperplanes one subspace at a time; it
-    goes when those probes move to subspace_bases and hyperplane_bases."""
-
-    basis: np.ndarray
-    field: FieldSpec
+def enumerate_subspaces(n: int, d: int, field: FieldSpec) -> list[tuple]:
+    """subspace_bases(n, d, q) as (basis, field) pairs, which only the
+    benchmark's builder probes time, with subspace_hyperplanes, one at a time."""
+    return [(b, field) for b in subspace_bases(n, d, field.q)]
 
 
-def enumerate_subspaces(n: int, d: int, field: FieldSpec) -> list[Subspace]:
-    """subspace_bases(n, d, q) as one Subspace per basis."""
-    return [Subspace(b, field) for b in subspace_bases(n, d, field.q)]
-
-
-def subspace_hyperplanes(s: Subspace) -> list[Subspace]:
-    """hyperplane_bases of one Subspace, one Subspace per hyperplane."""
-    return [Subspace(h, s.field) for h in hyperplane_bases(s.basis[None], s.field)[0]]
+def subspace_hyperplanes(s: tuple) -> list[tuple]:
+    """The hyperplanes of one (basis, field) pair, as such pairs: the RREF
+    bases C @ B that hyperplane_keys packs."""
+    basis, field = s
+    rows = point_rows(basis[None], field)[0, _hyperplane_points(len(basis), field.q)]
+    return [(h, field) for h in rows]

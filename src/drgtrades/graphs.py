@@ -42,13 +42,15 @@ class Graph:
     Vertex order is the label order handed in by the constructor; family
     builders always pass labels sorted, so indices are reproducible across
     runs and serializations are byte-identical.  Edges, given as index pairs
-    or as clique rows, are stored once, as CSR arrays: the neighbors of v
-    are _flat[_off[v]:_off[v + 1]], sorted.
+    or as clique rows (which must meet every vertex equally often), are
+    stored once, as CSR arrays: the neighbors of v are
+    _flat[_off[v]:_off[v + 1]], sorted.
     """
 
     def __init__(self, labels, edges, family=None, params=None):
         self.labels = list(labels)
-        if len(set(self.labels)) != len(self.labels):
+        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        if len(self._index) != len(self.labels):
             raise ValueError("duplicate vertex labels")
         self.family = family
         self.params = tuple(params) if params is not None else None
@@ -65,11 +67,10 @@ class Graph:
             if (np.diff(np.sort(e, axis=1), axis=1) == 0).any():
                 raise ValueError("loops are not allowed")
             incidence = np.bincount(e.ravel(), minlength=n)
-            if (incidence == incidence[0]).all():
-                self._flat, self._off = _csr_from_cliques(e, int(incidence[0]))
-            else:
-                e = clique_pairs(e).reshape(-1, 2)
-        if e.shape[1] == 2:
+            if (incidence != incidence[0]).any():
+                raise ValueError("clique rows must meet every vertex equally often")
+            self._flat, self._off = _csr_from_cliques(e, int(incidence[0]))
+        else:
             if (e[:, 0] == e[:, 1]).any():
                 raise ValueError("loops are not allowed")
             und = np.concatenate([e, e[:, ::-1]])
@@ -82,7 +83,6 @@ class Graph:
         self._degrees = np.diff(self._off)
         regular = (self._degrees == self._degrees[0]).all()     # _rows[v]: v's CSR row
         self._rows = self._flat.reshape(n, self._degrees[0]) if regular else None
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._dm = None
         # zero-argument callable returning automorphisms as permutation
         # arrays, set by builders that know some; only the certificate of
@@ -552,14 +552,6 @@ def _transitive(g: Graph, perms, k: int) -> bool:
         fresh[np.concatenate([p[frontier] for p in perms])] = True
         seen, frontier = seen | fresh, np.flatnonzero(fresh & ~seen)
     return bool(seen.all())
-
-
-def clique_pairs(cliques: np.ndarray) -> np.ndarray:
-    """The vertex pairs inside each row of an (N, s+1) array, as an
-    (N, s(s+1)/2, 2) array; pairs of a row come in lexicographic position
-    order, (0,1), (0,2), ..., (1,2), ..."""
-    i, j = np.triu_indices(cliques.shape[1], 1)
-    return np.stack([cliques[:, i], cliques[:, j]], axis=2)
 
 
 def verify_clique_system(g: Graph, S: CliqueSystem) -> Verdict:

@@ -86,13 +86,9 @@ def _pair(name, *params):
     return build_family(name, params)
 
 
-def _graph(name, *params):
-    return _pair(name, *params)[0]
-
-
 @lru_cache(maxsize=None)
 def _host_dr(name: str, params: tuple):
-    return _host_array(_graph(name, *params))
+    return _host_array(_pair(name, *params)[0])
 
 
 # --- criteria --------------------------------------------------------------------
@@ -189,7 +185,7 @@ def _criterion_7():
 def _criterion_8():
     """Doob graph: array matches the quaternary cube, pseudo-bitrade certified
     (by its constructor, which raises unless it is an eigenfunction at -3)."""
-    g = _graph("doob", 1, 1)
+    g = _pair("doob", 1, 1)[0]
     arr = _host_dr("doob", (1, 1))
     _check(arr == hamming_array(3, 4), f"array {arr}")
     T = MIN_BITRADES["doob"](1, 1, host=g)
@@ -255,7 +251,7 @@ def _criterion_11():
     recursion; clique/shell intersection constants are constant."""
     rng = random.Random(1101)
     for name, params in _SHELL_SUITE:
-        g = _graph(name, *params)
+        g = _pair(name, *params)[0]
         arr = _host_dr(name, params)
         eigs = intersection_matrix_eigenvalues(arr)
         verts = [rng.randrange(g.num_vertices) for _ in range(10)]
@@ -311,27 +307,26 @@ def _criterion_12():
     return "33880-vertex host, 80-vertex bitrade, exact"
 
 
-_CRITERIA = [
-    (1, "isotropic-count identity, d <= 5, q in {2,3,4,5}", 1.0, _criterion_1),
-    (2, "minimum trade sizes from the w.d. bound, q = 2..5", 1.0, _criterion_2),
-    (3, "full binary pipeline (1395-vertex host)", 60.0, _criterion_3),
-    (4, "small binary pipeline with zero-extension embedding", 1.0, _criterion_4),
-    (5, "minimum triple-system bitrade on 6 points", 1.0, _criterion_5),
-    (6, "halved 8-cube doubled-word bitrade", 1.0, _criterion_6),
-    (7, "ternary parity bitrade and latin-square difference", 1.0, _criterion_7),
-    (8, "Doob graph pseudo-bitrade", 5.0, _criterion_8),
-    (9, "criteria equivalence under corruption", 120.0, _criterion_9),
-    (10, "bound/isometry biconditional, both directions", 30.0, _criterion_10),
-    (11, "shell-sum recursion and intersection constants", 60.0, _criterion_11),
-]
+_CRITERIA = {
+    1: ("isotropic-count identity, d <= 5, q in {2,3,4,5}", 1.0, _criterion_1),
+    2: ("minimum trade sizes from the w.d. bound, q = 2..5", 1.0, _criterion_2),
+    3: ("full binary pipeline (1395-vertex host)", 60.0, _criterion_3),
+    4: ("small binary pipeline with zero-extension embedding", 1.0, _criterion_4),
+    5: ("minimum triple-system bitrade on 6 points", 1.0, _criterion_5),
+    6: ("halved 8-cube doubled-word bitrade", 1.0, _criterion_6),
+    7: ("ternary parity bitrade and latin-square difference", 1.0, _criterion_7),
+    8: ("Doob graph pseudo-bitrade", 5.0, _criterion_8),
+    9: ("criteria equivalence under corruption", 120.0, _criterion_9),
+    10: ("bound/isometry biconditional, both directions", 30.0, _criterion_10),
+    11: ("shell-sum recursion and intersection constants", 60.0, _criterion_11),
+    12: ("ternary pipeline (33880-vertex host)", 1800.0, _criterion_12),
+}
 
-_LARGE = (12, "ternary pipeline (33880-vertex host)", 1800.0, _criterion_12)
+_LARGE = 12     # run only with --with-large
 
 
 def run_criterion(number: int) -> CriterionResult:
-    table = {n: (t, b, f) for n, t, b, f in _CRITERIA}
-    table[_LARGE[0]] = _LARGE[1:]
-    title, budget, fn = table[number]
+    title, budget, fn = _CRITERIA[number]
     t0 = perf_counter()
     try:
         detail = fn() or ""
@@ -344,7 +339,4 @@ def run_criterion(number: int) -> CriterionResult:
 
 
 def run_all(include_large: bool = False) -> list[CriterionResult]:
-    numbers = [n for n, *_ in _CRITERIA]
-    if include_large:
-        numbers.append(_LARGE[0])
-    return [run_criterion(n) for n in numbers]
+    return [run_criterion(n) for n in _CRITERIA if include_large or n != _LARGE]

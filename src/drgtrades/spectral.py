@@ -51,6 +51,16 @@ def _count_above(arr: IntersectionArray, t: int) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
+def _eigenvalue(arr: IntersectionArray, j: int) -> int:
+    """The integer m with eigenvalue j of L (descending, from 0) in
+    (m - 1/2, m + 1/2]: bisection on the Sturm count over [-k, k]."""
+    lo, hi = -arr.k, arr.k
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _count_above(arr, 2 * mid + 1) <= j else (mid + 1, hi)
+    return lo
+
+
 def intersection_matrix_eigenvalues(arr: IntersectionArray) -> list[int]:
     """All rho+1 eigenvalues of the intersection matrix, exact, descending.
 
@@ -63,13 +73,7 @@ def intersection_matrix_eigenvalues(arr: IntersectionArray) -> list[int]:
     """
     roots = []
     for j in range(arr.rho + 1):
-        lo, hi = -arr.k, arr.k
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _count_above(arr, 2 * mid + 1) <= j:
-                hi = mid
-            else:
-                lo = mid + 1
+        lo = _eigenvalue(arr, j)
         if _minors(arr, lo)[-1] != 0 or lo in roots[-1:]:
             raise NonIntegerSpectrum(
                 f"eigenvalue {j} (descending) of {arr} lies within 1/2 of {lo} "
@@ -79,7 +83,13 @@ def intersection_matrix_eigenvalues(arr: IntersectionArray) -> list[int]:
 
 
 def theta_min(arr: IntersectionArray) -> int:
-    return intersection_matrix_eigenvalues(arr)[-1]
+    """The least eigenvalue by one bisection: its integer m, when p_rho(m) = 0
+    and the other rho eigenvalues lie above m + 1/2."""
+    m = _eigenvalue(arr, arr.rho)
+    if _minors(arr, m)[-1] != 0 or _count_above(arr, 2 * m + 1) != arr.rho:
+        raise NonIntegerSpectrum(f"the least eigenvalue of {arr} lies within 1/2 of {m} "
+                                 f"but is not {m} alone; the spectrum is not integral")
+    return m
 
 
 def is_matrix_eigenvalue(arr: IntersectionArray, theta) -> bool:

@@ -1,7 +1,8 @@
 """Small ad-hoc graphs, scalar GF(q) references, scalar Fraction
 references for vertex functions and their sums, the signed indicator of a
 bitrade, a per-vertex distance-regularity sweep, a pair count of clique
-systems and an exact maximum-clique search, shared across test modules."""
+systems, the pairs inside clique rows and an exact maximum-clique search,
+shared across test modules."""
 
 import itertools
 from collections import deque
@@ -83,6 +84,14 @@ def reference_clique_system(g, rows, m):
                 return False
             count[frozenset(pair)] += 1
     return all(c == m for c in count.values())
+
+
+def clique_pairs(cliques):
+    """The vertex pairs inside each row of an (N, s+1) array, as an
+    (N, s(s+1)/2, 2) array; pairs of a row come in lexicographic position
+    order, (0,1), (0,2), ..., (1,2), ..."""
+    i, j = np.triu_indices(cliques.shape[1], 1)
+    return np.stack([cliques[:, i], cliques[:, j]], axis=2)
 
 
 class CliqueSearchTooLarge(RuntimeError):

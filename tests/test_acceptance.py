@@ -2,7 +2,7 @@
 
 Each test prints its pass/fail line (visible with -s or in the summary on
 failure) and enforces the stated wall-clock budget, the large ternary
-pipeline (criterion 12) included.
+pipeline (criterion 12) included, and a regression bound beside it.
 """
 
 from drgtrades import report
@@ -23,6 +23,11 @@ PASS_DETAILS = {
     12: "33880-vertex host, 80-vertex bitrade, exact",
 }
 
+# regression bounds, about 10x or more the measured times (criteria 1-11 at
+# most 0.024 s each, criterion 12 0.46 s, on a 2-core AMD EPYC VM), well
+# under the budgets of 1-120 s and 1,800 s from the acceptance table
+REGRESSION_BOUND = {number: 5.0 if number == 12 else 0.5 for number in PASS_DETAILS}
+
 
 def _run(number):
     res = report.run_criterion(number)
@@ -31,6 +36,9 @@ def _run(number):
     assert res.detail == PASS_DETAILS[number]
     assert res.elapsed < res.budget, (
         f"criterion {number} took {res.elapsed:.2f}s, budget {res.budget}s")
+    assert res.elapsed < REGRESSION_BOUND[number], (
+        f"criterion {number} took {res.elapsed:.2f}s, regression bound "
+        f"{REGRESSION_BOUND[number]}s")
     return res
 
 

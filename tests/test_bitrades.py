@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from drgtrades import bitrades
@@ -60,7 +61,7 @@ from drgtrades.graphs import (
     is_regular,
 )
 from drgtrades.spectral import verify_eigenfunction, wd_bound
-from helpers import signed_function
+from helpers import cycle_graph, signed_function
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,24 @@ def test_checks_refuse_a_bitrade_or_system_on_another_host(check, johnson63, ham
         with pytest.raises(ValueError, match="on another host"):
             check(*args)
     assert check(g, S, T)
+
+
+@pytest.mark.parametrize("check", [
+    check_criterion_b,
+    check_criterion_c,
+    check_minimality,
+    check_subgraph_dr,
+    verify_bitrade,
+], ids=["b", "c", "minimality", "subgraph_dr", "verify"])
+def test_checks_refuse_a_system_of_single_vertices(check):
+    # s = 0 leaves -k/s undefined; these once raised a bare ZeroDivisionError
+    # or Disconnected, while criterion a needs no eigenvalue and answers
+    g = cycle_graph(6)
+    S = CliqueSystem(g, np.arange(6).reshape(6, 1), s=0, m=0)
+    T = Bitrade(g, frozenset({0}), frozenset({3}))
+    assert not check_criterion_a(g, S, T).ok
+    with pytest.raises(ValueError, match="s = 0"):
+        check(g, S, T)
 
 
 def test_delsarte_and_design_checks_refuse_a_system_on_another_host(johnson63, hamming33):

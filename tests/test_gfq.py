@@ -15,7 +15,6 @@ from drgtrades.errors import (
 from drgtrades.gfq import (
     SUPPORTED_ORDERS,
     gaussian_binomial,
-    hyperplane_bases,
     isotropic_count_product,
     isotropic_count_sum,
     make_field,
@@ -171,15 +170,19 @@ def test_batched_matmul_matches_scalar_products(q):
                          + [(3, 1, 2), (3, 3, 3), (5, 3, 2), (6, 3, 2), (5, 2, 3),
                             (4, 3, 4), (3, 2, 8), (3, 2, 9), (5, 2, 5)])
 def test_hyperplane_products_are_already_reduced(n, d, q):
-    # C @ B for RREF C and B is in RREF, so hyperplane_bases skips rref_batch
+    # C @ B for RREF C and B is in RREF, so the probe seam gathers the
+    # hyperplanes from point_rows and skips rref_batch
     F = make_field(q)
     bases = gfq.subspace_bases(n, d, q)
     prods = gfq.matmul_batch(gfq.subspace_bases(d, d - 1, q), bases[:, None], F)
-    got = gfq.hyperplane_bases(bases, F)
     h = gaussian_binomial(d, 1, q)
-    assert got.shape == (len(bases), h, d - 1, n)
-    reduced = gfq.rref_batch(prods.reshape(len(bases) * h, d - 1, n), F).reshape(got.shape)
-    assert np.array_equal(got, reduced)
+    assert prods.shape == (len(bases), h, d - 1, n)
+    reduced = gfq.rref_batch(prods.reshape(len(bases) * h, d - 1, n), F).reshape(prods.shape)
+    assert np.array_equal(prods, reduced)
+    for i in range(0, len(bases), max(1, len(bases) // 40)):
+        got = gfq.subspace_hyperplanes((bases[i], F))
+        assert all(f is F for _, f in got)
+        assert np.array_equal(np.array([b for b, _ in got]).reshape(prods[i].shape), prods[i])
 
 
 @pytest.mark.parametrize("kind, params", ORACLE_BASES)
@@ -195,7 +198,6 @@ def test_hyperplane_keys_pack_the_hyperplane_products(kind, params):
     bases, q = oracle_bases(kind, params)
     F, (nv, d, n) = make_field(q), bases.shape
     prods = gfq.matmul_batch(subspace_bases(d, d - 1, q), bases[:, None], F)
-    assert np.array_equal(hyperplane_bases(bases, F), prods)
     want = gfq.pack_digits(prods.reshape(nv, len(prods[0]), (d - 1) * n), q)
     assert np.array_equal(gfq.hyperplane_keys(bases, F), want)
 
@@ -278,7 +280,7 @@ def test_subspace_hyperplanes():
         F = make_field(q)
         bases = subspace_bases(n, d, q)
         s = bases[random.Random(n * 100 + q).randrange(len(bases))].tolist()
-        hps = hyperplane_bases(np.array([s], dtype=np.int8), F)[0].tolist()
+        hps = [h.tolist() for h, _ in gfq.subspace_hyperplanes((np.array(s, dtype=np.int8), F))]
         assert len(hps) == gaussian_binomial(d, d - 1, q)
         assert len({label(h) for h in hps}) == len(hps)
         for h in hps:

@@ -19,8 +19,9 @@ from drgtrades.bitrades import (MIN_BITRADES, Bitrade, check_clique_design,
                                 corrupt_one_vertex, double_johnson_bitrade,
                                 min_bitrade_grassmann)
 from drgtrades.errors import CrossCheckViolation, Disconnected, UnsupportedFieldOrder
-from drgtrades.gfq import DEFAULT_ENUMERATION_CAP, gaussian_binomial, make_field
+from drgtrades.gfq import gaussian_binomial, make_field
 from drgtrades.families import (
+    DEFAULT_ENUMERATION_CAP,
     build_dual_polar_D,
     build_family,
     build_grassmann,
@@ -33,7 +34,6 @@ from drgtrades.graphs import (
     CliqueSystem,
     Graph,
     IntersectionArray,
-    clique_pairs,
     completely_regular_check,
     distance_regularity_check,
     graph_to_json,
@@ -46,8 +46,8 @@ from drgtrades.graphs import (
 )
 
 
-from helpers import (cube_graph, cycle_graph, max_clique_order, reference_clique_system,
-                     reference_distances, reference_sweep)
+from helpers import (clique_pairs, cube_graph, cycle_graph, max_clique_order,
+                     reference_clique_system, reference_distances, reference_sweep)
 
 
 def random_connected_graph(rng, n, extra):
@@ -874,6 +874,10 @@ def clique_rows(draw):
 @given(clique_rows())
 def test_graph_from_clique_rows_equals_graph_from_their_pairs(case):
     labels, rows = case
+    if np.ptp(np.bincount(rows.ravel(), minlength=len(labels))):
+        with pytest.raises(ValueError, match="clique rows must meet every vertex equally often"):
+            Graph(labels, rows)
+        return
     ref = Graph(labels, clique_pairs(rows).reshape(-1, 2))
     for block in (graphs._GATHER_BLOCK, 7):     # 7 entries: one or two vertices a block
         with pytest.MonkeyPatch.context() as mp:
@@ -881,6 +885,17 @@ def test_graph_from_clique_rows_equals_graph_from_their_pairs(case):
             g = Graph(labels, rows)
         for got, want in ((g._flat, ref._flat), (g._off, ref._off)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_uneven_clique_rows_are_refused():
+    # a vertex in no row, and vertices in two rows where the others are in
+    # one; rows two wide are index pairs, which may meet vertices unevenly
+    for labels, rows in [(list("abcd"), [[0, 1, 2]]),
+                         (list("abcdef"), [[0, 1, 2], [3, 4, 5], [0, 3, 4]]),
+                         (list("abcde"), [[0, 1, 2], [0, 3, 4]])]:
+        with pytest.raises(ValueError, match="clique rows must meet every vertex equally often"):
+            Graph(labels, np.array(rows))
+    assert Graph(list("abcd"), np.array([[0, 1], [0, 2]])).num_edges == 2
 
 
 def test_wide_rows_refuse_loops_and_out_of_range_vertices():

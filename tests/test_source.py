@@ -71,3 +71,23 @@ def test_only_families_raises_enumeration_too_large():
                 if getattr(exc, "id", None) == "EnumerationTooLarge" and name != "families.py":
                     found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_package_reads_no_environment():
+    # every input comes in through an argument or a CLI option, so the same
+    # command line runs the same way in every shell
+    found = [f"{name}:{node.lineno}" for name, tree in package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+             and isinstance(node.value, ast.Name) and node.value.id == "os"]
+    assert found == []
+
+
+def test_default_cap_is_assigned_only_in_families():
+    # the builders, the only ones that enforce a cap, own its default
+    found = [name for name, tree in package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(target, ast.Name) and target.id == "DEFAULT_ENUMERATION_CAP"]
+    assert found == ["families.py"]

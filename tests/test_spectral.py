@@ -4,6 +4,7 @@ Frozen expected values were produced by two independent routes: the
 recursions computed by hand, and numpy's floating eigensolver on the dense
 intersection matrix (used here only as an oracle)."""
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drgtrades import spectral
 from drgtrades.errors import (
     NonIntegerSpectrum,
     NotAnEigenvalue,
@@ -30,7 +32,7 @@ from drgtrades.spectral import (
     wd_coefficients,
     weight_distribution_of,
 )
-from drgtrades.families import build_grassmann, grassmann_array
+from drgtrades.families import build_grassmann, grassmann_array, hamming_array
 from drgtrades.gfq import gaussian_binomial
 from helpers import (
     cube_graph,
@@ -121,6 +123,29 @@ def test_rho_zero_spectrum():
 def test_theta_min_values():
     assert theta_min(J63) == -3
     assert theta_min(GR632) == -7
+
+
+def test_theta_min_runs_one_bisection(monkeypatch):
+    # one bisection over [-k, k] and one window check; finding all rho + 1
+    # eigenvalues took about 11,000 Sturm counts here
+    calls = []
+    count_above = spectral._count_above
+    monkeypatch.setattr(spectral, "_count_above",
+                        lambda arr, t: calls.append(t) or count_above(arr, t))
+    arr = hamming_array(1000, 2)
+    assert theta_min(arr) == -1000
+    assert len(calls) <= math.ceil(math.log2(2 * arr.k + 1)) + 1
+
+
+def test_theta_min_refuses_a_least_eigenvalue_that_is_not_alone_an_integer():
+    # the pentagon's least eigenvalue -1.618.. lies within 1/2 of -2; the
+    # second array has eigenvalues -2 and -1.561.., both in that window
+    pentagon = IntersectionArray(2, (2, 1), (1, 1))
+    shared = IntersectionArray(4, (4, 2, 1, 1), (1, 1, 2, 4))
+    assert not is_matrix_eigenvalue(pentagon, -2) and is_matrix_eigenvalue(shared, -2)
+    for arr in (pentagon, shared):
+        with pytest.raises(NonIntegerSpectrum, match="least eigenvalue .* within 1/2 of -2 "):
+            theta_min(arr)
 
 
 def test_standard_eigenvector_perron():
