@@ -176,10 +176,10 @@ def verify_delsarte_pair(g: Graph, S: CliqueSystem,
 # --- the three criteria -----------------------------------------------------------
 
 def check_criterion_a(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
-    """Every clique meets each of T0 and T1 exactly once, or misses both."""
+    """Every clique meets each of T0 and T1 exactly once, or misses both,
+    counted from the clique incidence of the support alone (S.hits)."""
     _on_host(g, S, T)
-    hits0 = vertex_mask(g, T.t0)[S.cliques].sum(axis=1)
-    hits1 = vertex_mask(g, T.t1)[S.cliques].sum(axis=1)
+    hits0, hits1 = S.hits(T.t0), S.hits(T.t1)
     bad = np.flatnonzero((hits0 != hits1) | (hits0 > 1))
     if bad.size:
         ci = int(bad[0])
@@ -527,7 +527,7 @@ def check_clique_design(g: Graph, S: CliqueSystem, dset) -> Verdict:
     D = set(vertex_indices(g, dset).tolist())
     if not D:
         return Verdict(False, detail="empty set is not a design")
-    hits = vertex_mask(g, D)[S.cliques].sum(axis=1)
+    hits = S.hits(D)
     bad = np.flatnonzero(hits != 1)
     if bad.size:
         ci = int(bad[0])

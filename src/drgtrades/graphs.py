@@ -11,6 +11,7 @@ integers, so nothing leaves exact arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -66,10 +67,10 @@ class Graph:
         if e.shape[1] > 2:      # rows of mutually adjacent vertices
             if (np.diff(np.sort(e, axis=1), axis=1) == 0).any():
                 raise ValueError("loops are not allowed")
-            incidence = np.bincount(e.ravel(), minlength=n)
-            if (incidence != incidence[0]).any():
+            at = _positions(e, n)[2]
+            if at is None:
                 raise ValueError("clique rows must meet every vertex equally often")
-            self._flat, self._off = _csr_from_cliques(e, int(incidence[0]))
+            self._flat, self._off = _csr_from_cliques(e, at)
         else:
             if (e[:, 0] == e[:, 1]).any():
                 raise ValueError("loops are not allowed")
@@ -81,8 +82,7 @@ class Graph:
             self._flat = (keys % n).astype(np.int32)
             self._off = np.searchsorted(keys, np.arange(n + 1) * n)
         self._degrees = np.diff(self._off)
-        regular = (self._degrees == self._degrees[0]).all()     # _rows[v]: v's CSR row
-        self._rows = self._flat.reshape(n, self._degrees[0]) if regular else None
+        self._rows = _uniform_rows(self._flat, self._off)      # _rows[v]: v's CSR row
         self._dm = None
         # zero-argument callable returning automorphisms as permutation
         # arrays, set by builders that know some; only the certificate of
@@ -108,11 +108,7 @@ class Graph:
 
     def neighbors_of(self, vs: np.ndarray) -> np.ndarray:
         """The neighbor rows of the vertices vs, concatenated in that order."""
-        if self._rows is not None:
-            return self._rows[vs].ravel()
-        lens = self._degrees[vs]
-        starts = self._off[vs] - (np.cumsum(lens) - lens)
-        return self._flat[np.repeat(starts, lens) + np.arange(int(lens.sum()))]
+        return _segments(self._flat, self._off, self._rows, vs)
 
     def index_of(self, label: str) -> int:
         return self._index[label]
@@ -265,7 +261,9 @@ class CliqueSystem:
     """A set of (s+1)-cliques covering every host edge exactly m times.
 
     The cliques are stored as one (N, s+1) integer array, one clique per
-    row; any rectangular sequence of rows of host vertices is accepted."""
+    row; any rectangular sequence of rows of host vertices is accepted.  The
+    incidence, each vertex's entries in that array, is built on first use
+    and read by verify_clique_system and hits."""
 
     host: Graph
     cliques: np.ndarray
@@ -279,20 +277,60 @@ class CliqueSystem:
             raise ValueError("clique of wrong size in system") from None
         object.__setattr__(self, "cliques", vertex_indices(self.host, rows).reshape(rows.shape))
 
+    @cached_property
+    def _incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """_positions of the cliques, built on first use and kept."""
+        return _positions(self.cliques, self.host.num_vertices)
+
+    def hits(self, vertices) -> np.ndarray:
+        """The number of each row's entries in a set of distinct vertices,
+        vertex_mask(host, vertices)[cliques].sum(axis=1), counted from the
+        entries of those vertices alone."""
+        at = _segments(*self._incidence, list(vertices))
+        return np.bincount(at // (self.s + 1), minlength=len(self.cliques))
+
     def __repr__(self):
         return f"CliqueSystem({len(self.cliques)} cliques of size {self.s + 1}, m={self.m})"
 
 
-def _co_members(rows: np.ndarray, r: int):
-    """Co-members in the rows of an (N, w) array, every vertex in r rows (a
-    vertex twice in a row is among its own co-members): yields (v0, block)
-    per block of vertices, block[i] the sorted r(w-1) entries sharing a row
-    with v0 + i.  A vertex gathers its rows (a stable argsort of the entries)
-    into one reused buffer (take buffers its out unless mode="clip") and
+def _positions(rows: np.ndarray, n: int):
+    """(at, off, view): the flat positions of the entries of an integer array
+    over n vertices, grouped by vertex and in row order (a stable argsort,
+    kept in int32), v's being at[off[v]:off[v + 1]], and at's (n, r) view
+    when every vertex has r entries, else None."""
+    flat = rows.ravel()
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=n), out=off[1:])
+    at = np.argsort(flat, kind="stable").astype(np.int32)
+    return at, off, _uniform_rows(at, off)
+
+
+def _uniform_rows(flat: np.ndarray, off: np.ndarray) -> np.ndarray | None:
+    """The (n, r) view of flat when each of its n segments, cut at off, has r
+    entries, else None."""
+    lens = np.diff(off)
+    return flat.reshape(len(lens), lens[0]) if (lens == lens[0]).all() else None
+
+
+def _segments(flat: np.ndarray, off: np.ndarray, rows, vs) -> np.ndarray:
+    """The segments flat[off[v]:off[v + 1]] of the vertices vs, concatenated
+    in that order; rows is their _uniform_rows view, or None."""
+    if rows is not None:
+        return rows[vs].ravel()
+    starts = off[vs]
+    lens = off[1:][vs] - starts
+    return flat[np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(int(lens.sum()))]
+
+
+def _co_members(rows: np.ndarray, at: np.ndarray):
+    """Co-members in the rows of an (N, w) array, at the (n, r) positions of
+    each vertex's entries (_positions; a vertex twice in a row is among its
+    own co-members): yields (v0, block) per block of vertices, block[i] the
+    sorted r(w-1) entries sharing a row with v0 + i.  A vertex gathers its
+    rows into one reused buffer (take buffers its out unless mode="clip") and
     overwrites itself by -1, which the sort puts first."""
-    w = rows.shape[1]
+    w, r = rows.shape[1], at.shape[1]
     rows = rows.astype(np.int32)
-    at = np.argsort(rows, axis=None, kind="stable").reshape(-1, r)
     step = min(len(at), max(1, _GATHER_BLOCK // (r * w)))
     buf = np.empty((step, r * w), dtype=np.int32)
     for v0 in range(0, len(at), step):
@@ -303,14 +341,14 @@ def _co_members(rows: np.ndarray, r: int):
         yield v0, block[:, r:]
 
 
-def _csr_from_cliques(rows: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of the pairs within the rows of an (N, w) array, every vertex in r
-    rows and none twice in a row: one of each run of a vertex's co-members,
-    written into one array of the gathered size, trimmed in place."""
-    n = rows.size // r
-    flat = np.empty(n * r * (rows.shape[1] - 1), dtype=np.int32)
-    off = np.zeros(n + 1, dtype=np.int64)
-    for v0, nbrs in _co_members(rows, r):
+def _csr_from_cliques(rows: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the pairs within the rows of an (N, w) array, at the (n, r)
+    positions of each vertex's entries, none twice in a row: one of each run
+    of a vertex's co-members, written into one array of the gathered size,
+    trimmed in place."""
+    flat = np.empty(at.size * (rows.shape[1] - 1), dtype=np.int32)
+    off = np.zeros(len(at) + 1, dtype=np.int64)
+    for v0, nbrs in _co_members(rows, at):
         keep = np.ones(nbrs.shape, dtype=bool)
         np.not_equal(nbrs[:, 1:], nbrs[:, :-1], out=keep[:, 1:])
         ends = off[v0] + np.cumsum(np.count_nonzero(keep, axis=1))
@@ -565,11 +603,10 @@ def verify_clique_system(g: Graph, S: CliqueSystem) -> Verdict:
     n, k = g.num_vertices, is_regular(g).value
     holds = Verdict(True, value=(int(g.degrees[0]), S.s, S.m))
     if k and S.m >= 1:
-        incidence = np.bincount(S.cliques.ravel(), minlength=n)
-        r, csr = int(incidence[0]), g._rows[..., None]
-        if (incidence == r).all() and r * S.s == k * S.m and all(
+        at, csr = S._incidence[2], g._rows[..., None]
+        if at is not None and at.shape[1] * S.s == k * S.m and all(
                 (nbrs.reshape(-1, k, S.m) == csr[v0:v0 + len(nbrs)]).all()
-                for v0, nbrs in _co_members(S.cliques, r)):
+                for v0, nbrs in _co_members(S.cliques, at)):
             return holds
     rows = np.sort(S.cliques, axis=1)
     repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)

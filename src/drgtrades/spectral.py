@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import lcm
 
 import numpy as np
@@ -51,13 +52,16 @@ def _count_above(arr: IntersectionArray, t: int) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def _eigenvalue(arr: IntersectionArray, j: int) -> int:
+def _eigenvalue(arr: IntersectionArray, j: int, count=None) -> int:
     """The integer m with eigenvalue j of L (descending, from 0) in
-    (m - 1/2, m + 1/2]: bisection on the Sturm count over [-k, k]."""
+    (m - 1/2, m + 1/2]: bisection on the Sturm count t -> _count_above(arr,
+    t) over [-k, k].  A caller that bisects for several j passes the count
+    memoized, so the bisections share the counts on their common path."""
+    count = count or partial(_count_above, arr)
     lo, hi = -arr.k, arr.k
     while lo < hi:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _count_above(arr, 2 * mid + 1) <= j else (mid + 1, hi)
+        lo, hi = (lo, mid) if count(2 * mid + 1) <= j else (mid + 1, hi)
     return lo
 
 
@@ -67,13 +71,15 @@ def intersection_matrix_eigenvalues(arr: IntersectionArray) -> list[int]:
     A tridiagonal matrix with positive off-diagonal products has rho+1
     simple real eigenvalues, all in [-k, k] since L is nonnegative with row
     sums k.  For each one, bisection on the Sturm count finds the integer m
-    with the eigenvalue in (m - 1/2, m + 1/2]; the eigenvalue is m exactly
-    when p_rho(m) = 0.  Every family in scope has an integral spectrum;
-    raises NonIntegerSpectrum otherwise.
+    with the eigenvalue in (m - 1/2, m + 1/2], the bisections sharing their
+    Sturm counts; the eigenvalue is m exactly when p_rho(m) = 0.
+    Every family in scope has an integral spectrum; raises
+    NonIntegerSpectrum otherwise.
     """
+    count = lru_cache(maxsize=None)(partial(_count_above, arr))
     roots = []
     for j in range(arr.rho + 1):
-        lo = _eigenvalue(arr, j)
+        lo = _eigenvalue(arr, j, count)
         if _minors(arr, lo)[-1] != 0 or lo in roots[-1:]:
             raise NonIntegerSpectrum(
                 f"eigenvalue {j} (descending) of {arr} lies within 1/2 of {lo} "
@@ -103,6 +109,12 @@ def standard_eigenvector(arr: IntersectionArray, theta) -> list[Fraction]:
     theta, produced by the tridiagonal recurrence.  The last row of the
     matrix must close with zero residual; otherwise theta is not an
     eigenvalue and NotAnEigenvalue is raised."""
+    return list(_eigenvector(arr, theta))
+
+
+@lru_cache(maxsize=1024)
+def _eigenvector(arr: IntersectionArray, theta) -> tuple[Fraction, ...]:
+    """standard_eigenvector as a tuple, computed once per (arr, theta)."""
     th = Fraction(theta)
     nu = [Fraction(1)]
     for i in range(arr.rho):
@@ -110,7 +122,7 @@ def standard_eigenvector(arr: IntersectionArray, theta) -> list[Fraction]:
     residual = arr.c_at(arr.rho) * (nu[-2] if arr.rho else 0) + (arr.a(arr.rho) - th) * nu[-1]
     if residual != 0:
         raise NotAnEigenvalue(f"recurrence residual {residual} for theta={theta}")
-    return nu
+    return tuple(nu)
 
 
 # --- weight distribution --------------------------------------------------------
@@ -174,7 +186,7 @@ def delta_function(g: Graph, C, thetas) -> tuple[list[VertexFunction], np.ndarra
         raise NotCompletelyRegular(str(res.witness))
     out = []
     for theta in thetas:
-        nu = standard_eigenvector(res.value, theta)  # may raise NotAnEigenvalue
+        nu = _eigenvector(res.value, theta)  # may raise NotAnEigenvalue
         den = lcm(*(v.denominator for v in nu))
         shells = np.array([v.numerator * (den // v.denominator) for v in nu], dtype=object)
         out.append(VertexFunction(g, shells[dist], den))

@@ -1,7 +1,8 @@
 """Small ad-hoc graphs, scalar GF(q) references, scalar Fraction
 references for vertex functions and their sums, the signed indicator of a
 bitrade, a per-vertex distance-regularity sweep, a pair count of clique
-systems, the pairs inside clique rows and an exact maximum-clique search,
+systems, clique hits and criterion a by gathering every row, the pairs
+inside clique rows and an exact maximum-clique search,
 shared across test modules."""
 
 import itertools
@@ -84,6 +85,27 @@ def reference_clique_system(g, rows, m):
                 return False
             count[frozenset(pair)] += 1
     return all(c == m for c in count.values())
+
+
+def reference_hits(S, vertices):
+    """CliqueSystem.hits by gathering every row: the entries of each row of
+    S.cliques that lie in the vertex set."""
+    mask = np.zeros(S.host.num_vertices, dtype=bool)
+    mask[list(vertices)] = True
+    return mask[S.cliques].sum(axis=1)
+
+
+def reference_criterion_a(g, S, T):
+    """check_criterion_a's verdict from reference_hits: the first row that
+    meets T0 and T1 unequally often, or either more than once."""
+    hits0, hits1 = reference_hits(S, T.t0), reference_hits(S, T.t1)
+    bad = np.flatnonzero((hits0 != hits1) | (hits0 > 1))
+    if bad.size:
+        ci = int(bad[0])
+        members = sorted(g.labels[v] for v in S.cliques[ci].tolist())
+        return Verdict(False, witness=(ci, members, int(hits0[ci]), int(hits1[ci])),
+                       detail="clique meets the trades unevenly")
+    return Verdict(True)
 
 
 def clique_pairs(cliques):

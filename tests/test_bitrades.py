@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from drgtrades import bitrades
+from drgtrades import bitrades, graphs
 from drgtrades.bitrades import (
     MIN_BITRADES,
     Bitrade,
@@ -59,9 +59,10 @@ from drgtrades.graphs import (
     distance_regularity_check,
     induced_subgraph,
     is_regular,
+    verify_clique_system,
 )
 from drgtrades.spectral import verify_eigenfunction, wd_bound
-from helpers import cycle_graph, signed_function
+from helpers import cycle_graph, reference_criterion_a, reference_hits, signed_function
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +273,62 @@ def test_criterion_b_matches_verify_eigenfunction(family, ctor, params):
     theta = Fraction(-is_regular(g).value, S.s)
     for B in [T] + [corrupt_one_vertex(T, rng) for _ in range(10)]:
         assert check_criterion_b(g, S, B) == verify_eigenfunction(g, signed_function(B), theta)
+
+
+def reference_design(S, D):
+    """check_clique_design's witness from reference_hits: (row, hits) of the
+    first row not met exactly once, or None for a design."""
+    hits = reference_hits(S, D)
+    bad = np.flatnonzero(hits != 1)
+    return (int(bad[0]), int(hits[bad[0]])) if bad.size else None
+
+
+@pytest.mark.parametrize("name,params", [
+    ("octahedron", (3,)), ("hamming", (3, 3)), ("johnson", (6, 3)), ("halved_cube", (6,)),
+    ("grassmann", (4, 2, 2)), ("grassmann", (4, 2, 3)),
+])
+def test_criterion_a_and_designs_match_the_full_gather(name, params):
+    g, S = build_family(name, params)
+    T = MIN_BITRADES[name](*params, host=g)
+    rng = random.Random(43)
+    for B in [T] + [corrupt_one_vertex(T, rng) for _ in range(10)]:
+        assert check_criterion_a(g, S, B) == reference_criterion_a(g, S, B)
+        for D in (B.t0, B.support):
+            v, want = check_clique_design(g, S, D), reference_design(S, D)
+            assert (v.ok, v.witness) == (want is None, want)
+
+
+def test_criterion_a_and_designs_of_latin_squares_match_the_full_gather(hamming33):
+    g, S = hamming33
+    squares = [latin_vertices(g, sq) for sq in all_latin_squares_order3()]
+    rng = random.Random(47)
+    for d1, d2 in itertools.combinations(squares[:4], 2):
+        T = design_difference(g, S, d1, d2)
+        for B in [T] + [corrupt_one_vertex(T, rng) for _ in range(3)]:
+            assert check_criterion_a(g, S, B) == reference_criterion_a(g, S, B)
+            v, want = check_clique_design(g, S, B.t0 | d1), reference_design(S, B.t0 | d1)
+            assert (v.ok, v.witness) == (want is None, want)
+
+
+def test_criterion_a_passes_on_the_empty_system():
+    g = cycle_graph(5)
+    S, T = CliqueSystem(g, (), s=1, m=1), Bitrade(g, frozenset({0}), frozenset({2}))
+    assert check_criterion_a(g, S, T) == reference_criterion_a(g, S, T) == Verdict(True)
+
+
+def test_clique_incidence_is_sorted_once_per_system(monkeypatch):
+    g, S = build_johnson(6, 3)
+    T = min_bitrade_johnson(6, 3, host=g)
+    calls = []
+    positions = graphs._positions
+    monkeypatch.setattr(graphs, "_positions",
+                        lambda rows, n: calls.append(n) or positions(rows, n))
+    assert verify_clique_system(g, S).ok
+    rng = random.Random(53)
+    for B in [T] + [corrupt_one_vertex(T, rng) for _ in range(4)]:
+        check_criterion_a(g, S, B)
+    check_clique_design(g, S, T.t0)
+    assert calls == [g.num_vertices]
 
 
 def reference_criterion_c(g, S, T):

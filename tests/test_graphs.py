@@ -47,7 +47,8 @@ from drgtrades.graphs import (
 
 
 from helpers import (clique_pairs, cube_graph, cycle_graph, max_clique_order,
-                     reference_clique_system, reference_distances, reference_sweep)
+                     reference_clique_system, reference_distances, reference_hits,
+                     reference_sweep)
 
 
 def random_connected_graph(rng, n, extra):
@@ -838,10 +839,39 @@ def test_repeated_vertex_rows_fail_the_gather_route(monkeypatch):
     # which no CSR row holds, and the witness route names that row
     gathered = []
     real = graphs._co_members
-    monkeypatch.setattr(graphs, "_co_members", lambda rows, r: gathered.append(r) or real(rows, r))
+    monkeypatch.setattr(graphs, "_co_members",
+                        lambda rows, at: gathered.append(at.shape[1]) or real(rows, at))
     g = cycle_graph(4)
     v = verify_clique_system(g, CliqueSystem(g, [[0, 0], [1, 1], [2, 2], [3, 3]], s=1, m=1))
     assert (v.witness, v.detail, gathered) == (0, "clique of wrong size", [2])
+
+
+@pytest.mark.parametrize("name,params", [
+    ("octahedron", (3,)), ("hamming", (3, 3)), ("johnson", (6, 3)), ("halved_cube", (6,)),
+    ("grassmann", (4, 2, 2)), ("grassmann", (4, 2, 3)),
+])
+def test_hits_match_the_full_gather(name, params):
+    g, S = build_family(name, params)
+    rng = np.random.default_rng(len(S.cliques))
+    for size in (1, 2, 5, g.num_vertices // 3, g.num_vertices):
+        X = set(rng.choice(g.num_vertices, size=size, replace=False).tolist())
+        assert np.array_equal(S.hits(X), reference_hits(S, X))
+
+
+def test_hits_on_uneven_repeated_and_empty_systems():
+    # on C5, vertex 4 lies in no row of the first two systems and vertex 1 in
+    # two, so their incidence has no (n, r) view; rows (0, 0) count 0 twice
+    g = cycle_graph(5)
+    uneven = [CliqueSystem(g, [[0, 1], [1, 2], [2, 3]], s=1, m=1),
+              CliqueSystem(g, [[0, 0], [1, 2], [0, 1]], s=1, m=1)]
+    assert all(S._incidence[2] is None for S in uneven)
+    systems = uneven + [CliqueSystem(g, [[0, 0], [1, 1], [2, 2], [3, 3], [4, 4]], s=1, m=1),
+                        CliqueSystem(g, (), s=1, m=1)]
+    for S in systems:
+        for size in range(6):
+            for X in itertools.combinations(range(5), size):
+                assert np.array_equal(S.hits(X), reference_hits(S, X))
+    assert systems[1].hits([0]).tolist() == [2, 0, 1]
 
 
 def test_clique_system_refuses_entries_outside_the_host():

@@ -105,6 +105,18 @@ def test_spectra_of_random_arrays_match_float_oracle():
     assert integral >= 20 and rejected >= 20
 
 
+def test_all_eigenvalues_share_sturm_counts(monkeypatch):
+    # one bisection per index took 10,987 Sturm counts on H(1000,2); the
+    # count of its eigenvalues 1000 - 2i above t/2 stands in for the
+    # 1000-step Sturm sequence, which would take a second here
+    calls = []
+    monkeypatch.setattr(spectral, "_count_above",
+                        lambda arr, t: calls.append(t) or sum(2 * (1000 - 2 * i) > t
+                                                               for i in range(1001)))
+    assert intersection_matrix_eigenvalues(hamming_array(1000, 2)) == list(range(1000, -1001, -2))
+    assert len(calls) <= 2_500
+
+
 def test_irrational_eigenvalue_next_to_an_integer_one_raises():
     # eigenvalues 3, -1 and the roots 2.518.., 1.178.., -2.696.. of
     # x^3 - x^2 - 7x + 8: the second largest lies within 1/2 of 3, where the
