@@ -488,28 +488,38 @@ def corrupt_one_vertex(T: Bitrade, rng: random.Random) -> Bitrade:
     neighbor move) or when it has none (any other move, or an addition)."""
     host = T.host
     free = ~vertex_mask(host, T.support)
-    neighbor_moves, other_moves, adds, drops = [], [], [], []
-    for which, side in enumerate((T.t0, T.t1)):
-        vs = np.array(sorted(side), dtype=np.int64)
-        nbrs = host.neighbors_of(vs)
-        owners = np.repeat(vs, host.degrees[vs])
-        side_nbrs = np.bincount(nbrs, minlength=host.num_vertices)
-        near = free[nbrs] & (side_nbrs[nbrs] == 1)
-        lonely = np.flatnonzero(free & (side_nbrs == 0))
-        neighbor_moves.append(_moves(which, owners[near], nbrs[near]))
-        other_moves.append(_moves(which, np.repeat(vs, lonely.size), np.tile(lonely, vs.size)))
-        adds.append(_moves(which, np.full_like(lonely, -1), lonely))
-        dropped = vs if vs.size >= 2 else vs[:0]
-        drops.append(_moves(which, dropped, np.full_like(dropped, -1)))
-    for pool in (neighbor_moves, other_moves + adds, drops):
-        pool = np.concatenate(pool)
-        if len(pool):
-            which, v, u = pool[rng.randrange(len(pool))].tolist()
-            sides = [set(T.t0), set(T.t1)]
-            sides[which].discard(v)
+    sides = [np.array(sorted(side), dtype=np.int64) for side in (T.t0, T.t1)]
+    nbrs = [host.neighbors_of(vs) for vs in sides]
+    side_nbrs = [np.bincount(x, minlength=host.num_vertices) for x in nbrs]
+    lonely = [np.flatnonzero(free & (c == 0)) for c in side_nbrs]
+
+    def neighbor_moves(which):
+        vs, x = sides[which], nbrs[which]
+        near = free[x] & (side_nbrs[which][x] == 1)
+        return _moves(which, np.repeat(vs, host.degrees[vs])[near], x[near])
+
+    def other_moves(which):
+        vs, u = sides[which], lonely[which]
+        return _moves(which, np.repeat(vs, u.size), np.tile(u, vs.size))
+
+    def adds(which):
+        return _moves(which, np.full_like(lonely[which], -1), lonely[which])
+
+    def drops(which):
+        vs = sides[which] if sides[which].size >= 2 else sides[which][:0]
+        return _moves(which, vs, np.full_like(vs, -1))
+
+    # a pool is built only when those before it are empty: |side| x |lonely|
+    # other moves would take gigabytes on the largest hosts
+    for pool in ((neighbor_moves,), (other_moves, adds), (drops,)):
+        moves = np.concatenate([make(which) for make in pool for which in (0, 1)])
+        if len(moves):
+            which, v, u = moves[rng.randrange(len(moves))].tolist()
+            kept = [set(T.t0), set(T.t1)]
+            kept[which].discard(v)
             if u >= 0:
-                sides[which].add(u)
-            return Bitrade(host, frozenset(sides[0]), frozenset(sides[1]))
+                kept[which].add(u)
+            return Bitrade(host, frozenset(kept[0]), frozenset(kept[1]))
     raise RuntimeError("no admissible one-vertex corruption exists")
 
 

@@ -32,7 +32,7 @@ from .gfq import (
     totally_isotropic_mask,
     unpack_digits,
 )
-from .graphs import CliqueSystem, Graph, IntersectionArray
+from .graphs import CliqueSystem, Graph, IntersectionArray, _index_type
 
 DEFAULT_ENUMERATION_CAP = 100_000
 
@@ -67,10 +67,11 @@ def _guard(count: int, cap: int, what: str, k: int, unit: str = "vertices", vert
 def _host_with_cliques(labels, rows, s: int, m: int, family: str,
                        params: tuple) -> tuple[Graph, CliqueSystem]:
     """The clique system with each row sorted and the rows in lexicographic
-    order (in place for int64 rows), and the host of the within-clique pairs."""
+    order (in place for int64 rows, sorted by keys in _index_type), and the
+    host of the within-clique pairs."""
     cliques = np.asarray(rows, dtype=np.int64)
     cliques.sort(axis=1)
-    cliques[:] = cliques[np.lexsort(cliques.T[::-1])]
+    cliques[:] = cliques[np.lexsort(cliques.T[::-1].astype(_index_type(len(labels))))]
     g = Graph(labels, cliques, family=family, params=params)
     return g, CliqueSystem(g, cliques, s=s, m=m)
 

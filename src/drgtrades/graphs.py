@@ -65,7 +65,7 @@ class Graph:
             raise ValueError("edges must be index pairs or cliques")
         e = vertex_indices(self, e).reshape(e.shape)
         if e.shape[1] > 2:      # rows of mutually adjacent vertices
-            if (np.diff(np.sort(e, axis=1), axis=1) == 0).any():
+            if (np.diff(np.sort(e.astype(_index_type(n)), axis=1), axis=1) == 0).any():
                 raise ValueError("loops are not allowed")
             at = _positions(e, n)[2]
             if at is None:
@@ -293,15 +293,21 @@ class CliqueSystem:
         return f"CliqueSystem({len(self.cliques)} cliques of size {self.s + 1}, m={self.m})"
 
 
+def _index_type(n: int) -> np.dtype:
+    """The narrowest unsigned type that holds every index of n vertices:
+    NumPy's stable sort is a radix sort up to 16 bits, a timsort above."""
+    return np.min_scalar_type(n - 1)
+
+
 def _positions(rows: np.ndarray, n: int):
     """(at, off, view): the flat positions of the entries of an integer array
-    over n vertices, grouped by vertex and in row order (a stable argsort,
-    kept in int32), v's being at[off[v]:off[v + 1]], and at's (n, r) view
-    when every vertex has r entries, else None."""
+    over n vertices, grouped by vertex and in row order (a stable argsort of
+    the entries in _index_type, kept in int32), v's being at[off[v]:off[v + 1]],
+    and at's (n, r) view when every vertex has r entries, else None."""
     flat = rows.ravel()
     off = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(flat, minlength=n), out=off[1:])
-    at = np.argsort(flat, kind="stable").astype(np.int32)
+    at = np.argsort(flat.astype(_index_type(n)), kind="stable").astype(np.int32)
     return at, off, _uniform_rows(at, off)
 
 
@@ -345,14 +351,19 @@ def _csr_from_cliques(rows: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.
     """CSR of the pairs within the rows of an (N, w) array, at the (n, r)
     positions of each vertex's entries, none twice in a row: one of each run
     of a vertex's co-members, written into one array of the gathered size,
-    trimmed in place."""
+    trimmed in place.  A block of vertices none of whose co-members repeat
+    (every pair in one row) is written as it is."""
     flat = np.empty(at.size * (rows.shape[1] - 1), dtype=np.int32)
     off = np.zeros(len(at) + 1, dtype=np.int64)
     for v0, nbrs in _co_members(rows, at):
         keep = np.ones(nbrs.shape, dtype=bool)
         np.not_equal(nbrs[:, 1:], nbrs[:, :-1], out=keep[:, 1:])
-        ends = off[v0] + np.cumsum(np.count_nonzero(keep, axis=1))
-        flat[off[v0]:ends[-1]] = nbrs[keep]
+        if keep.all():
+            ends = off[v0] + nbrs.shape[1] * np.arange(1, len(nbrs) + 1)
+            flat[off[v0]:ends[-1]].reshape(nbrs.shape)[...] = nbrs
+        else:
+            ends = off[v0] + np.cumsum(np.count_nonzero(keep, axis=1))
+            flat[off[v0]:ends[-1]] = nbrs[keep]
         off[v0 + 1:v0 + 1 + len(ends)] = ends
     flat.resize(off[-1], refcheck=False)
     return flat, off
@@ -480,17 +491,21 @@ def _shell_counts(g: Graph, dist: np.ndarray, k: int):
 
 def _uniform_array(g: Graph, dist: np.ndarray, k: int):
     """(IntersectionArray, None) if shell counts of the k-regular graph g are
-    uniform per distance, else (None, witness)."""
+    uniform per distance, else (None, witness).  The counts are compared with
+    those of one vertex per distance at once; only a failure is looked for
+    shell by shell, to name its witness."""
     fwd, bwd = _shell_counts(g, dist, k)
-    b, c = [], []
-    for i in range(int(dist.max()) + 1):
+    rep = np.zeros(int(dist.max()) + 1, dtype=np.int64)
+    rep[dist] = np.arange(dist.size)        # a vertex at each distance
+    b, c = fwd[rep], bwd[rep]
+    if (fwd == b[dist]).all() and (bwd == c[dist]).all():
+        return IntersectionArray(k, tuple(b[:-1].tolist()), tuple(c[1:].tolist())), None
+    for i in range(len(rep)):
         shell = np.flatnonzero(dist == i)
-        for way, counts, out in (("forward", fwd[shell], b), ("backward", bwd[shell], c)):
+        for way, counts in (("forward", fwd[shell]), ("backward", bwd[shell])):
             lo, hi = int(counts.min()), int(counts.max())
             if lo != hi:
                 return None, (g.labels[int(shell[int(counts.argmin())])], i, way, lo, hi)
-            out.append(lo)
-    return IntersectionArray(k, tuple(b[:-1]), tuple(c[1:])), None
 
 
 def completely_regular_check(g: Graph, C) -> Verdict:
@@ -571,6 +586,7 @@ def _transitive(g: Graph, perms, k: int) -> bool:
         if (p.shape != (n,) or p.dtype.kind not in "iu"
                 or not np.array_equal(np.sort(p), np.arange(n))):
             raise CrossCheckViolation(f"generator {i} is not a permutation of the {n} vertices")
+        p = perms[i] = p.astype(_index_type(n))
         # p maps the neighbors of v into those of p(v), in a block of vertices at a time
         for v0 in range(0, n, step):
             image = p[rows[v0:v0 + step]]

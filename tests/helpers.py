@@ -1,8 +1,9 @@
 """Small ad-hoc graphs, scalar GF(q) references, scalar Fraction
 references for vertex functions and their sums, the signed indicator of a
 bitrade, a per-vertex distance-regularity sweep, a pair count of clique
-systems, clique hits and criterion a by gathering every row, the pairs
-inside clique rows and an exact maximum-clique search,
+systems, clique hits and criterion a by gathering every row, one-vertex
+corruptions from every move pool at once, the pairs inside clique rows and
+an exact maximum-clique search,
 shared across test modules."""
 
 import itertools
@@ -14,7 +15,9 @@ from math import lcm
 import numpy as np
 
 from drgtrades.gfq import SUPPORTED_ORDERS, make_field, subspace_bases, totally_isotropic_mask
-from drgtrades.graphs import Graph, IntersectionArray, Verdict, completely_regular_check
+from drgtrades.bitrades import Bitrade
+from drgtrades.graphs import (Graph, IntersectionArray, Verdict, completely_regular_check,
+                              vertex_mask)
 from drgtrades.spectral import VertexFunction
 
 
@@ -106,6 +109,40 @@ def reference_criterion_a(g, S, T):
         return Verdict(False, witness=(ci, members, int(hits0[ci]), int(hits1[ci])),
                        detail="clique meets the trades unevenly")
     return Verdict(True)
+
+
+def reference_corrupt_one_vertex(T, rng):
+    """corrupt_one_vertex as it was written first: every move pool of both
+    sides is built, |side| x |lonely| other moves among them, before the
+    first nonempty one is drawn from."""
+    def moves(which, v, u):
+        return np.stack([np.full(v.size, which), v, u], axis=1)
+
+    host = T.host
+    free = ~vertex_mask(host, T.support)
+    neighbor_moves, other_moves, adds, drops = [], [], [], []
+    for which, side in enumerate((T.t0, T.t1)):
+        vs = np.array(sorted(side), dtype=np.int64)
+        nbrs = host.neighbors_of(vs)
+        owners = np.repeat(vs, host.degrees[vs])
+        side_nbrs = np.bincount(nbrs, minlength=host.num_vertices)
+        near = free[nbrs] & (side_nbrs[nbrs] == 1)
+        lonely = np.flatnonzero(free & (side_nbrs == 0))
+        neighbor_moves.append(moves(which, owners[near], nbrs[near]))
+        other_moves.append(moves(which, np.repeat(vs, lonely.size), np.tile(lonely, vs.size)))
+        adds.append(moves(which, np.full_like(lonely, -1), lonely))
+        dropped = vs if vs.size >= 2 else vs[:0]
+        drops.append(moves(which, dropped, np.full_like(dropped, -1)))
+    for pool in (neighbor_moves, other_moves + adds, drops):
+        pool = np.concatenate(pool)
+        if len(pool):
+            which, v, u = pool[rng.randrange(len(pool))].tolist()
+            sides = [set(T.t0), set(T.t1)]
+            sides[which].discard(v)
+            if u >= 0:
+                sides[which].add(u)
+            return Bitrade(host, frozenset(sides[0]), frozenset(sides[1]))
+    raise RuntimeError("no admissible one-vertex corruption exists")
 
 
 def clique_pairs(cliques):

@@ -62,7 +62,8 @@ from drgtrades.graphs import (
     verify_clique_system,
 )
 from drgtrades.spectral import verify_eigenfunction, wd_bound
-from helpers import cycle_graph, reference_criterion_a, reference_hits, signed_function
+from helpers import (cycle_graph, reference_corrupt_one_vertex, reference_criterion_a,
+                     reference_hits, signed_function)
 
 
 @pytest.fixture(scope="module")
@@ -391,6 +392,17 @@ def test_seeded_corruptions_are_pinned():
             bad = corrupt_one_vertex(T, rng)
             got.append((bad.labels(bad.t0), bad.labels(bad.t1)))
         assert got == CORRUPTIONS_2024[name], name
+
+
+@pytest.mark.parametrize("name,params", [("octahedron", (2,)), ("octahedron", (3,)),
+                                         ("hamming", (3, 3)), ("johnson", (6, 3)),
+                                         ("halved_cube", (8,)), ("grassmann", (4, 2, 2))])
+def test_corruptions_match_the_reference_that_builds_every_pool(name, params):
+    # the criterion-9 families, and the 4-cycle, whose only corruptions are drops
+    T = MIN_BITRADES[name](*params, host=build_family(name, params)[0])
+    rng, ref = random.Random(77), random.Random(77)
+    for _ in range(50):
+        assert corrupt_one_vertex(T, rng) == reference_corrupt_one_vertex(T, ref)
 
 
 # --- minimality / double Pasch --------------------------------------------------------

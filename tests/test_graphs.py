@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drgtrades import families, graphs
 from drgtrades.bitrades import (MIN_BITRADES, Bitrade, check_clique_design,
@@ -34,6 +34,7 @@ from drgtrades.graphs import (
     CliqueSystem,
     Graph,
     IntersectionArray,
+    Verdict,
     completely_regular_check,
     distance_regularity_check,
     graph_to_json,
@@ -902,6 +903,11 @@ def clique_rows(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(clique_rows())
+# vertices 0, 1 and 2 share two rows, so their co-members repeat, and no other
+# vertex's do: blocks of one vertex (7 entries) with and without repeats alternate
+@example(([f"v{i:03d}" for i in range(12)],
+          np.array([[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11],
+                    [0, 1, 2], [3, 6, 9], [4, 7, 10], [5, 8, 11]])))
 def test_graph_from_clique_rows_equals_graph_from_their_pairs(case):
     labels, rows = case
     if np.ptp(np.bincount(rows.ravel(), minlength=len(labels))):
@@ -1117,6 +1123,55 @@ def test_singleton_bfs_peak_memory_is_below_the_host_csr(j273):
         tracemalloc.stop()
     assert (dist >= 0).all() and dist.max() == 3
     assert peak < g._flat.nbytes + g._off.nbytes
+
+
+def test_corruption_peak_memory_is_below_a_mebibyte(j273):
+    # every move pool at once, |side| x |lonely| other moves among them, took 10 MiB
+    g, _ = j273
+    T = min_bitrade_grassmann(7, 3, 2, host=g)
+    tracemalloc.start()
+    try:
+        corrupt_one_vertex(T, random.Random(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# --- vertex indices sorted in the narrowest unsigned type ------------------------------
+
+def test_index_type_is_the_narrowest_unsigned_type_of_the_indices():
+    got = [graphs._index_type(n) for n in (1, 256, 257, 65_536, 65_537)]
+    assert got == [np.uint8, np.uint8, np.uint16, np.uint16, np.uint32]
+
+
+@pytest.mark.parametrize("n", [256, 257, 65_536, 65_537])
+def test_positions_match_the_stable_argsort_of_the_entries(n):
+    # entries near n - 1, many of them tied, which a too narrow type would wrap
+    rows = np.random.default_rng(n).integers(max(0, n - 300), n, size=(2000, 4))
+    at, off, view = graphs._positions(rows, n)
+    assert at.dtype == np.int32 and np.array_equal(at, np.argsort(rows.ravel(), kind="stable"))
+    assert np.array_equal(np.diff(off), np.bincount(rows.ravel(), minlength=n)) and view is None
+
+
+def test_certificate_proves_a_host_of_more_than_65536_vertices():
+    # H(17,2), 131,072 vertices, from its edges; build_hamming(17, 2) would take 1.4 s
+    x = np.arange(1 << 17)
+    heads = np.repeat(x, 17)
+    tails = heads ^ np.tile(1 << np.arange(17), x.size)
+    g = Graph([format(v, "017b") for v in x.tolist()],
+              np.stack([heads, tails], axis=1)[heads < tails])
+    flip, rotate = x ^ 1, ((x << 1) | (x >> 16)) & ((1 << 17) - 1)
+    g.generators = lambda: [flip, rotate]
+    assert distance_regularity_check(g) == Verdict(True, value=family_array("hamming", (17, 2)))
+    assert g._dm is None
+    bad = rotate.copy()
+    bad[[0, 1]] = bad[[1, 0]]
+    g.generators = lambda: [flip, bad]
+    with pytest.raises(CrossCheckViolation) as exc:
+        distance_regularity_check(g)
+    assert str(exc.value) == ("generator 1 maps edge 00000000000000000-00000000000000010 "
+                              "to non-edge 00000000000000010-00000000000000100")
 
 
 # --- max clique -------------------------------------------------------------------
