@@ -35,6 +35,7 @@ from .graphs import (
     Graph,
     IntersectionArray,
     Verdict,
+    _on_host,
     completely_regular_check,
     distance_regularity_check,
     induced_subgraph,
@@ -119,9 +120,6 @@ class DelsartePairReport:
     theta_min: int
     hoffman_order: Fraction          # 1 - k/theta_min
 
-    def __bool__(self):
-        return self.ok
-
 
 def _degree(g: Graph) -> int:
     """The host's common degree; a host that is not regular raises
@@ -154,12 +152,6 @@ def _host_array(g: Graph, host_array=None) -> IntersectionArray:
         raise ValueError(f"host array {host_array} has degree {host_array.k}, "
                          f"the host has degree {k}")
     return host_array
-
-
-def _on_host(g: Graph, *parts) -> None:
-    """Refuse a bitrade or clique system that lies on another graph than g."""
-    if any(part.host is not g for part in parts):
-        raise ValueError("bitrade or clique system lies on another host")
 
 
 def verify_delsarte_pair(g: Graph, S: CliqueSystem,
@@ -237,9 +229,6 @@ class MinimalityReport:
     meets_bound: bool
     isometric: Verdict
     minimal: bool
-
-    def __bool__(self):
-        return self.minimal
 
 
 def _integral_bound(arr: IntersectionArray, theta) -> int:

@@ -46,12 +46,6 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
-def _resolve_cap(args) -> int:
-    if args.cap <= 0:
-        _usage_error(f"--cap must be positive, got {args.cap}")
-    return args.cap
-
-
 def _family(args):
     try:
         return parse_family(args.family)
@@ -63,7 +57,9 @@ def _build(args, cliques=True):
     """The --family instance as (name, params, graph, clique system or None);
     without cliques, also the odd halved cube, whose cliques are not Delsarte."""
     name, params = _family(args)
-    cap = _resolve_cap(args)
+    cap = args.cap
+    if cap <= 0:
+        _usage_error(f"--cap must be positive, got {cap}")
     if not cliques and name == "halved_cube":
         return name, params, build_halved_cube(*params, check_delsarte=False, cap=cap)[0], None
     return (name, params) + build_family(name, params, cap=cap)
@@ -110,7 +106,7 @@ def cmd_cliques(args) -> int:
     return 0 if v.ok else 1
 
 
-def _make_bitrade(args, name, params, g, S):
+def _make_bitrade(args, name, params, g):
     if args.bitrade == "min":
         ctor = MIN_BITRADES.get(name)
         if ctor is None:
@@ -133,7 +129,7 @@ def _make_bitrade(args, name, params, g, S):
 
 def cmd_bitrade(args) -> int:
     name, params, g, S = _build(args)
-    T = _make_bitrade(args, name, params, g, S)
+    T = _make_bitrade(args, name, params, g)
     doc = bitrade_to_json(T)
     _emit(args, doc, [
         f"host: {doc['host']}",
@@ -152,7 +148,7 @@ def _fmt_verdict(v) -> str:
 
 def cmd_verify(args) -> int:
     name, params, g, S = _build(args)
-    T = _make_bitrade(args, name, params, g, S)
+    T = _make_bitrade(args, name, params, g)
 
     if S is None:
         rep = verify_pseudo_bitrade(g, T)
@@ -268,6 +264,21 @@ def cmd_report(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+_BITRADE = ("--bitrade", dict(default="min", help="'min' or a bitrade JSON file"))
+_CRITERION = ("--criterion", dict(choices=("a", "b", "c", "all"), default="all"))
+
+# the verbs that take --family: (verb, handler, help, options beyond the common three)
+_FAMILY_VERBS = (
+    ("build", cmd_build, "construct a family graph", ()),
+    ("cliques", cmd_cliques, "construct and verify the clique system", ()),
+    ("bitrade", cmd_bitrade, "construct a minimum bitrade", (_BITRADE,)),
+    ("verify", cmd_verify, "verify a bitrade against its host", (_BITRADE, _CRITERION)),
+    ("wd-bound", cmd_wd_bound, "weight-distribution bound at theta_min", ()),
+    ("check-dr", cmd_check_dr, "distance-regularity of a family graph", ()),
+    ("spectrum", cmd_spectrum, "exact intersection-matrix spectrum", ()),
+)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="drgtrades",
@@ -276,46 +287,16 @@ def main(argv=None) -> int:
                     "defining equivalences and bounds in exact arithmetic.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, bitrade=False, criterion=False):
+    for verb, func, help_, options in _FAMILY_VERBS:
+        p = sub.add_parser(verb, help=help_)
         p.add_argument("--family", required=True,
                        help="family spec, e.g. johnson:6,3 or grassmann:6,3,2")
         p.add_argument("--json", action="store_true", help="machine output")
         p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                        help="enumeration cap")
-        if bitrade:
-            p.add_argument("--bitrade", default="min",
-                           help="'min' or a bitrade JSON file")
-        if criterion:
-            p.add_argument("--criterion", choices=("a", "b", "c", "all"),
-                           default="all")
-
-    p = sub.add_parser("build", help="construct a family graph")
-    add_common(p)
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("cliques", help="construct and verify the clique system")
-    add_common(p)
-    p.set_defaults(func=cmd_cliques)
-
-    p = sub.add_parser("bitrade", help="construct a minimum bitrade")
-    add_common(p, bitrade=True)
-    p.set_defaults(func=cmd_bitrade)
-
-    p = sub.add_parser("verify", help="verify a bitrade against its host")
-    add_common(p, bitrade=True, criterion=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("wd-bound", help="weight-distribution bound at theta_min")
-    add_common(p)
-    p.set_defaults(func=cmd_wd_bound)
-
-    p = sub.add_parser("check-dr", help="distance-regularity of a family graph")
-    add_common(p)
-    p.set_defaults(func=cmd_check_dr)
-
-    p = sub.add_parser("spectrum", help="exact intersection-matrix spectrum")
-    add_common(p)
-    p.set_defaults(func=cmd_spectrum)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("identity",
                        help="isotropic-count identity: product vs shell sum")

@@ -395,6 +395,13 @@ def vertex_indices(g: Graph, vertices) -> np.ndarray:
     return out.astype(np.int64, copy=False)
 
 
+def _on_host(g: Graph, *parts) -> None:
+    """Refuse a bitrade, clique system or vertex function that lies on
+    another graph than g."""
+    if any(part.host is not g for part in parts):
+        raise ValueError("bitrade, clique system or vertex function lies on another host")
+
+
 def vertex_mask(g: Graph, vertices) -> np.ndarray:
     """Boolean indicator of a vertex set over the vertices of g, for
     indices that vertex_indices has accepted."""

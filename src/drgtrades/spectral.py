@@ -25,7 +25,8 @@ from .errors import (
     NotCompletelyRegular,
     ZeroFunction,
 )
-from .graphs import Graph, IntersectionArray, Verdict, _completely_regular, segment_sums
+from .graphs import (Graph, IntersectionArray, Verdict, _completely_regular, _on_host,
+                     segment_sums)
 
 
 # --- Sturm sequence and integer spectrum ---------------------------------------
@@ -53,15 +54,22 @@ def _count_above(arr: IntersectionArray, t: int) -> int:
 
 
 def _eigenvalue(arr: IntersectionArray, j: int, count=None) -> int:
-    """The integer m with eigenvalue j of L (descending, from 0) in
-    (m - 1/2, m + 1/2]: bisection on the Sturm count t -> _count_above(arr,
-    t) over [-k, k].  A caller that bisects for several j passes the count
-    memoized, so the bisections share the counts on their common path."""
+    """Eigenvalue j of L (descending, from 0), confirmed an integer: bisection
+    on the Sturm count t -> _count_above(arr, t) over [-k, k] finds the
+    least m with at most j eigenvalues above m + 1/2, so eigenvalue j lies in
+    (m - 1/2, m + 1/2]; it is m exactly when p_rho(m) = 0 and exactly j
+    eigenvalues lie above m + 1/2, else NonIntegerSpectrum is raised.  A
+    caller that bisects for several j passes the count memoized, so the
+    bisections share the counts on their common path."""
     count = count or partial(_count_above, arr)
     lo, hi = -arr.k, arr.k
     while lo < hi:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if count(2 * mid + 1) <= j else (mid + 1, hi)
+    if _minors(arr, lo)[-1] != 0 or count(2 * lo + 1) != j:
+        which = "the least eigenvalue" if j == arr.rho else f"eigenvalue {j} (descending)"
+        raise NonIntegerSpectrum(f"{which} of {arr} lies within 1/2 of {lo} but is not "
+                                 f"{lo} alone; the spectrum is not integral")
     return lo
 
 
@@ -70,32 +78,17 @@ def intersection_matrix_eigenvalues(arr: IntersectionArray) -> list[int]:
 
     A tridiagonal matrix with positive off-diagonal products has rho+1
     simple real eigenvalues, all in [-k, k] since L is nonnegative with row
-    sums k.  For each one, bisection on the Sturm count finds the integer m
-    with the eigenvalue in (m - 1/2, m + 1/2], the bisections sharing their
-    Sturm counts; the eigenvalue is m exactly when p_rho(m) = 0.
-    Every family in scope has an integral spectrum; raises
-    NonIntegerSpectrum otherwise.
+    sums k.  Each comes from one confirmed bisection (_eigenvalue), the
+    bisections sharing their Sturm counts.  Every family in scope has an
+    integral spectrum; raises NonIntegerSpectrum otherwise.
     """
     count = lru_cache(maxsize=None)(partial(_count_above, arr))
-    roots = []
-    for j in range(arr.rho + 1):
-        lo = _eigenvalue(arr, j, count)
-        if _minors(arr, lo)[-1] != 0 or lo in roots[-1:]:
-            raise NonIntegerSpectrum(
-                f"eigenvalue {j} (descending) of {arr} lies within 1/2 of {lo} "
-                f"but is not {lo}; the spectrum is not integral")
-        roots.append(lo)
-    return roots
+    return [_eigenvalue(arr, j, count) for j in range(arr.rho + 1)]
 
 
 def theta_min(arr: IntersectionArray) -> int:
-    """The least eigenvalue by one bisection: its integer m, when p_rho(m) = 0
-    and the other rho eigenvalues lie above m + 1/2."""
-    m = _eigenvalue(arr, arr.rho)
-    if _minors(arr, m)[-1] != 0 or _count_above(arr, 2 * m + 1) != arr.rho:
-        raise NonIntegerSpectrum(f"the least eigenvalue of {arr} lies within 1/2 of {m} "
-                                 f"but is not {m} alone; the spectrum is not integral")
-    return m
+    """The least eigenvalue, by one confirmed bisection."""
+    return _eigenvalue(arr, arr.rho)
 
 
 def is_matrix_eigenvalue(arr: IntersectionArray, theta) -> bool:
@@ -104,17 +97,12 @@ def is_matrix_eigenvalue(arr: IntersectionArray, theta) -> bool:
     return _minors(arr, th.numerator, th.denominator)[-1] == 0
 
 
-def standard_eigenvector(arr: IntersectionArray, theta) -> list[Fraction]:
-    """The unique eigenvector (nu_0=1, nu_1, ..., nu_rho) for the eigenvalue
-    theta, produced by the tridiagonal recurrence.  The last row of the
-    matrix must close with zero residual; otherwise theta is not an
-    eigenvalue and NotAnEigenvalue is raised."""
-    return list(_eigenvector(arr, theta))
-
-
 @lru_cache(maxsize=1024)
-def _eigenvector(arr: IntersectionArray, theta) -> tuple[Fraction, ...]:
-    """standard_eigenvector as a tuple, computed once per (arr, theta)."""
+def standard_eigenvector(arr: IntersectionArray, theta) -> tuple[Fraction, ...]:
+    """The unique eigenvector (nu_0=1, nu_1, ..., nu_rho) for the eigenvalue
+    theta, produced by the tridiagonal recurrence once per (arr, theta).
+    The last row of the matrix must close with zero residual; otherwise
+    theta is not an eigenvalue and NotAnEigenvalue is raised."""
     th = Fraction(theta)
     nu = [Fraction(1)]
     for i in range(arr.rho):
@@ -162,7 +150,8 @@ class VertexFunction:
 
 def verify_eigenfunction(g: Graph, f: VertexFunction, theta) -> Verdict:
     """Exact check of sum_{y ~ x} f(y) = theta * f(x) at every vertex, on
-    the numerators of f."""
+    the numerators of f, which must lie on g."""
+    _on_host(g, f)
     if not f.num.any():
         raise ZeroFunction("eigenfunction candidates must not vanish identically")
     th = Fraction(theta)
@@ -186,7 +175,7 @@ def delta_function(g: Graph, C, thetas) -> tuple[list[VertexFunction], np.ndarra
         raise NotCompletelyRegular(str(res.witness))
     out = []
     for theta in thetas:
-        nu = _eigenvector(res.value, theta)  # may raise NotAnEigenvalue
+        nu = standard_eigenvector(res.value, theta)  # may raise NotAnEigenvalue
         den = lcm(*(v.denominator for v in nu))
         shells = np.array([v.numerator * (den // v.denominator) for v in nu], dtype=object)
         out.append(VertexFunction(g, shells[dist], den))

@@ -1,10 +1,10 @@
 """Small ad-hoc graphs, scalar GF(q) references, scalar Fraction
 references for vertex functions and their sums, the signed indicator of a
-bitrade, a per-vertex distance-regularity sweep, a pair count of clique
-systems, clique hits and criterion a by gathering every row, one-vertex
-corruptions from every move pool at once, the pairs inside clique rows and
-an exact maximum-clique search,
-shared across test modules."""
+bitrade, the spectrum with its two confirmations stated apart, a
+per-vertex distance-regularity sweep, a pair count of clique systems,
+clique hits and criterion a by gathering every row, one-vertex corruptions
+from every move pool at once, the pairs inside clique rows and an exact
+maximum-clique search, shared across test modules."""
 
 import itertools
 from collections import deque
@@ -18,7 +18,8 @@ from drgtrades.gfq import SUPPORTED_ORDERS, make_field, subspace_bases, totally_
 from drgtrades.bitrades import Bitrade
 from drgtrades.graphs import (Graph, IntersectionArray, Verdict, completely_regular_check,
                               vertex_mask)
-from drgtrades.spectral import VertexFunction
+from drgtrades.errors import NonIntegerSpectrum
+from drgtrades.spectral import VertexFunction, _count_above, _minors
 
 
 def cube_graph(n):
@@ -265,6 +266,43 @@ def reference_delta_values(g, x, theta, dist=None):
         nu.append(((theta - arr.a(i)) * nu[i] - arr.c_at(i) * prev) / arr.b[i])
     dist = reference_distances(g, x) if dist is None else dist
     return [nu[dist[v]] for v in range(g.num_vertices)]
+
+
+# --- the spectrum with its two confirmations stated apart -------------------------
+
+def _bisect(arr, j):
+    """The least integer m in [-k, k] with at most j eigenvalues of arr above
+    m + 1/2, unconfirmed."""
+    lo, hi = -arr.k, arr.k
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _count_above(arr, 2 * mid + 1) <= j else (mid + 1, hi)
+    return lo
+
+
+def reference_eigenvalues(arr):
+    """intersection_matrix_eigenvalues with its own check: bisection j gives
+    the eigenvalue when p_rho vanishes there and bisection j - 1 did not
+    land on the same integer."""
+    roots = []
+    for j in range(arr.rho + 1):
+        lo = _bisect(arr, j)
+        if _minors(arr, lo)[-1] != 0 or lo in roots[-1:]:
+            raise NonIntegerSpectrum(
+                f"eigenvalue {j} (descending) of {arr} lies within 1/2 of {lo} "
+                f"but is not {lo}; the spectrum is not integral")
+        roots.append(lo)
+    return roots
+
+
+def reference_theta_min(arr):
+    """theta_min with its own check: p_rho vanishes at m and the other rho
+    eigenvalues lie above m + 1/2."""
+    m = _bisect(arr, arr.rho)
+    if _minors(arr, m)[-1] != 0 or _count_above(arr, 2 * m + 1) != arr.rho:
+        raise NonIntegerSpectrum(f"the least eigenvalue of {arr} lies within 1/2 of {m} "
+                                 f"but is not {m} alone; the spectrum is not integral")
+    return m
 
 
 # --- scalar GF(q) references, independent of the batched engine in gfq ---------

@@ -67,9 +67,9 @@ def test_criterion_11_runs_one_check_per_center(monkeypatch, shell_hosts):
 
 def test_criterion_11_runs_one_eigenvector_recurrence_per_array_and_theta():
     # 10 centers share each host's (array, theta): 34 pairs, not 340
-    spectral._eigenvector.cache_clear()
+    spectral.standard_eigenvector.cache_clear()
     report._criterion_11()
-    assert spectral._eigenvector.cache_info().misses == 34
+    assert spectral.standard_eigenvector.cache_info().misses == 34
 
 
 def test_criterion_11_names_the_first_failing_pair(monkeypatch, shell_hosts):

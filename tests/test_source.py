@@ -91,3 +91,30 @@ def test_default_cap_is_assigned_only_in_families():
              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
              if isinstance(target, ast.Name) and target.id == "DEFAULT_ENUMERATION_CAP"]
     assert found == ["families.py"]
+
+
+def test_non_integer_spectrum_is_raised_at_one_site():
+    # every eigenvalue, theta_min included, is confirmed by one rule
+    found = [f"{name}:{node.lineno}" for name, tree in package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+             and getattr(node.exc.func, "id", None) == "NonIntegerSpectrum"]
+    assert len(found) == 1, found
+
+
+def defining_modules(function_name):
+    return [name for name, tree in package_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == function_name]
+
+
+def test_host_check_is_defined_only_in_graphs():
+    # bitrades, clique systems and vertex functions are refused on another
+    # host by one check
+    assert defining_modules("_on_host") == ["graphs.py"]
+
+
+def test_eigenvector_recurrence_has_one_function():
+    # standard_eigenvector is the cached recurrence itself, with no private twin
+    assert defining_modules("_eigenvector") == []
+    assert defining_modules("standard_eigenvector") == ["spectral.py"]

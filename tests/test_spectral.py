@@ -4,8 +4,10 @@ Frozen expected values were produced by two independent routes: the
 recursions computed by hand, and numpy's floating eigensolver on the dense
 intersection matrix (used here only as an oracle)."""
 
+import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from drgtrades import spectral
 from drgtrades.errors import (
+    InvalidParameters,
     NonIntegerSpectrum,
     NotAnEigenvalue,
     NotCompletelyRegular,
+    UnsupportedFieldOrder,
     ZeroFunction,
 )
 from drgtrades.graphs import CliqueSystem, IntersectionArray, Verdict, completely_regular_check
@@ -32,13 +36,16 @@ from drgtrades.spectral import (
     wd_coefficients,
     weight_distribution_of,
 )
-from drgtrades.families import build_grassmann, grassmann_array, hamming_array
+from drgtrades.families import (FAMILIES, build_grassmann, build_johnson, family_array,
+                                grassmann_array, hamming_array)
 from drgtrades.gfq import gaussian_binomial
 from helpers import (
     cube_graph,
     cycle_graph,
+    reference_eigenvalues,
     reference_neighbor_sums,
     reference_shell_sums,
+    reference_theta_min,
     values,
     vertex_function,
 )
@@ -132,6 +139,62 @@ def test_rho_zero_spectrum():
     assert intersection_matrix_eigenvalues(arr) == [3]
 
 
+def _outcome(fn, arr):
+    """(fn(arr), None), or (("raises", j), message) with j the eigenvalue
+    index that the NonIntegerSpectrum message names."""
+    try:
+        return fn(arr), None
+    except NonIntegerSpectrum as exc:
+        found = re.search(r"eigenvalue (\d+) \(descending\)", str(exc))
+        return ("raises", int(found.group(1)) if found else arr.rho), str(exc)
+
+
+def _random_arrays(rng, count):
+    for _ in range(count):
+        rho = rng.randint(1, 5)
+        k = rng.randint(1, 16)
+        c = sorted(rng.randint(1, k) for _ in range(rho))
+        b = sorted((rng.randint(1, k) for _ in range(rho)), reverse=True)
+        b[0] = k
+        try:
+            yield IntersectionArray(k, tuple(b), tuple(c))
+        except ValueError:
+            continue
+
+
+def _family_arrays():
+    # every closed form accepted with parameters below 7, the smallest among them
+    for name, spec in sorted(FAMILIES.items()):
+        for params in itertools.product(range(7), repeat=spec.arity):
+            try:
+                yield family_array(name, params)
+            except (InvalidParameters, UnsupportedFieldOrder):
+                continue
+
+
+def test_one_confirmation_per_eigenvalue_matches_the_two_it_replaced():
+    # a bisection's integer is the eigenvalue when p_rho vanishes there and
+    # exactly j eigenvalues lie above it; the references state that second
+    # half as "not the previous root" for the spectrum and as "rho above"
+    # for theta_min, and every refusal has one message
+    raised = integral = 0
+    arrays = itertools.chain(_random_arrays(random.Random(2025), 2000), _family_arrays())
+    for arr in arrays:
+        spectrum, message = _outcome(intersection_matrix_eigenvalues, arr)
+        least, least_message = _outcome(theta_min, arr)
+        assert spectrum == _outcome(reference_eigenvalues, arr)[0], arr
+        assert least == _outcome(reference_theta_min, arr)[0], arr
+        if isinstance(spectrum, list):
+            integral += 1
+            assert least == spectrum[-1]
+            continue
+        raised += 1
+        assert message.endswith(" alone; the spectrum is not integral")
+        if isinstance(least, tuple):
+            assert least_message.endswith(" alone; the spectrum is not integral")
+    assert raised >= 200 and integral >= 200
+
+
 def test_theta_min_values():
     assert theta_min(J63) == -3
     assert theta_min(GR632) == -7
@@ -167,9 +230,9 @@ def test_standard_eigenvector_perron():
 
 
 def test_standard_eigenvector_frozen():
-    assert standard_eigenvector(H4, -4) == [1, -1, 1, -1, 1]
+    assert standard_eigenvector(H4, -4) == (1, -1, 1, -1, 1)
     nu = standard_eigenvector(J63, -3)
-    assert nu == [1, Fraction(-1, 3), Fraction(1, 3), -1]
+    assert nu == (1, Fraction(-1, 3), Fraction(1, 3), -1)
     assert all(x != 0 for x in nu)
 
 
@@ -234,6 +297,17 @@ def test_parity_eigenfunction_on_cube():
     assert verify_eigenfunction(g, f, -4).ok
     v = verify_eigenfunction(g, f, -2)
     assert not v.ok and v.witness is not None
+
+
+def test_verify_eigenfunction_refuses_a_function_on_another_host():
+    # with f on J(6,3), H(3,2) once raised numpy's broadcast error, and the
+    # reverse an IndexError
+    cube = cube_graph(3)
+    j63, _ = build_johnson(6, 3)
+    for g, h in ((cube, j63), (j63, cube)):
+        f = vertex_function(h, [1] * h.num_vertices)
+        with pytest.raises(ValueError, match="on another host"):
+            verify_eigenfunction(g, f, -3)
 
 
 def test_zero_function_rejected():
