@@ -52,14 +52,30 @@ def _require_field_order(q: int):
     _require(q == 1, "q a prime power")
 
 
-def _guard(count: int, cap: int, what: str, k: int, unit: str = "vertices", vertices=None):
+def _capped(log2_floor: int, exact) -> int | None:
+    """The count exact(), at least 2^log2_floor, if it is below 2^64, else
+    None.  exact() is not called when log2_floor >= 64, so parameters of any
+    size are tested against a cap at once, before anything is computed."""
+    if log2_floor >= 64:
+        return None
+    count = exact()
+    return count if count < 1 << 64 else None
+
+
+def _shown(count: int | None, spec: str = "") -> str:
+    return "at least 2^64" if count is None else format(count, spec)
+
+
+def _guard(count: int | None, cap: int, what: str, degree, unit: str = "vertices",
+           vertices=None):
     """Refuse a build of more than cap vertices (or of the unit it enumerates),
-    then one of more than 2,000 * cap CSR entries, the vertices times the degree
-    k, which a complete graph reaches under the vertex cap; J_4(6,2), the
-    densest host with d >= 2 that the default cap admits, has 158M."""
-    if count > cap:
-        raise EnumerationTooLarge(f"{what}: {count} {unit} exceeds cap {cap}")
-    entries = (count if vertices is None else vertices) * k
+    a _capped count, then one of more than 2,000 * cap CSR entries, the
+    vertices times the degree, which a complete graph reaches under the vertex
+    cap; J_4(6,2), the densest host with d >= 2 that the default cap admits,
+    has 158M.  degree() is the closed form of k, read once the count passed."""
+    if count is None or count > cap:
+        raise EnumerationTooLarge(f"{what}: {_shown(count)} {unit} exceeds cap {cap}")
+    entries = (count if vertices is None else vertices) * degree()
     if entries > 2_000 * cap:
         raise EnumerationTooLarge(f"{what}: {entries} adjacency entries exceed 2000 x cap {cap}")
 
@@ -67,11 +83,11 @@ def _guard(count: int, cap: int, what: str, k: int, unit: str = "vertices", vert
 def _host_with_cliques(labels, rows, s: int, m: int, family: str,
                        params: tuple) -> tuple[Graph, CliqueSystem]:
     """The clique system with each row sorted and the rows in lexicographic
-    order (in place for int64 rows, sorted by keys in _index_type), and the
-    host of the within-clique pairs."""
-    cliques = np.asarray(rows, dtype=np.int64)
+    order, in _index_type (in place for rows in that type), and the host of
+    the within-clique pairs, sharing its rows."""
+    cliques = np.asarray(rows, dtype=_index_type(len(labels)))
     cliques.sort(axis=1)
-    cliques[:] = cliques[np.lexsort(cliques.T[::-1].astype(_index_type(len(labels))))]
+    cliques[:] = cliques[np.lexsort(cliques.T[::-1])]
     g = Graph(labels, cliques, family=family, params=params)
     return g, CliqueSystem(g, cliques, s=s, m=m)
 
@@ -91,13 +107,20 @@ def build_octahedron(n: int,
                      cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Graph, CliqueSystem]:
     """n antipodal pairs, all edges except within a pair; the clique system
     is all 2^n transversals (one vertex per pair), each edge lying in
-    2^(n-2) of them.  The cap bounds the transversals."""
+    2^(n-2) of them.  The cap bounds the transversals.  The host is built
+    from its pair list: the co-member gather would collect each edge 2^(n-2)
+    times."""
     _require(n >= 2, "n >= 2")
-    _guard(2 ** n, cap, f"octahedron({n})", octahedron_array(n).k, "cliques", 2 * n)
+    _guard(_capped(n, lambda: 2 ** n), cap, f"octahedron({n})", lambda: 2 * n - 2,
+           "cliques", 2 * n)
     labels = sorted(f"{i}{s}" for i in range(n) for s in "+-")
     # pair j is vertices 2j ('+') and 2j+1 ('-'): rows come out sorted, in lexicographic order
-    transversals = 2 * np.arange(n) + (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1)
-    g, S = _host_with_cliques(labels, transversals, n - 1, 2 ** (n - 2), "octahedron", (n,))
+    u, v = np.triu_indices(2 * n, 1)
+    g = Graph(labels, np.stack([u, v], axis=1)[u // 2 != v // 2],
+              family="octahedron", params=(n,))
+    bits = np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+    S = CliqueSystem(g, (2 * np.arange(n) + bits).astype(_index_type(2 * n)),
+                     s=n - 1, m=2 ** (n - 2))
     # the pair cycle, and the swap within pair 0
     _label_generators(g, [lambda v: f"{(int(v[:-1]) + 1) % n}{v[-1]}",
                           lambda v: {"0+": "0-", "0-": "0+"}.get(v, v)])
@@ -119,7 +142,8 @@ def build_hamming(n: int, q: int,
     # a label spells each symbol as one digit, so n >= 2 needs q <= 10; at
     # n = 1 a label is its one symbol, and the labels sort as strings
     _require(n == 1 or q <= 10, "q <= 10 to build n >= 2")
-    _guard(q ** n, cap, f"hamming({n},{q})", hamming_array(n, q).k)
+    _guard(_capped(n * (q.bit_length() - 1), lambda: q ** n), cap, f"hamming({n},{q})",
+           lambda: n * (q - 1))
     labels = sorted("".join(str(d) for d in w)
                     for w in itertools.product(range(q), repeat=n))
     idx = {lab: i for i, lab in enumerate(labels)}
@@ -151,7 +175,9 @@ def build_johnson(n: int, w: int,
     """w-subsets of {1..n}, adjacent when sharing w-1 points; one clique per
     (w-1)-subset, consisting of the n-w+1 supersets."""
     _require(2 <= 2 * w <= n, "2 <= 2w <= n")
-    _guard(comb(n, w), cap, f"johnson({n},{w})", johnson_array(n, w).k)
+    # C(n, w) >= max(2^w, n) when 2 <= 2w <= n
+    _guard(_capped(max(w, n.bit_length() - 1), lambda: comb(n, w)), cap, f"johnson({n},{w})",
+           lambda: w * (n - w))
     points = range(1, n + 1)
     labels = sorted(johnson_label(s) for s in itertools.combinations(points, w))
     idx = {lab: i for i, lab in enumerate(labels)}
@@ -184,7 +210,8 @@ def build_halved_cube(n: int, check_delsarte: bool = True,
     if check_delsarte and n % 2 == 1:
         raise CliquesNotDelsarte(
             f"halved {n}-cube cliques have order {n} < Hoffman bound for odd n")
-    _guard(2 ** (n - 1), cap, f"halved_cube({n})", halved_cube_array(n).k)
+    _guard(_capped(n - 1, lambda: 2 ** (n - 1)), cap, f"halved_cube({n})",
+           lambda: n * (n - 1) // 2)
     labels = sorted("".join(str(b) for b in w)
                     for w in itertools.product((0, 1), repeat=n)
                     if sum(w) % 2 == 0)
@@ -222,7 +249,8 @@ def build_doob(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Graph:
     A vertex is labelled by its factor labels, '.'-joined.  The labels of
     one factor share a length, so product order is label order."""
     _require(m >= 1 and n >= 0, "m >= 1, n >= 0")
-    _guard(16 ** m * 4 ** n, cap, f"doob({m},{n})", doob_array(m, n).k)
+    _guard(_capped(4 * m + 2 * n, lambda: 16 ** m * 4 ** n), cap, f"doob({m},{n})",
+           lambda: 3 * (2 * m + n))
     shrikhande = ([f"{a}{b}" for a in range(4) for b in range(4)],
                   [(4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
                    for a in range(4) for b in range(4) for da, db in _SHRIKHANDE_DIFFS])
@@ -273,21 +301,22 @@ def _labels(rows: np.ndarray, d: int) -> list[str]:
 def _hyperplane_buckets(bases: np.ndarray, field, size: int):
     """The labels of the subspaces in bases (N, d, n), sorted (labels share
     their length and separator positions, so label order is pack_digits key
-    order), the sorted vertex indices grouped by the (d-1)-subspaces they
-    contain, as one row of size members per (d-1)-subspace, and the keys in
-    label order.  Hyperplanes are grouped by sorting their hyperplane_keys; a
-    group of the wrong size names the (d-1)-subspace whose first member comes
-    earliest in (vertex enumeration, hyperplane) order."""
+    order), the sorted vertex indices, in _index_type, grouped by the
+    (d-1)-subspaces they contain, as one row of size members per
+    (d-1)-subspace, and the keys in label order.  Hyperplanes are grouped by
+    sorting their hyperplane_keys; a group of the wrong size names the
+    (d-1)-subspace whose first member comes earliest in (vertex enumeration,
+    hyperplane) order."""
     nv, d, n = bases.shape
     flat = bases.reshape(nv, d * n)
     keys = pack_digits(flat, field.q)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     labels = _labels(flat[order], d)
-    vertex = np.empty(nv, dtype=np.int64)
+    vertex = np.empty(nv, dtype=_index_type(nv))
     vertex[order] = np.arange(nv)
     per_vertex = gaussian_binomial(d, 1, field.q)
-    rows = np.empty((nv * per_vertex // size, size), dtype=np.int64)
+    rows = np.empty((nv * per_vertex // size, size), dtype=vertex.dtype)
     hkeys = hyperplane_keys(bases, field).ravel()
     at = np.argsort(hkeys, kind="stable")
     hkeys = hkeys[at]
@@ -313,7 +342,10 @@ def build_grassmann(n: int, d: int, q: int,
     the (M,1) system."""
     _require(2 <= 2 * d <= n, "2 <= 2d <= n")
     field = make_field(q)
-    _guard(gaussian_binomial(n, d, q), cap, f"grassmann({n},{d},{q})", grassmann_array(n, d, q).k)
+    # [n, d]_q >= q^(d(n-d))
+    _guard(_capped(d * (n - d) * (q.bit_length() - 1), lambda: gaussian_binomial(n, d, q)), cap,
+           f"grassmann({n},{d},{q})",
+           lambda: q * gaussian_binomial(d, 1, q) * gaussian_binomial(n - d, 1, q))
     clique_order = gaussian_binomial(n - d + 1, 1, q)
     labels, rows, keys = _hyperplane_buckets(subspace_bases(n, d, q), field, clique_order)
     g, S = _host_with_cliques(labels, rows, clique_order - 1, 1, "grassmann", (n, d, q))
@@ -382,12 +414,16 @@ def build_dual_polar_D(d: int, q: int,
     count."""
     _require(d >= 1, "d >= 1")
     field = make_field(q)
-    candidates = gaussian_binomial(2 * d, d, q)
-    if candidates > cap:
+    # [2d, d]_q >= q^(d^2), and the vertices prod (q^(d-i) + 1) > q^(d(d-1)/2)
+    bits = q.bit_length() - 1
+    candidates = _capped(d * d * bits, lambda: gaussian_binomial(2 * d, d, q))
+    if candidates is None or candidates > cap:
+        vertices = _capped(d * (d - 1) // 2 * bits, lambda: isotropic_count_product(d, q))
         raise EnumerationTooLarge(
-            f"dual_polar_D({d},{q}) has {isotropic_count_product(d, q):,} vertices but "
-            f"would enumerate {candidates:,} candidate {d}-subspaces, which exceeds cap {cap}")
-    _guard(isotropic_count_product(d, q), cap, f"dual_polar_D({d},{q})", dual_polar_array(d, q).k)
+            f"dual_polar_D({d},{q}) has {_shown(vertices, ',')} vertices but would enumerate "
+            f"{_shown(candidates, ',')} candidate {d}-subspaces, which exceeds cap {cap}")
+    _guard(isotropic_count_product(d, q), cap, f"dual_polar_D({d},{q})",
+           lambda: gaussian_binomial(d, 1, q))
     bases = subspace_bases(2 * d, d, q)
     bases = bases[totally_isotropic_mask(bases, field)]
     labels, edges, _ = _hyperplane_buckets(bases, field, 2)

@@ -20,8 +20,9 @@ from .errors import CrossCheckViolation, Disconnected
 
 # entries gathered at once, bounding the peak memory of CSR assembly, the clique-system
 # check, the BFS frontier, the pulls of distances_among, bounded or not, the shell counts
-# and the automorphism check; indexing casts int32 indices to intp, so 1 << 22 costs 50 MB
-_GATHER_BLOCK = 1 << 20
+# and the automorphism check; indexing copies a narrow index block to intp, so a block
+# of 1 << 18 holds about 3 MB in flight: the 2 MB copy and the block itself
+_GATHER_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,8 @@ class Graph:
     runs and serializations are byte-identical.  Edges, given as index pairs
     or as clique rows (which must meet every vertex equally often), are
     stored once, as CSR arrays: the neighbors of v are
-    _flat[_off[v]:_off[v + 1]], sorted.
+    _flat[_off[v]:_off[v + 1]], sorted, in _index_type(n).  Only this module
+    reads _flat and _off; other modules go through the accessors.
     """
 
     def __init__(self, labels, edges, family=None, params=None):
@@ -65,21 +67,21 @@ class Graph:
             raise ValueError("edges must be index pairs or cliques")
         e = vertex_indices(self, e).reshape(e.shape)
         if e.shape[1] > 2:      # rows of mutually adjacent vertices
-            if (np.diff(np.sort(e.astype(_index_type(n)), axis=1), axis=1) == 0).any():
-                raise ValueError("loops are not allowed")
             at = _positions(e, n)[2]
-            if at is None:
-                raise ValueError("clique rows must meet every vertex equally often")
+            if at is None:      # the gather, which finds loops, needs even rows
+                loop = (np.diff(np.sort(e, axis=1), axis=1) == 0).any()
+                raise ValueError("loops are not allowed" if loop
+                                 else "clique rows must meet every vertex equally often")
             self._flat, self._off = _csr_from_cliques(e, at)
         else:
             if (e[:, 0] == e[:, 1]).any():
                 raise ValueError("loops are not allowed")
             und = np.concatenate([e, e[:, ::-1]])
-            keys = und[:, 0] * n + und[:, 1]
+            keys = und[:, 0].astype(np.int64) * n + und[:, 1]
             del und             # before the sort, which sets the peak memory of large builds
             keys.sort()
             keys = keys[np.diff(keys, prepend=-1) != 0]
-            self._flat = (keys % n).astype(np.int32)
+            self._flat = (keys % n).astype(_index_type(n))
             self._off = np.searchsorted(keys, np.arange(n + 1) * n)
         self._degrees = np.diff(self._off)
         self._rows = _uniform_rows(self._flat, self._off)      # _rows[v]: v's CSR row
@@ -109,6 +111,11 @@ class Graph:
     def neighbors_of(self, vs: np.ndarray) -> np.ndarray:
         """The neighbor rows of the vertices vs, concatenated in that order."""
         return _segments(self._flat, self._off, self._rows, vs)
+
+    def neighbor_sums(self, values: np.ndarray) -> np.ndarray:
+        """The sum of values over the neighbors of each vertex, in the dtype
+        of values: object arrays of Python ints sum exactly."""
+        return segment_sums(values[self._flat], self._off)
 
     def index_of(self, label: str) -> int:
         return self._index[label]
@@ -260,8 +267,9 @@ class IntersectionArray:
 class CliqueSystem:
     """A set of (s+1)-cliques covering every host edge exactly m times.
 
-    The cliques are stored as one (N, s+1) integer array, one clique per
-    row; any rectangular sequence of rows of host vertices is accepted.  The
+    The cliques are stored as one (N, s+1) array in _index_type(n), one
+    clique per row; any rectangular sequence of rows of host vertices is
+    accepted, and rows already in that type are kept as they are.  The
     incidence, each vertex's entries in that array, is built on first use
     and read by verify_clique_system and hits."""
 
@@ -307,7 +315,7 @@ def _positions(rows: np.ndarray, n: int):
     flat = rows.ravel()
     off = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(flat, minlength=n), out=off[1:])
-    at = np.argsort(flat.astype(_index_type(n)), kind="stable").astype(np.int32)
+    at = np.argsort(flat.astype(_index_type(n), copy=False), kind="stable").astype(np.int32)
     return at, off, _uniform_rows(at, off)
 
 
@@ -333,27 +341,30 @@ def _co_members(rows: np.ndarray, at: np.ndarray):
     each vertex's entries (_positions; a vertex twice in a row is among its
     own co-members): yields (v0, block) per block of vertices, block[i] the
     sorted r(w-1) entries sharing a row with v0 + i.  A vertex gathers its
-    rows into one reused buffer (take buffers its out unless mode="clip") and
-    overwrites itself by -1, which the sort puts first."""
-    w, r = rows.shape[1], at.shape[1]
-    rows = rows.astype(np.int32)
-    step = min(len(at), max(1, _GATHER_BLOCK // (r * w)))
-    buf = np.empty((step, r * w), dtype=np.int32)
-    for v0 in range(0, len(at), step):
-        p, block = at[v0:v0 + step], buf[:len(at) - v0]
+    rows into one reused buffer (take buffers its out unless mode="clip") of
+    the narrowest type that holds n, and overwrites itself by n, which the
+    sort puts last."""
+    (n, r), w = at.shape, rows.shape[1]
+    rows = rows.astype(_index_type(n + 1), copy=False)
+    step = min(n, max(1, _GATHER_BLOCK // (r * w)))
+    buf = np.empty((step, r * w), dtype=rows.dtype)
+    for v0 in range(0, n, step):
+        p, block = at[v0:v0 + step], buf[:n - v0]
         np.take(rows, p // w, axis=0, out=block.reshape(-1, r, w), mode="clip")
-        block[np.arange(len(p))[:, None], p % w + np.arange(0, r * w, w)] = -1
+        block[np.arange(len(p))[:, None], p % w + np.arange(0, r * w, w)] = n
         block.sort(axis=1)
-        yield v0, block[:, r:]
+        yield v0, block[:, :-r]
 
 
 def _csr_from_cliques(rows: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR of the pairs within the rows of an (N, w) array, at the (n, r)
-    positions of each vertex's entries, none twice in a row: one of each run
-    of a vertex's co-members, written into one array of the gathered size,
-    trimmed in place.  A block of vertices none of whose co-members repeat
-    (every pair in one row) is written as it is."""
-    flat = np.empty(at.size * (rows.shape[1] - 1), dtype=np.int32)
+    positions of each vertex's entries: one of each run of a vertex's
+    co-members, written into one array of the gathered size, in
+    _index_type(n), trimmed in place.  A block of vertices none of whose
+    co-members repeat (every pair in one row) is written as it is.  A row
+    holding a vertex twice makes it a repeated co-member of its own, so only
+    a block with repeats is searched for loops, which raise ValueError."""
+    flat = np.empty(at.size * (rows.shape[1] - 1), dtype=_index_type(len(at)))
     off = np.zeros(len(at) + 1, dtype=np.int64)
     for v0, nbrs in _co_members(rows, at):
         keep = np.ones(nbrs.shape, dtype=bool)
@@ -362,6 +373,8 @@ def _csr_from_cliques(rows: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.
             ends = off[v0] + nbrs.shape[1] * np.arange(1, len(nbrs) + 1)
             flat[off[v0]:ends[-1]].reshape(nbrs.shape)[...] = nbrs
         else:
+            if (nbrs == np.arange(v0, v0 + len(nbrs))[:, None]).any():
+                raise ValueError("loops are not allowed")
             ends = off[v0] + np.cumsum(np.count_nonzero(keep, axis=1))
             flat[off[v0]:ends[-1]] = nbrs[keep]
         off[v0 + 1:v0 + 1 + len(ends)] = ends
@@ -386,13 +399,15 @@ def is_regular(g: Graph) -> Verdict:
 
 
 def vertex_indices(g: Graph, vertices) -> np.ndarray:
-    """The vertices as an int64 index array, refused with ValueError unless
-    each is an integer index of g: numpy would truncate a float, wrap a
-    negative index and fail with a bare IndexError past the end."""
+    """The vertices as an index array in _index_type(n), without a copy when
+    they are one already, refused with ValueError unless each is an integer
+    index of g: numpy would truncate a float, wrap a negative index and fail
+    with a bare IndexError past the end.  Arithmetic on the indices, such as
+    a pair key u * n + v, must widen them first."""
     out = np.asarray(vertices if isinstance(vertices, np.ndarray) else list(vertices)).ravel()
     if out.size and (out.dtype.kind not in "iu" or out.min() < 0 or out.max() >= g.num_vertices):
         raise ValueError("vertex index out of range")
-    return out.astype(np.int64, copy=False)
+    return out.astype(_index_type(g.num_vertices), copy=False)
 
 
 def _on_host(g: Graph, *parts) -> None:
@@ -631,7 +646,7 @@ def verify_clique_system(g: Graph, S: CliqueSystem) -> Verdict:
                 (nbrs.reshape(-1, k, S.m) == csr[v0:v0 + len(nbrs)]).all()
                 for v0, nbrs in _co_members(S.cliques, at)):
             return holds
-    rows = np.sort(S.cliques, axis=1)
+    rows = np.sort(S.cliques, axis=1).astype(np.int64)     # pair keys overflow a narrow type
     repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     i, j = np.triu_indices(rows.shape[1], 1)
     keys = rows[:, i] * n + rows[:, j]

@@ -31,26 +31,38 @@ from .graphs import (Graph, IntersectionArray, Verdict, _completely_regular, _on
 
 # --- Sturm sequence and integer spectrum ---------------------------------------
 
-def _minors(arr: IntersectionArray, t: int, s: int = 1) -> list[int]:
-    """The leading principal minors s^(i+1) p_i(t/s), i = 0..rho, of
+def _minors(arr: IntersectionArray, t: int, s: int = 1):
+    """Yields the leading principal minors s^(i+1) p_i(t/s), i = 0..rho, of
     t I - s L for the intersection matrix L, where p_i is the monic
     characteristic polynomial of L's leading (i+1)-block:
-    p_i = (x - a_i) p_{i-1} - b_{i-1} c_i p_{i-2}, p_{-1} = 1."""
+    p_i = (x - a_i) p_{i-1} - b_{i-1} c_i p_{i-2}, p_{-1} = 1.  Two minors
+    are live at a time, so a reader that streams them holds O(rho log k)
+    bits, not O(rho^2 log k)."""
     prev, cur = 1, t - s * arr.a(0)
-    out = [cur]
+    yield cur
     for i in range(1, arr.rho + 1):
         prev, cur = cur, ((t - s * arr.a(i)) * cur
                           - s * s * arr.b[i - 1] * arr.c[i - 1] * prev)
-        out.append(cur)
-    return out
+        yield cur
+
+
+def _last_minor(arr: IntersectionArray, t: int, s: int = 1) -> int:
+    """s^(rho+1) p_rho(t/s), the last of the streamed _minors."""
+    for cur in _minors(arr, t, s):
+        pass
+    return cur
 
 
 def _count_above(arr: IntersectionArray, t: int) -> int:
     """Eigenvalues of L above t/2 for odd t: the sign changes of the Sturm
-    sequence 1, p_0, ..., p_rho at t/2.  No p_i vanishes there, since a
-    monic integer polynomial has only integer rational roots."""
-    signs = [True] + [m > 0 for m in _minors(arr, t, 2)]
-    return sum(x != y for x, y in zip(signs, signs[1:]))
+    sequence 1, p_0, ..., p_rho at t/2, read as the minors stream.  No p_i
+    vanishes there, since a monic integer polynomial has only integer
+    rational roots."""
+    changes, positive = 0, True
+    for m in _minors(arr, t, 2):
+        changes += (m > 0) != positive
+        positive = m > 0
+    return changes
 
 
 def _eigenvalue(arr: IntersectionArray, j: int, count=None) -> int:
@@ -66,7 +78,7 @@ def _eigenvalue(arr: IntersectionArray, j: int, count=None) -> int:
     while lo < hi:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if count(2 * mid + 1) <= j else (mid + 1, hi)
-    if _minors(arr, lo)[-1] != 0 or count(2 * lo + 1) != j:
+    if _last_minor(arr, lo) != 0 or count(2 * lo + 1) != j:
         which = "the least eigenvalue" if j == arr.rho else f"eigenvalue {j} (descending)"
         raise NonIntegerSpectrum(f"{which} of {arr} lies within 1/2 of {lo} but is not "
                                  f"{lo} alone; the spectrum is not integral")
@@ -94,7 +106,7 @@ def theta_min(arr: IntersectionArray) -> int:
 def is_matrix_eigenvalue(arr: IntersectionArray, theta) -> bool:
     """Exact membership test: characteristic polynomial vanishes at theta."""
     th = Fraction(theta)
-    return _minors(arr, th.numerator, th.denominator)[-1] == 0
+    return _last_minor(arr, th.numerator, th.denominator) == 0
 
 
 @lru_cache(maxsize=1024)
@@ -155,7 +167,7 @@ def verify_eigenfunction(g: Graph, f: VertexFunction, theta) -> Verdict:
     if not f.num.any():
         raise ZeroFunction("eigenfunction candidates must not vanish identically")
     th = Fraction(theta)
-    nbsum = segment_sums(f.num[g._flat], g._off)
+    nbsum = g.neighbor_sums(f.num)
     bad = np.flatnonzero(nbsum * th.denominator != f.num * th.numerator)
     if not bad.size:
         return Verdict(True)

@@ -19,7 +19,7 @@ from drgtrades.bitrades import Bitrade
 from drgtrades.graphs import (Graph, IntersectionArray, Verdict, completely_regular_check,
                               vertex_mask)
 from drgtrades.errors import NonIntegerSpectrum
-from drgtrades.spectral import VertexFunction, _count_above, _minors
+from drgtrades.spectral import VertexFunction, _count_above, _last_minor
 
 
 def cube_graph(n):
@@ -287,7 +287,7 @@ def reference_eigenvalues(arr):
     roots = []
     for j in range(arr.rho + 1):
         lo = _bisect(arr, j)
-        if _minors(arr, lo)[-1] != 0 or lo in roots[-1:]:
+        if _last_minor(arr, lo) != 0 or lo in roots[-1:]:
             raise NonIntegerSpectrum(
                 f"eigenvalue {j} (descending) of {arr} lies within 1/2 of {lo} "
                 f"but is not {lo}; the spectrum is not integral")
@@ -299,7 +299,7 @@ def reference_theta_min(arr):
     """theta_min with its own check: p_rho vanishes at m and the other rho
     eigenvalues lie above m + 1/2."""
     m = _bisect(arr, arr.rho)
-    if _minors(arr, m)[-1] != 0 or _count_above(arr, 2 * m + 1) != arr.rho:
+    if _last_minor(arr, m) != 0 or _count_above(arr, 2 * m + 1) != arr.rho:
         raise NonIntegerSpectrum(f"the least eigenvalue of {arr} lies within 1/2 of {m} "
                                  f"but is not {m} alone; the spectrum is not integral")
     return m

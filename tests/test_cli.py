@@ -3,6 +3,8 @@
 import json
 import os
 import random
+import re
+import resource
 import subprocess
 import sys
 import time
@@ -438,9 +440,9 @@ def test_non_distance_regular_host_is_reported(capsys, monkeypatch):
 
 def test_octahedron_cliques_are_capped(capsys, monkeypatch):
     # were the cap skipped, the host would hold 2^20 cliques; stop short of it
-    def unreachable(*args):
+    def unreachable(*args, **kwargs):
         raise AssertionError("octahedron:20 built past the cap")
-    monkeypatch.setattr(families, "_host_with_cliques", unreachable)
+    monkeypatch.setattr(families, "Graph", unreachable)
     code = main(["build", "--family", "octahedron:20"])
     assert code == 1
     assert capsys.readouterr().err == (
@@ -461,6 +463,33 @@ def test_entry_count_cap_names_the_entries(capsys):
     assert code == 1
     assert capsys.readouterr().err == (
         "error: grassmann(6,1,8): 1402390152 adjacency entries exceed 2000 x cap 100000\n")
+
+
+# counts with millions of digits, which ended in MemoryError or ran for minutes
+# while the builders computed them before testing them against the cap
+HUGE_SPECS = ["hamming:100000000,2", "halved_cube:100000000", "johnson:100000000,50000000",
+              "grassmann:100000000,50000000,2", "dual_polar_D:100000000,2"]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("spec", HUGE_SPECS)
+def test_huge_parameters_are_refused_before_computing(spec):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    res = subprocess.run([sys.executable, "-m", "drgtrades", "build", "--family", spec,
+                          "--cap", "2000"], capture_output=True, text=True, env=env,
+                         preexec_fn=_limit_address_space, timeout=10)
+    elapsed = time.perf_counter() - start
+    name, params = parse_family(spec)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert re.fullmatch(rf"error: {name}\({','.join(map(str, params))}\)"
+                        r"(: | has )at least 2\^64 [^\n]*cap 2000\n", res.stderr), res.stderr
+    assert elapsed < 1.0
 
 
 def test_wd_bound_integrality_cross_check(capsys, monkeypatch):

@@ -8,13 +8,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from drgtrades import families, gfq
+from drgtrades import families, gfq, graphs
 from drgtrades.errors import (
     CliquesNotDelsarte,
     CrossCheckViolation,
@@ -40,6 +41,7 @@ from drgtrades.families import (
 )
 from drgtrades.gfq import gaussian_binomial, isotropic_count_product, make_field
 from drgtrades.graphs import (
+    CliqueSystem,
     Graph,
     distance_regularity_check,
     graph_to_json,
@@ -141,17 +143,38 @@ def test_octahedron_edges_are_the_within_clique_pairs():
     assert g.num_edges == 7 * 12
 
 
+def test_octahedron_builds_from_its_pair_list():
+    # through the co-member gather, each vertex gathered 491,520 entries to
+    # keep 30, and the build took 50 ms
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        g, S = build_octahedron(16)
+        times.append(time.perf_counter() - start)
+    labels = g.labels
+    oracle = Graph(labels, [(u, v) for u, v in itertools.combinations(range(32), 2)
+                            if labels[u][:-1] != labels[v][:-1]])
+    assert np.array_equal(g._flat, oracle._flat) and np.array_equal(g._off, oracle._off)
+    assert (S.cliques.shape, S.s, S.m) == ((1 << 16, 16), 15, 1 << 14)
+    assert (S.cliques // 2 == np.arange(16)).all()          # one vertex of each pair
+    assert min(times) < 0.015
+
+
 # --- host arrays ----------------------------------------------------------------
 
 def _host_digest(g, S):
+    # the CSR and the clique rows are kept in _index_type(n); they are hashed
+    # in the int32 and int64 they were kept in when the pins were recorded
+    flat = g._flat.astype(np.int32)
     h = hashlib.sha256()
     h.update("\n".join(g.labels).encode())
-    h.update(f"{g._flat.dtype} {g._off.dtype}".encode())
-    h.update(g._flat.tobytes())
+    h.update(f"{flat.dtype} {g._off.dtype}".encode())
+    h.update(flat.tobytes())
     h.update(g._off.tobytes())
     if S is not None:
-        h.update(f"{S.cliques.dtype} {S.cliques.shape} {S.s} {S.m}".encode())
-        h.update(S.cliques.tobytes())
+        cliques = S.cliques.astype(np.int64)
+        h.update(f"{cliques.dtype} {cliques.shape} {S.s} {S.m}".encode())
+        h.update(cliques.tobytes())
     return h.hexdigest()
 
 
@@ -197,6 +220,40 @@ def test_host_arrays_are_pinned(spec):
     else:
         out = build_family(*parse_family(spec))
     assert _host_digest(*out) == HOST_SHA256[spec]
+
+
+def _disjoint_cliques(n, w):
+    """n vertices in n / w disjoint w-cliques, as clique rows and as pairs."""
+    rows = np.arange(n).reshape(-1, w)
+    i, j = np.triu_indices(w, 1)
+    return [f"v{v:06d}" for v in range(n)], rows, np.stack([rows[:, i], rows[:, j]], 2)
+
+
+@pytest.mark.parametrize("n, w, index_type", [(255, 3, np.uint8), (256, 4, np.uint8),
+                                              (258, 3, np.uint16), (65_536, 4, np.uint16),
+                                              (65_538, 3, np.uint32)])
+def test_indices_are_kept_in_the_narrowest_unsigned_type(n, w, index_type):
+    # at 256 and 65,536 vertices the co-member gather needs a wider type than
+    # the CSR, for its marker n past every vertex
+    labels, rows, pairs = _disjoint_cliques(n, w)
+    g, ref = Graph(labels, rows), Graph(labels, pairs.reshape(-1, 2))
+    S = CliqueSystem(g, rows, s=w - 1, m=1)      # int64 rows, narrowed
+    assert graphs._index_type(n) == index_type
+    for got in (g._flat, ref._flat, S.cliques):
+        assert got.dtype == index_type
+    assert np.array_equal(g._flat, ref._flat) and np.array_equal(g._off, ref._off)
+    assert verify_clique_system(g, S).ok
+
+
+@pytest.mark.parametrize("spec, index_type", [("johnson:6,3", np.uint8),
+                                              ("octahedron:5", np.uint8),
+                                              ("dual_polar_D:2,2", np.uint8),
+                                              ("grassmann:6,3,2", np.uint16),
+                                              ("halved_cube:10", np.uint16)])
+def test_builders_keep_indices_in_the_narrowest_unsigned_type(spec, index_type):
+    g, S = build_family(*parse_family(spec))
+    assert g._flat.dtype == index_type
+    assert S is None or S.cliques.dtype == index_type
 
 
 # --- hamming -------------------------------------------------------------------

@@ -1003,6 +1003,23 @@ def test_clique_system_witnesses_are_pinned(spec, monkeypatch):
             assert v.ok == (tag == "shuffled"), tag
 
 
+def test_clique_system_witnesses_on_uint16_indices():
+    # J_2(6,3) has 1,395 vertices, so its rows are uint16, and the pair key
+    # u * 1395 + v of the last rows' vertices would wrap in that type; the
+    # witnesses are those recorded while the rows were int64
+    g, S = build_grassmann(6, 3, 2)
+    assert S.cliques.dtype == np.uint16
+    rows = S.cliques.astype(np.int64)
+    far = rows.copy()
+    far[-1, 3] = 0          # vertex 0 is no neighbor of the last row's others
+    v = verify_clique_system(g, CliqueSystem(g, far, s=S.s, m=S.m))
+    assert (v.witness, v.detail) == ((650, "000100/000010/000001", "100000/011110/000001"),
+                                     "clique contains a non-edge")
+    v = verify_clique_system(g, CliqueSystem(g, rows[:-1], s=S.s, m=S.m))
+    assert (v.witness, v.detail) == (("100000/011110/000001", "100010/011100/000001", 0, 1),
+                                     "edge multiplicity mismatch")
+
+
 def _host(n, pairs):
     return Graph([f"v{i:02d}" for i in range(n)], np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
 
@@ -1123,6 +1140,20 @@ def test_singleton_bfs_peak_memory_is_below_the_host_csr(j273):
         tracemalloc.stop()
     assert (dist >= 0).all() and dist.max() == 3
     assert peak < g._flat.nbytes + g._off.nbytes
+
+
+def test_build_and_singleton_check_peak_memory():
+    # J_2(7,3): a uint16 CSR of 4.7 MiB, gathered 2^18 entries at a time; with
+    # an int32 CSR and blocks of 2^20 entries the traced peak was 22 MiB
+    tracemalloc.start()
+    try:
+        g, _ = build_grassmann(7, 3, 2)
+        ok = completely_regular_check(g, [0]).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and g._flat.dtype == np.uint16
+    assert peak < 12 << 20
 
 
 def test_corruption_peak_memory_is_below_a_mebibyte(j273):

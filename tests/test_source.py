@@ -118,3 +118,12 @@ def test_eigenvector_recurrence_has_one_function():
     # standard_eigenvector is the cached recurrence itself, with no private twin
     assert defining_modules("_eigenvector") == []
     assert defining_modules("standard_eigenvector") == ["spectral.py"]
+
+
+def test_only_graphs_reads_the_csr_arrays():
+    # other modules reach the adjacency through Graph's accessors, so its
+    # store can change in one module
+    found = [f"{name}:{node.lineno}" for name, tree in package_trees() if name != "graphs.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("_flat", "_off")]
+    assert found == []

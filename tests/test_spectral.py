@@ -8,6 +8,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -210,6 +211,20 @@ def test_theta_min_runs_one_bisection(monkeypatch):
     arr = hamming_array(1000, 2)
     assert theta_min(arr) == -1000
     assert len(calls) <= math.ceil(math.log2(2 * arr.k + 1)) + 1
+
+
+def test_sturm_count_streams_its_minors():
+    # a count keeps two minors live; the list of all rho + 1 of them, each of
+    # up to about rho log2(k) bits, traced 11.9 MB here
+    arr = hamming_array(4000, 2)
+    tracemalloc.start()
+    try:
+        above = spectral._count_above(arr, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert above == 2000            # the eigenvalues 4000 - 2j above 1/2
+    assert peak < 1 << 20
 
 
 def test_theta_min_refuses_a_least_eigenvalue_that_is_not_alone_an_integer():
