@@ -226,7 +226,6 @@ def check_criterion_c(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
 class MinimalityReport:
     cardinality: int
     bound: int
-    meets_bound: bool
     isometric: Verdict
     minimal: bool
 
@@ -252,26 +251,20 @@ def check_minimality(g: Graph, S: CliqueSystem, T: Bitrade,
     if meets != iso.ok:
         raise CrossCheckViolation(
             f"meets-bound={meets} but isometric={iso.ok}: {iso.witness}")
-    return MinimalityReport(T.cardinality, bound, meets, iso, meets and iso.ok)
+    return MinimalityReport(T.cardinality, bound, iso, meets)
 
 
-@dataclass(frozen=True)
-class SubgraphReport:
-    array: IntersectionArray
-    shell_sizes: tuple[int, ...]
-
-
-def check_subgraph_dr(g: Graph, S: CliqueSystem, T: Bitrade,
-                      host_array=None) -> SubgraphReport:
-    """For a minimal bitrade the trade subgraph must be distance-regular
-    with shell sizes |W^i| computed from the host array; failure here is a
-    violated equivalence, not a user error."""
+def check_subgraph_dr(g: Graph, S: CliqueSystem,
+                      T: Bitrade) -> tuple[IntersectionArray, tuple[int, ...]]:
+    """(array, shell_sizes): for a minimal bitrade the trade subgraph must be
+    distance-regular with shell sizes |W^i| computed from the host array;
+    failure here is a violated equivalence, not a user error."""
     _on_host(g, S, T)
-    arr = _host_array(g, host_array)
+    arr = _host_array(g)
     return _subgraph_dr(induced_subgraph(g, T.support)[0], arr, _theta(arr.k, S))
 
 
-def _subgraph_dr(sub: Graph, arr: IntersectionArray, theta: Fraction) -> SubgraphReport:
+def _subgraph_dr(sub: Graph, arr: IntersectionArray, theta: Fraction) -> tuple:
     """check_subgraph_dr on the trade subgraph sub, against the host's
     proven array arr at theta = -k/s.  Every vertex of a distance-regular
     graph has the shells k_0 = 1, k_{i+1} = k_i b_i / c_{i+1} of its proven
@@ -287,7 +280,7 @@ def _subgraph_dr(sub: Graph, arr: IntersectionArray, theta: Fraction) -> Subgrap
     if tuple(got) != shells:
         raise CrossCheckViolation(
             f"shells {tuple(got)} at {sub.labels[0]} differ from |W^i| = {shells}")
-    return SubgraphReport(dr.value, shells)
+    return dr.value, shells
 
 
 # --- whole-pipeline report ------------------------------------------------------------
@@ -300,7 +293,6 @@ class VerificationReport:
     theta: Fraction
     cardinality: int
     bound: int | None = None
-    meets_bound: bool | None = None
     isometric: Verdict | None = None
     minimal: bool | None = None
     subgraph_array: IntersectionArray | None = None
@@ -329,14 +321,9 @@ def verify_bitrade(g: Graph, S: CliqueSystem, T: Bitrade,
     if not (a.ok and b.ok and c.ok):
         return VerificationReport(a, b, c, th, T.cardinality)
     mini = check_minimality(g, S, T, arr)
-    sub_arr = None
-    shells = None
-    if mini.minimal:
-        rep = _subgraph_dr(mini.isometric.value, arr, th)
-        sub_arr, shells = rep.array, rep.shell_sizes
-    return VerificationReport(a, b, c, th, T.cardinality, mini.bound,
-                              mini.meets_bound, mini.isometric, mini.minimal,
-                              sub_arr, shells)
+    sub = _subgraph_dr(mini.isometric.value, arr, th) if mini.minimal else (None, None)
+    return VerificationReport(a, b, c, th, T.cardinality, mini.bound, mini.isometric,
+                              mini.minimal, *sub)
 
 
 @dataclass(frozen=True)
@@ -348,14 +335,13 @@ class PseudoBitradeReport:
     ok: bool
 
 
-def verify_pseudo_bitrade(g: Graph, T: Bitrade,
-                          host_array=None) -> PseudoBitradeReport:
+def verify_pseudo_bitrade(g: Graph, T: Bitrade) -> PseudoBitradeReport:
     """On a host without a Delsarte clique system only the eigenfunction
     criterion exists: the signed indicator at theta_min of the host's array
     (proven as in _host_array), and the cardinality against the
     weight-distribution bound there."""
     _on_host(g, T)
-    arr = _host_array(g, host_array)
+    arr = _host_array(g)
     theta = theta_min(arr)
     b = _signed_eigenfunction(g, T, theta)
     bound = _integral_bound(arr, theta)

@@ -182,8 +182,7 @@ def cmd_verify(args) -> int:
             lines.append(f"cardinality: {rep.cardinality} vs bound {rep.bound}")
             lines.append(f"isometric subgraph: {_fmt_verdict(rep.isometric)}")
             lines.append(f"minimal: {'yes' if rep.minimal else 'no'}")
-            doc.update(bound=rep.bound, minimal=rep.minimal,
-                       meets_bound=rep.meets_bound)
+            doc.update(bound=rep.bound, minimal=rep.minimal, meets_bound=rep.minimal)
             ok = ok and rep.minimal
         if rep.subgraph_array is not None:
             lines.append(f"trade subgraph distance-regular, array {rep.subgraph_array}")

@@ -25,7 +25,6 @@ from .gfq import (
     hyperplane_keys,
     isotropic_count_product,
     make_field,
-    matmul_batch,
     pack_digits,
     rref_batch,
     subspace_bases,
@@ -356,24 +355,21 @@ def build_grassmann(n: int, d: int, q: int,
 def _grassmann_generators(keys: np.ndarray, d: int, n: int, field) -> list[np.ndarray]:
     """Automorphisms of the Grassmann graph on the d-subspaces of F_q^n with
     the sorted pack_digits keys, as permutations of label order: U -> U M
-    for the n-cycle permutation matrix, the transvection e_1 += e_2 and, for
-    q > 2, diag(w, 1, ..., 1) with w primitive, which generate GL(n, q), so
-    a transitive group.  An image's index is searchsorted in the keys, -1
-    where no vertex has its key."""
+    for the n-cycle permutation matrix (a roll of the columns), the
+    transvection e_1 += e_2 (column 1 gains column 0) and, for q > 2,
+    diag(w, 1, ..., 1) with w primitive (column 0 times w), which generate
+    GL(n, q), so a transitive group.  The images are made one at a time; an
+    image's index is searchsorted in the keys, -1 where no vertex has its key."""
     nv, q = len(keys), field.q
     bases = unpack_digits(keys, q, d * n).reshape(nv, d, n)
-    cycle = np.roll(np.eye(n, dtype=np.int8), 1, axis=1)
-    transvection = np.eye(n, dtype=np.int8)
-    transvection[0, 1] = 1
-    mats = [cycle, transvection]
-    if q > 2:
-        diag = np.eye(n, dtype=np.int8)
-        diag[0, 0] = _primitive_element(field)
-        mats.append(diag)
     perms = []
-    for m in mats:
-        image = rref_batch(matmul_batch(bases, m, field), field)
-        ikeys = pack_digits(image.reshape(nv, d * n), q)
+    for gen in ("cycle", "transvection", "diag")[:3 if q > 2 else 2]:
+        image = np.roll(bases, 1, axis=2) if gen == "cycle" else bases.copy()
+        if gen == "transvection":
+            image[..., 1] = field.add_table[image[..., 1], image[..., 0]]
+        elif gen == "diag":
+            image[..., 0] = field.mul_table[_primitive_element(field), image[..., 0]]
+        ikeys = pack_digits(rref_batch(image, field).reshape(nv, d * n), q)
         pos = np.minimum(np.searchsorted(keys, ikeys), nv - 1)
         perms.append(np.where(keys[pos] == ikeys, pos, -1))
     return perms

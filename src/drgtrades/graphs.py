@@ -18,11 +18,17 @@ import numpy as np
 
 from .errors import CrossCheckViolation, Disconnected
 
-# entries gathered at once, bounding the peak memory of CSR assembly, the clique-system
-# check, the BFS frontier, the pulls of distances_among, bounded or not, the shell counts
-# and the automorphism check; indexing copies a narrow index block to intp, so a block
-# of 1 << 18 holds about 3 MB in flight: the 2 MB copy and the block itself
 _GATHER_BLOCK = 1 << 18
+
+
+def _blocks(count: int, width: int, start: int = 0):
+    """Slices of range(start, count) keeping a gather of width entries per
+    item within _GATHER_BLOCK, which bounds the peak memory of CSR assembly,
+    the clique-system check, the BFS frontier, the pulls of distances_among,
+    the shell counts and the automorphism check: indexing copies a narrow
+    index block to intp, so 1 << 18 entries hold about 3 MB in flight."""
+    step = max(1, _GATHER_BLOCK // max(1, width))
+    return (slice(i, min(i + step, count)) for i in range(start, count, step))
 
 
 @dataclass(frozen=True)
@@ -154,12 +160,11 @@ class Graph:
         dist[sources] = 0
         frontier = np.flatnonzero(dist == 0)
         unreached = self.num_vertices - frontier.size
-        step = max(1, _GATHER_BLOCK // max(1, int(self._degrees.max())))
         level = 0
         while frontier.size and unreached and level != depth:
             level += 1
-            for f0 in range(0, frontier.size, step):
-                nbrs = self.neighbors_of(frontier[f0:f0 + step])
+            for block in _blocks(frontier.size, int(self._degrees.max())):
+                nbrs = self.neighbors_of(frontier[block])
                 dist[nbrs[dist[nbrs] < 0]] = level
             frontier = np.flatnonzero(dist == level)
             unreached -= frontier.size
@@ -172,19 +177,18 @@ class Graph:
         the current level of v.  A level ORs the reach rows of v's neighbors;
         the bits v lacked, read at verts, are the pairs at that distance.
 
-        With depth, pairs farther apart stay -1; level 1 pushes each source's
-        bit to its neighbors, and level j >= 2 pulls only over the rows within
-        depth - j of verts (after Beamer, Asanovic and Patterson, SC 2012)."""
+        Pairs farther apart than depth, n if not given, stay -1; level 1 pushes
+        each source's bit to its neighbors, and level j >= 2 pulls only over the
+        rows within depth - j of verts (after Beamer, Asanovic and Patterson, SC 2012)."""
         verts = vertex_indices(self, verts)
+        depth = self.num_vertices if depth is None else depth
         m, src = len(verts), np.arange(len(verts))
         word, bit = src // 64, np.uint64(1) << (src % 64).astype(np.uint64)
         reach = np.zeros((self.num_vertices, (m + 63) // 64), dtype="<u8")
         np.bitwise_or.at(reach, (verts, word), bit)
-        step = max(1, _GATHER_BLOCK // max(1, int(self._degrees.max())))
         pull = np.flatnonzero(self._degrees)            # reduceat needs nonempty rows
-        if depth is not None:       # the vertices beyond depth - 2 of verts never pull
-            near = self._bfs(verts, depth=max(0, depth - 2))
-            near[near < 0] = depth
+        near = self._bfs(verts, depth=max(0, depth - 2))    # none beyond depth - 2 pull
+        near[near < 0] = depth
         dist = np.full((m, m), -1, dtype=np.int32)
         new, level = reach, 0
         while True:
@@ -193,13 +197,13 @@ class Graph:
             if (dist >= 0).all() or level == depth:
                 return dist
             new = np.zeros_like(reach)
-            rows = pull if depth is None else pull[near[pull] < depth - level]
-            if depth is not None and not level:     # level 1 pushes instead
+            rows = pull[near[pull] < depth - level]
+            if not level:       # level 1 pushes instead
                 rows, lens = pull[:0], self._degrees[verts]
                 np.bitwise_or.at(new, (self.neighbors_of(verts), np.repeat(word, lens)),
                                  np.repeat(bit, lens))
-            for i in range(0, len(rows), step):
-                vs = rows[i:i + step]
+            for block in _blocks(len(rows), int(self._degrees.max())):
+                vs = rows[block]
                 lens = self._degrees[vs]
                 new[vs] = np.bitwise_or.reduceat(reach[self.neighbors_of(vs)],
                                                  np.cumsum(lens) - lens, axis=0)
@@ -346,14 +350,14 @@ def _co_members(rows: np.ndarray, at: np.ndarray):
     sort puts last."""
     (n, r), w = at.shape, rows.shape[1]
     rows = rows.astype(_index_type(n + 1), copy=False)
-    step = min(n, max(1, _GATHER_BLOCK // (r * w)))
-    buf = np.empty((step, r * w), dtype=rows.dtype)
-    for v0 in range(0, n, step):
-        p, block = at[v0:v0 + step], buf[:n - v0]
-        np.take(rows, p // w, axis=0, out=block.reshape(-1, r, w), mode="clip")
-        block[np.arange(len(p))[:, None], p % w + np.arange(0, r * w, w)] = n
-        block.sort(axis=1)
-        yield v0, block[:, :-r]
+    slices = list(_blocks(n, r * w))
+    buf = np.empty((slices[0].stop, r * w), dtype=rows.dtype)
+    for block in slices:
+        p, out = at[block], buf[:block.stop - block.start]
+        np.take(rows, p // w, axis=0, out=out.reshape(-1, r, w), mode="clip")
+        out[np.arange(len(p))[:, None], p % w + np.arange(0, r * w, w)] = n
+        out.sort(axis=1)
+        yield block.start, out[:, :-r]
 
 
 def _csr_from_cliques(rows: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -467,13 +471,13 @@ def is_isometric_subgraph(g: Graph, verts) -> Verdict:
 
 def is_bipartite(g: Graph) -> Verdict:
     """Distance parity from vertex 0 as the 2-coloring, or an odd cycle: the
-    first CSR edge with both ends at one distance, closed by stepping each end
-    to its least-index neighbor nearer vertex 0 until the two paths meet."""
+    first edge_array edge with both ends at one distance, closed by stepping
+    each end to its least-index neighbor nearer vertex 0 until the paths meet."""
     dist = g.multi_source_distances([0])
-    heads = np.repeat(np.arange(g.num_vertices), g.degrees)
-    same = np.flatnonzero((dist[heads] == dist[g._flat]) & (dist[heads] >= 0))
+    edges = g.edge_array()
+    same = np.flatnonzero((dist[edges[:, 0]] == dist[edges[:, 1]]) & (dist[edges[:, 0]] >= 0))
     if same.size:
-        paths = [[int(heads[same[0]])], [int(g._flat[same[0]])]]
+        paths = [[int(x)] for x in edges[same[0]]]
         while paths[0][-1] != paths[1][-1]:
             for p in paths:
                 nbrs = g.neighbors(p[-1])
@@ -501,9 +505,7 @@ def _shell_counts(g: Graph, dist: np.ndarray, k: int):
     n, rows = g.num_vertices, g._rows
     dist = dist.astype(np.min_scalar_type(-1 - int(dist.max())), copy=False)
     fwd, bwd = np.empty(dist.shape, dtype=np.int64), np.empty(dist.shape, dtype=np.int64)
-    step = max(1, _GATHER_BLOCK // max(1, k * (dist.size // n)))
-    for v0 in range(0, n, step):
-        block = slice(v0, v0 + step)
+    for block in _blocks(n, k * (dist.size // n)):
         diff = dist.take(rows[block], axis=-1)
         diff -= dist[..., block, None]
         fwd[..., block] = np.count_nonzero(diff == 1, axis=-1)
@@ -578,15 +580,14 @@ def distance_regularity_check(g: Graph) -> Verdict:
         return Verdict(False, witness=(g.labels[0],) + witness,
                        detail="singleton not completely regular")
     b, c = np.array(common.b + (0,)), np.array((0,) + common.c)
-    step = max(1, _GATHER_BLOCK // max(1, n * k))
-    for x0 in range(1, len(dm), step):
-        dist = dm[x0:x0 + step]
+    for block in _blocks(len(dm), n * k, start=1):
+        dist = dm[block]
         fwd, bwd = _shell_counts(g, dist, k)
         at = np.minimum(dist, common.rho)
         bad = np.flatnonzero((dist.max(axis=1) != common.rho)
                              | (fwd != b[at]).any(axis=1) | (bwd != c[at]).any(axis=1))
         if bad.size:
-            x = x0 + int(bad[0])
+            x = block.start + int(bad[0])
             arr, witness = _uniform_array(g, dm[x], k)
             if arr is None:
                 return Verdict(False, witness=(g.labels[x],) + witness,
@@ -602,7 +603,6 @@ def _transitive(g: Graph, perms, k: int) -> bool:
     vertex.  A permutation that is not one, or that maps an edge to a
     non-edge, raises CrossCheckViolation."""
     n, rows = g.num_vertices, g._rows
-    step = max(1, _GATHER_BLOCK // max(1, k))
     perms = [np.asarray(p) for p in perms]
     for i, p in enumerate(perms):
         if (p.shape != (n,) or p.dtype.kind not in "iu"
@@ -610,12 +610,12 @@ def _transitive(g: Graph, perms, k: int) -> bool:
             raise CrossCheckViolation(f"generator {i} is not a permutation of the {n} vertices")
         p = perms[i] = p.astype(_index_type(n))
         # p maps the neighbors of v into those of p(v), in a block of vertices at a time
-        for v0 in range(0, n, step):
-            image = p[rows[v0:v0 + step]]
+        for block in _blocks(n, k):
+            image = p[rows[block]]
             image.sort(axis=1)
-            bad = np.flatnonzero((image != rows[p[v0:v0 + step]]).any(axis=1))
+            bad = np.flatnonzero((image != rows[p[block]]).any(axis=1))
             if bad.size:
-                v = v0 + int(bad[0])
+                v = block.start + int(bad[0])
                 u = next(u for u in rows[v].tolist() if p[u] not in rows[p[v]])
                 labs = [g.labels[x] for x in (v, u, p[v], p[u])]
                 raise CrossCheckViolation(

@@ -222,14 +222,14 @@ def _criterion_10():
     T = double_johnson_bitrade(12, 3, host=g)
     _check(check_criterion_a(g, S, T).ok, "double instance is a bitrade")
     rep = check_minimality(g, S, T, host_array=arr)
-    _check(not rep.meets_bound and not rep.isometric.ok,
+    _check(not rep.minimal and not rep.isometric.ok,
            "double instance fails both sides")
     _check(T.cardinality == 16 and rep.bound == 8, "16 vs 8")
     for name, params in _CORRUPTION_FAMILIES:
         gg, SS = _pair(name, *params)
         TT = MIN_BITRADES[name](*params, host=gg)
         rr = check_minimality(gg, SS, TT, host_array=_host_dr(name, params))
-        _check(rr.meets_bound and rr.isometric.ok, f"minimal {name} passes both")
+        _check(rr.minimal and rr.isometric.ok, f"minimal {name} passes both")
     return "both directions of the bound/isometry equivalence exercised"
 
 

@@ -3,8 +3,9 @@ references for vertex functions and their sums, the signed indicator of a
 bitrade, the spectrum with its two confirmations stated apart, a
 per-vertex distance-regularity sweep, a pair count of clique systems,
 clique hits and criterion a by gathering every row, one-vertex corruptions
-from every move pool at once, the pairs inside clique rows and an exact
-maximum-clique search, shared across test modules."""
+from every move pool at once, the pairs inside clique rows, an exact
+maximum-clique search and the Grassmann generators as matrix products,
+shared across test modules."""
 
 import itertools
 from collections import deque
@@ -14,7 +15,8 @@ from math import lcm
 
 import numpy as np
 
-from drgtrades.gfq import SUPPORTED_ORDERS, make_field, subspace_bases, totally_isotropic_mask
+from drgtrades.gfq import (SUPPORTED_ORDERS, make_field, matmul_batch, rref_batch, subspace_bases,
+                           totally_isotropic_mask)
 from drgtrades.bitrades import Bitrade
 from drgtrades.graphs import (Graph, IntersectionArray, Verdict, completely_regular_check,
                               vertex_mask)
@@ -403,3 +405,24 @@ def oracle_bases(kind, params):
     d, q = params
     bases = subspace_bases(2 * d, d, q)
     return bases[totally_isotropic_mask(bases, make_field(q))], q
+
+
+def reference_grassmann_generators(g):
+    """The generators of a Grassmann host g as U -> rref(U M), through
+    matmul_batch, for the full n x n matrix M of the n-cycle, the transvection
+    e_1 += e_2 and, for q > 2, diag(w, 1, ..., 1) with w the least primitive
+    element; each image's index is looked up by its label."""
+    n, _, q = g.params
+    F = make_field(q)
+    mul = F.mul_table.tolist()
+    bases = np.array([[list(map(int, row)) for row in lab.split("/")] for lab in g.labels],
+                     dtype=np.int8)
+    mats = [np.roll(np.eye(n, dtype=np.int8), 1, axis=1), np.eye(n, dtype=np.int8)]
+    mats[1][0, 1] = 1
+    if q > 2:
+        mats.append(np.eye(n, dtype=np.int8))
+        mats[2][0, 0] = next(w for w in range(2, q) if len(set(
+            itertools.accumulate([w] * (q - 1), lambda x, _: mul[x][w]))) == q - 1)
+    return [np.array([g.index_of(label(rows))
+                      for rows in rref_batch(matmul_batch(bases, m, F), F).tolist()])
+            for m in mats]

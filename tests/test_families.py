@@ -58,6 +58,7 @@ from helpers import (
     max_clique_order,
     oracle_bases,
     reference_bases,
+    reference_grassmann_generators,
     reference_rref,
 )
 
@@ -569,6 +570,14 @@ def test_grassmann_matches_subspace_reference(n, d, q):
                                 gaussian_binomial(n - d + 1, 1, q), make_field(q))
     _assert_same_host(g, ref)
     assert np.array_equal(S.cliques, rows)
+
+
+@pytest.mark.parametrize("n, d, q", [(4, 2, 2), (4, 2, 4), (5, 2, 3), (6, 3, 2)])
+def test_grassmann_generators_match_the_matrix_products(n, d, q):
+    g, _ = build_grassmann(n, d, q)
+    got, want = g.generators(), reference_grassmann_generators(g)
+    assert len(got) == len(want) == (2 if q == 2 else 3)
+    assert all(np.array_equal(p, r) for p, r in zip(got, want))
 
 
 @pytest.mark.parametrize("d, q", [(2, 2), (3, 2), (2, 3), (2, 4)])

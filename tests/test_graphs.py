@@ -1,7 +1,9 @@
 """Graph core: BFS, regularity, bipartiteness, complete regularity,
 clique systems, exact max clique."""
 
+import contextlib
 import hashlib
+import io
 import itertools
 import os
 import random
@@ -18,8 +20,9 @@ from drgtrades import families, graphs
 from drgtrades.bitrades import (MIN_BITRADES, Bitrade, check_clique_design,
                                 corrupt_one_vertex, double_johnson_bitrade,
                                 min_bitrade_grassmann)
+from drgtrades.cli import main
 from drgtrades.errors import CrossCheckViolation, Disconnected, UnsupportedFieldOrder
-from drgtrades.gfq import gaussian_binomial, make_field
+from drgtrades.gfq import gaussian_binomial, make_field, subspace_bases
 from drgtrades.families import (
     DEFAULT_ENUMERATION_CAP,
     build_dual_polar_D,
@@ -45,6 +48,7 @@ from drgtrades.graphs import (
     verify_clique_system,
     _transitive,
 )
+from drgtrades.spectral import VertexFunction
 
 
 from helpers import (clique_pairs, cube_graph, cycle_graph, max_clique_order,
@@ -194,6 +198,50 @@ def test_vertex_indices_outside_the_host_are_refused(call):
     g, S = build_johnson(6, 3)
     with pytest.raises(ValueError, match="vertex index out of range|at least one vertex"):
         call(g, S)
+
+
+def _cli_outcome(*argv):
+    """main's exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+PATH = Graph(list("abcd"), [(0, 1), (1, 2), (2, 3)])
+K2 = Graph(list("ab"), [(0, 1)])
+
+
+# an exception type and the pattern its message matches, or the value returned
+@pytest.mark.parametrize("call, expect", [
+    (lambda: Graph(["a", "a"], []), (ValueError, "duplicate vertex labels")),
+    (lambda: Graph(list("ab"), [(0, 0)]), (ValueError, "loops are not allowed")),
+    (lambda: PATH.multi_source_distances([]), (ValueError, "empty source set")),
+    (lambda: induced_subgraph(PATH, []), (ValueError, "empty vertex set")),
+    (lambda: IntersectionArray(3, (1,), ()), (ValueError, "equal length")),
+    (lambda: IntersectionArray(3, (0,), (1,)), (ValueError, "must be positive")),
+    (lambda: completely_regular_check(PATH, [0]),
+     Verdict(False, witness=("b", 2, 1), detail="host graph not regular")),
+    (lambda: completely_regular_check(Graph(list("abcd"), [(0, 1), (2, 3)]), [0]),
+     (Disconnected, "does not reach")),
+    (lambda: VertexFunction(PATH, [1, 2, 3]), (ValueError, "value count differs")),
+    (lambda: min_bitrade_grassmann(3, 2, 2, host=PATH), (ValueError, r"need n >= 2d")),
+    (lambda: double_johnson_bitrade(6, 3, host=PATH), (ValueError, r"need n >= 4w")),
+    (lambda: corrupt_one_vertex(Bitrade(K2, frozenset({0}), frozenset({1})), random.Random(0)),
+     (RuntimeError, "no admissible one-vertex corruption")),
+    (lambda: subspace_bases(2, 3, 2), (ValueError, "need 0 <= d <= n")),
+    # 3^41 passes the 2^41 floor of the cap test but is not below 2^64
+    (lambda: _cli_outcome("build", "--family", "hamming:41,3"),
+     (1, "", "error: hamming(41,3): at least 2^64 vertices exceeds cap 100000\n")),
+], ids=["duplicate-labels", "pair-loop", "no-sources", "no-vertices", "array-lengths",
+        "array-zero-b", "not-regular", "disconnected", "function-length", "grassmann-n",
+        "double-johnson-n", "no-corruption", "subspace-d", "cap-past-2^64"])
+def test_refusals(call, expect):
+    if isinstance(expect, tuple) and isinstance(expect[0], type):
+        with pytest.raises(expect[0], match=expect[1]):
+            call()
+    else:
+        assert call() == expect
 
 
 def test_distance_matrix_rows_match_bfs():

@@ -120,10 +120,33 @@ def test_eigenvector_recurrence_has_one_function():
     assert defining_modules("standard_eigenvector") == ["spectral.py"]
 
 
+def outside(owner, matches):
+    """(file:line of each node that matches outside the top-level function or
+    class named owner, the number of those inside it), over the package."""
+    found, inside = [], 0
+    for name, tree in package_trees():
+        own = {id(node) for top in tree.body if getattr(top, "name", None) == owner
+               for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if matches(node):
+                if id(node) in own:
+                    inside += 1
+                else:
+                    found.append(f"{name}:{node.lineno}")
+    return found, inside
+
+
 def test_only_graphs_reads_the_csr_arrays():
-    # other modules reach the adjacency through Graph's accessors, so its
-    # store can change in one module
-    found = [f"{name}:{node.lineno}" for name, tree in package_trees() if name != "graphs.py"
-             for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr in ("_flat", "_off")]
-    assert found == []
+    # other code, in graphs or elsewhere, reaches the adjacency through Graph's
+    # accessors, so its store can change in one class
+    found, inside = outside("Graph", lambda node: isinstance(node, ast.Attribute)
+                            and node.attr in ("_flat", "_off"))
+    assert found == [] and inside
+
+
+def test_gather_bound_is_read_only_by_blocks():
+    # every host-sized gather takes its slices from _blocks, so the bound on
+    # the memory in flight is stated once
+    found, inside = outside("_blocks", lambda node: isinstance(node, ast.Name)
+                            and node.id == "_GATHER_BLOCK" and isinstance(node.ctx, ast.Load))
+    assert found == [] and inside == 1
