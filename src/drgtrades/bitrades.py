@@ -68,7 +68,7 @@ class Bitrade:
             raise ValueError("trades must be disjoint")
         vertex_indices(self.host, self.support)
         for side, name in ((self.t0, "T0"), (self.t1, "T1")):
-            if vertex_mask(self.host, side)[self.host.neighbors_of(list(side))].any():
+            if self.host.neighbor_counts(list(side))[list(side)].any():
                 raise ValueError(f"{name} is not an independent set")
 
     @property
@@ -190,10 +190,9 @@ def check_criterion_b(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
 def _signed_eigenfunction(g: Graph, T: Bitrade, theta) -> Verdict:
     """verify_eigenfunction on T's signed indicator f, in int64: (A f)(x) is
     the number of T0 neighbors of x less the number of T1 neighbors."""
-    th, n = Fraction(theta), g.num_vertices
+    th = Fraction(theta)
     f = vertex_mask(g, T.t0).astype(np.int64) - vertex_mask(g, T.t1)
-    af = (np.bincount(g.neighbors_of(list(T.t0)), minlength=n)
-          - np.bincount(g.neighbors_of(list(T.t1)), minlength=n))
+    af = g.neighbor_counts(list(T.t0)) - g.neighbor_counts(list(T.t1))
     bad = np.flatnonzero(af * th.denominator != f * th.numerator)
     if not bad.size:
         return Verdict(True)
@@ -205,13 +204,12 @@ def _signed_eigenfunction(g: Graph, T: Bitrade, theta) -> Verdict:
 def check_criterion_c(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
     """The induced subgraph on T0 u T1 is regular of degree k/s (bipartite,
     since Bitrade refuses a dependent side): each support vertex's neighbors
-    inside the support, counted off the host CSR as the times it is a
-    support vertex's neighbor; the witness is the first support vertex by
-    index whose count is not k/s."""
+    inside the support, counted by Graph.neighbor_counts; the witness is the
+    first support vertex by index whose count is not k/s."""
     _on_host(g, S, T)
     target = -_theta(_degree(g), S)
     sup = np.array(sorted(T.support))
-    degs = np.bincount(g.neighbors_of(sup), minlength=g.num_vertices)[sup]
+    degs = g.neighbor_counts(sup)[sup]
     bad = np.flatnonzero(degs * target.denominator != target.numerator)
     if not bad.size:
         return Verdict(True)

@@ -47,6 +47,8 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def _family(args):
+    if args.cap <= 0:
+        _usage_error(f"--cap must be positive, got {args.cap}")
     try:
         return parse_family(args.family)
     except ValueError as exc:
@@ -58,8 +60,6 @@ def _build(args, cliques=True):
     without cliques, also the odd halved cube, whose cliques are not Delsarte."""
     name, params = _family(args)
     cap = args.cap
-    if cap <= 0:
-        _usage_error(f"--cap must be positive, got {cap}")
     if not cliques and name == "halved_cube":
         return name, params, build_halved_cube(*params, check_delsarte=False, cap=cap)[0], None
     return (name, params) + build_family(name, params, cap=cap)
@@ -196,7 +196,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_wd_bound(args) -> int:
-    arr = family_array(*_family(args))
+    arr = family_array(*_family(args), cap=args.cap)
     theta = theta_min(arr)
     bound = _integral_bound(arr, theta)
     doc = {"family": args.family, "theta_min": theta, "wd_bound": bound}
@@ -224,7 +224,7 @@ def cmd_check_dr(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    arr = family_array(*_family(args))
+    arr = family_array(*_family(args), cap=args.cap)
     eigs = intersection_matrix_eigenvalues(arr)
     doc = {"family": args.family, "array": str(arr), "eigenvalues": eigs}
     _emit(args, doc, [

@@ -68,7 +68,7 @@ def _shown(count: int | None, spec: str = "") -> str:
 def _guard(count: int | None, cap: int, what: str, degree, unit: str = "vertices",
            vertices=None):
     """Refuse a build of more than cap vertices (or of the unit it enumerates),
-    a _capped count, then one of more than 2,000 * cap CSR entries, the
+    a _capped count, then one of more than 2,000 * cap adjacency entries, the
     vertices times the degree, which a complete graph reaches under the vertex
     cap; J_4(6,2), the densest host with d >= 2 that the default cap admits,
     has 158M.  degree() is the closed form of k, read once the count passed."""
@@ -443,17 +443,18 @@ class FamilySpec:
     arity: int
     build: object                 # (*params, cap) -> Graph | (Graph, CliqueSystem)
     array: object                 # params -> IntersectionArray
+    rho: object                   # params -> the diameter, read off before any array
 
 
 FAMILIES = {
-    "octahedron": FamilySpec(1, build_octahedron, octahedron_array),
-    "hamming": FamilySpec(2, build_hamming, hamming_array),
-    "johnson": FamilySpec(2, build_johnson, johnson_array),
-    "halved_cube": FamilySpec(1, build_halved_cube, halved_cube_array),
-    "shrikhande": FamilySpec(0, build_shrikhande, lambda: doob_array(1, 0)),
-    "doob": FamilySpec(2, build_doob, doob_array),
-    "grassmann": FamilySpec(3, build_grassmann, grassmann_array),
-    "dual_polar_D": FamilySpec(2, build_dual_polar_D, dual_polar_array),
+    "octahedron": FamilySpec(1, build_octahedron, octahedron_array, lambda n: 2),
+    "hamming": FamilySpec(2, build_hamming, hamming_array, lambda n, q: n),
+    "johnson": FamilySpec(2, build_johnson, johnson_array, lambda n, w: w),
+    "halved_cube": FamilySpec(1, build_halved_cube, halved_cube_array, lambda n: n // 2),
+    "shrikhande": FamilySpec(0, build_shrikhande, lambda: doob_array(1, 0), lambda: 2),
+    "doob": FamilySpec(2, build_doob, doob_array, lambda m, n: 2 * m + n),
+    "grassmann": FamilySpec(3, build_grassmann, grassmann_array, lambda n, d, q: d),
+    "dual_polar_D": FamilySpec(2, build_dual_polar_D, dual_polar_array, lambda d, q: d),
 }
 
 
@@ -477,5 +478,17 @@ def build_family(name: str, params: tuple[int, ...],
     return out if isinstance(out, tuple) else (out, None)
 
 
-def family_array(name: str, params: tuple[int, ...]) -> IntersectionArray:
+def family_array(name: str, params: tuple[int, ...],
+                 cap: int = DEFAULT_ENUMERATION_CAP) -> IntersectionArray:
+    """The closed-form array, refused with EnumerationTooLarge when its
+    diameter passes isqrt(10 * cap), before the array or its parameter check:
+    a Sturm count of the spectrum takes about rho^2 big-integer steps, bounded
+    by 10 * cap as a build's adjacency entries are by 2,000 * cap, so the
+    default cap admits rho = 1,000 (wd-bound in 0.1 s, spectrum in 1.7 s on
+    H(1000,2)).  Every family host has at least 2^rho vertices, so the
+    bound refuses no closed form of a host that the cap admits."""
+    rho, bound = FAMILIES[name].rho(*params), isqrt(10 * cap)
+    if rho > bound:
+        raise EnumerationTooLarge(f"{name}({','.join(map(str, params))}): diameter {rho} "
+                                  f"exceeds {bound}, the closed-form bound of cap {cap}")
     return FAMILIES[name].array(*params)

@@ -2,6 +2,11 @@
 isometric subgraphs, completely regular sets, clique systems and
 distance-regularity testing.
 
+A graph built from clique rows in which every edge lies in one row keeps
+those rows as its adjacency, shared with its clique system; any other graph
+keeps a CSR.  Readers that count or order neighbors see them sorted and
+without the vertex; the distance readers gather whole rows.
+
 Every check returns a Verdict carrying a witness on failure, because a bare
 "false" is not actionable when the point of the run is verification.  Heavy
 counting loops are vectorized with numpy; all values involved are small
@@ -23,8 +28,9 @@ _GATHER_BLOCK = 1 << 18
 
 def _blocks(count: int, width: int, start: int = 0):
     """Slices of range(start, count) keeping a gather of width entries per
-    item within _GATHER_BLOCK, which bounds the peak memory of CSR assembly,
-    the clique-system check, the BFS frontier, the pulls of distances_among,
+    item within _GATHER_BLOCK, which bounds the peak memory of the co-member
+    gather (the construction's test, CSR assembly, neighbor rows and the
+    clique-system check), the BFS frontier, the pulls of distances_among,
     the shell counts and the automorphism check: indexing copies a narrow
     index block to intp, so 1 << 18 entries hold about 3 MB in flight."""
     step = max(1, _GATHER_BLOCK // max(1, width))
@@ -49,11 +55,19 @@ class Graph:
 
     Vertex order is the label order handed in by the constructor; family
     builders always pass labels sorted, so indices are reproducible across
-    runs and serializations are byte-identical.  Edges, given as index pairs
-    or as clique rows (which must meet every vertex equally often), are
-    stored once, as CSR arrays: the neighbors of v are
-    _flat[_off[v]:_off[v + 1]], sorted, in _index_type(n).  Only this module
-    reads _flat and _off; other modules go through the accessors.
+    runs and serializations are byte-identical.  Edges are given as index
+    pairs or as clique rows, which must meet every vertex equally often, and
+    are stored once.  Rows in which no pair lies twice are the adjacency:
+    they are kept as they are (_cliques), with their incidence
+    (_clique_incidence, from _positions) and each vertex's r rows
+    (_row_ids), and the neighbors of v are the other members of its rows.  Any other input is stored as CSR arrays, the
+    neighbors of v being _flat[_off[v]:_off[v + 1]], sorted; a graph built
+    from rows keeps them and their incidence on this route too, for its
+    clique system to share.  Indices are kept in _index_type(n).
+
+    Only Graph's methods read these arrays.  Its accessors return each
+    vertex's neighbors sorted and without the vertex itself; the distance
+    readers gather _hood, a vertex's whole rows, itself among them.
     """
 
     def __init__(self, labels, edges, family=None, params=None):
@@ -72,13 +86,19 @@ class Graph:
         if e.ndim != 2 or e.shape[1] < 2:
             raise ValueError("edges must be index pairs or cliques")
         e = vertex_indices(self, e).reshape(e.shape)
+        self._flat = self._off = self._rows = None
+        self._cliques = self._clique_incidence = self._row_ids = None
         if e.shape[1] > 2:      # rows of mutually adjacent vertices
-            at = _positions(e, n)[2]
+            self._cliques, self._clique_incidence = e, _positions(e, n)
+            at = self._clique_incidence[2]
             if at is None:      # the gather, which finds loops, needs even rows
                 loop = (np.diff(np.sort(e, axis=1), axis=1) == 0).any()
                 raise ValueError("loops are not allowed" if loop
                                  else "clique rows must meet every vertex equally often")
-            self._flat, self._off = _csr_from_cliques(e, at)
+            # one gather tests that no co-member repeats, so no pair lies in two
+            # rows; a loop repeats a co-member too, so rows that pass have none
+            if not all((nbrs[:, 1:] != nbrs[:, :-1]).all() for _, nbrs in _co_members(e, at)):
+                self._flat, self._off = _csr_from_cliques(e, at)
         else:
             if (e[:, 0] == e[:, 1]).any():
                 raise ValueError("loops are not allowed")
@@ -89,8 +109,19 @@ class Graph:
             keys = keys[np.diff(keys, prepend=-1) != 0]
             self._flat = (keys % n).astype(_index_type(n))
             self._off = np.searchsorted(keys, np.arange(n + 1) * n)
-        self._degrees = np.diff(self._off)
-        self._rows = _uniform_rows(self._flat, self._off)      # _rows[v]: v's CSR row
+        # _k: the common degree, or None; _sizes[v]: the entries _hood gathers
+        # for v, _width their most
+        if self._flat is None:      # v's r rows of w, v once in each: _row_ids[v]
+            r, w = at.shape[1], e.shape[1]
+            self._row_ids = at // w
+            self._k, self._width = r * (w - 1), r * w
+            self._degrees = np.broadcast_to(np.int64(self._k), n)
+            self._sizes = np.broadcast_to(np.int64(self._width), n)
+        else:
+            self._degrees = self._sizes = np.diff(self._off)
+            self._rows = _uniform_rows(self._flat, self._off)      # _rows[v]: v's CSR row
+            self._k = None if self._rows is None else self._rows.shape[1]
+            self._width = int(self._degrees.max())
         self._dm = None
         # zero-argument callable returning automorphisms as permutation
         # arrays, set by builders that know some; only the certificate of
@@ -105,23 +136,51 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return int(len(self._flat)) // 2
+        return int(self.degrees.sum()) // 2
 
     @property
     def degrees(self) -> np.ndarray:
         return self._degrees
 
     def neighbors(self, v: int) -> np.ndarray:
-        return self._flat[self._off[v]:self._off[v + 1]]
+        if self._flat is not None:
+            return self._flat[self._off[v]:self._off[v + 1]]
+        hood = self._hood(v)
+        nbrs = hood[hood != v]
+        nbrs.sort()
+        return nbrs
 
-    def neighbors_of(self, vs: np.ndarray) -> np.ndarray:
-        """The neighbor rows of the vertices vs, concatenated in that order."""
-        return _segments(self._flat, self._off, self._rows, vs)
+    def neighbors_of(self, vs) -> np.ndarray:
+        """The neighbor rows of the vertices vs, each sorted, concatenated in
+        that order."""
+        if self._flat is not None:
+            return _segments(self._flat, self._off, self._rows, vs)
+        vs = np.asarray(vs, dtype=np.int64)
+        out = np.empty((len(vs), self._k), dtype=self._cliques.dtype)
+        for block in _blocks(len(vs), self._width):
+            hood = self._hood(vs[block]).reshape(-1, self._width)
+            out[block] = hood[hood != vs[block, None]].reshape(-1, self._k)
+        out.sort(axis=1)
+        return out.ravel()
+
+    def neighbor_counts(self, vs) -> np.ndarray:
+        """The number of neighbors in vs, distinct vertices, of each vertex,
+        np.bincount(neighbors_of(vs), minlength=n), counted off their _hood
+        less the r entries of each of them in its own rows."""
+        vs = np.asarray(vs)
+        counts = np.bincount(self._hood(vs), minlength=self.num_vertices)
+        if self._flat is None:
+            counts[vs] -= self._row_ids.shape[1]
+        return counts
 
     def neighbor_sums(self, values: np.ndarray) -> np.ndarray:
         """The sum of values over the neighbors of each vertex, in the dtype
-        of values: object arrays of Python ints sum exactly."""
-        return segment_sums(values[self._flat], self._off)
+        of values: object arrays of Python ints sum exactly.  On rows, each
+        vertex's rows' totals less r times its own value."""
+        if self._flat is not None:
+            return segment_sums(values[self._flat], self._off)
+        row_sums = values[self._cliques].sum(axis=1)
+        return row_sums[self._row_ids].sum(axis=1) - self._row_ids.shape[1] * values
 
     def index_of(self, label: str) -> int:
         return self._index[label]
@@ -129,9 +188,10 @@ class Graph:
     def edge_array(self) -> np.ndarray:
         """Edge pairs (i, j) with i < j as an (E, 2) array, lexicographically
         sorted."""
-        heads = np.repeat(np.arange(self.num_vertices), self._degrees)
-        up = heads < self._flat
-        return np.stack([heads[up], self._flat[up]], axis=1)
+        heads = np.repeat(np.arange(self.num_vertices), self.degrees)
+        nbrs = self.neighbors_of(np.arange(self.num_vertices))
+        up = heads < nbrs
+        return np.stack([heads[up], nbrs[up]], axis=1)
 
     def edges(self):
         """Edge pairs (i, j) with i < j, lexicographically sorted, as Python
@@ -139,6 +199,41 @@ class Graph:
         edge_array."""
         e = self.edge_array()
         return zip(e[:, 0].tolist(), e[:, 1].tolist())
+
+    def _hood(self, vs) -> np.ndarray:
+        """What the distance readers gather for the vertices vs (an index
+        array or a slice), concatenated in that order, _sizes[v] entries for
+        v: its CSR row, or its whole rows, v among them once a row.  At
+        distance 0 from v, v counts in no shell, is already reached, and has
+        its bits in its own reach row, so no reader needs it dropped."""
+        if self._flat is not None:
+            return _segments(self._flat, self._off, self._rows, vs)
+        return self._cliques.take(self._row_ids[vs], axis=0).ravel()
+
+    def _keeps_rows(self, p: np.ndarray) -> bool:
+        """True when the graph was built from rows and the permutation p maps
+        their set onto itself, an automorphism then, as the edges are the
+        pairs within the rows.  Each row is sorted, and the rows are sorted
+        as byte strings: any total order serves to compare two sets."""
+        if self._cliques is None:
+            return False
+
+        def rows_sorted(rows):
+            rows = np.sort(rows, axis=1)
+            return np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+        return np.array_equal(rows_sorted(p[self._cliques]), rows_sorted(self._cliques))
+
+    def _incidence_of(self, rows: np.ndarray):
+        """_positions(rows, n), read off the graph's own incidence when rows
+        are the rows it was built from."""
+        if self._cliques is not None and np.array_equal(rows, self._cliques):
+            return self._clique_incidence
+        return _positions(rows, self.num_vertices)
+
+    def _rows_are_adjacency(self, rows: np.ndarray) -> bool:
+        """True when rows are the rows the graph is stored as: its
+        construction found no pair in two of them."""
+        return self._flat is None and np.array_equal(rows, self._cliques)
 
     # -- distances --------------------------------------------------------
 
@@ -149,10 +244,10 @@ class Graph:
     def _bfs(self, sources, depth=None) -> np.ndarray:
         """multi_source_distances, with -1 also beyond depth levels if given.
 
-        Level-synchronous BFS: each level gathers the frontier's CSR rows, a
-        block of at most _GATHER_BLOCK entries at a time, and keeps the
-        unreached vertices, deduplicated by the mask dist == level.  It stops
-        once every vertex has its distance."""
+        Level-synchronous BFS: each level gathers the vertices next to the
+        frontier (_steps), a block of at most _GATHER_BLOCK entries at a time,
+        and keeps the unreached ones, deduplicated by the mask dist == level.
+        It stops once every vertex has its distance."""
         sources = vertex_indices(self, sources)
         if not sources.size:
             raise ValueError("empty source set")
@@ -163,8 +258,7 @@ class Graph:
         level = 0
         while frontier.size and unreached and level != depth:
             level += 1
-            for block in _blocks(frontier.size, int(self._degrees.max())):
-                nbrs = self.neighbors_of(frontier[block])
+            for nbrs in self._steps(frontier):
                 dist[nbrs[dist[nbrs] < 0]] = level
             frontier = np.flatnonzero(dist == level)
             unreached -= frontier.size
@@ -174,8 +268,9 @@ class Graph:
         """Distances between the vertices verts as a matrix, -1 marking
         unreachable pairs, by bit-parallel BFS (Akiba, Iwata and Yoshida, SIGMOD
         2013): reach[v] has a bit, 64 to a uint64 word, for each source within
-        the current level of v.  A level ORs the reach rows of v's neighbors;
-        the bits v lacked, read at verts, are the pairs at that distance.
+        the current level of v.  A level ORs the reach rows of v's _hood
+        (_pull); the bits v lacked, read at verts, are the pairs at that
+        distance.
 
         Pairs farther apart than depth, n if not given, stay -1; level 1 pushes
         each source's bit to its neighbors, and level j >= 2 pulls only over the
@@ -186,7 +281,7 @@ class Graph:
         word, bit = src // 64, np.uint64(1) << (src % 64).astype(np.uint64)
         reach = np.zeros((self.num_vertices, (m + 63) // 64), dtype="<u8")
         np.bitwise_or.at(reach, (verts, word), bit)
-        pull = np.flatnonzero(self._degrees)            # reduceat needs nonempty rows
+        pull = np.flatnonzero(self._sizes)              # reduceat needs nonempty rows
         near = self._bfs(verts, depth=max(0, depth - 2))    # none beyond depth - 2 pull
         near[near < 0] = depth
         dist = np.full((m, m), -1, dtype=np.int32)
@@ -199,19 +294,54 @@ class Graph:
             new = np.zeros_like(reach)
             rows = pull[near[pull] < depth - level]
             if not level:       # level 1 pushes instead
-                rows, lens = pull[:0], self._degrees[verts]
-                np.bitwise_or.at(new, (self.neighbors_of(verts), np.repeat(word, lens)),
+                rows, lens = pull[:0], self._sizes[verts]
+                np.bitwise_or.at(new, (self._hood(verts), np.repeat(word, lens)),
                                  np.repeat(bit, lens))
-            for block in _blocks(len(rows), int(self._degrees.max())):
-                vs = rows[block]
-                lens = self._degrees[vs]
-                new[vs] = np.bitwise_or.reduceat(reach[self.neighbors_of(vs)],
-                                                 np.cumsum(lens) - lens, axis=0)
+            new[rows] = self._pull(reach, rows)
             new &= ~reach
             if not new.any():
                 return dist
             reach |= new
             level += 1
+
+    def _pull(self, reach: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """The OR of the reach rows over the _hood of each vertex of vs, a
+        block at a time.  On rows, the OR of each row that vs meet is taken
+        once, over its w members, and a vertex ORs those of its r rows, where
+        its _hood would gather r * w entries."""
+        out = np.empty((len(vs), reach.shape[1]), dtype=reach.dtype)
+        if self._flat is not None:
+            for block in _blocks(len(vs), self._width):
+                lens = self._sizes[vs[block]]
+                out[block] = np.bitwise_or.reduceat(reach[self._hood(vs[block])],
+                                                    np.cumsum(lens) - lens, axis=0)
+            return out
+        met = self._rows_met(vs)
+        ors = np.empty((len(self._cliques), reach.shape[1]), dtype=reach.dtype)
+        for block in _blocks(len(met), self._cliques.shape[1]):
+            ors[met[block]] = np.bitwise_or.reduce(reach[self._cliques[met[block]]], axis=1)
+        for block in _blocks(len(vs), self._row_ids.shape[1]):
+            out[block] = np.bitwise_or.reduce(ors[self._row_ids[vs[block]]], axis=1)
+        return out
+
+    def _steps(self, vs: np.ndarray):
+        """Blocks of the vertices next to the vertices vs, themselves among
+        them and with repeats: their _hood, or on rows the members of each
+        row that vs meet, once a row."""
+        if self._flat is not None:
+            for block in _blocks(len(vs), self._width):
+                yield self._hood(vs[block])
+            return
+        met = self._rows_met(vs)
+        for block in _blocks(len(met), self._cliques.shape[1]):
+            yield self._cliques[met[block]].ravel()
+
+    def _rows_met(self, vs: np.ndarray) -> np.ndarray:
+        """The indices of the rows that hold a vertex of vs, ascending."""
+        met = np.zeros(len(self._cliques), dtype=bool)
+        for block in _blocks(len(vs), self._row_ids.shape[1]):
+            met[self._row_ids[vs[block]]] = True
+        return np.flatnonzero(met)
 
     def distance_matrix(self) -> np.ndarray:
         """Full distance matrix by the bit-parallel BFS, cached; rows are
@@ -274,8 +404,9 @@ class CliqueSystem:
     The cliques are stored as one (N, s+1) array in _index_type(n), one
     clique per row; any rectangular sequence of rows of host vertices is
     accepted, and rows already in that type are kept as they are.  The
-    incidence, each vertex's entries in that array, is built on first use
-    and read by verify_clique_system and hits."""
+    incidence, each vertex's entries in that array, is read by
+    verify_clique_system and hits; it is the host's own when the rows are
+    those the host was built from, else built on first use."""
 
     host: Graph
     cliques: np.ndarray
@@ -291,8 +422,8 @@ class CliqueSystem:
 
     @cached_property
     def _incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """_positions of the cliques, built on first use and kept."""
-        return _positions(self.cliques, self.host.num_vertices)
+        """_positions of the cliques, the host's or built on first use, and kept."""
+        return self.host._incidence_of(self.cliques)
 
     def hits(self, vertices) -> np.ndarray:
         """The number of each row's entries in a set of distinct vertices,
@@ -341,21 +472,21 @@ def _segments(flat: np.ndarray, off: np.ndarray, rows, vs) -> np.ndarray:
 
 
 def _co_members(rows: np.ndarray, at: np.ndarray):
-    """Co-members in the rows of an (N, w) array, at the (n, r) positions of
-    each vertex's entries (_positions; a vertex twice in a row is among its
-    own co-members): yields (v0, block) per block of vertices, block[i] the
-    sorted r(w-1) entries sharing a row with v0 + i.  A vertex gathers its
-    rows into one reused buffer (take buffers its out unless mode="clip") of
-    the narrowest type that holds n, and overwrites itself by n, which the
-    sort puts last."""
+    """Co-members in the rows of an (N, w) array in _index_type, at the (n, r)
+    positions of each vertex's entries (_positions; a vertex twice in a row
+    is among its own co-members): yields (v0, block) per block of vertices,
+    block[i] the sorted r(w-1) entries sharing a row with v0 + i.  A vertex
+    gathers its rows into one reused buffer (take buffers its out unless
+    mode="clip") and overwrites its own entries by the type's largest value,
+    which the sort puts last: where that value is a vertex, the r entries
+    cut off equal it either way."""
     (n, r), w = at.shape, rows.shape[1]
-    rows = rows.astype(_index_type(n + 1), copy=False)
     slices = list(_blocks(n, r * w))
     buf = np.empty((slices[0].stop, r * w), dtype=rows.dtype)
     for block in slices:
         p, out = at[block], buf[:block.stop - block.start]
         np.take(rows, p // w, axis=0, out=out.reshape(-1, r, w), mode="clip")
-        out[np.arange(len(p))[:, None], p % w + np.arange(0, r * w, w)] = n
+        out[np.arange(len(p))[:, None], p % w + np.arange(0, r * w, w)] = np.iinfo(rows.dtype).max
         out.sort(axis=1)
         yield block.start, out[:, :-r]
 
@@ -363,24 +494,18 @@ def _co_members(rows: np.ndarray, at: np.ndarray):
 def _csr_from_cliques(rows: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR of the pairs within the rows of an (N, w) array, at the (n, r)
     positions of each vertex's entries: one of each run of a vertex's
-    co-members, written into one array of the gathered size, in
-    _index_type(n), trimmed in place.  A block of vertices none of whose
-    co-members repeat (every pair in one row) is written as it is.  A row
-    holding a vertex twice makes it a repeated co-member of its own, so only
-    a block with repeats is searched for loops, which raise ValueError."""
-    flat = np.empty(at.size * (rows.shape[1] - 1), dtype=_index_type(len(at)))
+    co-members, written into one array of the gathered size, trimmed in
+    place.  A row holding a vertex twice makes it a repeated co-member of its
+    own, which raises ValueError."""
+    flat = np.empty(at.size * (rows.shape[1] - 1), dtype=rows.dtype)
     off = np.zeros(len(at) + 1, dtype=np.int64)
     for v0, nbrs in _co_members(rows, at):
+        if (nbrs == np.arange(v0, v0 + len(nbrs))[:, None]).any():
+            raise ValueError("loops are not allowed")
         keep = np.ones(nbrs.shape, dtype=bool)
         np.not_equal(nbrs[:, 1:], nbrs[:, :-1], out=keep[:, 1:])
-        if keep.all():
-            ends = off[v0] + nbrs.shape[1] * np.arange(1, len(nbrs) + 1)
-            flat[off[v0]:ends[-1]].reshape(nbrs.shape)[...] = nbrs
-        else:
-            if (nbrs == np.arange(v0, v0 + len(nbrs))[:, None]).any():
-                raise ValueError("loops are not allowed")
-            ends = off[v0] + np.cumsum(np.count_nonzero(keep, axis=1))
-            flat[off[v0]:ends[-1]] = nbrs[keep]
+        ends = off[v0] + np.cumsum(np.count_nonzero(keep, axis=1))
+        flat[off[v0]:ends[-1]] = nbrs[keep]
         off[v0 + 1:v0 + 1 + len(ends)] = ends
     flat.resize(off[-1], refcheck=False)
     return flat, off
@@ -391,10 +516,10 @@ def _csr_from_cliques(rows: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.
 
 def is_regular(g: Graph) -> Verdict:
     """Common degree as value, or a witness vertex of deviating degree.  A
-    graph has its (n, k) row view exactly when it is regular, so only an
+    graph knows its common degree from its construction, so only an
     irregular graph is scanned, for its witness."""
-    if g._rows is not None:
-        return Verdict(True, value=g._rows.shape[1])
+    if g._k is not None:
+        return Verdict(True, value=g._k)
     degs = g.degrees
     k = int(degs[0])
     v = int(np.flatnonzero(degs != k)[0])
@@ -497,16 +622,17 @@ def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return c[offsets[1:]] - c[offsets[:-1]]
 
 
-def _shell_counts(g: Graph, dist: np.ndarray, k: int):
+def _shell_counts(g: Graph, dist: np.ndarray):
     """Counts of the neighbors one shell out (fwd) and one shell in (bwd) of
     every vertex, relative to each distance row of dist, (n,) or (m, n), on a
-    k-regular graph; a block of vertices at a time, gathering at most
-    _GATHER_BLOCK entries of the narrowest signed type that holds dist."""
-    n, rows = g.num_vertices, g._rows
+    regular graph; a block of vertices at a time, gathering their _hood (a
+    vertex is no shell away from itself), at most _GATHER_BLOCK entries of
+    the narrowest signed type that holds dist."""
+    n, width = g.num_vertices, g._width
     dist = dist.astype(np.min_scalar_type(-1 - int(dist.max())), copy=False)
     fwd, bwd = np.empty(dist.shape, dtype=np.int64), np.empty(dist.shape, dtype=np.int64)
-    for block in _blocks(n, k * (dist.size // n)):
-        diff = dist.take(rows[block], axis=-1)
+    for block in _blocks(n, width * (dist.size // n)):
+        diff = dist.take(g._hood(block).reshape(-1, width), axis=-1)
         diff -= dist[..., block, None]
         fwd[..., block] = np.count_nonzero(diff == 1, axis=-1)
         bwd[..., block] = np.count_nonzero(diff == -1, axis=-1)
@@ -518,7 +644,7 @@ def _uniform_array(g: Graph, dist: np.ndarray, k: int):
     uniform per distance, else (None, witness).  The counts are compared with
     those of one vertex per distance at once; only a failure is looked for
     shell by shell, to name its witness."""
-    fwd, bwd = _shell_counts(g, dist, k)
+    fwd, bwd = _shell_counts(g, dist)
     rep = np.zeros(int(dist.max()) + 1, dtype=np.int64)
     rep[dist] = np.arange(dist.size)        # a vertex at each distance
     b, c = fwd[rep], bwd[rep]
@@ -569,7 +695,7 @@ def distance_regularity_check(g: Graph) -> Verdict:
     if not reg.ok:
         return Verdict(False, witness=reg.witness, detail="not regular")
     k, n = reg.value, g.num_vertices
-    if g.generators is not None and _transitive(g, g.generators(), k):
+    if g.generators is not None and _transitive(g, g.generators()):
         dm = g.multi_source_distances([0])[None]
         if (dm < 0).any():
             raise Disconnected("graph is disconnected")
@@ -582,7 +708,7 @@ def distance_regularity_check(g: Graph) -> Verdict:
     b, c = np.array(common.b + (0,)), np.array((0,) + common.c)
     for block in _blocks(len(dm), n * k, start=1):
         dist = dm[block]
-        fwd, bwd = _shell_counts(g, dist, k)
+        fwd, bwd = _shell_counts(g, dist)
         at = np.minimum(dist, common.rho)
         bad = np.flatnonzero((dist.max(axis=1) != common.rho)
                              | (fwd != b[at]).any(axis=1) | (bwd != c[at]).any(axis=1))
@@ -597,26 +723,31 @@ def distance_regularity_check(g: Graph) -> Verdict:
     return Verdict(True, value=common)
 
 
-def _transitive(g: Graph, perms, k: int) -> bool:
+def _transitive(g: Graph, perms) -> bool:
     """True when the permutations generate a group transitive on the
-    vertices of the k-regular graph g, i.e. the orbit of vertex 0 is every
+    vertices of the regular graph g, i.e. the orbit of vertex 0 is every
     vertex.  A permutation that is not one, or that maps an edge to a
-    non-edge, raises CrossCheckViolation."""
-    n, rows = g.num_vertices, g._rows
+    non-edge, raises CrossCheckViolation.  A permutation that maps the rows
+    g was built from onto themselves is an automorphism (Graph._keeps_rows);
+    any other is checked vertex by vertex."""
+    n, width = g.num_vertices, g._width
     perms = [np.asarray(p) for p in perms]
     for i, p in enumerate(perms):
         if (p.shape != (n,) or p.dtype.kind not in "iu"
                 or not np.array_equal(np.sort(p), np.arange(n))):
             raise CrossCheckViolation(f"generator {i} is not a permutation of the {n} vertices")
         p = perms[i] = p.astype(_index_type(n))
-        # p maps the neighbors of v into those of p(v), in a block of vertices at a time
-        for block in _blocks(n, k):
-            image = p[rows[block]]
-            image.sort(axis=1)
-            bad = np.flatnonzero((image != rows[p[block]]).any(axis=1))
+        if g._keeps_rows(p):
+            continue
+        # p maps the _hood of v onto that of p(v), in a block of vertices at a
+        # time: p(v) stands for v's own entries, so the neighbors map likewise
+        for block in _blocks(n, width):
+            image, want = (np.sort(x.reshape(-1, width), axis=1)
+                           for x in (p[g._hood(block)], g._hood(p[block])))
+            bad = np.flatnonzero((image != want).any(axis=1))
             if bad.size:
                 v = block.start + int(bad[0])
-                u = next(u for u in rows[v].tolist() if p[u] not in rows[p[v]])
+                u = next(u for u in g.neighbors(v).tolist() if p[u] not in g.neighbors(p[v]))
                 labs = [g.labels[x] for x in (v, u, p[v], p[u])]
                 raise CrossCheckViolation(
                     f"generator {i} maps edge {labs[0]}-{labs[1]} to non-edge {labs[2]}-{labs[3]}")
@@ -631,19 +762,24 @@ def _transitive(g: Graph, perms, k: int) -> bool:
 
 
 def verify_clique_system(g: Graph, S: CliqueSystem) -> Verdict:
-    """Checks clique-ness, uniform size s+1, and exact edge multiplicity m:
-    on a k-regular host (k > 0) with every vertex in r rows and r*s = k*m,
-    m >= 1, by comparing each vertex's co-members with its CSR row taken m
-    times, a block of vertices at a time; otherwise, or where a block
-    differs, by looking each pair up in the edge keys u*n+v (u < v), which
-    names the first bad clique or the first edge of wrong multiplicity (a row
-    repeating a vertex fails the comparison: no CSR row holds its own vertex)."""
+    """Checks clique-ness, uniform size s+1, and exact edge multiplicity m.
+    Rows that the host is stored as hold with m = 1: its construction found
+    no pair in two of them.  Otherwise, on a k-regular host (k > 0) with
+    every vertex in r rows and r*s = k*m, m >= 1, by comparing each vertex's
+    co-members with its neighbor row taken m times, a block of vertices at a
+    time; otherwise, or where a block differs, by looking each pair up in the
+    edge keys u*n+v (u < v), which names the first bad clique or the first
+    edge of wrong multiplicity (a row repeating a vertex fails the
+    comparison: no neighbor row holds its own vertex)."""
     n, k = g.num_vertices, is_regular(g).value
     holds = Verdict(True, value=(int(g.degrees[0]), S.s, S.m))
+    if S.m == 1 and g._rows_are_adjacency(S.cliques):
+        return holds
     if k and S.m >= 1:
-        at, csr = S._incidence[2], g._rows[..., None]
+        at = S._incidence[2]
         if at is not None and at.shape[1] * S.s == k * S.m and all(
-                (nbrs.reshape(-1, k, S.m) == csr[v0:v0 + len(nbrs)]).all()
+                (nbrs.reshape(-1, k, S.m)
+                 == g.neighbors_of(np.arange(v0, v0 + len(nbrs))).reshape(-1, k, 1)).all()
                 for v0, nbrs in _co_members(S.cliques, at)):
             return holds
     rows = np.sort(S.cliques, axis=1).astype(np.int64)     # pair keys overflow a narrow type

@@ -1,4 +1,5 @@
-"""Small ad-hoc graphs, scalar GF(q) references, scalar Fraction
+"""Small ad-hoc graphs, the sorted CSR of a graph read through its
+accessors, scalar GF(q) references, scalar Fraction
 references for vertex functions and their sums, the signed indicator of a
 bitrade, the spectrum with its two confirmations stated apart, a
 per-vertex distance-regularity sweep, a pair count of clique systems,
@@ -41,6 +42,20 @@ def cube_graph(n):
 def cycle_graph(n):
     return Graph([f"v{i}" for i in range(n)],
                  [(i, (i + 1) % n) for i in range(n)])
+
+
+def reference_csr(g):
+    """(flat, off): the sorted CSR of g, whatever it is stored as, rebuilt
+    through its accessors: the neighbors of v are flat[off[v]:off[v + 1]]."""
+    off = np.zeros(g.num_vertices + 1, dtype=np.int64)
+    np.cumsum(g.degrees, out=off[1:])
+    return g.neighbors_of(np.arange(g.num_vertices)), off
+
+
+def same_csr(g, h):
+    """g and h have equal sorted CSR arrays, of equal dtypes."""
+    return all(a.dtype == b.dtype and np.array_equal(a, b)
+               for a, b in zip(reference_csr(g), reference_csr(h)))
 
 
 # --- oracles for graph checks, independent of graphs' shell counts ------------

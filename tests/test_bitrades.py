@@ -318,13 +318,15 @@ def test_criterion_a_passes_on_the_empty_system():
 
 
 def test_clique_incidence_is_sorted_once_per_system(monkeypatch):
-    g, S = build_johnson(6, 3)
-    T = min_bitrade_johnson(6, 3, host=g)
+    # the host sorts its rows' incidence once, and its clique system reads it
     calls = []
     positions = graphs._positions
     monkeypatch.setattr(graphs, "_positions",
                         lambda rows, n: calls.append(n) or positions(rows, n))
+    g, S = build_johnson(6, 3)
+    T = min_bitrade_johnson(6, 3, host=g)
     assert verify_clique_system(g, S).ok
+    assert verify_bitrade(g, S, T).all_pass
     rng = random.Random(53)
     for B in [T] + [corrupt_one_vertex(T, rng) for _ in range(4)]:
         check_criterion_a(g, S, B)

@@ -16,7 +16,7 @@ from drgtrades import bitrades, families
 from drgtrades.bitrades import MIN_BITRADES, bitrade_to_json, corrupt_one_vertex
 from drgtrades.cli import main
 from drgtrades.errors import CrossCheckViolation
-from drgtrades.families import build_family, family_array, parse_family
+from drgtrades.families import FAMILIES, build_family, family_array, parse_family
 from drgtrades.graphs import IntersectionArray, Verdict
 
 
@@ -490,6 +490,45 @@ def test_huge_parameters_are_refused_before_computing(spec):
     assert re.fullmatch(rf"error: {name}\({','.join(map(str, params))}\)"
                         r"(: | has )at least 2\^64 [^\n]*cap 2000\n", res.stderr), res.stderr
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("verb,spec,rho", [
+    ("spectrum", "hamming:99999999999999999999,2", "99999999999999999999"),
+    ("wd-bound", "hamming:100000,2", "100000"),
+])
+def test_closed_forms_past_the_diameter_bound_are_refused(verb, spec, rho):
+    # spectrum built the 10^20-entry closed form until MemoryError, and
+    # wd-bound ran Sturm counts of 100,000 minors for more than a minute
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    res = subprocess.run([sys.executable, "-m", "drgtrades", verb, "--family", spec],
+                         capture_output=True, text=True, env=env,
+                         preexec_fn=_limit_address_space, timeout=10)
+    elapsed = time.perf_counter() - start
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == (f"error: hamming({spec.split(':')[1]}): diameter {rho} exceeds 1000, "
+                          "the closed-form bound of cap 100000\n")
+    assert elapsed < 1.0
+
+
+def test_closed_form_diameter_bound_follows_the_cap(capsys):
+    # isqrt(10 * cap): rho = 1,000 at the default cap, the largest spec the
+    # docs run, and rho = 10 at cap 10
+    assert main(["wd-bound", "--family", "johnson:1000,500"]) == 0
+    assert main(["wd-bound", "--family", "hamming:1000,2"]) == 0
+    assert main(["wd-bound", "--family", "hamming:10,2", "--cap", "10"]) == 0
+    capsys.readouterr()
+    assert main(["spectrum", "--family", "hamming:11,2", "--cap", "10"]) == 1
+    assert capsys.readouterr().err == ("error: hamming(11,2): diameter 11 exceeds 10, "
+                                       "the closed-form bound of cap 10\n")
+    assert [FAMILIES[name].rho(*params) for name, params in
+            [("octahedron", (5,)), ("halved_cube", (9,)), ("shrikhande", ()), ("doob", (2, 3)),
+             ("grassmann", (8, 4, 2)), ("dual_polar_D", (3, 2))]] == [2, 4, 2, 7, 4, 3]
+    for name, params in [("octahedron", (5,)), ("halved_cube", (8,)), ("doob", (2, 3)),
+                         ("grassmann", (8, 4, 2)), ("dual_polar_D", (3, 2)), ("johnson", (9, 4))]:
+        assert FAMILIES[name].rho(*params) == family_array(name, params).rho
 
 
 def test_wd_bound_integrality_cross_check(capsys, monkeypatch):

@@ -60,6 +60,8 @@ from helpers import (
     reference_bases,
     reference_grassmann_generators,
     reference_rref,
+    reference_csr,
+    same_csr,
 )
 
 
@@ -155,7 +157,7 @@ def test_octahedron_builds_from_its_pair_list():
     labels = g.labels
     oracle = Graph(labels, [(u, v) for u, v in itertools.combinations(range(32), 2)
                             if labels[u][:-1] != labels[v][:-1]])
-    assert np.array_equal(g._flat, oracle._flat) and np.array_equal(g._off, oracle._off)
+    assert same_csr(g, oracle)
     assert (S.cliques.shape, S.s, S.m) == ((1 << 16, 16), 15, 1 << 14)
     assert (S.cliques // 2 == np.arange(16)).all()          # one vertex of each pair
     assert min(times) < 0.015
@@ -164,14 +166,16 @@ def test_octahedron_builds_from_its_pair_list():
 # --- host arrays ----------------------------------------------------------------
 
 def _host_digest(g, S):
-    # the CSR and the clique rows are kept in _index_type(n); they are hashed
-    # in the int32 and int64 they were kept in when the pins were recorded
-    flat = g._flat.astype(np.int32)
+    # the sorted CSR, read through the accessors whatever the host is stored
+    # as, and the clique rows, kept in _index_type(n), are hashed in the int32
+    # and int64 they were kept in when the pins were recorded
+    flat, off = reference_csr(g)
+    flat = flat.astype(np.int32)
     h = hashlib.sha256()
     h.update("\n".join(g.labels).encode())
-    h.update(f"{flat.dtype} {g._off.dtype}".encode())
+    h.update(f"{flat.dtype} {off.dtype}".encode())
     h.update(flat.tobytes())
-    h.update(g._off.tobytes())
+    h.update(off.tobytes())
     if S is not None:
         cliques = S.cliques.astype(np.int64)
         h.update(f"{cliques.dtype} {cliques.shape} {S.s} {S.m}".encode())
@@ -234,15 +238,14 @@ def _disjoint_cliques(n, w):
                                               (258, 3, np.uint16), (65_536, 4, np.uint16),
                                               (65_538, 3, np.uint32)])
 def test_indices_are_kept_in_the_narrowest_unsigned_type(n, w, index_type):
-    # at 256 and 65,536 vertices the co-member gather needs a wider type than
-    # the CSR, for its marker n past every vertex
+    # at 256 and 65,536 vertices the last vertex is the type's largest value,
+    # which the co-member gather also writes over a vertex's own entries
     labels, rows, pairs = _disjoint_cliques(n, w)
     g, ref = Graph(labels, rows), Graph(labels, pairs.reshape(-1, 2))
     S = CliqueSystem(g, rows, s=w - 1, m=1)      # int64 rows, narrowed
     assert graphs._index_type(n) == index_type
-    for got in (g._flat, ref._flat, S.cliques):
-        assert got.dtype == index_type
-    assert np.array_equal(g._flat, ref._flat) and np.array_equal(g._off, ref._off)
+    assert S.cliques.dtype == index_type and same_csr(g, ref)
+    assert reference_csr(g)[0].dtype == index_type
     assert verify_clique_system(g, S).ok
 
 
@@ -253,7 +256,7 @@ def test_indices_are_kept_in_the_narrowest_unsigned_type(n, w, index_type):
                                               ("halved_cube:10", np.uint16)])
 def test_builders_keep_indices_in_the_narrowest_unsigned_type(spec, index_type):
     g, S = build_family(*parse_family(spec))
-    assert g._flat.dtype == index_type
+    assert g.neighbors(0).dtype == index_type
     assert S is None or S.cliques.dtype == index_type
 
 
@@ -558,8 +561,7 @@ def _reference_host(vertices, size, F):
 
 def _assert_same_host(g, ref):
     assert g.labels == ref.labels
-    assert np.array_equal(g._off, ref._off)
-    assert np.array_equal(g._flat, ref._flat)
+    assert same_csr(g, ref)
 
 
 @pytest.mark.parametrize("n, d, q", [(4, 2, q) for q in (2, 3, 4, 5, 7, 8, 9)]

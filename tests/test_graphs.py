@@ -53,7 +53,7 @@ from drgtrades.spectral import VertexFunction
 
 from helpers import (clique_pairs, cube_graph, cycle_graph, max_clique_order,
                      reference_clique_system, reference_distances, reference_hits,
-                     reference_sweep)
+                     reference_sweep, same_csr)
 
 
 def random_connected_graph(rng, n, extra):
@@ -135,10 +135,11 @@ def test_multi_source_distances_match_floyd_warshall(monkeypatch):
 
 
 def test_neighbors_of_concatenates_csr_rows():
+    # a regular CSR, clique rows, and two irregular CSRs
     rng = random.Random(29)
     hosts = [cube_graph(4), build_johnson(6, 3)[0], random_graph(rng, 30, 40),
              Graph(list("abc"), [(0, 1)])]
-    assert [g._rows is not None for g in hosts] == [True, True, False, False]
+    assert [is_regular(g).ok for g in hosts] == [True, True, False, False]
     for g in hosts:
         for vs in ([], [0], rng.choices(range(g.num_vertices), k=25)):
             want = [w for v in vs for w in g.neighbors(v).tolist()]
@@ -605,7 +606,7 @@ REFERENCE_SWEEP_MAX = 700
 @pytest.mark.parametrize("params", GRASSMANN_DR_HOSTS + [(7, 3, 2), (4, 2, 8)])
 def test_certificate_matches_closed_form(params):
     g, _ = build_grassmann(*params)
-    assert _transitive(g, g.generators(), is_regular(g).value)
+    assert _transitive(g, g.generators())
     proof = distance_regularity_check(g)
     assert proof.ok and proof.value == family_array("grassmann", params)
     assert g._dm is None                # no sweep ran
@@ -642,7 +643,7 @@ def test_certificate_refuses_a_non_automorphism():
     bad = transvection.copy()
     bad[[0, 1]] = bad[[1, 0]]
     with pytest.raises(CrossCheckViolation) as exc:
-        _transitive(g, [cycle, bad], is_regular(g).value)
+        _transitive(g, [cycle, bad])
     assert str(exc.value).startswith("generator 1 ")
     a, b, c, d = (g.index_of(lab) for lab in _edge_named(str(exc.value)))
     assert b in g.neighbors(a) and d not in g.neighbors(c)
@@ -650,6 +651,21 @@ def test_certificate_refuses_a_non_automorphism():
     g.generators = lambda: [cycle, bad]
     with pytest.raises(CrossCheckViolation, match="maps edge"):
         distance_regularity_check(g)
+
+
+def test_certificate_checks_an_automorphism_that_moves_the_rows_vertex_by_vertex():
+    # complementation is an automorphism of J(6,3) that maps each row (the
+    # supersets of a pair) onto a set of triples inside a 4-set, no row
+    g, _ = build_johnson(6, 3)
+    cycle, swap = g.generators()
+    comp = np.array([g.index_of(",".join(str(x) for x in range(1, 7) if str(x) not in lab.split(",")))
+                     for lab in g.labels])
+    assert not g._keeps_rows(comp.astype(np.uint8)) and g._keeps_rows(cycle.astype(np.uint8))
+    assert _transitive(g, [comp, cycle, swap])
+    bad = comp.copy()
+    bad[[0, 1]] = bad[[1, 0]]
+    with pytest.raises(CrossCheckViolation, match="generator 0 maps edge"):
+        _transitive(g, [bad, cycle, swap])
 
 
 def test_certificate_check_runs_under_optimize():
@@ -685,14 +701,13 @@ def test_certificate_refuses_a_non_permutation(mangle):
     g, _ = build_grassmann(4, 2, 2)
     cycle, transvection = g.generators()
     with pytest.raises(CrossCheckViolation, match="generator 1 is not a permutation"):
-        _transitive(g, [cycle, mangle(transvection)], is_regular(g).value)
+        _transitive(g, [cycle, mangle(transvection)])
 
 
 def test_non_transitive_generators_fall_back_to_the_sweep():
     g, _ = build_grassmann(4, 2, 2)
     cycle = g.generators()[0]
-    k = is_regular(g).value
-    assert not _transitive(g, [cycle], k)
+    assert not _transitive(g, [cycle])
     g.generators = lambda: [cycle]
     expected, _ = build_grassmann(4, 2, 2)
     expected.generators = None
@@ -713,7 +728,7 @@ TRANSITIVE_PINNED = {
 def test_certificate_keeps_the_sweep_witness(monkeypatch, name, g, expected):
     monkeypatch.setattr(g, "generators", TRANSITIVE_PINNED[name])
     monkeypatch.setattr(g, "_dm", None)
-    assert _transitive(g, g.generators(), 3)
+    assert _transitive(g, g.generators())
     v = distance_regularity_check(g)
     assert g._dm is None                # vertex 0's row alone
     assert (v.ok, v.witness, v.detail) == expected
@@ -962,13 +977,40 @@ def test_graph_from_clique_rows_equals_graph_from_their_pairs(case):
         with pytest.raises(ValueError, match="clique rows must meet every vertex equally often"):
             Graph(labels, rows)
         return
-    ref = Graph(labels, clique_pairs(rows).reshape(-1, 2))
+    ref, n = Graph(labels, clique_pairs(rows).reshape(-1, 2)), len(labels)
     for block in (graphs._GATHER_BLOCK, 7):     # 7 entries: one or two vertices a block
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graphs, "_GATHER_BLOCK", block)
             g = Graph(labels, rows)
-        for got, want in ((g._flat, ref._flat), (g._off, ref._off)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            # every accessor of the row-built graph, on either route, equals
+            # its twin's: neighbors, edges, sums, distances, bipartiteness
+            assert g._rows_are_adjacency(rows) == _pairs_once(rows)
+            assert same_csr(g, ref) and g.num_edges == ref.num_edges
+            assert all(np.array_equal(g.neighbors(v), ref.neighbors(v)) for v in (0, n - 1))
+            assert np.array_equal(g.edge_array(), ref.edge_array())
+            assert is_regular(g) == is_regular(ref)
+            for values in (np.arange(n, dtype=np.int64) ** 2,
+                           np.array([3 ** v for v in range(n)], dtype=object)):
+                got, want = g.neighbor_sums(values), ref.neighbor_sums(values)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            for sources in ([0], [n - 1, 1]):
+                assert np.array_equal(g.multi_source_distances(sources),
+                                      ref.multi_source_distances(sources))
+                assert np.array_equal(g.distances_among(sources), ref.distances_among(sources))
+            assert _outcome(is_bipartite, g) == _outcome(is_bipartite, ref)
+
+
+def _pairs_once(rows):
+    """No pair of vertices lies in two of the rows."""
+    keys = [tuple(sorted(p)) for row in rows.tolist() for p in itertools.combinations(row, 2)]
+    return len(keys) == len(set(keys))
+
+
+def _outcome(check, g):
+    try:
+        return check(g)
+    except Disconnected as exc:
+        return str(exc)
 
 
 def test_uneven_clique_rows_are_refused():
@@ -1163,8 +1205,13 @@ def test_clique_system_accept_path_builds_no_pair_keys(monkeypatch):
 
 @pytest.fixture(scope="module")
 def j273():
-    # J_2(7,3): 1,240,155 edges in 2,667 cliques of 31; the CSR is 9.55 MiB
+    # J_2(7,3): 1,240,155 edges in 2,667 cliques of 31
     return build_grassmann(7, 3, 2)
+
+
+# the bytes of J_2(7,3)'s uint16 CSR and int64 offsets, which the host was
+# stored as before its clique rows became its adjacency
+J273_CSR_BYTES = 5_055_116
 
 
 def test_clique_system_check_peak_memory_is_below_the_host_csr(j273):
@@ -1175,7 +1222,7 @@ def test_clique_system_check_peak_memory_is_below_the_host_csr(j273):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < g._flat.nbytes + g._off.nbytes
+    assert peak < J273_CSR_BYTES
 
 
 def test_singleton_bfs_peak_memory_is_below_the_host_csr(j273):
@@ -1187,12 +1234,14 @@ def test_singleton_bfs_peak_memory_is_below_the_host_csr(j273):
     finally:
         tracemalloc.stop()
     assert (dist >= 0).all() and dist.max() == 3
-    assert peak < g._flat.nbytes + g._off.nbytes
+    assert peak < J273_CSR_BYTES
 
 
 def test_build_and_singleton_check_peak_memory():
-    # J_2(7,3): a uint16 CSR of 4.7 MiB, gathered 2^18 entries at a time; with
-    # an int32 CSR and blocks of 2^20 entries the traced peak was 22 MiB
+    # J_2(7,3): its uint16 clique rows and their incidence are the adjacency,
+    # gathered 2^18 entries at a time; with a uint16 CSR assembled from the
+    # rows the traced peak was 9.5 MiB, with an int32 CSR and blocks of 2^20
+    # entries 22 MiB
     tracemalloc.start()
     try:
         g, _ = build_grassmann(7, 3, 2)
@@ -1200,8 +1249,23 @@ def test_build_and_singleton_check_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ok and g._flat.dtype == np.uint16
-    assert peak < 12 << 20
+    assert ok and g.neighbors(0).dtype == np.uint16
+    assert peak < 13 << 19
+
+
+@pytest.mark.parametrize("name,params", [("hamming", (3, 3)), ("hamming", (4, 2)),
+                                         ("johnson", (7, 3)), ("grassmann", (4, 2, 3)),
+                                         ("grassmann", (6, 3, 2)), ("halved_cube", (6,))])
+def test_only_rows_with_a_pair_in_two_rows_are_assembled_into_a_csr(monkeypatch, name, params):
+    # every edge of a Hamming, Johnson or Grassmann host lies in one row, so
+    # its rows are its adjacency; the halved cube's edges lie in two rows each
+    assembled = []
+    real = graphs._csr_from_cliques
+    monkeypatch.setattr(graphs, "_csr_from_cliques",
+                        lambda rows, at: assembled.append(len(at)) or real(rows, at))
+    g, S = build_family(name, params)
+    assert bool(assembled) == (name == "halved_cube")
+    assert S.m == (2 if name == "halved_cube" else 1) and verify_clique_system(g, S).ok
 
 
 def test_corruption_peak_memory_is_below_a_mebibyte(j273):

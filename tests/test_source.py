@@ -137,10 +137,11 @@ def outside(owner, matches):
 
 
 def test_only_graphs_reads_the_csr_arrays():
-    # other code, in graphs or elsewhere, reaches the adjacency through Graph's
-    # accessors, so its store can change in one class
+    # other code, in graphs or elsewhere, reaches the adjacency, CSR or clique
+    # rows, through Graph's accessors, so its store can change in one class
     found, inside = outside("Graph", lambda node: isinstance(node, ast.Attribute)
-                            and node.attr in ("_flat", "_off"))
+                            and node.attr in ("_flat", "_off", "_rows", "_degrees", "_sizes",
+                                              "_cliques", "_clique_incidence", "_row_ids"))
     assert found == [] and inside
 
 
