@@ -5,7 +5,7 @@ distance-regularity testing.
 A graph built from clique rows in which every edge lies in one row keeps
 those rows as its adjacency, shared with its clique system; any other graph
 keeps a CSR.  Readers that count or order neighbors see them sorted and
-without the vertex; the distance readers gather whole rows.
+without the vertex; the distance readers take each row once.
 
 Every check returns a Verdict carrying a witness on failure, because a bare
 "false" is not actionable when the point of the run is verification.  Heavy
@@ -31,8 +31,10 @@ def _blocks(count: int, width: int, start: int = 0):
     item within _GATHER_BLOCK, which bounds the peak memory of the co-member
     gather (the construction's test, CSR assembly, neighbor rows and the
     clique-system check), the BFS frontier, the pulls of distances_among,
-    the shell counts and the automorphism check: indexing copies a narrow
-    index block to intp, so 1 << 18 entries hold about 3 MB in flight."""
+    the shell counts (on rows, one column of the rows or of the row indices
+    at a time, an entry per row or vertex and distance row) and the
+    automorphism check: indexing copies a narrow index block to intp, so
+    1 << 18 entries hold about 3 MB in flight."""
     step = max(1, _GATHER_BLOCK // max(1, width))
     return (slice(i, min(i + step, count)) for i in range(start, count, step))
 
@@ -60,19 +62,23 @@ class Graph:
     are stored once.  Rows in which no pair lies twice are the adjacency:
     they are kept as they are (_cliques), with their incidence
     (_clique_incidence, from _positions) and each vertex's r rows
-    (_row_ids), and the neighbors of v are the other members of its rows.  Any other input is stored as CSR arrays, the
-    neighbors of v being _flat[_off[v]:_off[v + 1]], sorted; a graph built
-    from rows keeps them and their incidence on this route too, for its
-    clique system to share.  Indices are kept in _index_type(n).
+    (_row_ids, in _index_type(N) for N rows), and the neighbors of v are
+    the other members of its rows.  Any other input is stored as CSR
+    arrays, the neighbors of v being _flat[_off[v]:_off[v + 1]], sorted; a
+    graph built from rows keeps them and their incidence on this route too,
+    for its clique system to share.  Vertex indices are kept in
+    _index_type(n).
 
     Only Graph's methods read these arrays.  Its accessors return each
-    vertex's neighbors sorted and without the vertex itself; the distance
-    readers gather _hood, a vertex's whole rows, itself among them.
+    vertex's neighbors sorted and without the vertex itself.  On rows, the
+    BFS, the pull and the shell counts take each row once; the other
+    distance readers, and all of them on a CSR, gather _hood, a vertex's
+    whole rows, itself among them, or its CSR row.
     """
 
     def __init__(self, labels, edges, family=None, params=None):
         self.labels = list(labels)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self._index = dict(zip(self.labels, range(len(self.labels))))
         if len(self._index) != len(self.labels):
             raise ValueError("duplicate vertex labels")
         self.family = family
@@ -113,7 +119,7 @@ class Graph:
         # for v, _width their most
         if self._flat is None:      # v's r rows of w, v once in each: _row_ids[v]
             r, w = at.shape[1], e.shape[1]
-            self._row_ids = at // w
+            self._row_ids = (at // w).astype(_index_type(len(e)))
             self._k, self._width = r * (w - 1), r * w
             self._degrees = np.broadcast_to(np.int64(self._k), n)
             self._sizes = np.broadcast_to(np.int64(self._width), n)
@@ -335,6 +341,40 @@ class Graph:
         met = self._rows_met(vs)
         for block in _blocks(len(met), self._cliques.shape[1]):
             yield self._cliques[met[block]].ravel()
+
+    def _shell_counts(self, dist: np.ndarray):
+        """Counts of the neighbors one shell out (fwd) and one shell in (bwd)
+        of every vertex, relative to each distance row of dist, (n,) or
+        (m, n), on a regular graph, reading dist in the narrowest signed type
+        that holds it.  On rows, each row's levels are counted once
+        (_row_levels), and each vertex adds up its r rows, a column of
+        _row_ids at a time: in a row at lo + t, t being 0 or 1, it has up
+        * (1 - t) neighbors one shell out and (w - up) * t one shell in, so
+        the sums of up, lo and up * lo over its rows give both counts.
+        Otherwise a block of vertices at a time gathers their _hood (a vertex
+        is no shell away from itself), at most _GATHER_BLOCK entries."""
+        n, m = self.num_vertices, dist.size // self.num_vertices
+        dist = dist.astype(np.min_scalar_type(-1 - int(dist.max())), copy=False)
+        if self._flat is None:
+            r, w = self._row_ids.shape[1], self._cliques.shape[1]
+            lo, up = _row_levels(dist, self._cliques)
+            terms = np.stack([up, lo, up * lo])
+            fwd, bwd = np.empty((2,) + dist.shape, dtype=terms.dtype)
+            for block in _blocks(n, 3 * m):
+                s_up, s_lo, s_p = sums = terms.take(self._row_ids[block, 0], axis=-1)
+                for j in range(1, r):
+                    sums += terms.take(self._row_ids[block, j], axis=-1)
+                d = dist[..., block]
+                fwd[..., block] = s_p + s_up - s_up * d
+                bwd[..., block] = s_p + (r * w - s_up) * d - w * s_lo
+            return fwd, bwd
+        fwd, bwd = np.empty(dist.shape, dtype=np.int64), np.empty(dist.shape, dtype=np.int64)
+        for block in _blocks(n, self._width * m):
+            diff = dist.take(self._hood(block).reshape(-1, self._width), axis=-1)
+            diff -= dist[..., block, None]
+            fwd[..., block] = np.count_nonzero(diff == 1, axis=-1)
+            bwd[..., block] = np.count_nonzero(diff == -1, axis=-1)
+        return fwd, bwd
 
     def _rows_met(self, vs: np.ndarray) -> np.ndarray:
         """The indices of the rows that hold a vertex of vs, ascending."""
@@ -622,21 +662,31 @@ def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return c[offsets[1:]] - c[offsets[:-1]]
 
 
-def _shell_counts(g: Graph, dist: np.ndarray):
-    """Counts of the neighbors one shell out (fwd) and one shell in (bwd) of
-    every vertex, relative to each distance row of dist, (n,) or (m, n), on a
-    regular graph; a block of vertices at a time, gathering their _hood (a
-    vertex is no shell away from itself), at most _GATHER_BLOCK entries of
-    the narrowest signed type that holds dist."""
-    n, width = g.num_vertices, g._width
-    dist = dist.astype(np.min_scalar_type(-1 - int(dist.max())), copy=False)
-    fwd, bwd = np.empty(dist.shape, dtype=np.int64), np.empty(dist.shape, dtype=np.int64)
-    for block in _blocks(n, width * (dist.size // n)):
-        diff = dist.take(g._hood(block).reshape(-1, width), axis=-1)
-        diff -= dist[..., block, None]
-        fwd[..., block] = np.count_nonzero(diff == 1, axis=-1)
-        bwd[..., block] = np.count_nonzero(diff == -1, axis=-1)
-    return fwd, bwd
+def _row_levels(dist: np.ndarray, rows: np.ndarray):
+    """(lo, up), each (..., N): the lower of the two levels that the members
+    of each of the N rows lie at, relative to each distance row of dist, (n,)
+    or (m, n), and how many of them lie one level up.  Members of a clique
+    are at most one apart, so a row spanning more levels is a fault of the
+    distances or the rows, and raises CrossCheckViolation.  A column of rows
+    at a time, in blocks of rows."""
+    m, (N, w) = dist.size // dist.shape[-1], rows.shape
+    lo = np.empty(dist.shape[:-1] + (N,), dtype=dist.dtype)
+    up = np.empty(lo.shape, dtype=np.int32)
+    for block in _blocks(N, m):
+        low = lo[..., block]
+        low[...] = high = dist.take(rows[block, 0], axis=-1)
+        total = high.astype(np.int32)
+        for j in range(1, w):
+            col = dist.take(rows[block, j], axis=-1)
+            np.minimum(low, col, out=low)
+            np.maximum(high, col, out=high)
+            total += col
+        high -= low
+        if high.max() > 1:
+            raise CrossCheckViolation(f"clique row {block.start + np.argwhere(high > 1)[0][-1]} "
+                                      "spans more than two distance levels")
+        up[..., block] = total - np.multiply(low, w, dtype=np.int32)
+    return lo, up
 
 
 def _uniform_array(g: Graph, dist: np.ndarray, k: int):
@@ -644,7 +694,7 @@ def _uniform_array(g: Graph, dist: np.ndarray, k: int):
     uniform per distance, else (None, witness).  The counts are compared with
     those of one vertex per distance at once; only a failure is looked for
     shell by shell, to name its witness."""
-    fwd, bwd = _shell_counts(g, dist)
+    fwd, bwd = g._shell_counts(dist)
     rep = np.zeros(int(dist.max()) + 1, dtype=np.int64)
     rep[dist] = np.arange(dist.size)        # a vertex at each distance
     b, c = fwd[rep], bwd[rep]
@@ -708,7 +758,7 @@ def distance_regularity_check(g: Graph) -> Verdict:
     b, c = np.array(common.b + (0,)), np.array((0,) + common.c)
     for block in _blocks(len(dm), n * k, start=1):
         dist = dm[block]
-        fwd, bwd = _shell_counts(g, dist)
+        fwd, bwd = g._shell_counts(dist)
         at = np.minimum(dist, common.rho)
         bad = np.flatnonzero((dist.max(axis=1) != common.rho)
                              | (fwd != b[at]).any(axis=1) | (bwd != c[at]).any(axis=1))

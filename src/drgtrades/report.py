@@ -40,7 +40,7 @@ from .gfq import (
     isotropic_count_product,
     isotropic_count_sum,
 )
-from .graphs import is_regular, verify_clique_system
+from .graphs import _row_levels, is_regular, verify_clique_system
 from .spectral import (
     delta_function,
     intersection_matrix_eigenvalues,
@@ -272,22 +272,16 @@ def _criterion_11():
 
 
 def _si_constancy(name, params):
-    """Every clique lies in two adjacent distance shells of every vertex x,
-    meeting them in numbers that depend only on the nearer distance i.
-    Pairs (x, clique) are scanned x-major, as the first failure is reported."""
+    """Every clique lies in two adjacent distance shells of every vertex x
+    (else _row_levels raises CrossCheckViolation), meeting them in numbers
+    that depend only on the nearer distance i.  Pairs (x, clique) are
+    scanned x-major, as the first failure is reported."""
     g, S = _pair(name, *params)
-    dist = g.distance_matrix()
-    D = dist[:, S.cliques].reshape(-1, S.s + 1)       # one row per (x, clique)
-    near = D.min(axis=1)
-    same = (D == near[:, None]).sum(axis=1)
-    nxt = (D == near[:, None] + 1).sum(axis=1)
+    near, nxt = (a.ravel() for a in _row_levels(g.distance_matrix(), S.cliques))
     first = np.full(int(near.max()) + 1, len(near))     # the first pair at each distance
     np.minimum.at(first, near, np.arange(len(near)))
-    spans = same + nxt != S.s + 1
-    varies = (same != same[first[near]]) | (nxt != nxt[first[near]])
-    bad = np.flatnonzero(spans | varies)
+    bad = np.flatnonzero(nxt != nxt[first[near]])
     if bad.size:
-        _check(not spans[bad[0]], f"{name}: clique spans more than two shells")
         _check(False, f"{name}: intersection constants vary at distance {int(near[bad[0]])}")
 
 

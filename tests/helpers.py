@@ -1,12 +1,13 @@
 """Small ad-hoc graphs, the sorted CSR of a graph read through its
 accessors, scalar GF(q) references, scalar Fraction
 references for vertex functions and their sums, the signed indicator of a
-bitrade, the spectrum with its two confirmations stated apart, a
-per-vertex distance-regularity sweep, a pair count of clique systems,
-clique hits and criterion a by gathering every row, one-vertex corruptions
-from every move pool at once, the pairs inside clique rows, an exact
-maximum-clique search and the Grassmann generators as matrix products,
-shared across test modules."""
+bitrade, the spectrum with its two confirmations stated apart, shell
+counts over neighbor rows with the complete-regularity verdict and the
+per-vertex distance-regularity sweep read from them, a pair count of
+clique systems, clique hits and criterion a by gathering every row,
+one-vertex corruptions from every move pool at once, the pairs inside
+clique rows, an exact maximum-clique search and the Grassmann generators
+as matrix products, shared across test modules."""
 
 import itertools
 from collections import deque
@@ -60,34 +61,55 @@ def same_csr(g, h):
 
 # --- oracles for graph checks, independent of graphs' shell counts ------------
 
+def neighbor_rows(g):
+    """The (n, k) sorted neighbor rows of a k-regular graph, read one vertex
+    at a time through Graph.neighbors."""
+    return np.stack([g.neighbors(v) for v in range(g.num_vertices)]).reshape(g.num_vertices, -1)
+
+
+def reference_shell_counts(nbrs, dist):
+    """(fwd, bwd): the neighbors one shell out and one shell in of every
+    vertex, relative to each distance row of dist, (n,) or (m, n), counted
+    over the neighbor rows nbrs."""
+    step = dist[..., nbrs] - dist[..., None]
+    return (step == 1).sum(axis=-1), (step == -1).sum(axis=-1)
+
+
+def reference_completely_regular(g, C, nbrs):
+    """completely_regular_check's verdict on a connected regular graph with
+    neighbor rows nbrs, from reference_shell_counts: the first shell whose
+    forward, then backward, counts differ names its least-count vertex."""
+    dist = g.multi_source_distances(C)
+    fwd, bwd = reference_shell_counts(nbrs, dist)
+    b, c = [], []
+    for i in range(int(dist.max()) + 1):
+        shell = np.flatnonzero(dist == i)
+        for way, counts in (("forward", fwd[shell]), ("backward", bwd[shell])):
+            if counts.min() != counts.max():
+                v = int(shell[counts.argmin()])
+                return Verdict(False, witness=(g.labels[v], i, way, int(counts.min()),
+                                               int(counts.max())),
+                               detail="non-uniform shell counts")
+        b.append(int(fwd[shell[0]]))
+        c.append(int(bwd[shell[0]]))
+    return Verdict(True, value=IntersectionArray(nbrs.shape[1], tuple(b[:-1]), tuple(c[1:])))
+
+
 def reference_sweep(g):
     """distance_regularity_check's verdict on a connected regular graph, one
     singleton at a time: one BFS per vertex, its shell counts, and the first
     vertex whose counts are not uniform per distance, or whose array differs
     from vertex 0's, as the witness."""
-    n, k = g.num_vertices, int(g.degrees[0])
-    nbrs = np.stack([g.neighbors(v) for v in range(n)]).reshape(n, k)
-    common = None
-    for x in range(n):
-        dist = g.multi_source_distances([x])
-        step = dist[nbrs] - dist[:, None]
-        fwd, bwd = (step == 1).sum(axis=1), (step == -1).sum(axis=1)
-        b, c = [], []
-        for i in range(int(dist.max()) + 1):
-            shell = np.flatnonzero(dist == i)
-            for way, counts in (("forward", fwd[shell]), ("backward", bwd[shell])):
-                if counts.min() != counts.max():
-                    v = int(shell[counts.argmin()])
-                    return Verdict(False, witness=(g.labels[x], g.labels[v], i, way,
-                                                   int(counts.min()), int(counts.max())),
-                                   detail="singleton not completely regular")
-            b.append(int(fwd[shell[0]]))
-            c.append(int(bwd[shell[0]]))
-        arr = IntersectionArray(k, tuple(b[:-1]), tuple(c[1:]))
+    nbrs, common = neighbor_rows(g), None
+    for x in range(g.num_vertices):
+        v = reference_completely_regular(g, [x], nbrs)
+        if not v.ok:
+            return Verdict(False, witness=(g.labels[x],) + v.witness,
+                           detail="singleton not completely regular")
         if common is None:
-            common = arr
-        elif arr != common:
-            return Verdict(False, witness=(g.labels[x], str(arr), str(common)),
+            common = v.value
+        elif v.value != common:
+            return Verdict(False, witness=(g.labels[x], str(v.value), str(common)),
                            detail="intersection array differs between vertices")
     return Verdict(True, value=common)
 

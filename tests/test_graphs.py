@@ -51,8 +51,9 @@ from drgtrades.graphs import (
 from drgtrades.spectral import VertexFunction
 
 
-from helpers import (clique_pairs, cube_graph, cycle_graph, max_clique_order,
-                     reference_clique_system, reference_distances, reference_hits,
+from helpers import (clique_pairs, cube_graph, cycle_graph, max_clique_order, neighbor_rows,
+                     reference_clique_system, reference_completely_regular,
+                     reference_distances, reference_hits, reference_shell_counts,
                      reference_sweep, same_csr)
 
 
@@ -847,6 +848,114 @@ def test_sweep_matches_reference_on_small_regular_graphs(monkeypatch):
     assert details == {"", "singleton not completely regular"}
 
 
+# --- shell counts by clique row --------------------------------------------------
+
+def cyclic_configuration(v):
+    """The rows {i, i+1, i+3} mod v: for v >= 7 no pair lies in two of them,
+    so they are the adjacency of the circulant graph C_v(1, 2, 3), which is
+    not distance-regular for most v."""
+    return Graph([f"v{i:02d}" for i in range(v)],
+                 [(i, (i + 1) % v, (i + 3) % v) for i in range(v)])
+
+
+ROWS_HOSTS = [(name, params) for name, params in DR_HOSTS
+              if name in ("johnson", "grassmann") or (name == "hamming" and params[1] > 2)]
+
+
+def rows_host(spec):
+    g = cyclic_configuration(spec) if isinstance(spec, int) else build_family(*spec)[0]
+    assert g._flat is None          # stored as its rows
+    return g
+
+
+@pytest.mark.parametrize("spec", ROWS_HOSTS + list(range(8, 21)), ids=str)
+def test_row_shell_counts_match_the_neighbor_rows(monkeypatch, spec):
+    # singleton, multi-vertex and (m, n) distance inputs, in one block and in
+    # blocks of one or two rows or vertices, against counts over each
+    # vertex's neighbors; the sweep against the per-vertex reference
+    g = rows_host(spec)
+    n, nbrs = g.num_vertices, neighbor_rows(g)
+    sets = [[0], [0, n // 2, n - 1]]
+    dists = [g.multi_source_distances(C) for C in sets]
+    dists.append(np.stack(dists + [g.multi_source_distances([1])]))
+    for block in (graphs._GATHER_BLOCK, 7):
+        monkeypatch.setattr(graphs, "_GATHER_BLOCK", block)
+        for dist in dists:
+            got, want = g._shell_counts(dist), reference_shell_counts(nbrs, dist)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        for C in sets:
+            assert completely_regular_check(g, C) == reference_completely_regular(g, C, nbrs)
+    if n <= REFERENCE_SWEEP_MAX:
+        g.generators = None
+        monkeypatch.setattr(graphs, "_GATHER_BLOCK", 7 if n <= 100 else 1 << 18)
+        assert distance_regularity_check(g) == reference_sweep(g)
+
+
+def test_cyclic_configurations_give_both_verdicts():
+    # so the rows hosts above include failing ones: C_8(1, 2, 3) is
+    # K_{2,2,2,2}, and no larger one is distance-regular
+    hosts = [cyclic_configuration(v) for v in range(8, 21)]
+    assert {completely_regular_check(g, [0]).detail for g in hosts} == {
+        "", "non-uniform shell counts"}
+    assert {distance_regularity_check(g).detail for g in hosts} == {
+        "", "singleton not completely regular"}
+
+
+def test_checks_on_rows_hosts_never_gather_the_hood(monkeypatch):
+    hosts = [rows_host(spec) for spec in (("hamming", (3, 3)), ("johnson", (6, 3)),
+                                          ("grassmann", (4, 2, 2)), 11)]
+    nbrs = [neighbor_rows(g) for g in hosts]
+    dms = [np.stack([g.multi_source_distances([x]) for x in range(g.num_vertices)])
+           for g in hosts]
+    verdicts = [reference_completely_regular(g, [0, 1], nb) for g, nb in zip(hosts, nbrs)]
+
+    def hood(self, vs):
+        raise AssertionError("the whole rows were gathered")
+
+    monkeypatch.setattr(Graph, "_hood", hood)
+    for g, nb, dm, verdict in zip(hosts, nbrs, dms, verdicts):
+        assert completely_regular_check(g, [0, 1]) == verdict
+        if g.generators is not None:        # the certificate
+            assert distance_regularity_check(g).ok
+        got, want = g._shell_counts(dm), reference_shell_counts(nb, dm)      # the sweep's
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_a_row_spanning_three_levels_raises(monkeypatch):
+    g, S = build_johnson(6, 3)
+    dist = np.zeros(g.num_vertices, dtype=np.int32)
+    dist[7] = 2                 # its rows now span distances 0 to 2
+    for call in (lambda: g._shell_counts(dist), lambda: g._shell_counts(np.stack([dist, dist])),
+                 lambda: graphs._row_levels(dist, S.cliques)):
+        with pytest.raises(CrossCheckViolation, match="spans more than two distance levels"):
+            call()
+    monkeypatch.setattr(Graph, "multi_source_distances", lambda self, C: dist)
+    with pytest.raises(CrossCheckViolation, match="spans more than two distance levels"):
+        completely_regular_check(g, [0])
+
+
+@pytest.mark.parametrize("name,params", [("johnson", (6, 3)), ("hamming", (4, 2)),
+                                         ("grassmann", (4, 2, 2))])
+def test_row_levels_match_the_gathered_rows(name, params):
+    # criterion 11's hosts, H(4,2)'s rows being its edges: each (x, row)
+    # lies at its least distance and one more, with up members at the latter
+    g, S = build_family(name, params)
+    dm = g.distance_matrix()
+    D = dm[:, S.cliques]
+    lo, up = graphs._row_levels(dm, S.cliques)
+    assert np.array_equal(lo, D.min(axis=-1)) and (D <= lo[..., None] + 1).all()
+    assert np.array_equal(up, (D > lo[..., None]).sum(axis=-1))
+
+
+@pytest.mark.parametrize("spec,index_type", [(("hamming", (3, 7)), np.uint8),
+                                             (("hamming", (5, 3)), np.uint16),
+                                             (("grassmann", (6, 3, 2)), np.uint16)])
+def test_row_indices_are_kept_in_the_narrowest_unsigned_type_of_the_rows(spec, index_type):
+    # H(3,7): 343 vertices in 147 rows; H(5,3): 243 vertices in 405 rows
+    g = rows_host(spec)
+    assert g._row_ids.dtype == index_type == graphs._index_type(len(g._cliques))
+
+
 def test_distance_regularity_cycle():
     v = distance_regularity_check(cycle_graph(6))
     assert v.ok and v.value == IntersectionArray(2, (2, 1, 1), (1, 1, 2))
@@ -1237,11 +1346,26 @@ def test_singleton_bfs_peak_memory_is_below_the_host_csr(j273):
     assert peak < J273_CSR_BYTES
 
 
+def test_singleton_check_peak_memory_is_below_a_mebibyte(j273):
+    # the shell counts read each row at its two levels; gathering every
+    # vertex's whole rows took 3.24 MiB
+    g, _ = j273
+    tracemalloc.start()
+    try:
+        arr = completely_regular_check(g, [0]).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(arr) == "(210,168,96;1,9,49)"
+    assert peak < 1 << 20
+
+
 def test_build_and_singleton_check_peak_memory():
     # J_2(7,3): its uint16 clique rows and their incidence are the adjacency,
-    # gathered 2^18 entries at a time; with a uint16 CSR assembled from the
-    # rows the traced peak was 9.5 MiB, with an int32 CSR and blocks of 2^20
-    # entries 22 MiB
+    # and the shell counts read each row at its two levels, so the build sets
+    # the peak (3.5 MiB); gathering each vertex's whole rows for the counts
+    # took 5.8 MiB, with a uint16 CSR assembled from the rows 9.5 MiB, with
+    # an int32 CSR and blocks of 2^20 entries 22 MiB
     tracemalloc.start()
     try:
         g, _ = build_grassmann(7, 3, 2)
@@ -1250,7 +1374,7 @@ def test_build_and_singleton_check_peak_memory():
     finally:
         tracemalloc.stop()
     assert ok and g.neighbors(0).dtype == np.uint16
-    assert peak < 13 << 19
+    assert peak < 1 << 22
 
 
 @pytest.mark.parametrize("name,params", [("hamming", (3, 3)), ("hamming", (4, 2)),
