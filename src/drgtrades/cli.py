@@ -65,6 +65,15 @@ def _build(args, cliques=True):
     return (name, params) + build_family(name, params, cap=cap)
 
 
+def _refuse_past_str_limit(x: int, what: str) -> None:
+    """Exit 1 with one error line when x has more digits than str() takes: a
+    limit kept as it is, since it also guards the JSON parse of bitrade files."""
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(x) >= 10 ** limit:
+        print(f"error: {what} has more than {limit} digits", file=sys.stderr)
+        raise SystemExit(1)
+
+
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -199,6 +208,7 @@ def cmd_wd_bound(args) -> int:
     arr = family_array(*_family(args), cap=args.cap)
     theta = theta_min(arr)
     bound = _integral_bound(arr, theta)
+    _refuse_past_str_limit(bound, f"{args.family}: the w.d. bound")
     doc = {"family": args.family, "theta_min": theta, "wd_bound": bound}
     _emit(args, doc, [f"theta_min: {theta}", f"w.d. bound: {bound}"])
     return 0
@@ -239,7 +249,13 @@ def cmd_identity(args) -> int:
     # not through main's InvalidParameters handler: there is no --family
     if args.d < 0 or args.q < 2:
         _usage_error(f"identity needs d >= 0 and q >= 2, got d={args.d}, q={args.q}")
+    # the product side is at least q^(d(d-1)/2) >= 2^bits, tested before it is
+    # computed; 2^(4 * limit) is past the limit, like any larger power
+    what = f"identity d={args.d}, q={args.q}: the product side"
+    bits = args.d * (args.d - 1) // 2 * (args.q.bit_length() - 1)
+    _refuse_past_str_limit(1 << min(bits, 4 * sys.get_int_max_str_digits()), what)
     lhs = isotropic_count_product(args.d, args.q)
+    _refuse_past_str_limit(lhs, what)
     rhs = isotropic_count_sum(args.d, args.q)
     doc = {"d": args.d, "q": args.q, "product_side": str(lhs),
            "sum_side": str(rhs), "equal": lhs == rhs}

@@ -107,8 +107,8 @@ def build_octahedron(n: int,
     """n antipodal pairs, all edges except within a pair; the clique system
     is all 2^n transversals (one vertex per pair), each edge lying in
     2^(n-2) of them.  The cap bounds the transversals.  The host is built
-    from its pair list: the co-member gather would collect each edge 2^(n-2)
-    times."""
+    from its pair list: as the rows, a vertex gathers n * 2^(n-1) entries for
+    2n - 2 neighbors (octahedron(16)'s check took 100 ms against 1 ms)."""
     _require(n >= 2, "n >= 2")
     _guard(_capped(n, lambda: 2 ** n), cap, f"octahedron({n})", lambda: 2 * n - 2,
            "cliques", 2 * n)
@@ -211,16 +211,12 @@ def build_halved_cube(n: int, check_delsarte: bool = True,
             f"halved {n}-cube cliques have order {n} < Hoffman bound for odd n")
     _guard(_capped(n - 1, lambda: 2 ** (n - 1)), cap, f"halved_cube({n})",
            lambda: n * (n - 1) // 2)
-    labels = sorted("".join(str(b) for b in w)
-                    for w in itertools.product((0, 1), repeat=n)
-                    if sum(w) % 2 == 0)
-    idx = {lab: i for i, lab in enumerate(labels)}
-    cliques = []
-    for w in itertools.product("01", repeat=n):
-        if w.count("1") % 2 == 1:
-            word = "".join(w)
-            cliques.append([idx[word[:pos] + "10"[int(b)] + word[pos + 1:]]
-                            for pos, b in enumerate(word)])
+    # of the words 2j and 2j + 1 the even one, 2j + parity(j), is vertex j in
+    # label order; the odd one's n neighbors, at (word ^ bit) >> 1, are a clique
+    j = np.arange(2 ** (n - 1))
+    parity = sum(j >> b & 1 for b in range(n)) & 1
+    labels = [format(w, f"0{n}b") for w in (2 * j + parity).tolist()]
+    cliques = ((2 * j + 1 - parity)[:, None] ^ 1 << np.arange(n)) >> 1
     g, S = _host_with_cliques(labels, cliques, n - 1, 2, "halved_cube", (n,))
     # the coordinate cycle, and the flip of coordinates 0 and 1
     _label_generators(g, [lambda w: w[-1] + w[:-1],

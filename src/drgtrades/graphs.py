@@ -2,10 +2,10 @@
 isometric subgraphs, completely regular sets, clique systems and
 distance-regularity testing.
 
-A graph built from clique rows in which every edge lies in one row keeps
-those rows as its adjacency, shared with its clique system; any other graph
-keeps a CSR.  Readers that count or order neighbors see them sorted and
-without the vertex; the distance readers take each row once.
+A graph built from clique rows keeps them as its adjacency, shared with its
+clique system, whatever the number m of rows an edge lies in; one built from
+index pairs keeps a CSR.  Readers that count or order neighbors see them
+sorted, once, without the vertex; the distance readers take each row once.
 
 Every check returns a Verdict carrying a witness on failure, because a bare
 "false" is not actionable when the point of the run is verification.  Heavy
@@ -28,12 +28,8 @@ _GATHER_BLOCK = 1 << 18
 
 def _blocks(count: int, width: int, start: int = 0):
     """Slices of range(start, count) keeping a gather of width entries per
-    item within _GATHER_BLOCK, which bounds the peak memory of the co-member
-    gather (the construction's test, CSR assembly, neighbor rows and the
-    clique-system check), the BFS frontier, the pulls of distances_among,
-    the shell counts (on rows, one column of the rows or of the row indices
-    at a time, an entry per row or vertex and distance row) and the
-    automorphism check: indexing copies a narrow index block to intp, so
+    item within _GATHER_BLOCK, which bounds the peak memory of every
+    host-sized gather: indexing copies a narrow index block to intp, so
     1 << 18 entries hold about 3 MB in flight."""
     step = max(1, _GATHER_BLOCK // max(1, width))
     return (slice(i, min(i + step, count)) for i in range(start, count, step))
@@ -57,23 +53,21 @@ class Graph:
 
     Vertex order is the label order handed in by the constructor; family
     builders always pass labels sorted, so indices are reproducible across
-    runs and serializations are byte-identical.  Edges are given as index
-    pairs or as clique rows, which must meet every vertex equally often, and
-    are stored once.  Rows in which no pair lies twice are the adjacency:
-    they are kept as they are (_cliques), with their incidence
-    (_clique_incidence, from _positions) and each vertex's r rows
-    (_row_ids, in _index_type(N) for N rows), and the neighbors of v are
-    the other members of its rows.  Any other input is stored as CSR
-    arrays, the neighbors of v being _flat[_off[v]:_off[v + 1]], sorted; a
-    graph built from rows keeps them and their incidence on this route too,
-    for its clique system to share.  Vertex indices are kept in
-    _index_type(n).
+    runs and serializations are byte-identical.  Edges are index pairs, kept
+    as CSR arrays (the neighbors of v are _flat[_off[v]:_off[v + 1]],
+    sorted), or clique rows wider than two, kept as they are (_cliques, None
+    exactly on a CSR) with their incidence (_clique_incidence) and each
+    vertex's r rows (_row_ids, in _index_type(N) for N rows): the neighbors
+    of v are the other members of its rows.  Rows must meet every vertex
+    equally often, hold no vertex twice and every pair in equally many rows,
+    m (_m), so the degree is r(w - 1)/m for rows of w.  Vertex indices are
+    kept in _index_type(n).
 
     Only Graph's methods read these arrays.  Its accessors return each
-    vertex's neighbors sorted and without the vertex itself.  On rows, the
-    BFS, the pull and the shell counts take each row once; the other
-    distance readers, and all of them on a CSR, gather _hood, a vertex's
-    whole rows, itself among them, or its CSR row.
+    vertex's neighbors sorted, once and without the vertex itself, dropping
+    repeats or dividing by m.  On rows, the BFS, the pull and the shell
+    counts take each row once; the other distance readers, and all of them
+    on a CSR, gather _hood, a vertex's whole rows or its CSR row.
     """
 
     def __init__(self, labels, edges, family=None, params=None):
@@ -93,18 +87,24 @@ class Graph:
             raise ValueError("edges must be index pairs or cliques")
         e = vertex_indices(self, e).reshape(e.shape)
         self._flat = self._off = self._rows = None
-        self._cliques = self._clique_incidence = self._row_ids = None
-        if e.shape[1] > 2:      # rows of mutually adjacent vertices
+        self._cliques, self._clique_incidence, self._row_ids, self._m = None, None, None, 1
+        # _k: the common degree, or None; _sizes[v]: the entries _hood gathers
+        # for v, _width their most; _m: the rows holding each edge, 1 on a CSR
+        if e.shape[1] > 2:      # rows of mutually adjacent vertices: the adjacency
             self._cliques, self._clique_incidence = e, _positions(e, n)
-            at = self._clique_incidence[2]
-            if at is None:      # the gather, which finds loops, needs even rows
+            at = self._clique_incidence[2]      # each vertex's positions, ascending
+            if at is None:      # the loop test below needs even rows
                 loop = (np.diff(np.sort(e, axis=1), axis=1) == 0).any()
                 raise ValueError("loops are not allowed" if loop
                                  else "clique rows must meet every vertex equally often")
-            # one gather tests that no co-member repeats, so no pair lies in two
-            # rows; a loop repeats a co-member too, so rows that pass have none
-            if not all((nbrs[:, 1:] != nbrs[:, :-1]).all() for _, nbrs in _co_members(e, at)):
-                self._flat, self._off = _csr_from_cliques(e, at)
+            r, w = at.shape[1], e.shape[1]
+            self._row_ids = (at // w).astype(_index_type(len(e)))
+            if (self._row_ids[:, 1:] == self._row_ids[:, :-1]).any():    # v twice in a row
+                raise ValueError("loops are not allowed")
+            self._m = _multiplicity(e, at)
+            self._k, self._width = r * (w - 1) // self._m, r * w
+            self._degrees = np.broadcast_to(np.int64(self._k), n)
+            self._sizes = np.broadcast_to(np.int64(self._width), n)
         else:
             if (e[:, 0] == e[:, 1]).any():
                 raise ValueError("loops are not allowed")
@@ -115,15 +115,6 @@ class Graph:
             keys = keys[np.diff(keys, prepend=-1) != 0]
             self._flat = (keys % n).astype(_index_type(n))
             self._off = np.searchsorted(keys, np.arange(n + 1) * n)
-        # _k: the common degree, or None; _sizes[v]: the entries _hood gathers
-        # for v, _width their most
-        if self._flat is None:      # v's r rows of w, v once in each: _row_ids[v]
-            r, w = at.shape[1], e.shape[1]
-            self._row_ids = (at // w).astype(_index_type(len(e)))
-            self._k, self._width = r * (w - 1), r * w
-            self._degrees = np.broadcast_to(np.int64(self._k), n)
-            self._sizes = np.broadcast_to(np.int64(self._width), n)
-        else:
             self._degrees = self._sizes = np.diff(self._off)
             self._rows = _uniform_rows(self._flat, self._off)      # _rows[v]: v's CSR row
             self._k = None if self._rows is None else self._rows.shape[1]
@@ -154,39 +145,41 @@ class Graph:
         hood = self._hood(v)
         nbrs = hood[hood != v]
         nbrs.sort()
-        return nbrs
+        return nbrs[::self._m]
 
     def neighbors_of(self, vs) -> np.ndarray:
         """The neighbor rows of the vertices vs, each sorted, concatenated in
-        that order."""
+        that order: on rows, every m-th of a vertex's sorted co-members."""
         if self._flat is not None:
             return _segments(self._flat, self._off, self._rows, vs)
         vs = np.asarray(vs, dtype=np.int64)
         out = np.empty((len(vs), self._k), dtype=self._cliques.dtype)
         for block in _blocks(len(vs), self._width):
             hood = self._hood(vs[block]).reshape(-1, self._width)
-            out[block] = hood[hood != vs[block, None]].reshape(-1, self._k)
-        out.sort(axis=1)
+            nbrs = hood[hood != vs[block, None]].reshape(-1, self._k * self._m)
+            nbrs.sort(axis=1)
+            out[block] = nbrs[:, ::self._m]
         return out.ravel()
 
     def neighbor_counts(self, vs) -> np.ndarray:
         """The number of neighbors in vs, distinct vertices, of each vertex,
         np.bincount(neighbors_of(vs), minlength=n), counted off their _hood
-        less the r entries of each of them in its own rows."""
+        less the r entries of each of them in its own rows, over m."""
         vs = np.asarray(vs)
         counts = np.bincount(self._hood(vs), minlength=self.num_vertices)
         if self._flat is None:
             counts[vs] -= self._row_ids.shape[1]
-        return counts
+        return counts if self._m == 1 else counts // self._m
 
     def neighbor_sums(self, values: np.ndarray) -> np.ndarray:
         """The sum of values over the neighbors of each vertex, in the dtype
         of values: object arrays of Python ints sum exactly.  On rows, each
-        vertex's rows' totals less r times its own value."""
+        vertex's rows' totals less r times its own value, over m."""
         if self._flat is not None:
             return segment_sums(values[self._flat], self._off)
         row_sums = values[self._cliques].sum(axis=1)
-        return row_sums[self._row_ids].sum(axis=1) - self._row_ids.shape[1] * values
+        sums = row_sums[self._row_ids].sum(axis=1) - self._row_ids.shape[1] * values
+        return sums if self._m == 1 else sums // self._m
 
     def index_of(self, label: str) -> int:
         return self._index[label]
@@ -209,9 +202,9 @@ class Graph:
     def _hood(self, vs) -> np.ndarray:
         """What the distance readers gather for the vertices vs (an index
         array or a slice), concatenated in that order, _sizes[v] entries for
-        v: its CSR row, or its whole rows, v among them once a row.  At
-        distance 0 from v, v counts in no shell, is already reached, and has
-        its bits in its own reach row, so no reader needs it dropped."""
+        v: its CSR row, or its whole rows, with v once a row and each neighbor
+        m times.  v counts in no shell, is already reached and has its bits
+        in its own reach row, and a repeat changes no OR and no reached set."""
         if self._flat is not None:
             return _segments(self._flat, self._off, self._rows, vs)
         return self._cliques.take(self._row_ids[vs], axis=0).ravel()
@@ -236,10 +229,9 @@ class Graph:
             return self._clique_incidence
         return _positions(rows, self.num_vertices)
 
-    def _rows_are_adjacency(self, rows: np.ndarray) -> bool:
-        """True when rows are the rows the graph is stored as: its
-        construction found no pair in two of them."""
-        return self._flat is None and np.array_equal(rows, self._cliques)
+    def _rows_are_adjacency(self, rows: np.ndarray, m: int) -> bool:
+        """True when rows are the graph's own, each edge in m of them."""
+        return m == self._m and np.array_equal(rows, self._cliques)
 
     # -- distances --------------------------------------------------------
 
@@ -350,7 +342,8 @@ class Graph:
         (_row_levels), and each vertex adds up its r rows, a column of
         _row_ids at a time: in a row at lo + t, t being 0 or 1, it has up
         * (1 - t) neighbors one shell out and (w - up) * t one shell in, so
-        the sums of up, lo and up * lo over its rows give both counts.
+        the sums of up, lo and up * lo over its rows give both counts, each
+        neighbor counted in the _m rows it shares with the vertex.
         Otherwise a block of vertices at a time gathers their _hood (a vertex
         is no shell away from itself), at most _GATHER_BLOCK entries."""
         n, m = self.num_vertices, dist.size // self.num_vertices
@@ -365,8 +358,8 @@ class Graph:
                 for j in range(1, r):
                     sums += terms.take(self._row_ids[block, j], axis=-1)
                 d = dist[..., block]
-                fwd[..., block] = s_p + s_up - s_up * d
-                bwd[..., block] = s_p + (r * w - s_up) * d - w * s_lo
+                fwd[..., block] = (s_p + s_up - s_up * d) // self._m
+                bwd[..., block] = (s_p + (r * w - s_up) * d - w * s_lo) // self._m
             return fwd, bwd
         fwd, bwd = np.empty(dist.shape, dtype=np.int64), np.empty(dist.shape, dtype=np.int64)
         for block in _blocks(n, self._width * m):
@@ -513,13 +506,12 @@ def _segments(flat: np.ndarray, off: np.ndarray, rows, vs) -> np.ndarray:
 
 def _co_members(rows: np.ndarray, at: np.ndarray):
     """Co-members in the rows of an (N, w) array in _index_type, at the (n, r)
-    positions of each vertex's entries (_positions; a vertex twice in a row
-    is among its own co-members): yields (v0, block) per block of vertices,
-    block[i] the sorted r(w-1) entries sharing a row with v0 + i.  A vertex
+    positions of each vertex's entries (_positions): yields (v0, block) per
+    block of vertices, block[i] the sorted r(w-1) entries sharing a row with
+    v0 + i, itself among them once for each row holding it twice.  A vertex
     gathers its rows into one reused buffer (take buffers its out unless
     mode="clip") and overwrites its own entries by the type's largest value,
-    which the sort puts last: where that value is a vertex, the r entries
-    cut off equal it either way."""
+    which the sort puts last, and cuts off r of them."""
     (n, r), w = at.shape, rows.shape[1]
     slices = list(_blocks(n, r * w))
     buf = np.empty((slices[0].stop, r * w), dtype=rows.dtype)
@@ -531,24 +523,19 @@ def _co_members(rows: np.ndarray, at: np.ndarray):
         yield block.start, out[:, :-r]
 
 
-def _csr_from_cliques(rows: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of the pairs within the rows of an (N, w) array, at the (n, r)
-    positions of each vertex's entries: one of each run of a vertex's
-    co-members, written into one array of the gathered size, trimmed in
-    place.  A row holding a vertex twice makes it a repeated co-member of its
-    own, which raises ValueError."""
-    flat = np.empty(at.size * (rows.shape[1] - 1), dtype=rows.dtype)
-    off = np.zeros(len(at) + 1, dtype=np.int64)
-    for v0, nbrs in _co_members(rows, at):
-        if (nbrs == np.arange(v0, v0 + len(nbrs))[:, None]).any():
-            raise ValueError("loops are not allowed")
-        keep = np.ones(nbrs.shape, dtype=bool)
-        np.not_equal(nbrs[:, 1:], nbrs[:, :-1], out=keep[:, 1:])
-        ends = off[v0] + np.cumsum(np.count_nonzero(keep, axis=1))
-        flat[off[v0]:ends[-1]] = nbrs[keep]
-        off[v0 + 1:v0 + 1 + len(ends)] = ends
-    flat.resize(off[-1], refcheck=False)
-    return flat, off
+def _multiplicity(rows: np.ndarray, at: np.ndarray) -> int:
+    """The m for which every co-member of every vertex repeats exactly m
+    times (_co_members), each pair lying in m rows, in rows holding no vertex
+    twice; pairs in unequal numbers of rows raise ValueError.  Every
+    comparison is made in the rows' index type."""
+    m = None
+    for _, nbrs in _co_members(rows, at):
+        m = m or int(np.count_nonzero(nbrs[0] == nbrs[0, 0]))
+        first, last = nbrs[:, ::m], nbrs[:, m - 1::m]       # of each run of m
+        if nbrs.shape[1] % m or (last[:, :-1] == first[:, 1:]).any() or (
+                m > 1 and (first != last).any()):
+            raise ValueError("clique rows must hold every pair equally often")
+    return m
 
 
 # --- verdict-style checks -----------------------------------------------------
@@ -813,17 +800,17 @@ def _transitive(g: Graph, perms) -> bool:
 
 def verify_clique_system(g: Graph, S: CliqueSystem) -> Verdict:
     """Checks clique-ness, uniform size s+1, and exact edge multiplicity m.
-    Rows that the host is stored as hold with m = 1: its construction found
-    no pair in two of them.  Otherwise, on a k-regular host (k > 0) with
-    every vertex in r rows and r*s = k*m, m >= 1, by comparing each vertex's
-    co-members with its neighbor row taken m times, a block of vertices at a
-    time; otherwise, or where a block differs, by looking each pair up in the
-    edge keys u*n+v (u < v), which names the first bad clique or the first
-    edge of wrong multiplicity (a row repeating a vertex fails the
-    comparison: no neighbor row holds its own vertex)."""
+    The rows the host is stored as hold with the m its construction found.
+    Otherwise, on a k-regular host (k > 0) with every vertex in r rows and
+    r*s = k*m, m >= 1, by comparing each vertex's co-members with its
+    neighbor row taken m times, a block of vertices at a time; otherwise, or
+    where a block differs, by looking each pair up in the edge keys u*n+v
+    (u < v), which names the first bad clique or the first edge of wrong
+    multiplicity (a row repeating a vertex fails the comparison: no neighbor
+    row holds its own vertex)."""
     n, k = g.num_vertices, is_regular(g).value
     holds = Verdict(True, value=(int(g.degrees[0]), S.s, S.m))
-    if S.m == 1 and g._rows_are_adjacency(S.cliques):
+    if g._rows_are_adjacency(S.cliques, S.m):
         return holds
     if k and S.m >= 1:
         at = S._incidence[2]

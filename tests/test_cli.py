@@ -475,11 +475,16 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _package_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+
+
 @pytest.mark.parametrize("spec", HUGE_SPECS)
 def test_huge_parameters_are_refused_before_computing(spec):
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+    env = _package_env()
     start = time.perf_counter()
     res = subprocess.run([sys.executable, "-m", "drgtrades", "build", "--family", spec,
                           "--cap", "2000"], capture_output=True, text=True, env=env,
@@ -499,9 +504,7 @@ def test_huge_parameters_are_refused_before_computing(spec):
 def test_closed_forms_past_the_diameter_bound_are_refused(verb, spec, rho):
     # spectrum built the 10^20-entry closed form until MemoryError, and
     # wd-bound ran Sturm counts of 100,000 minors for more than a minute
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+    env = _package_env()
     start = time.perf_counter()
     res = subprocess.run([sys.executable, "-m", "drgtrades", verb, "--family", spec],
                          capture_output=True, text=True, env=env,
@@ -511,6 +514,51 @@ def test_closed_forms_past_the_diameter_bound_are_refused(verb, spec, rho):
     assert res.stderr == (f"error: hamming({spec.split(':')[1]}): diameter {rho} exceeds 1000, "
                           "the closed-form bound of cap 100000\n")
     assert elapsed < 1.0
+
+
+def test_integers_past_the_string_limit_are_refused():
+    # identity --d 200 and these wd-bound specs ended in a ValueError traceback
+    # from str(), the wd-bound ones after 3-5 s, and identity --d 1000 ran for
+    # minutes; identity now refuses before computing its product side, and
+    # each ends with one error line
+    limit, env = sys.get_int_max_str_digits(), _package_env()
+    run = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+               preexec_fn=_limit_address_space)
+    for d in (200, 1000):
+        start = time.perf_counter()
+        res = subprocess.run([sys.executable, "-m", "drgtrades", "identity", "--d", str(d),
+                              "--q", "2"], timeout=10, **run)
+        assert time.perf_counter() - start < 1.0
+        assert (res.returncode, res.stdout, res.stderr) == (
+            1, "", f"error: identity d={d}, q=2: the product side has more than {limit} digits\n")
+    specs = ("grassmann:400,200,2", "dual_polar_D:300,2")
+    procs = [subprocess.Popen([sys.executable, "-m", "drgtrades", "wd-bound", "--family", spec],
+                              **run) for spec in specs]
+    try:
+        for spec, proc in zip(specs, procs):
+            out, err = proc.communicate(timeout=120)
+            assert (proc.returncode, out, err) == (
+                1, "", f"error: {spec}: the w.d. bound has more than {limit} digits\n")
+    finally:
+        for proc in procs:
+            proc.kill()
+
+
+@pytest.mark.parametrize("d,q,ok", [(169, 2, True), (170, 2, False), (134, 3, True),
+                                    (135, 3, False)])
+def test_identity_refuses_a_product_side_past_the_string_limit(capsys, d, q, ok):
+    # 2^e bounds the product side of q = 2 from below, so d = 170 is refused
+    # before computing it; for q = 3 that bound is loose, and d = 135 is
+    # refused once its product side, 4,317 digits, is known
+    try:
+        code = main(["identity", "--d", str(d), "--q", str(q)])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == (0 if ok else 1)
+    assert out.endswith("equal: yes\n") if ok else (out, err) == (
+        "", f"error: identity d={d}, q={q}: the product side has more than "
+            f"{sys.get_int_max_str_digits()} digits\n")
 
 
 def test_closed_form_diameter_bound_follows_the_cap(capsys):

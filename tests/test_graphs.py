@@ -1,6 +1,7 @@
 """Graph core: BFS, regularity, bipartiteness, complete regularity,
 clique systems, exact max clique."""
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -858,8 +859,10 @@ def cyclic_configuration(v):
                  [(i, (i + 1) % v, (i + 3) % v) for i in range(v)])
 
 
+# the halved cubes' edges lie in two rows each (m = 2), every other host's in one
 ROWS_HOSTS = [(name, params) for name, params in DR_HOSTS
-              if name in ("johnson", "grassmann") or (name == "hamming" and params[1] > 2)]
+              if name in ("johnson", "halved_cube", "grassmann")
+              or (name == "hamming" and params[1] > 2)]
 
 
 def rows_host(spec):
@@ -903,7 +906,7 @@ def test_cyclic_configurations_give_both_verdicts():
 
 def test_checks_on_rows_hosts_never_gather_the_hood(monkeypatch):
     hosts = [rows_host(spec) for spec in (("hamming", (3, 3)), ("johnson", (6, 3)),
-                                          ("grassmann", (4, 2, 2)), 11)]
+                                          ("halved_cube", (6,)), ("grassmann", (4, 2, 2)), 11)]
     nbrs = [neighbor_rows(g) for g in hosts]
     dms = [np.stack([g.multi_source_distances([x]) for x in range(g.num_vertices)])
            for g in hosts]
@@ -1059,9 +1062,10 @@ def test_clique_system_refuses_entries_outside_the_host():
 @st.composite
 def clique_rows(draw):
     """(labels, rows): layers of disjoint rows, each layer covering the same
-    w * t vertices once, so incidence is uniform; then maybe every row
-    repeated (edges in two rows), rows dropped or isolated vertices added
-    (uneven incidence), and rows and their entries shuffled."""
+    w * t vertices once, so incidence is uniform (a pair may lie in more
+    rows than another); then maybe every row repeated (each pair's rows
+    doubled), rows dropped or isolated vertices added (uneven incidence),
+    and rows and their entries shuffled."""
     w, t, layers = draw(st.integers(3, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = w * t
@@ -1075,8 +1079,13 @@ def clique_rows(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(clique_rows())
-# vertices 0, 1 and 2 share two rows, so their co-members repeat, and no other
-# vertex's do: blocks of one vertex (7 entries) with and without repeats alternate
+# a doubled system: two layers in which no pair repeats, every row twice, so
+# each edge lies in two rows (m = 2) and every co-member repeats
+@example(([f"v{i:03d}" for i in range(12)],
+          np.tile([[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11],
+                   [0, 3, 6], [1, 4, 9], [2, 7, 10], [5, 8, 11]], (2, 1))))
+# uneven multiplicity: vertices 0, 1 and 2 share two rows and every other pair
+# one, so blocks of one vertex (7 entries) with and without repeats alternate
 @example(([f"v{i:03d}" for i in range(12)],
           np.array([[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11],
                     [0, 1, 2], [3, 6, 9], [4, 7, 10], [5, 8, 11]])))
@@ -1086,18 +1095,28 @@ def test_graph_from_clique_rows_equals_graph_from_their_pairs(case):
         with pytest.raises(ValueError, match="clique rows must meet every vertex equally often"):
             Graph(labels, rows)
         return
-    ref, n = Graph(labels, clique_pairs(rows).reshape(-1, 2)), len(labels)
+    counts = set(collections.Counter(tuple(sorted(p)) for p in
+                                     clique_pairs(rows).reshape(-1, 2).tolist()).values())
+    if len(counts) > 1:
+        for block in (graphs._GATHER_BLOCK, 7):
+            with pytest.MonkeyPatch.context() as mp, \
+                    pytest.raises(ValueError, match="clique rows must hold every pair equally often"):
+                mp.setattr(graphs, "_GATHER_BLOCK", block)
+                Graph(labels, rows)
+        return
+    ref, n, (m,) = Graph(labels, clique_pairs(rows).reshape(-1, 2)), len(labels), counts
     for block in (graphs._GATHER_BLOCK, 7):     # 7 entries: one or two vertices a block
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graphs, "_GATHER_BLOCK", block)
             g = Graph(labels, rows)
-            # every accessor of the row-built graph, on either route, equals
+            # every accessor of the row-built graph, whatever its m, equals
             # its twin's: neighbors, edges, sums, distances, bipartiteness
-            assert g._rows_are_adjacency(rows) == _pairs_once(rows)
+            assert g._rows_are_adjacency(rows, m) and not g._rows_are_adjacency(rows, m + 1)
             assert same_csr(g, ref) and g.num_edges == ref.num_edges
             assert all(np.array_equal(g.neighbors(v), ref.neighbors(v)) for v in (0, n - 1))
             assert np.array_equal(g.edge_array(), ref.edge_array())
             assert is_regular(g) == is_regular(ref)
+            assert np.array_equal(g.neighbor_counts([0, n - 1]), ref.neighbor_counts([0, n - 1]))
             for values in (np.arange(n, dtype=np.int64) ** 2,
                            np.array([3 ** v for v in range(n)], dtype=object)):
                 got, want = g.neighbor_sums(values), ref.neighbor_sums(values)
@@ -1107,12 +1126,6 @@ def test_graph_from_clique_rows_equals_graph_from_their_pairs(case):
                                       ref.multi_source_distances(sources))
                 assert np.array_equal(g.distances_among(sources), ref.distances_among(sources))
             assert _outcome(is_bipartite, g) == _outcome(is_bipartite, ref)
-
-
-def _pairs_once(rows):
-    """No pair of vertices lies in two of the rows."""
-    keys = [tuple(sorted(p)) for row in rows.tolist() for p in itertools.combinations(row, 2)]
-    return len(keys) == len(set(keys))
 
 
 def _outcome(check, g):
@@ -1131,6 +1144,35 @@ def test_uneven_clique_rows_are_refused():
         with pytest.raises(ValueError, match="clique rows must meet every vertex equally often"):
             Graph(labels, np.array(rows))
     assert Graph(list("abcd"), np.array([[0, 1], [0, 2]])).num_edges == 2
+
+
+def test_halved_cube_rows_equal_their_pair_built_twin():
+    # each edge of the halved n-cube lies in two of its rows (m = 2), whose
+    # repeats every reader drops or divides out: readers, checks, verdicts
+    # and witnesses equal those of the graph built from the rows' pairs,
+    # proven by the sweep where the rows host has its certificate
+    rng = np.random.default_rng(30)
+    for n in range(4, 12):
+        g, S = families.build_halved_cube(n, check_delsarte=False)
+        twin = Graph(g.labels, clique_pairs(S.cliques).reshape(-1, 2))
+        N = g.num_vertices
+        assert g._flat is None and twin._cliques is None and same_csr(g, twin)
+        assert np.array_equal(g.edge_array(), twin.edge_array()) and is_regular(g) == is_regular(twin)
+        vs = rng.choice(N, size=N // 3, replace=False)
+        assert all(np.array_equal(g.neighbors(v), twin.neighbors(v)) for v in vs[:5])
+        assert np.array_equal(g.neighbor_counts(vs), twin.neighbor_counts(vs))
+        for values in (rng.integers(-9, 9, N), np.array([3 ** v for v in range(N)], dtype=object)):
+            assert np.array_equal(g.neighbor_sums(values), twin.neighbor_sums(values))
+        assert np.array_equal(g.multi_source_distances(vs[:2]), twin.multi_source_distances(vs[:2]))
+        assert np.array_equal(g.distances_among(vs), twin.distances_among(vs))
+        assert _outcome(is_bipartite, g) == _outcome(is_bipartite, twin)
+        assert distance_regularity_check(g) == distance_regularity_check(twin)
+        for C in ([0], vs[:3]):
+            assert completely_regular_check(g, C) == completely_regular_check(twin, C)
+        for m in (2, 1, 3):
+            got = verify_clique_system(g, CliqueSystem(g, S.cliques, s=S.s, m=m))
+            assert got == verify_clique_system(twin, CliqueSystem(twin, S.cliques, s=S.s, m=m))
+            assert got.ok == (m == 2) and got.detail in ("", "edge multiplicity mismatch")
 
 
 def test_wide_rows_refuse_loops_and_out_of_range_vertices():
@@ -1377,19 +1419,41 @@ def test_build_and_singleton_check_peak_memory():
     assert peak < 1 << 22
 
 
-@pytest.mark.parametrize("name,params", [("hamming", (3, 3)), ("hamming", (4, 2)),
-                                         ("johnson", (7, 3)), ("grassmann", (4, 2, 3)),
-                                         ("grassmann", (6, 3, 2)), ("halved_cube", (6,))])
-def test_only_rows_with_a_pair_in_two_rows_are_assembled_into_a_csr(monkeypatch, name, params):
-    # every edge of a Hamming, Johnson or Grassmann host lies in one row, so
-    # its rows are its adjacency; the halved cube's edges lie in two rows each
-    assembled = []
-    real = graphs._csr_from_cliques
-    monkeypatch.setattr(graphs, "_csr_from_cliques",
-                        lambda rows, at: assembled.append(len(at)) or real(rows, at))
+@pytest.mark.parametrize("name,params", [
+    (name, params) for name, params in DR_HOSTS
+    if name in ("octahedron", "hamming", "johnson", "halved_cube", "grassmann")])
+def test_only_the_octahedron_stores_a_csr_and_the_check_reads_the_construction(
+        monkeypatch, name, params):
+    # every clique family but the octahedron builds its host from its rows,
+    # whatever their m, and the clique check reads the construction's proof
+    # without a second co-member gather; the octahedron's edges each lie in
+    # 2^(n-2) rows, so it is built from its pair list, and the binary Hamming
+    # rows are index pairs: both store a CSR, and their checks gather
     g, S = build_family(name, params)
-    assert bool(assembled) == (name == "halved_cube")
-    assert S.m == (2 if name == "halved_cube" else 1) and verify_clique_system(g, S).ok
+    csr = name == "octahedron" or S.s == 1
+    assert (g._cliques is None) == csr
+    real, gathered = graphs._co_members, []
+
+    def gather(rows, at):
+        if not csr:
+            raise AssertionError("the clique check gathered the host's rows again")
+        gathered.append(len(at))
+        return real(rows, at)
+    monkeypatch.setattr(graphs, "_co_members", gather)
+    assert verify_clique_system(g, S).ok and bool(gathered) == csr
+
+
+def test_halved_cube_distance_regularity_peak_memory():
+    # halved_cube(12) as its rows: 0.2 MiB, and 1.2 MiB with a CSR assembled
+    # from them
+    g, _ = families.build_halved_cube(12)
+    tracemalloc.start()
+    try:
+        ok = distance_regularity_check(g).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and peak < 1 << 20
 
 
 def test_corruption_peak_memory_is_below_a_mebibyte(j273):

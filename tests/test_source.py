@@ -141,7 +141,7 @@ def test_only_graphs_reads_the_csr_arrays():
     # rows, through Graph's accessors, so its store can change in one class
     found, inside = outside("Graph", lambda node: isinstance(node, ast.Attribute)
                             and node.attr in ("_flat", "_off", "_rows", "_degrees", "_sizes",
-                                              "_cliques", "_clique_incidence", "_row_ids"))
+                                              "_cliques", "_clique_incidence", "_row_ids", "_m"))
     assert found == [] and inside
 
 
