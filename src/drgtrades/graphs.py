@@ -742,22 +742,29 @@ def distance_regularity_check(g: Graph) -> Verdict:
     if common is None:
         return Verdict(False, witness=(g.labels[0],) + witness,
                        detail="singleton not completely regular")
-    b, c = np.array(common.b + (0,)), np.array((0,) + common.c)
     for block in _blocks(len(dm), n * k, start=1):
-        dist = dm[block]
-        fwd, bwd = g._shell_counts(dist)
-        at = np.minimum(dist, common.rho)
-        bad = np.flatnonzero((dist.max(axis=1) != common.rho)
-                             | (fwd != b[at]).any(axis=1) | (bwd != c[at]).any(axis=1))
-        if bad.size:
-            x = block.start + int(bad[0])
-            arr, witness = _uniform_array(g, dm[x], k)
-            if arr is None:
-                return Verdict(False, witness=(g.labels[x],) + witness,
-                               detail="singleton not completely regular")
-            return Verdict(False, witness=(g.labels[x], str(arr), str(common)),
-                           detail="intersection array differs between vertices")
+        if off := _first_off_row(g, dm[block], common):
+            x, witness, detail = off
+            return Verdict(False, witness=(g.labels[block.start + x],) + witness, detail=detail)
     return Verdict(True, value=common)
+
+
+def _first_off_row(g: Graph, dist: np.ndarray, common: IntersectionArray):
+    """None when each distance row of dist, (m, n), has the shell counts of
+    the array common (one _shell_counts call), else (x, witness, detail) for
+    the first row x off it: _uniform_array's witness or both arrays."""
+    fwd, bwd = g._shell_counts(dist)
+    b, c = np.array(common.b + (0,)), np.array((0,) + common.c)
+    at = np.minimum(dist, common.rho)
+    bad = np.flatnonzero((dist.max(axis=1) != common.rho)
+                         | (fwd != b[at]).any(axis=1) | (bwd != c[at]).any(axis=1))
+    if not bad.size:
+        return None
+    x = int(bad[0])
+    arr, witness = _uniform_array(g, dist[x], common.k)
+    if arr is None:
+        return x, witness, "singleton not completely regular"
+    return x, (str(arr), str(common)), "intersection array differs between vertices"
 
 
 def _transitive(g: Graph, perms) -> bool:

@@ -40,14 +40,13 @@ from .gfq import (
     isotropic_count_product,
     isotropic_count_sum,
 )
-from .graphs import _row_levels, is_regular, verify_clique_system
+from .graphs import _first_off_row, _row_levels, is_regular, verify_clique_system
 from .spectral import (
-    delta_function,
     intersection_matrix_eigenvalues,
+    standard_eigenvector,
     theta_min,
     wd_bound,
     wd_coefficients,
-    weight_distribution_of,
 )
 
 
@@ -247,28 +246,38 @@ _SHELL_SUITE = (
 
 
 def _criterion_11():
-    """Shell sums of distance-shell eigenfunctions match the coefficient
-    recursion; clique/shell intersection constants are constant."""
+    """Shell sums nu_i * |shell_i(x)| of distance-shell eigenfunctions (BCN
+    4.1) match the coefficient recursion; clique/shell intersection
+    constants are constant."""
     rng = random.Random(1101)
     for name, params in _SHELL_SUITE:
         g = _pair(name, *params)[0]
         arr = _host_dr(name, params)
-        eigs = intersection_matrix_eigenvalues(arr)
         verts = [rng.randrange(g.num_vertices) for _ in range(10)]
-        # one check per center serves every theta; failures are named theta-major
-        sums = []
-        for x in verts:
-            fs, dist = delta_function(g, [x], eigs)
-            sums.append([tuple(weight_distribution_of(f, dist)) for f in fs])
-        for j, th in enumerate(eigs):
-            coeffs = wd_coefficients(arr, th)
-            for x, got in zip(verts, sums):
-                _check(got[j] == coeffs,
-                       f"{name}{params} theta={th} x={g.labels[x]}: {got[j]} != {coeffs}")
+        sizes = _center_shells(g, arr, verts, f"{name}{params}")
+        # failures are named theta-major; one sum per distinct shell sizes
+        for th in intersection_matrix_eigenvalues(arr):
+            nu, coeffs = standard_eigenvector(arr, th), wd_coefficients(arr, th)
+            sums = {s: tuple(v * size for v, size in zip(nu, s)) for s in set(sizes)}
+            for x, s in zip(verts, sizes):
+                if sums[s] != coeffs:
+                    _check(False, f"{name}{params} theta={th} x={g.labels[x]}: "
+                                  f"{sums[s]} != {coeffs}")
     for name, params in (("johnson", (6, 3)), ("hamming", (4, 2)),
                          ("grassmann", (4, 2, 2))):
         _si_constancy(name, params)
     return "shell sums match recursion; shell/clique constants uniform"
+
+
+def _center_shells(g, arr, verts, where):
+    """The shell sizes of each center of verts by one BFS each, once one
+    _shell_counts call on their rows finds them all with the host's array
+    arr; else raises naming the first center off it and the host, where."""
+    dm = np.stack([g.multi_source_distances([x]) for x in verts])
+    if off := _first_off_row(g, dm, arr):
+        x, witness, detail = off
+        _check(False, f"{where} x={g.labels[verts[x]]}: {detail} {witness}")
+    return [tuple(np.bincount(row).tolist()) for row in dm]
 
 
 def _si_constancy(name, params):

@@ -1,13 +1,18 @@
-"""Criterion 11's route: one complete-regularity check per center serves
-every eigenvalue, against per-(theta, x) Fraction references, with its
-call count and its first-failure message pinned.  The minimum-bitrade
-criteria: one shared routine verifies each, and names the trade subgraph's
-array when it differs from the closed form."""
+"""Criterion 11's route: one frontier BFS per center and one shell-count
+sweep per host, its shell sizes against a reference BFS, its call counts
+and its first-failure messages pinned; the distance-shell eigenfunctions
+and their shell sums against per-(theta, x) Fraction references.  The
+minimum-bitrade criteria: one shared routine verifies each, and names the
+trade subgraph's array when it differs from the closed form."""
 
 import ast
 import inspect
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from drgtrades import graphs, report, spectral
@@ -47,22 +52,35 @@ def test_criterion_11_route_matches_per_pair_references(shell_hosts):
 
 
 def test_criterion_11_runs_one_check_per_center(monkeypatch, shell_hosts):
-    calls = {"check": 0, "bfs": 0}
-    check, bfs = spectral._completely_regular, graphs.Graph.multi_source_distances
+    # one frontier BFS per center, one _shell_counts call on each host's ten
+    # stacked rows, and no complete-regularity check
+    calls = {"check": 0, "bfs": 0, "sweep": 0}
 
-    def counted_check(*args):
-        calls["check"] += 1
-        return check(*args)
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
 
-    def counted_bfs(*args):
-        calls["bfs"] += 1
-        return bfs(*args)
-
-    monkeypatch.setattr(spectral, "_completely_regular", counted_check)
-    monkeypatch.setattr(graphs.Graph, "multi_source_distances", counted_bfs)
+    for module in (graphs, spectral):
+        monkeypatch.setattr(module, "_completely_regular",
+                            counted("check", module._completely_regular))
+    monkeypatch.setattr(graphs.Graph, "multi_source_distances",
+                        counted("bfs", graphs.Graph.multi_source_distances))
+    monkeypatch.setattr(graphs.Graph, "_shell_counts",
+                        counted("sweep", graphs.Graph._shell_counts))
     report._criterion_11()
-    centers = 10 * len(report._SHELL_SUITE)
-    assert calls == {"check": centers, "bfs": centers}
+    hosts = len(report._SHELL_SUITE)
+    assert calls == {"check": 0, "bfs": 10 * hosts, "sweep": hosts}
+
+
+def test_criterion_11_shell_sizes_are_the_reference_shells(shell_hosts):
+    rng = random.Random(1112)
+    for name, params, g, arr in shell_hosts:
+        xs = [rng.randrange(g.num_vertices) for _ in range(2)]
+        want = [tuple(np.bincount(list(reference_distances(g, x).values())).tolist())
+                for x in xs]
+        assert report._center_shells(g, arr, xs, name) == want, (name, params)
 
 
 def test_criterion_11_runs_one_eigenvector_recurrence_per_array_and_theta():
@@ -88,6 +106,31 @@ def test_criterion_11_names_the_first_failing_pair(monkeypatch, shell_hosts):
         "AssertionError: johnson(6, 3) theta=3 x=1,4,6: "
         "(Fraction(1, 1), Fraction(3, 1), Fraction(-3, 1), Fraction(-1, 1)) != "
         "(Fraction(1, 1), Fraction(3, 1), Fraction(-3, 1), Fraction(0, 1))")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["default", "optimize"])
+def test_criterion_11_names_the_first_center_off_the_host_array(flags):
+    # J(6,3) handed the array of H(3,4), of the same degree 9, fails at its
+    # first center; python -O strips assert statements, so the check must
+    # not be one
+    code = "\n".join([
+        "from drgtrades import report",
+        "from drgtrades.families import hamming_array",
+        "host_dr = report._host_dr",
+        "report._host_dr = lambda name, params: (",
+        "    hamming_array(3, 4) if (name, params) == ('johnson', (6, 3))",
+        "    else host_dr(name, params))",
+        "res = report.run_criterion(11)",
+        "print(res.passed, __debug__, res.detail)",
+    ])
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join([os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")])
+    res = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (
+        f"False {not flags} AssertionError: johnson(6, 3) x=1,4,6: intersection array "
+        "differs between vertices ('(9,4,1;1,4,9)', '(9,6,3;1,2,3)')\n")
 
 
 @pytest.mark.parametrize("number", [3, 4, 5, 6, 7, 12])
