@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CrossCheckViolation, DegenerateEmpty, NotDistanceRegular
-from .families import build_dual_polar_D, johnson_label
+from .families import _labels, build_dual_polar_D, johnson_label
 from .graphs import (
     CliqueSystem,
     Graph,
@@ -80,7 +80,7 @@ class Bitrade:
         return self.t0 | self.t1
 
     def labels(self, side) -> list[str]:
-        return sorted(self.host.labels[v] for v in side)
+        return sorted(self.host.labels[list(side)])
 
     def __repr__(self):
         return f"Bitrade(|T0|={len(self.t0)}, |T1|={len(self.t1)})"
@@ -175,7 +175,7 @@ def check_criterion_a(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
     bad = np.flatnonzero((hits0 != hits1) | (hits0 > 1))
     if bad.size:
         ci = int(bad[0])
-        members = sorted(g.labels[v] for v in S.cliques[ci].tolist())
+        members = sorted(g.labels[S.cliques[ci]])
         return Verdict(False, witness=(ci, members, int(hits0[ci]), int(hits1[ci])),
                        detail="clique meets the trades unevenly")
     return Verdict(True)
@@ -351,11 +351,16 @@ def verify_pseudo_bitrade(g: Graph, T: Bitrade) -> PseudoBitradeReport:
 
 def _split(host: Graph, pairs) -> Bitrade:
     """The bitrade whose side i holds the vertex labelled lab for each
-    (lab, i) in pairs."""
-    sides = ([], [])
-    for label, side in pairs:
-        sides[side].append(host.index_of(label))
-    return Bitrade(host, frozenset(sides[0]), frozenset(sides[1]))
+    (lab, i) in pairs, the labels looked up in one batch."""
+    pairs = list(pairs)
+    return _sides(host, host.labels.indices_of([lab for lab, _ in pairs]),
+                  [side for _, side in pairs])
+
+
+def _sides(host: Graph, at: np.ndarray, sides) -> Bitrade:
+    """The bitrade whose side i holds the vertices at[j] with sides[j] = i."""
+    sides = np.asarray(sides, dtype=np.int64)
+    return Bitrade(host, frozenset(at[sides == 0].tolist()), frozenset(at[sides == 1].tolist()))
 
 
 def _cube(n: int):
@@ -399,16 +404,19 @@ def min_bitrade_grassmann(n: int, d: int, q: int, host: Graph) -> Bitrade:
     The two color classes come from BFS 2-coloring started at the
     lexicographically least vertex, which is canonical given canonical
     labels.  D_d(q) is built under the host's vertex count as cap: its
-    [2d,d]_q candidate subspaces are at most the host's [n,d]_q."""
+    [2d,d]_q candidate subspaces are at most the host's [n,d]_q.  Its labels
+    are _labels bytes, d rows of 2d digits each closed by '/' (the last by
+    NUL); their digits are padded with n - 2d zeros a row and looked up in
+    the host in one batch."""
     if n < 2 * d:
         raise ValueError("need n >= 2d")
     dp = build_dual_polar_D(d, q, cap=host.num_vertices)
     bip = is_bipartite(dp)
     if not bip.ok:
         raise CrossCheckViolation(f"dual polar graph D_{d}({q}) has an odd cycle: {bip.witness}")
-    pad = "0" * (n - 2 * d)
-    return _split(host, (("/".join(row + pad for row in lab.split("/")), bip.value[v])
-                         for v, lab in enumerate(dp.labels)))
+    digits = dp.labels.utf8.view(np.uint8).reshape(-1, d, 2 * d + 1)[:, :, :-1] - ord("0")
+    padded = np.pad(digits, ((0, 0), (0, 0), (0, n - 2 * d))).reshape(len(digits), d * n)
+    return _sides(host, host.labels.indices_of(_labels(padded, d)), bip.value)
 
 
 def pseudo_bitrade_doob(m: int, n: int, host: Graph) -> Bitrade:
@@ -455,10 +463,12 @@ def corrupt_one_vertex(T: Bitrade, rng: random.Random) -> Bitrade:
     independence; then a non-neighbor move, a one-vertex addition, or a
     one-vertex drop is used instead.
 
-    Moves are rows (side, v, u), -1 standing for no vertex; each pool lists
-    T0's moves, then T1's, by v and then u ascending.  A vertex u outside
-    the support may replace v when v is its only neighbor in the side (a
-    neighbor move) or when it has none (any other move, or an addition)."""
+    Moves are (side, v, u), -1 standing for no vertex; each pool lists
+    T0's moves, then T1's, by v and then u ascending, and only the move
+    drawn is built: a pool is a count per part and a way to the i-th move
+    of each.  A vertex u outside the support may replace v when v is its
+    only neighbor in the side (a neighbor move) or when it has none (any
+    other move, or an addition)."""
     host = T.host
     free = ~vertex_mask(host, T.support)
     sides = [np.array(sorted(side), dtype=np.int64) for side in (T.t0, T.t1)]
@@ -468,36 +478,39 @@ def corrupt_one_vertex(T: Bitrade, rng: random.Random) -> Bitrade:
 
     def neighbor_moves(which):
         vs, x = sides[which], nbrs[which]
-        near = free[x] & (side_nbrs[which][x] == 1)
-        return _moves(which, np.repeat(vs, host.degrees[vs])[near], x[near])
+        near = np.flatnonzero(free[x] & (side_nbrs[which][x] == 1))
+        ends = np.cumsum(host.degrees[vs])      # vs[j]'s neighbors end at ends[j]
+        return near.size, lambda i: (vs[np.searchsorted(ends, near[i], side="right")],
+                                     x[near[i]])
 
     def other_moves(which):
         vs, u = sides[which], lonely[which]
-        return _moves(which, np.repeat(vs, u.size), np.tile(u, vs.size))
+        return vs.size * u.size, lambda i: (vs[i // u.size], u[i % u.size])
 
     def adds(which):
-        return _moves(which, np.full_like(lonely[which], -1), lonely[which])
+        return lonely[which].size, lambda i: (-1, lonely[which][i])
 
     def drops(which):
         vs = sides[which] if sides[which].size >= 2 else sides[which][:0]
-        return _moves(which, vs, np.full_like(vs, -1))
+        return vs.size, lambda i: (vs[i], -1)
 
-    # a pool is built only when those before it are empty: |side| x |lonely|
-    # other moves would take gigabytes on the largest hosts
     for pool in ((neighbor_moves,), (other_moves, adds), (drops,)):
-        moves = np.concatenate([make(which) for make in pool for which in (0, 1)])
-        if len(moves):
-            which, v, u = moves[rng.randrange(len(moves))].tolist()
-            kept = [set(T.t0), set(T.t1)]
-            kept[which].discard(v)
-            if u >= 0:
-                kept[which].add(u)
-            return Bitrade(host, frozenset(kept[0]), frozenset(kept[1]))
+        parts = [(which, *make(which)) for make in pool for which in (0, 1)]
+        total = sum(count for _, count, _ in parts)
+        if not total:
+            continue
+        i = rng.randrange(total)
+        for which, count, move in parts:
+            if i < count:
+                break
+            i -= count
+        v, u = (int(x) for x in move(i))
+        kept = [set(T.t0), set(T.t1)]
+        kept[which].discard(v)
+        if u >= 0:
+            kept[which].add(u)
+        return Bitrade(host, frozenset(kept[0]), frozenset(kept[1]))
     raise RuntimeError("no admissible one-vertex corruption exists")
-
-
-def _moves(which: int, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.stack([np.full(v.size, which), v, u], axis=1)
 
 
 # --- clique designs --------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .gfq import (
     totally_isotropic_mask,
     unpack_digits,
 )
-from .graphs import CliqueSystem, Graph, IntersectionArray, _index_type
+from .graphs import CliqueSystem, Graph, IntersectionArray, Labels, _index_type
 
 DEFAULT_ENUMERATION_CAP = 100_000
 
@@ -96,8 +96,7 @@ def _label_generators(g: Graph, maps) -> None:
     taking each vertex label to the label of its image.  The certificate of
     distance_regularity_check checks that each is a permutation and an
     automorphism, and that together they are transitive."""
-    g.generators = lambda: [np.array([g.index_of(f(lab)) for lab in g.labels])
-                            for f in maps]
+    g.generators = lambda: [g.labels.indices_of([f(lab) for lab in g.labels]) for f in maps]
 
 
 # --- octahedron -------------------------------------------------------------
@@ -143,12 +142,11 @@ def build_hamming(n: int, q: int,
     _require(n == 1 or q <= 10, "q <= 10 to build n >= 2")
     _guard(_capped(n * (q.bit_length() - 1), lambda: q ** n), cap, f"hamming({n},{q})",
            lambda: n * (q - 1))
-    labels = sorted("".join(str(d) for d in w)
-                    for w in itertools.product(range(q), repeat=n))
-    idx = {lab: i for i, lab in enumerate(labels)}
-    cliques = [[idx[lab[:pos] + str(v) + lab[pos + 1:]] for v in range(q)]
-               for lab in labels for pos in range(n) if lab[pos] == "0"]
-    g, S = _host_with_cliques(labels, cliques, q - 1, 1, "hamming", (n, q))
+    labels = Labels(sorted("".join(str(d) for d in w)
+                           for w in itertools.product(range(q), repeat=n)))
+    cliques = labels.indices_of([lab[:pos] + str(v) + lab[pos + 1:] for lab in labels
+                                 for pos in range(n) if lab[pos] == "0" for v in range(q)])
+    g, S = _host_with_cliques(labels, cliques.reshape(-1, q), q - 1, 1, "hamming", (n, q))
     # the coordinate cycle, and +1 mod q in the last coordinate (the whole
     # label when n = 1, where q may take two digits)
     _label_generators(g, [lambda w: w[n - 1:] + w[:n - 1],
@@ -178,11 +176,12 @@ def build_johnson(n: int, w: int,
     _guard(_capped(max(w, n.bit_length() - 1), lambda: comb(n, w)), cap, f"johnson({n},{w})",
            lambda: w * (n - w))
     points = range(1, n + 1)
-    labels = sorted(johnson_label(s) for s in itertools.combinations(points, w))
-    idx = {lab: i for i, lab in enumerate(labels)}
-    cliques = [[idx[johnson_label(core + (x,))] for x in points if x not in core]
-               for core in itertools.combinations(points, w - 1)]
-    g, S = _host_with_cliques(labels, cliques, n - w, 1, "johnson", (n, w))
+    labels = Labels(sorted(johnson_label(s) for s in itertools.combinations(points, w)))
+    cliques = labels.indices_of([johnson_label(core + (x,))
+                                 for core in itertools.combinations(points, w - 1)
+                                 for x in points if x not in core])
+    g, S = _host_with_cliques(labels, cliques.reshape(-1, n - w + 1), n - w, 1, "johnson",
+                              (n, w))
     # the point cycle i -> i mod n + 1, and the transposition (1 2)
     _label_generators(g, [lambda lab: johnson_label(int(x) % n + 1 for x in lab.split(",")),
                           lambda lab: johnson_label({1: 2, 2: 1}.get(int(x), int(x))
@@ -280,28 +279,30 @@ def doob_array(m: int, n: int) -> IntersectionArray:
 
 # --- Grassmann ----------------------------------------------------------------
 
-def _labels(rows: np.ndarray, d: int) -> list[str]:
-    """The vertex label of each flattened (d * n)-digit RREF basis in rows:
-    the d rows of n digits, '/'-joined ("0" for d = 0)."""
+def _labels(rows: np.ndarray, d: int) -> np.ndarray:
+    """The vertex label of each flattened (d * n)-digit RREF basis in rows,
+    as an S array of its bytes: the d rows of n digits, '/'-joined ("0" for
+    d = 0).  The last row ends in a NUL for its '/', which the S type drops."""
     if d == 0:
-        return ["0"] * len(rows)
+        return np.full(len(rows), b"0")
     n = rows.shape[1] // d
     chars = np.full((len(rows), d, n + 1), ord("/"), dtype=np.uint8)
     chars[:, :, :n] = rows.reshape(len(rows), d, n) + ord("0")
-    width = d * (n + 1) - 1
-    text = chars.reshape(len(rows), -1)[:, :width].tobytes().decode()
-    return [text[i:i + width] for i in range(0, len(text), width)]
+    chars[:, -1, n] = 0
+    return chars.reshape(len(rows), -1).view(f"S{d * (n + 1)}").ravel()
 
 
 def _hyperplane_buckets(bases: np.ndarray, field, size: int):
-    """The labels of the subspaces in bases (N, d, n), sorted (labels share
-    their length and separator positions, so label order is pack_digits key
-    order), the sorted vertex indices, in _index_type, grouped by the
-    (d-1)-subspaces they contain, as one row of size members per
-    (d-1)-subspace, and the keys in label order.  Hyperplanes are grouped by
+    """The labels of the subspaces in bases (N, d, n), sorted, as _labels
+    bytes (labels share their length and separator positions, so label order
+    is pack_digits key order), the sorted vertex indices, in _index_type,
+    grouped by the (d-1)-subspaces they contain, as one row of size members
+    per (d-1)-subspace, and the keys in label order.  Hyperplanes are grouped by
     sorting their hyperplane_keys; a group of the wrong size names the
     (d-1)-subspace whose first member comes earliest in (vertex enumeration,
-    hyperplane) order."""
+    hyperplane) order.  The keys are sorted in the narrowest unsigned type
+    that holds q^(n(d-1)) of them: NumPy's stable sort is a radix sort up to
+    16 bits."""
     nv, d, n = bases.shape
     flat = bases.reshape(nv, d * n)
     keys = pack_digits(flat, field.q)
@@ -312,7 +313,8 @@ def _hyperplane_buckets(bases: np.ndarray, field, size: int):
     vertex[order] = np.arange(nv)
     per_vertex = gaussian_binomial(d, 1, field.q)
     rows = np.empty((nv * per_vertex // size, size), dtype=vertex.dtype)
-    hkeys = hyperplane_keys(bases, field).ravel()
+    hkeys = hyperplane_keys(bases, field).ravel().astype(
+        np.min_scalar_type(field.q ** (n * (d - 1)) - 1))
     at = np.argsort(hkeys, kind="stable")
     hkeys = hkeys[at]
     starts = np.flatnonzero(np.r_[True, hkeys[1:] != hkeys[:-1]])
@@ -320,8 +322,8 @@ def _hyperplane_buckets(bases: np.ndarray, field, size: int):
     bad = np.flatnonzero(sizes != size)
     if bad.size:
         g = bad[np.argmin(at[starts[bad]])]
-        digits = unpack_digits(hkeys[starts[g], None], field.q, (d - 1) * n)
-        raise CrossCheckViolation(f"(d-1)-subspace {_labels(digits, d - 1)[0]} lies in "
+        digits = unpack_digits(hkeys[starts[g], None].astype(np.int64), field.q, (d - 1) * n)
+        raise CrossCheckViolation(f"(d-1)-subspace {_labels(digits, d - 1)[0].decode()} lies in "
                                   f"{sizes[g]} vertices, expected {size}")
     np.floor_divide(at, per_vertex, out=at)
     np.take(vertex, at, out=rows.reshape(-1), mode="clip")

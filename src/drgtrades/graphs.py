@@ -15,6 +15,7 @@ integers, so nothing leaves exact arithmetic.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -48,8 +49,133 @@ class Verdict:
         return self.ok
 
 
+def _encoded(labels: list) -> np.ndarray | None:
+    """The labels' UTF-8 bytes as one S array, or None unless each is a str
+    that UTF-8 encodes and that holds no NUL: an S array drops trailing NULs.
+    One encode of the labels NUL-joined, split at the NULs."""
+    if not labels:
+        return np.array([], dtype="S1")
+    try:
+        text = "\0".join(labels)
+        if text.count("\0") == len(labels) - 1:
+            return np.array(text.encode().split(b"\0"))
+    except (TypeError, UnicodeEncodeError):
+        pass
+    return None
+
+
+class Labels(Sequence):
+    """Distinct vertex labels, read-only, kept as one numpy S array of their
+    UTF-8 bytes in vertex order (_bytes), with its stable argsort (_order)
+    when they are not in label order, else None.  An int index gives a str,
+    a slice or an index array a list of them; a lookup is one searchsorted.
+    Labels are str holding no NUL, or handed in as an S array of their bytes,
+    which is kept without a copy.  Only these methods read _bytes and _order."""
+
+    __slots__ = ("_bytes", "_order")
+
+    def __init__(self, labels):
+        if isinstance(labels, np.ndarray) and labels.dtype.kind == "S":
+            store = labels.ravel()
+            # a NUL inside a label is one followed by a byte that is not NUL
+            for block in _blocks(len(store), store.itemsize):
+                b = store[block].view(np.uint8).reshape(-1, store.itemsize)
+                if ((b[:, :-1] == 0) & (b[:, 1:] != 0)).any():
+                    raise ValueError("vertex labels must not hold NUL")
+        else:
+            store = _encoded(list(labels))
+            if store is None:
+                raise ValueError("vertex labels must be UTF-8 encodable str without NUL")
+        store.flags.writeable = False
+        self._bytes, self._order = store, None
+        if not (store[1:] > store[:-1]).all():
+            order = np.argsort(store, kind="stable")
+            ranked = store[order]
+            if (ranked[1:] == ranked[:-1]).any():
+                raise ValueError("duplicate vertex labels")
+            self._order = order
+
+    def __len__(self) -> int:
+        return len(self._bytes)
+
+    def __getitem__(self, i):
+        picked = self._bytes[i]
+        if isinstance(picked, bytes):       # an int index gives one np.bytes_
+            return picked.decode()
+        return [lab.decode() for lab in picked.tolist()]
+
+    def __iter__(self):
+        for block in _blocks(len(self), self._bytes.itemsize):
+            yield from self[block]
+
+    def __eq__(self, other):
+        if isinstance(other, Labels):
+            return np.array_equal(self._bytes, other._bytes)
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Labels({self[:]})" if len(self) <= 8 else f"Labels({len(self)} labels)"
+
+    @property
+    def is_sorted(self) -> bool:
+        """True when vertex order is label order."""
+        return self._order is None
+
+    @property
+    def utf8(self) -> np.ndarray:
+        """The labels' UTF-8 bytes in vertex order, the read-only S array."""
+        return self._bytes
+
+    def take(self, vs) -> Labels:
+        """The labels of the vertices vs, a store of their own."""
+        return Labels(self._bytes[vs])
+
+    def index_of(self, label) -> int:
+        """The vertex labelled label; KeyError if none is."""
+        if not isinstance(label, str) or "\0" in label:
+            raise KeyError(label)
+        key = label.encode(errors="surrogatepass")
+        if len(key) > self._bytes.itemsize:
+            raise KeyError(label)
+        at = int(np.searchsorted(self._bytes, key, sorter=self._order))
+        if at < len(self) and self._order is not None:
+            at = int(self._order[at])
+        if at == len(self) or self._bytes[at] != key:
+            raise KeyError(label)
+        return at
+
+    def indices_of(self, labels) -> np.ndarray:
+        """index_of of each of labels, strs or an S array of their UTF-8
+        bytes, as an intp array, by one searchsorted; KeyError names the
+        first label that no vertex has."""
+        if isinstance(labels, np.ndarray):
+            keys = labels.ravel()
+        else:
+            labels = list(labels)
+            keys = _encoded(labels)
+        if keys is None:        # a label that _encoded refuses raises here
+            return np.array([self.index_of(lab) for lab in labels], dtype=np.intp)
+        width, long, probe = self._bytes.itemsize, np.zeros(len(keys), dtype=bool), keys
+        if keys.itemsize > width:   # a common type would copy the store
+            long = (keys.view(np.uint8).reshape(len(keys), -1)[:, width:] != 0).any(axis=1)
+            probe = keys.astype(self._bytes.dtype)
+        at = np.minimum(np.searchsorted(self._bytes, probe, sorter=self._order), len(self) - 1)
+        if self._order is not None:
+            at = self._order[at]
+        miss = np.flatnonzero(long | (self._bytes[at] != probe))
+        if miss.size:
+            i = int(miss[0])
+            raise KeyError(labels[i] if isinstance(labels, list) else keys[i].decode())
+        return at
+
+
 class Graph:
-    """Finite simple undirected graph with canonical string labels.
+    """Finite simple undirected graph with canonical string labels, kept in
+    a Labels store.
 
     Vertex order is the label order handed in by the constructor; family
     builders always pass labels sorted, so indices are reproducible across
@@ -71,10 +197,7 @@ class Graph:
     """
 
     def __init__(self, labels, edges, family=None, params=None):
-        self.labels = list(labels)
-        self._index = dict(zip(self.labels, range(len(self.labels))))
-        if len(self._index) != len(self.labels):
-            raise ValueError("duplicate vertex labels")
+        self.labels = labels if isinstance(labels, Labels) else Labels(labels)
         self.family = family
         self.params = tuple(params) if params is not None else None
         n = len(self.labels)
@@ -182,7 +305,7 @@ class Graph:
         return sums if self._m == 1 else sums // self._m
 
     def index_of(self, label: str) -> int:
-        return self._index[label]
+        return self.labels.index_of(label)
 
     def edge_array(self) -> np.ndarray:
         """Edge pairs (i, j) with i < j as an (E, 2) array, lexicographically
@@ -343,7 +466,9 @@ class Graph:
         _row_ids at a time: in a row at lo + t, t being 0 or 1, it has up
         * (1 - t) neighbors one shell out and (w - up) * t one shell in, so
         the sums of up, lo and up * lo over its rows give both counts, each
-        neighbor counted in the _m rows it shares with the vertex.
+        neighbor counted in the _m rows it shares with the vertex.  The
+        terms and sums stay within 2 * r * w * (rho + 1) for rho the largest
+        distance, and are held in the narrowest signed type that holds it.
         Otherwise a block of vertices at a time gathers their _hood (a vertex
         is no shell away from itself), at most _GATHER_BLOCK entries."""
         n, m = self.num_vertices, dist.size // self.num_vertices
@@ -351,7 +476,8 @@ class Graph:
         if self._flat is None:
             r, w = self._row_ids.shape[1], self._cliques.shape[1]
             lo, up = _row_levels(dist, self._cliques)
-            terms = np.stack([up, lo, up * lo])
+            terms = np.stack([up, lo, up * lo], dtype=np.min_scalar_type(
+                -2 * r * w * (int(dist.max()) + 1)))
             fwd, bwd = np.empty((2,) + dist.shape, dtype=terms.dtype)
             for block in _blocks(n, 3 * m):
                 s_up, s_lo, s_p = sums = terms.take(self._row_ids[block, 0], axis=-1)
@@ -587,15 +713,13 @@ def induced_subgraph(g: Graph, verts) -> tuple[Graph, list[int]]:
     hosts = np.flatnonzero(vertex_mask(g, vertex_indices(g, verts)))
     if not hosts.size:
         raise ValueError("empty vertex set")
-    back = hosts.tolist()
     pos = np.full(g.num_vertices, -1, dtype=np.int64)
-    pos[hosts] = np.arange(len(back))
+    pos[hosts] = np.arange(len(hosts))
     heads = np.repeat(hosts, g.degrees[hosts])
     nbrs = g.neighbors_of(hosts)
     keep = (pos[nbrs] >= 0) & (heads < nbrs)
     edges = np.stack([pos[heads[keep]], pos[nbrs[keep]]], axis=1)
-    sub = Graph([g.labels[h] for h in back], edges)
-    return sub, back
+    return Graph(g.labels.take(hosts), edges), hosts.tolist()
 
 
 def is_isometric_subgraph(g: Graph, verts) -> Verdict:
@@ -635,7 +759,7 @@ def is_bipartite(g: Graph) -> Verdict:
                 nbrs = g.neighbors(p[-1])
                 p.append(int(nbrs[dist[nbrs] == dist[p[-1]] - 1][0]))
         cycle = paths[0] + paths[1][-2::-1]
-        return Verdict(False, witness=[g.labels[x] for x in cycle], detail="odd cycle")
+        return Verdict(False, witness=g.labels[cycle], detail="odd cycle")
     if (dist < 0).any():
         raise Disconnected("2-coloring undefined on a disconnected graph")
     return Verdict(True, value=tuple((dist % 2).tolist()))
@@ -792,7 +916,7 @@ def _transitive(g: Graph, perms) -> bool:
             if bad.size:
                 v = block.start + int(bad[0])
                 u = next(u for u in g.neighbors(v).tolist() if p[u] not in g.neighbors(p[v]))
-                labs = [g.labels[x] for x in (v, u, p[v], p[u])]
+                labs = g.labels[[v, u, p[v], p[u]]]
                 raise CrossCheckViolation(
                     f"generator {i} maps edge {labs[0]}-{labs[1]} to non-edge {labs[2]}-{labs[3]}")
     seen = np.zeros(n, dtype=bool)
@@ -855,7 +979,7 @@ def verify_clique_system(g: Graph, S: CliqueSystem) -> Verdict:
 def graph_to_json(g: Graph) -> dict:
     """Serialization with vertices sorted by label and lexicographic edges,
     bit-exact across runs."""
-    if g.labels != sorted(g.labels):
+    if not g.labels.is_sorted:
         raise CrossCheckViolation("graph_to_json: constructors must sort labels")
     return {
         "family": g.family,

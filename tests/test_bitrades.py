@@ -398,11 +398,23 @@ def test_seeded_corruptions_are_pinned():
 
 @pytest.mark.parametrize("name,params", [("octahedron", (2,)), ("octahedron", (3,)),
                                          ("hamming", (3, 3)), ("johnson", (6, 3)),
-                                         ("halved_cube", (8,)), ("grassmann", (4, 2, 2))])
+                                         ("halved_cube", (8,)), ("grassmann", (4, 2, 2)),
+                                         ("grassmann", (7, 3, 2))])
 def test_corruptions_match_the_reference_that_builds_every_pool(name, params):
-    # the criterion-9 families, and the 4-cycle, whose only corruptions are drops
+    # the criterion-9 families, the 4-cycle, whose only corruptions are drops,
+    # and J_2(7,3), a host of 11,811 vertices
     T = MIN_BITRADES[name](*params, host=build_family(name, params)[0])
     rng, ref = random.Random(77), random.Random(77)
+    for _ in range(50):
+        assert corrupt_one_vertex(T, rng) == reference_corrupt_one_vertex(T, ref)
+
+
+def test_corruptions_of_an_irregular_host_match_the_reference():
+    # on a path the side vertices have one or two neighbors, so a neighbor
+    # move's vertex is found from the running degree sums
+    g = Graph([f"p{i}" for i in range(7)], [(i, i + 1) for i in range(6)])
+    T = Bitrade(g, frozenset({0, 3}), frozenset({5}))
+    rng, ref = random.Random(78), random.Random(78)
     for _ in range(50):
         assert corrupt_one_vertex(T, rng) == reference_corrupt_one_vertex(T, ref)
 

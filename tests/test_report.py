@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,3 +156,21 @@ def test_a_wrong_closed_form_names_the_trade_subgraph_array(monkeypatch, number,
     res = report.run_criterion(number)
     assert not res.passed
     assert res.detail == detail
+
+
+def test_criterion_11_shell_counts_stay_narrow_on_grassmann(shell_hosts):
+    # J_2(6,3) is stored as its rows: r = 7, w = 15 and rho = 3, so every
+    # term and sum lies within 2 * r * w * (rho + 1) = 840, held in int16
+    g, arr = next((g, arr) for _, params, g, arr in shell_hosts if params == (6, 3, 2))
+    rng = random.Random(1101)
+    verts = [rng.randrange(g.num_vertices) for _ in range(10)]
+    dm = np.stack([g.multi_source_distances([x]) for x in verts])
+    assert all(c.dtype == np.int16 for c in g._shell_counts(dm))
+    report._center_shells(g, arr, verts, "grassmann")
+    tracemalloc.start()
+    try:
+        report._center_shells(g, arr, verts, "grassmann")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.45 * 2 ** 20        # 0.61 MiB with the terms in int32

@@ -151,3 +151,31 @@ def test_gather_bound_is_read_only_by_blocks():
     found, inside = outside("_blocks", lambda node: isinstance(node, ast.Name)
                             and node.id == "_GATHER_BLOCK" and isinstance(node.ctx, ast.Load))
     assert found == [] and inside == 1
+
+
+def test_only_the_label_store_reads_its_array():
+    # Graph's labels are one Labels store: other code reads them as strs, by
+    # index, or looks them up through index_of and indices_of
+    found, inside = outside("Labels", lambda node: isinstance(node, ast.Attribute)
+                            and node.attr in ("_bytes", "_order"))
+    assert found == [] and inside
+
+
+def label_dicts(trees):
+    """file:line of each dict comprehension over enumerate and each
+    dict(zip(...)): a map from items, such as labels, to their positions."""
+    def named(node, name):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+    return [f"{name}:{node.lineno}" for name, tree in trees for node in ast.walk(tree)
+            if (isinstance(node, ast.DictComp)
+                and any(named(gen.iter, "enumerate") for gen in node.generators))
+            or (named(node, "dict") and any(named(arg, "zip") for arg in node.args))]
+
+
+def test_no_module_builds_a_label_dict():
+    # a dict from labels to vertices holds a str and an entry per vertex
+    # beside the store, whose searchsorted finds them
+    assert label_dicts(package_trees()) == []
+    old = ast.parse("idx = {lab: i for i, lab in enumerate(labels)}\n"
+                    "index = dict(zip(labels, range(len(labels))))")
+    assert label_dicts([("old.py", old)]) == ["old.py:1", "old.py:2"]
