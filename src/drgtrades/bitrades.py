@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +43,6 @@ from .graphs import (
     is_isometric_subgraph,
     is_regular,
     vertex_indices,
-    vertex_mask,
 )
 from .spectral import (
     is_matrix_eigenvalue,
@@ -55,21 +54,36 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class Bitrade:
-    """Disjoint nonempty independent vertex sets (T0, T1) in a host graph."""
+    """Disjoint nonempty independent vertex sets (T0, T1) in a host graph.
+
+    It keeps what proving the sides independent computes: at[i], side i as
+    an intp index array in no particular order, and counts[i, v], the number
+    of v's neighbors in side i, read-only in the host's count_type.  The
+    criteria read these; equality, hash and repr see only (host, t0, t1)."""
 
     host: Graph
     t0: frozenset
     t1: frozenset
+    at: tuple = field(init=False, compare=False, repr=False)
+    counts: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.t0 or not self.t1:
+        host, t0, t1 = self.host, self.t0, self.t1
+        if not t0 or not t1:
             raise ValueError("both trades must be nonempty")
-        if self.t0 & self.t1:
+        if not t0.isdisjoint(t1):
             raise ValueError("trades must be disjoint")
-        vertex_indices(self.host, self.support)
-        for side, name in ((self.t0, "T0"), (self.t1, "T1")):
-            if self.host.neighbor_counts(list(side))[list(side)].any():
-                raise ValueError(f"{name} is not an independent set")
+        # intp, which NumPy indexes by without a cast
+        sup = vertex_indices(host, [*t0, *t1]).astype(np.intp)
+        at = sup[:len(t0)], sup[len(t0):]
+        counts = np.empty((2, host.num_vertices), dtype=host.count_type)
+        for i, side in enumerate(at):
+            counts[i] = side_counts = host.neighbor_counts(side)
+            if side_counts[side].any():
+                raise ValueError(f"T{i} is not an independent set")
+        counts.flags.writeable = False
+        object.__setattr__(self, "at", at)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def cardinality(self) -> int:
@@ -171,7 +185,7 @@ def check_criterion_a(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
     """Every clique meets each of T0 and T1 exactly once, or misses both,
     counted from the clique incidence of the support alone (S.hits)."""
     _on_host(g, S, T)
-    hits0, hits1 = S.hits(T.t0), S.hits(T.t1)
+    hits0, hits1 = S.hits(T.at[0]), S.hits(T.at[1])
     bad = np.flatnonzero((hits0 != hits1) | (hits0 > 1))
     if bad.size:
         ci = int(bad[0])
@@ -189,10 +203,12 @@ def check_criterion_b(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
 
 def _signed_eigenfunction(g: Graph, T: Bitrade, theta) -> Verdict:
     """verify_eigenfunction on T's signed indicator f, in int64: (A f)(x) is
-    the number of T0 neighbors of x less the number of T1 neighbors."""
+    the number of T0 neighbors of x less the number of T1 neighbors, read off
+    the bitrade's kept counts."""
     th = Fraction(theta)
-    f = vertex_mask(g, T.t0).astype(np.int64) - vertex_mask(g, T.t1)
-    af = g.neighbor_counts(list(T.t0)) - g.neighbor_counts(list(T.t1))
+    f = np.zeros(g.num_vertices, dtype=np.int64)
+    f[T.at[0]], f[T.at[1]] = 1, -1
+    af = np.subtract(T.counts[0], T.counts[1], dtype=np.int64)
     bad = np.flatnonzero(af * th.denominator != f * th.numerator)
     if not bad.size:
         return Verdict(True)
@@ -204,12 +220,12 @@ def _signed_eigenfunction(g: Graph, T: Bitrade, theta) -> Verdict:
 def check_criterion_c(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
     """The induced subgraph on T0 u T1 is regular of degree k/s (bipartite,
     since Bitrade refuses a dependent side): each support vertex's neighbors
-    inside the support, counted by Graph.neighbor_counts; the witness is the
-    first support vertex by index whose count is not k/s."""
+    inside the support, the sum of the bitrade's kept counts in T0 and in T1;
+    the witness is the first support vertex by index whose count is not k/s."""
     _on_host(g, S, T)
     target = -_theta(_degree(g), S)
-    sup = np.array(sorted(T.support))
-    degs = g.neighbor_counts(sup)[sup]
+    sup = np.sort(np.concatenate(T.at))
+    degs = np.add(T.counts[0][sup], T.counts[1][sup], dtype=np.int64)
     bad = np.flatnonzero(degs * target.denominator != target.numerator)
     if not bad.size:
         return Verdict(True)
@@ -469,11 +485,11 @@ def corrupt_one_vertex(T: Bitrade, rng: random.Random) -> Bitrade:
     of each.  A vertex u outside the support may replace v when v is its
     only neighbor in the side (a neighbor move) or when it has none (any
     other move, or an addition)."""
-    host = T.host
-    free = ~vertex_mask(host, T.support)
-    sides = [np.array(sorted(side), dtype=np.int64) for side in (T.t0, T.t1)]
+    host, side_nbrs = T.host, T.counts
+    free = np.ones(host.num_vertices, dtype=bool)
+    free[T.at[0]] = free[T.at[1]] = False
+    sides = [np.sort(at) for at in T.at]
     nbrs = [host.neighbors_of(vs) for vs in sides]
-    side_nbrs = [np.bincount(x, minlength=host.num_vertices) for x in nbrs]
     lonely = [np.flatnonzero(free & (c == 0)) for c in side_nbrs]
 
     def neighbor_moves(which):

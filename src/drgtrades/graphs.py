@@ -262,6 +262,12 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return self._degrees
 
+    @cached_property
+    def count_type(self) -> np.dtype:
+        """The narrowest unsigned type that holds the largest degree, so
+        any vertex's number of neighbors in a vertex set."""
+        return np.min_scalar_type(int(self.degrees.max()))
+
     def neighbors(self, v: int) -> np.ndarray:
         if self._flat is not None:
             return self._flat[self._off[v]:self._off[v + 1]]
@@ -587,8 +593,9 @@ class CliqueSystem:
     def hits(self, vertices) -> np.ndarray:
         """The number of each row's entries in a set of distinct vertices,
         vertex_mask(host, vertices)[cliques].sum(axis=1), counted from the
-        entries of those vertices alone."""
-        at = _segments(*self._incidence, list(vertices))
+        entries of those vertices alone; an index array is read as it is."""
+        at = _segments(*self._incidence,
+                       vertices if isinstance(vertices, np.ndarray) else list(vertices))
         return np.bincount(at // (self.s + 1), minlength=len(self.cliques))
 
     def __repr__(self):

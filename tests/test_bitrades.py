@@ -62,8 +62,8 @@ from drgtrades.graphs import (
     verify_clique_system,
 )
 from drgtrades.spectral import verify_eigenfunction, wd_bound
-from helpers import (cycle_graph, reference_corrupt_one_vertex, reference_criterion_a,
-                     reference_hits, signed_function)
+from helpers import (cycle_graph, neighbor_rows, reference_corrupt_one_vertex,
+                     reference_criterion_a, reference_hits, signed_function)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +100,53 @@ def test_bitrade_rejects_out_of_range_vertices(johnson63):
     for t0 in ({-1}, {g.num_vertices}):
         with pytest.raises(ValueError, match="vertex index out of range"):
             Bitrade(g, frozenset(t0), frozenset([1]))
+
+
+# the family hosts by adjacency: CSR (the octahedron, the binary cube and
+# the Doob graph), rows with each edge once, and the halved cube's rows
+# holding each edge twice
+KEPT_COUNT_HOSTS = [("octahedron", (3,)), ("hamming", (3, 2)), ("doob", (1, 1)),
+                    ("hamming", (3, 3)), ("johnson", (6, 3)), ("grassmann", (4, 2, 2)),
+                    ("halved_cube", (6,))]
+
+
+@pytest.mark.parametrize("name,params", KEPT_COUNT_HOSTS)
+def test_kept_counts_match_the_neighbor_rows(name, params):
+    g = build_family(name, params)[0]
+    nbrs = neighbor_rows(g)
+    T = MIN_BITRADES[name](*params, host=g)
+    rng = random.Random(61)
+    for B in [T] + [corrupt_one_vertex(T, rng) for _ in range(10)]:
+        want = [np.bincount(nbrs[sorted(side)].ravel(), minlength=g.num_vertices)
+                for side in (B.t0, B.t1)]
+        assert np.array_equal(B.counts, want)
+        assert [sorted(at.tolist()) for at in B.at] == [sorted(B.t0), sorted(B.t1)]
+        assert B.counts.dtype == np.min_scalar_type(g.degrees.max()) == np.uint8
+        assert not B.counts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            B.counts[0, 0] = 1
+
+
+def test_kept_counts_of_an_irregular_host():
+    # a star on the leaves 1..300 with the extra edges 1-300 and 300-301:
+    # its centre's degree, 300, needs uint16
+    g = Graph([f"v{i:03d}" for i in range(302)],
+              [(0, i) for i in range(1, 301)] + [(1, 300), (300, 301)])
+    T = Bitrade(g, frozenset({0, 301}), frozenset({1}))
+    want = np.zeros((2, 302), dtype=np.int64)
+    want[0, 1:301] += 1         # the centre's leaves
+    want[0, 300] += 1           # 300 is also the tail's neighbor
+    want[1, [0, 300]] = 1
+    assert np.array_equal(T.counts, want) and T.counts.dtype == np.uint16
+
+
+def test_bitrades_with_the_same_sides_are_equal(johnson63):
+    g, _ = johnson63
+    T = min_bitrade_johnson(6, 3, host=g)
+    twin = Bitrade(g, frozenset(sorted(T.t0, reverse=True)), frozenset(T.t1))
+    assert twin == T and hash(twin) == hash(T) and twin.counts is not T.counts
+    assert repr(twin) == repr(T) == "Bitrade(|T0|=4, |T1|=4)"
+    assert twin != Bitrade(g, T.t1, T.t0)
 
 
 def verify_pseudo_bitrade_of(g, S, T):
@@ -823,6 +870,28 @@ def test_valid_verify_bitrade_builds_one_trade_subgraph_and_one_bfs(monkeypatch,
     assert [h for h in searched if h is not g] == built
     assert rep.isometric.value is built[0]
     assert host_depths == [3]           # the isometry search, bounded by the 3-cube's diameter
+
+
+def test_failing_verify_bitrade_reads_the_kept_counts(monkeypatch, johnson63):
+    # the constructor counts each side's neighbors once; criteria a-c of a
+    # failing verdict gather nothing more from the host
+    g, S = johnson63
+    T = min_bitrade_johnson(6, 3, host=g)
+    counted, gathered = [], []
+    counts, hood = Graph.neighbor_counts, Graph._hood
+    monkeypatch.setattr(Graph, "neighbor_counts",
+                        lambda self, vs: counted.append(len(vs)) or counts(self, vs))
+    monkeypatch.setattr(Graph, "_hood", lambda self, vs: gathered.append(vs) or hood(self, vs))
+    Bitrade(g, T.t0, T.t1)
+    assert counted == [4, 4]
+    counted.clear()
+    bad = corrupt_one_vertex(T, random.Random(5))      # builds one Bitrade
+    assert counted == [len(bad.t0), len(bad.t1)]
+    counted.clear()
+    gathered.clear()
+    rep = verify_bitrade(g, S, bad, host_array=johnson_array(6, 3))
+    assert not rep.all_pass and rep.criteria_agree
+    assert counted == gathered == []
 
 
 def test_dual_polar_bipartition_cross_check(monkeypatch):
