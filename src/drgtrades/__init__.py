@@ -12,7 +12,6 @@ from .errors import (
     InvalidParameters,
     NonIntegerSpectrum,
     NotAnEigenvalue,
-    NotCompletelyRegular,
     NotDistanceRegular,
     UnsupportedFieldOrder,
     ZeroFunction,
@@ -40,14 +39,12 @@ from .graphs import (
 )
 from .spectral import (
     VertexFunction,
-    delta_function,
     intersection_matrix_eigenvalues,
     standard_eigenvector,
     theta_min,
     verify_eigenfunction,
     wd_bound,
     wd_coefficients,
-    weight_distribution_of,
 )
 from .families import (
     FAMILIES,

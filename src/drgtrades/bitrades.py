@@ -490,7 +490,6 @@ def corrupt_one_vertex(T: Bitrade, rng: random.Random) -> Bitrade:
     free[T.at[0]] = free[T.at[1]] = False
     sides = [np.sort(at) for at in T.at]
     nbrs = [host.neighbors_of(vs) for vs in sides]
-    lonely = [np.flatnonzero(free & (c == 0)) for c in side_nbrs]
 
     def neighbor_moves(which):
         vs, x = sides[which], nbrs[which]
@@ -499,12 +498,20 @@ def corrupt_one_vertex(T: Bitrade, rng: random.Random) -> Bitrade:
         return near.size, lambda i: (vs[np.searchsorted(ends, near[i], side="right")],
                                      x[near[i]])
 
+    lonely = []     # both sides', found once when no side has a neighbor move
+
+    def lonely_of(which):
+        if not lonely:
+            lonely.extend(np.flatnonzero(free & (c == 0)) for c in side_nbrs)
+        return lonely[which]
+
     def other_moves(which):
-        vs, u = sides[which], lonely[which]
+        vs, u = sides[which], lonely_of(which)
         return vs.size * u.size, lambda i: (vs[i // u.size], u[i % u.size])
 
     def adds(which):
-        return lonely[which].size, lambda i: (-1, lonely[which][i])
+        u = lonely_of(which)
+        return u.size, lambda i: (-1, u[i])
 
     def drops(which):
         vs = sides[which] if sides[which].size >= 2 else sides[which][:0]

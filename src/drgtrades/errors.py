@@ -21,10 +21,6 @@ class NotAnEigenvalue(ValueError):
     """The tridiagonal recurrence does not close for this value."""
 
 
-class NotCompletelyRegular(ValueError):
-    """The vertex set is not completely regular."""
-
-
 class ZeroFunction(ValueError):
     """Vertex function is identically zero."""
 

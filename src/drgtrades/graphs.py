@@ -65,14 +65,14 @@ def _encoded(labels: list) -> np.ndarray | None:
 
 
 class Labels(Sequence):
-    """Distinct vertex labels, read-only, kept as one numpy S array of their
-    UTF-8 bytes in vertex order (_bytes), with its stable argsort (_order)
-    when they are not in label order, else None.  An int index gives a str,
-    a slice or an index array a list of them; a lookup is one searchsorted.
-    Labels are str holding no NUL, or handed in as an S array of their bytes,
-    which is kept without a copy.  Only these methods read _bytes and _order."""
+    """Distinct vertex labels in sorted order, read-only, kept as one numpy S
+    array of their UTF-8 bytes (_bytes), whose byte order is str order: vertex
+    order is label order, and a lookup is one searchsorted.  An int index
+    gives a str, a slice or an index array a list of them.  Labels are str
+    holding no NUL, or handed in as an S array of their bytes, which is kept
+    without a copy.  Only these methods read _bytes."""
 
-    __slots__ = ("_bytes", "_order")
+    __slots__ = ("_bytes",)
 
     def __init__(self, labels):
         if isinstance(labels, np.ndarray) and labels.dtype.kind == "S":
@@ -86,14 +86,11 @@ class Labels(Sequence):
             store = _encoded(list(labels))
             if store is None:
                 raise ValueError("vertex labels must be UTF-8 encodable str without NUL")
-        store.flags.writeable = False
-        self._bytes, self._order = store, None
         if not (store[1:] > store[:-1]).all():
-            order = np.argsort(store, kind="stable")
-            ranked = store[order]
-            if (ranked[1:] == ranked[:-1]).any():
-                raise ValueError("duplicate vertex labels")
-            self._order = order
+            said = "duplicate vertex labels: " if (store[1:] == store[:-1]).any() else ""
+            raise ValueError(said + "vertex labels must be distinct and in sorted order")
+        store.flags.writeable = False
+        self._bytes = store
 
     def __len__(self) -> int:
         return len(self._bytes)
@@ -121,17 +118,12 @@ class Labels(Sequence):
         return f"Labels({self[:]})" if len(self) <= 8 else f"Labels({len(self)} labels)"
 
     @property
-    def is_sorted(self) -> bool:
-        """True when vertex order is label order."""
-        return self._order is None
-
-    @property
     def utf8(self) -> np.ndarray:
         """The labels' UTF-8 bytes in vertex order, the read-only S array."""
         return self._bytes
 
     def take(self, vs) -> Labels:
-        """The labels of the vertices vs, a store of their own."""
+        """The labels of the ascending vertices vs, a store of their own."""
         return Labels(self._bytes[vs])
 
     def index_of(self, label) -> int:
@@ -141,9 +133,7 @@ class Labels(Sequence):
         key = label.encode(errors="surrogatepass")
         if len(key) > self._bytes.itemsize:
             raise KeyError(label)
-        at = int(np.searchsorted(self._bytes, key, sorter=self._order))
-        if at < len(self) and self._order is not None:
-            at = int(self._order[at])
+        at = int(np.searchsorted(self._bytes, key))
         if at == len(self) or self._bytes[at] != key:
             raise KeyError(label)
         return at
@@ -159,14 +149,11 @@ class Labels(Sequence):
             keys = _encoded(labels)
         if keys is None:        # a label that _encoded refuses raises here
             return np.array([self.index_of(lab) for lab in labels], dtype=np.intp)
-        width, long, probe = self._bytes.itemsize, np.zeros(len(keys), dtype=bool), keys
-        if keys.itemsize > width:   # a common type would copy the store
-            long = (keys.view(np.uint8).reshape(len(keys), -1)[:, width:] != 0).any(axis=1)
+        probe = keys
+        if keys.itemsize > self._bytes.itemsize:    # a common type would copy the store
             probe = keys.astype(self._bytes.dtype)
-        at = np.minimum(np.searchsorted(self._bytes, probe, sorter=self._order), len(self) - 1)
-        if self._order is not None:
-            at = self._order[at]
-        miss = np.flatnonzero(long | (self._bytes[at] != probe))
+        at = np.minimum(np.searchsorted(self._bytes, probe), len(self) - 1)
+        miss = np.flatnonzero(self._bytes[at] != keys)
         if miss.size:
             i = int(miss[0])
             raise KeyError(labels[i] if isinstance(labels, list) else keys[i].decode())
@@ -177,17 +164,16 @@ class Graph:
     """Finite simple undirected graph with canonical string labels, kept in
     a Labels store.
 
-    Vertex order is the label order handed in by the constructor; family
-    builders always pass labels sorted, so indices are reproducible across
-    runs and serializations are byte-identical.  Edges are index pairs, kept
-    as CSR arrays (the neighbors of v are _flat[_off[v]:_off[v + 1]],
-    sorted), or clique rows wider than two, kept as they are (_cliques, None
-    exactly on a CSR) with their incidence (_clique_incidence) and each
-    vertex's r rows (_row_ids, in _index_type(N) for N rows): the neighbors
-    of v are the other members of its rows.  Rows must meet every vertex
-    equally often, hold no vertex twice and every pair in equally many rows,
-    m (_m), so the degree is r(w - 1)/m for rows of w.  Vertex indices are
-    kept in _index_type(n).
+    Vertex order is label order, which Labels demands, so indices are
+    reproducible across runs and serializations are byte-identical.  Edges
+    are index pairs, kept as CSR arrays (the neighbors of v are
+    _flat[_off[v]:_off[v + 1]], sorted), or clique rows wider than two, kept
+    as they are (_cliques, None exactly on a CSR) with their incidence
+    (_clique_incidence) and each vertex's r rows (_row_ids, in
+    _index_type(N) for N rows): the neighbors of v are the other members of
+    its rows.  Rows must meet every vertex equally often, hold no vertex
+    twice and every pair in equally many rows, m (_m), so the degree is
+    r(w - 1)/m for rows of w.  Vertex indices are kept in _index_type(n).
 
     Only Graph's methods read these arrays.  Its accessors return each
     vertex's neighbors sorted, once and without the vertex itself, dropping
@@ -592,8 +578,8 @@ class CliqueSystem:
 
     def hits(self, vertices) -> np.ndarray:
         """The number of each row's entries in a set of distinct vertices,
-        vertex_mask(host, vertices)[cliques].sum(axis=1), counted from the
-        entries of those vertices alone; an index array is read as it is."""
+        counted from the entries of those vertices alone; an index array is
+        read as it is."""
         at = _segments(*self._incidence,
                        vertices if isinstance(vertices, np.ndarray) else list(vertices))
         return np.bincount(at // (self.s + 1), minlength=len(self.cliques))
@@ -706,18 +692,12 @@ def _on_host(g: Graph, *parts) -> None:
         raise ValueError("bitrade, clique system or vertex function lies on another host")
 
 
-def vertex_mask(g: Graph, vertices) -> np.ndarray:
-    """Boolean indicator of a vertex set over the vertices of g, for
-    indices that vertex_indices has accepted."""
-    out = np.zeros(g.num_vertices, dtype=bool)
-    out[list(vertices)] = True
-    return out
-
-
 def induced_subgraph(g: Graph, verts) -> tuple[Graph, list[int]]:
     """Subgraph on verts with inherited labels; second item maps subgraph
     indices back to host indices."""
-    hosts = np.flatnonzero(vertex_mask(g, vertex_indices(g, verts)))
+    mask = np.zeros(g.num_vertices, dtype=bool)
+    mask[vertex_indices(g, verts)] = True
+    hosts = np.flatnonzero(mask)
     if not hosts.size:
         raise ValueError("empty vertex set")
     pos = np.full(g.num_vertices, -1, dtype=np.int64)
@@ -832,22 +812,16 @@ def completely_regular_check(g: Graph, C) -> Verdict:
     Partitions vertices by distance to C and demands that forward/backward
     neighbor counts depend only on the distance.
     """
-    return _completely_regular(g, C)[0]
-
-
-def _completely_regular(g: Graph, C) -> tuple[Verdict, np.ndarray | None]:
-    """completely_regular_check's verdict, with the distances to C it read
-    the shells from (None when the host is not regular)."""
     reg = is_regular(g)
     if not reg.ok:
-        return Verdict(False, witness=reg.witness, detail="host graph not regular"), None
+        return Verdict(False, witness=reg.witness, detail="host graph not regular")
     dist = g.multi_source_distances(C)
     if (dist < 0).any():
         raise Disconnected("set does not reach the whole graph")
     arr, witness = _uniform_array(g, dist, reg.value)
     if arr is None:
-        return Verdict(False, witness=witness, detail="non-uniform shell counts"), dist
-    return Verdict(True, value=arr), dist
+        return Verdict(False, witness=witness, detail="non-uniform shell counts")
+    return Verdict(True, value=arr)
 
 
 def distance_regularity_check(g: Graph) -> Verdict:
@@ -986,8 +960,6 @@ def verify_clique_system(g: Graph, S: CliqueSystem) -> Verdict:
 def graph_to_json(g: Graph) -> dict:
     """Serialization with vertices sorted by label and lexicographic edges,
     bit-exact across runs."""
-    if not g.labels.is_sorted:
-        raise CrossCheckViolation("graph_to_json: constructors must sort labels")
     return {
         "family": g.family,
         "params": list(g.params) if g.params is not None else None,

@@ -6,8 +6,8 @@ three-term recurrence of a tridiagonal matrix), each confirmed exactly at
 its integer point, eigenvectors from the same recurrence, and the
 weight-distribution bound from the exact coefficient recursion.  Vertex
 functions hold Python-int numerators over one common denominator, so their
-neighbor and shell sums are numpy sums on object arrays.  No floating point
-is involved anywhere, because the results feed theorem checks where a
+neighbor sums are numpy sums on object arrays.  No floating point is
+involved anywhere, because the results feed theorem checks where a
 tolerance would be meaningless."""
 
 from __future__ import annotations
@@ -15,18 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import lcm
 
 import numpy as np
 
-from .errors import (
-    NonIntegerSpectrum,
-    NotAnEigenvalue,
-    NotCompletelyRegular,
-    ZeroFunction,
-)
-from .graphs import (Graph, IntersectionArray, Verdict, _completely_regular, _on_host,
-                     segment_sums)
+from .errors import NonIntegerSpectrum, NotAnEigenvalue, ZeroFunction
+from .graphs import Graph, IntersectionArray, Verdict, _on_host
 
 
 # --- Sturm sequence and integer spectrum ---------------------------------------
@@ -175,29 +168,3 @@ def verify_eigenfunction(g: Graph, f: VertexFunction, theta) -> Verdict:
     return Verdict(False, witness=(g.labels[x], Fraction(nbsum[x], f.den),
                                    th * Fraction(f.num[x], f.den)),
                    detail="neighbor sum mismatch")
-
-
-def delta_function(g: Graph, C, thetas) -> tuple[list[VertexFunction], np.ndarray]:
-    """For each theta of thetas, the function equal to nu_i on the distance-i
-    shell around the completely regular set C, nu the standard eigenvector of
-    C's matrix at theta (an eigenfunction of g at theta), and the distances to
-    C: one complete-regularity check serves every theta."""
-    res, dist = _completely_regular(g, C)
-    if not res.ok:
-        raise NotCompletelyRegular(str(res.witness))
-    out = []
-    for theta in thetas:
-        nu = standard_eigenvector(res.value, theta)  # may raise NotAnEigenvalue
-        den = lcm(*(v.denominator for v in nu))
-        shells = np.array([v.numerator * (den // v.denominator) for v in nu], dtype=object)
-        out.append(VertexFunction(g, shells[dist], den))
-    return out, dist
-
-
-def weight_distribution_of(f: VertexFunction, dist: np.ndarray) -> list[Fraction]:
-    """Shell sums W^i = sum of f over the vertices at distance i, for i up
-    to dist's maximum: the shells of x when dist is
-    g.multi_source_distances([x])."""
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(dist))))
-    sums = segment_sums(f.num[np.argsort(dist, kind="stable")], bounds)
-    return [Fraction(w, f.den) for w in sums]

@@ -1,7 +1,7 @@
 """Small ad-hoc graphs, the sorted CSR of a graph read through its
-accessors, scalar GF(q) references, scalar Fraction
-references for vertex functions and their sums, the signed indicator of a
-bitrade, the spectrum with its two confirmations stated apart, shell
+accessors, scalar GF(q) references, scalar Fraction references for vertex
+functions and their sums, criterion 11's oracles, the signed indicator of
+a bitrade, the spectrum with its two confirmations stated apart, shell
 counts over neighbor rows with the complete-regularity verdict and the
 per-vertex distance-regularity sweep read from them, a pair count of
 clique systems, clique hits and criterion a by gathering every row,
@@ -21,9 +21,9 @@ from drgtrades.gfq import (SUPPORTED_ORDERS, make_field, matmul_batch, rref_batc
                            totally_isotropic_mask)
 from drgtrades.bitrades import Bitrade
 from drgtrades.graphs import (Graph, IntersectionArray, Verdict, completely_regular_check,
-                              vertex_mask)
+                              segment_sums)
 from drgtrades.errors import NonIntegerSpectrum
-from drgtrades.spectral import VertexFunction, _count_above, _last_minor
+from drgtrades.spectral import VertexFunction, _count_above, _last_minor, standard_eigenvector
 
 
 def cube_graph(n):
@@ -159,7 +159,7 @@ def reference_corrupt_one_vertex(T, rng):
         return np.stack([np.full(v.size, which), v, u], axis=1)
 
     host = T.host
-    free = ~vertex_mask(host, T.support)
+    free = np.isin(np.arange(host.num_vertices), list(T.support), invert=True)
     neighbor_moves, other_moves, adds, drops = [], [], [], []
     for which, side in enumerate((T.t0, T.t1)):
         vs = np.array(sorted(side), dtype=np.int64)
@@ -240,7 +240,7 @@ def max_clique_order(g, node_budget=2_000_000):
     return best
 
 
-# --- scalar Fraction references, independent of spectral -----------------------
+# --- Fraction references independent of spectral; criterion 11's oracles -------
 
 def reference_neighbor_sums(g, values):
     """sum_{y ~ x} values[y] for every vertex x, one Fraction at a time."""
@@ -305,6 +305,33 @@ def reference_delta_values(g, x, theta, dist=None):
         nu.append(((theta - arr.a(i)) * nu[i] - arr.c_at(i) * prev) / arr.b[i])
     dist = reference_distances(g, x) if dist is None else dist
     return [nu[dist[v]] for v in range(g.num_vertices)]
+
+
+def delta_function(g, C, thetas):
+    """For each theta of thetas, the function equal to nu_i on the distance-i
+    shell around the completely regular set C, nu the standard eigenvector of
+    C's matrix at theta (an eigenfunction of g at theta), and the distances to
+    C; ValueError when C is not completely regular."""
+    res = completely_regular_check(g, C)
+    if not res.ok:
+        raise ValueError(f"not completely regular: {res.witness}")
+    dist = g.multi_source_distances(C)
+    out = []
+    for theta in thetas:
+        nu = standard_eigenvector(res.value, theta)  # may raise NotAnEigenvalue
+        den = lcm(*(v.denominator for v in nu))
+        shells = np.array([v.numerator * (den // v.denominator) for v in nu], dtype=object)
+        out.append(VertexFunction(g, shells[dist], den))
+    return out, dist
+
+
+def weight_distribution_of(f, dist):
+    """Shell sums W^i = sum of f over the vertices at distance i, for i up
+    to dist's maximum: the shells of x when dist is
+    g.multi_source_distances([x])."""
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(dist))))
+    sums = segment_sums(f.num[np.argsort(dist, kind="stable")], bounds)
+    return [Fraction(w, f.den) for w in sums]
 
 
 # --- the spectrum with its two confirmations stated apart -------------------------

@@ -42,16 +42,15 @@ from drgtrades.graphs import (
     is_isometric_subgraph,
 )
 from drgtrades.spectral import (
-    delta_function,
     intersection_matrix_eigenvalues,
     is_matrix_eigenvalue,
     standard_eigenvector,
     theta_min,
     verify_eigenfunction,
     wd_bound,
-    weight_distribution_of,
 )
-from helpers import CliqueSearchTooLarge, max_clique_order, signed_function, values
+from helpers import (CliqueSearchTooLarge, delta_function, max_clique_order, signed_function,
+                     values, weight_distribution_of)
 
 FAMILY_INSTANCES = [
     ("octahedron", (3,)),

@@ -16,16 +16,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drgtrades import graphs, report, spectral
+from drgtrades import bitrades, graphs, report, spectral
 from drgtrades.families import hamming_array
-from drgtrades.spectral import (
-    delta_function,
-    intersection_matrix_eigenvalues,
-    wd_coefficients,
-    weight_distribution_of,
-)
-from helpers import (reference_delta_values, reference_distances, reference_shell_sums,
-                     values)
+from drgtrades.spectral import intersection_matrix_eigenvalues, wd_coefficients
+from helpers import (delta_function, reference_delta_values, reference_distances,
+                     reference_shell_sums, values, weight_distribution_of)
 
 
 @pytest.fixture(scope="module")
@@ -63,9 +58,9 @@ def test_criterion_11_runs_one_check_per_center(monkeypatch, shell_hosts):
             return fn(*args)
         return wrapper
 
-    for module in (graphs, spectral):
-        monkeypatch.setattr(module, "_completely_regular",
-                            counted("check", module._completely_regular))
+    for module in (graphs, bitrades):
+        monkeypatch.setattr(module, "completely_regular_check",
+                            counted("check", graphs.completely_regular_check))
     monkeypatch.setattr(graphs.Graph, "multi_source_distances",
                         counted("bfs", graphs.Graph.multi_source_distances))
     monkeypatch.setattr(graphs.Graph, "_shell_counts",

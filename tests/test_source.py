@@ -157,8 +157,28 @@ def test_only_the_label_store_reads_its_array():
     # Graph's labels are one Labels store: other code reads them as strs, by
     # index, or looks them up through index_of and indices_of
     found, inside = outside("Labels", lambda node: isinstance(node, ast.Attribute)
-                            and node.attr in ("_bytes", "_order"))
+                            and node.attr == "_bytes")
     assert found == [] and inside
+
+
+def test_labels_keep_one_sorted_array():
+    # labels are refused unless sorted, so no order beside the store and no
+    # searchsorted through a sorter
+    from drgtrades.graphs import Labels
+    assert Labels.__slots__ == ("_bytes",)
+    found = [f"{name}:{node.lineno}" for name, tree in package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "searchsorted"
+             and any(kw.arg == "sorter" for kw in node.keywords)]
+    assert found == []
+
+
+def test_test_only_functions_are_not_in_the_package():
+    # criterion 11's oracles live in the tests' helpers; the private twin of
+    # completely_regular_check and the mask of induced_subgraph are gone
+    for name in ("delta_function", "weight_distribution_of", "_completely_regular",
+                 "vertex_mask"):
+        assert defining_modules(name) == [], name
 
 
 def label_dicts(trees):

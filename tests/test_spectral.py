@@ -21,13 +21,11 @@ from drgtrades.errors import (
     InvalidParameters,
     NonIntegerSpectrum,
     NotAnEigenvalue,
-    NotCompletelyRegular,
     UnsupportedFieldOrder,
     ZeroFunction,
 )
 from drgtrades.graphs import CliqueSystem, IntersectionArray, Verdict, completely_regular_check
 from drgtrades.spectral import (
-    delta_function,
     intersection_matrix_eigenvalues,
     is_matrix_eigenvalue,
     standard_eigenvector,
@@ -35,7 +33,6 @@ from drgtrades.spectral import (
     verify_eigenfunction,
     wd_bound,
     wd_coefficients,
-    weight_distribution_of,
 )
 from drgtrades.families import (FAMILIES, build_grassmann, build_johnson, family_array,
                                 grassmann_array, hamming_array)
@@ -43,12 +40,14 @@ from drgtrades.gfq import gaussian_binomial
 from helpers import (
     cube_graph,
     cycle_graph,
+    delta_function,
     reference_eigenvalues,
     reference_neighbor_sums,
     reference_shell_sums,
     reference_theta_min,
     values,
     vertex_function,
+    weight_distribution_of,
 )
 
 H4 = IntersectionArray(4, (4, 3, 2, 1), (1, 2, 3, 4))          # 4-cube
@@ -357,7 +356,7 @@ def test_delta_function_every_eigenvalue_verifies():
 
 def test_delta_function_not_cr_raises():
     g = cube_graph(3)
-    with pytest.raises(NotCompletelyRegular):
+    with pytest.raises(ValueError, match="not completely regular"):
         delta_function(g, [g.index_of("000"), g.index_of("011")], [-3])
 
 
