@@ -25,6 +25,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -136,19 +137,20 @@ class DelsartePairReport:
 
 
 def _degree(g: Graph) -> int:
-    """The host's common degree; a host that is not regular raises
-    NotDistanceRegular with is_regular's witness."""
-    reg = is_regular(g)
-    if not reg.ok:
-        raise NotDistanceRegular(str(reg.witness))
-    return reg.value
+    """The common degree the host's construction found; a host that is not
+    regular raises NotDistanceRegular with is_regular's witness."""
+    if g._k is None:
+        raise NotDistanceRegular(str(is_regular(g).witness))
+    return g._k
 
 
-def _theta(k: int, S: CliqueSystem) -> Fraction:
-    """-k/s, the eigenvalue of a (k,s,m) pair's bitrades; ValueError if s = 0."""
-    if not S.s:
+@lru_cache(maxsize=1024)
+def _theta(k: int, s: int) -> Fraction:
+    """-k/s, the eigenvalue of a (k,s,m) pair's bitrades, made once per (k, s);
+    ValueError if s = 0."""
+    if not s:
         raise ValueError("a clique system with s = 0 has no eigenvalue -k/s")
-    return Fraction(-k, S.s)
+    return Fraction(-k, s)
 
 
 def _host_array(g: Graph, host_array=None) -> IntersectionArray:
@@ -186,9 +188,9 @@ def check_criterion_a(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
     counted from the clique incidence of the support alone (S.hits)."""
     _on_host(g, S, T)
     hits0, hits1 = S.hits(T.at[0]), S.hits(T.at[1])
-    bad = np.flatnonzero((hits0 != hits1) | (hits0 > 1))
-    if bad.size:
-        ci = int(bad[0])
+    bad = (hits0 != hits1) | (hits0 > 1)
+    if bad.any():
+        ci = int(bad.argmax())
         members = sorted(g.labels[S.cliques[ci]])
         return Verdict(False, witness=(ci, members, int(hits0[ci]), int(hits1[ci])),
                        detail="clique meets the trades unevenly")
@@ -198,22 +200,24 @@ def check_criterion_a(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
 def check_criterion_b(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
     """The signed indicator function is an eigenfunction at -k/s."""
     _on_host(g, S, T)
-    return _signed_eigenfunction(g, T, _theta(_degree(g), S))
+    return _signed_eigenfunction(g, T, _theta(_degree(g), S.s))
 
 
 def _signed_eigenfunction(g: Graph, T: Bitrade, theta) -> Verdict:
     """verify_eigenfunction on T's signed indicator f, in int64: (A f)(x) is
     the number of T0 neighbors of x less the number of T1 neighbors, read off
-    the bitrade's kept counts."""
+    the bitrade's kept counts, and theta f(x) is theta's numerator on T0, its
+    negation on T1 and 0 elsewhere, over its denominator."""
     th = Fraction(theta)
-    f = np.zeros(g.num_vertices, dtype=np.int64)
-    f[T.at[0]], f[T.at[1]] = 1, -1
     af = np.subtract(T.counts[0], T.counts[1], dtype=np.int64)
-    bad = np.flatnonzero(af * th.denominator != f * th.numerator)
-    if not bad.size:
+    want = np.zeros(g.num_vertices, dtype=np.int64)
+    want[T.at[0]], want[T.at[1]] = th.numerator, -th.numerator
+    bad = af * th.denominator != want
+    if not bad.any():
         return Verdict(True)
-    x = int(bad[0])
-    return Verdict(False, witness=(g.labels[x], Fraction(int(af[x])), th * int(f[x])),
+    x = int(bad.argmax())
+    fx = (x in T.t0) - (x in T.t1)
+    return Verdict(False, witness=(g.labels[x], Fraction(int(af[x])), th * fx),
                    detail="neighbor sum mismatch")
 
 
@@ -223,14 +227,14 @@ def check_criterion_c(g: Graph, S: CliqueSystem, T: Bitrade) -> Verdict:
     inside the support, the sum of the bitrade's kept counts in T0 and in T1;
     the witness is the first support vertex by index whose count is not k/s."""
     _on_host(g, S, T)
-    target = -_theta(_degree(g), S)
+    th = _theta(_degree(g), S.s)
     sup = np.sort(np.concatenate(T.at))
     degs = np.add(T.counts[0][sup], T.counts[1][sup], dtype=np.int64)
-    bad = np.flatnonzero(degs * target.denominator != target.numerator)
-    if not bad.size:
+    bad = degs * th.denominator != -th.numerator
+    if not bad.any():
         return Verdict(True)
-    i = int(bad[0])
-    return Verdict(False, witness=(g.labels[sup[i]], int(degs[i]), target),
+    i = int(bad.argmax())
+    return Verdict(False, witness=(g.labels[sup[i]], int(degs[i]), -th),
                    detail="trade subgraph degree mismatch")
 
 
@@ -259,7 +263,7 @@ def check_minimality(g: Graph, S: CliqueSystem, T: Bitrade,
     content of the minimality theory; disagreement is a hard failure)."""
     _on_host(g, S, T)
     arr = _host_array(g, host_array)
-    bound = _integral_bound(arr, _theta(arr.k, S))
+    bound = _integral_bound(arr, _theta(arr.k, S.s))
     meets = T.cardinality == bound
     iso = is_isometric_subgraph(g, T.support)
     if meets != iso.ok:
@@ -275,7 +279,7 @@ def check_subgraph_dr(g: Graph, S: CliqueSystem,
     failure here is a violated equivalence, not a user error."""
     _on_host(g, S, T)
     arr = _host_array(g)
-    return _subgraph_dr(induced_subgraph(g, T.support)[0], arr, _theta(arr.k, S))
+    return _subgraph_dr(induced_subgraph(g, T.support)[0], arr, _theta(arr.k, S.s))
 
 
 def _subgraph_dr(sub: Graph, arr: IntersectionArray, theta: Fraction) -> tuple:
@@ -328,7 +332,7 @@ def verify_bitrade(g: Graph, S: CliqueSystem, T: Bitrade,
     host array proven (or checked) once."""
     _on_host(g, S, T)
     arr = _host_array(g, host_array)
-    th = _theta(arr.k, S)
+    th = _theta(arr.k, S.s)
     a = check_criterion_a(g, S, T)
     b = check_criterion_b(g, S, T)
     c = check_criterion_c(g, S, T)
@@ -553,7 +557,7 @@ def check_clique_design(g: Graph, S: CliqueSystem, dset) -> Verdict:
         return Verdict(False, witness=(ci, int(hits[ci])),
                        detail="clique not met exactly once")
     if len(D) < g.num_vertices:
-        th = _theta(_degree(g), S)
+        th = _theta(_degree(g), S.s)
         cr = completely_regular_check(g, D)
         if not (cr.ok and cr.value.rho == 1 and is_matrix_eigenvalue(cr.value, th)):
             raise CrossCheckViolation(

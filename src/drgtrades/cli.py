@@ -340,6 +340,10 @@ def main(argv=None) -> int:
     except NotDistanceRegular as exc:
         print(f"host not distance-regular: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # the arrays that ran out are freed by now, so one line can be printed
+        print(f"error: {getattr(args, 'family', args.verb)}: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -387,16 +387,14 @@ class Graph:
 
         Pairs farther apart than depth, n if not given, stay -1; level 1 pushes
         each source's bit to its neighbors, and level j >= 2 pulls only over the
-        rows within depth - j of verts (after Beamer, Asanovic and Patterson, SC 2012)."""
+        rows within depth - j of verts (after Beamer, Asanovic and Patterson, SC
+        2012), found by a BFS to depth - 2 when that is positive."""
         verts = vertex_indices(self, verts)
         depth = self.num_vertices if depth is None else depth
         m, src = len(verts), np.arange(len(verts))
         word, bit = src // 64, np.uint64(1) << (src % 64).astype(np.uint64)
         reach = np.zeros((self.num_vertices, (m + 63) // 64), dtype="<u8")
         np.bitwise_or.at(reach, (verts, word), bit)
-        pull = np.flatnonzero(self._sizes)              # reduceat needs nonempty rows
-        near = self._bfs(verts, depth=max(0, depth - 2))    # none beyond depth - 2 pull
-        near[near < 0] = depth
         dist = np.full((m, m), -1, dtype=np.int32)
         new, level = reach, 0
         while True:
@@ -405,12 +403,21 @@ class Graph:
             if (dist >= 0).all() or level == depth:
                 return dist
             new = np.zeros_like(reach)
-            rows = pull[near[pull] < depth - level]
-            if not level:       # level 1 pushes instead
-                rows, lens = pull[:0], self._sizes[verts]
+            if not level:       # level 1 pushes
+                lens = self._sizes[verts]
                 np.bitwise_or.at(new, (self._hood(verts), np.repeat(word, lens)),
                                  np.repeat(bit, lens))
-            new[rows] = self._pull(reach, rows)
+            else:
+                if level == 1:  # near[v]: v's distance to verts, depth if over depth - 2
+                    pull = np.flatnonzero(self._sizes)      # reduceat needs nonempty rows
+                    if depth > 2:
+                        near = self._bfs(verts, depth=depth - 2)
+                        near[near < 0] = depth
+                    else:
+                        near = np.full(self.num_vertices, depth, dtype=np.int32)
+                        near[verts] = 0
+                rows = pull[near[pull] < depth - level]
+                new[rows] = self._pull(reach, rows)
             new &= ~reach
             if not new.any():
                 return dist
@@ -713,19 +720,27 @@ def is_isometric_subgraph(g: Graph, verts) -> Verdict:
     """True iff induced-subgraph distances equal host distances on verts, both
     from one bit-parallel BFS (Graph.distances_among); the witness is the
     first pair i < j, row by row, whose distances differ.  On success the
-    value is the induced subgraph, its distance matrix cached.  A subgraph
-    path is a host path, so a connected subgraph's diameter bounds the search."""
+    value is the induced subgraph, its distance matrix cached.
+
+    A subgraph path is a host path, so d_host <= d_sub, and the two agree up
+    to 2 in an induced subgraph; so on a connected subgraph of diameter L a
+    pair the host shortcuts is at most L - 1 apart there.  The host search
+    stops at L - 1 (at 1 when L < 2), and a pair it leaves unreached is at L."""
     sub, back = induced_subgraph(g, verts)
     dsub = sub.distances_among(np.arange(sub.num_vertices))
-    dhost = g.distances_among(back, depth=int(dsub.max()) if (dsub >= 0).all() else None)
-    if (dhost < 0).any():
-        i, j = np.argwhere(dhost < 0)[0].tolist()
-        raise Disconnected(f"vertex {sub.labels[j]!r} unreachable from {sub.labels[i]!r}")
-    bad = np.argwhere(np.triu(dsub != dhost, 1))
-    if not bad.size:
-        sub._dm = dsub          # equal to dhost, so connected
-        return Verdict(True, value=sub)
-    i, j = bad[0].tolist()
+    if (dsub >= 0).all():
+        diam = int(dsub.max())
+        dhost = g.distances_among(back, depth=max(diam - 1, 1))
+        dhost[dhost < 0] = diam
+        if np.array_equal(dsub, dhost):
+            sub._dm = dsub
+            return Verdict(True, value=sub)
+    else:
+        dhost = g.distances_among(back)
+        if (dhost < 0).any():
+            i, j = np.argwhere(dhost < 0)[0].tolist()
+            raise Disconnected(f"vertex {sub.labels[j]!r} unreachable from {sub.labels[i]!r}")
+    i, j = np.argwhere(np.triu(dsub != dhost, 1))[0].tolist()
     dij = int(dsub[i, j])
     return Verdict(False, witness=(sub.labels[i], sub.labels[j], None if dij < 0 else dij,
                                    int(dhost[i, j])),
@@ -787,12 +802,13 @@ def _row_levels(dist: np.ndarray, rows: np.ndarray):
     return lo, up
 
 
-def _uniform_array(g: Graph, dist: np.ndarray, k: int):
-    """(IntersectionArray, None) if shell counts of the k-regular graph g are
-    uniform per distance, else (None, witness).  The counts are compared with
-    those of one vertex per distance at once; only a failure is looked for
-    shell by shell, to name its witness."""
-    fwd, bwd = g._shell_counts(dist)
+def _uniform_array(g: Graph, dist: np.ndarray, k: int, counts):
+    """(IntersectionArray, None) if the shell counts (fwd, bwd) of the
+    k-regular graph g relative to the distance row dist are uniform per
+    distance, else (None, witness).  The counts are compared with those of
+    one vertex per distance at once; only a failure is looked for shell by
+    shell, to name its witness."""
+    fwd, bwd = counts
     rep = np.zeros(int(dist.max()) + 1, dtype=np.int64)
     rep[dist] = np.arange(dist.size)        # a vertex at each distance
     b, c = fwd[rep], bwd[rep]
@@ -818,7 +834,7 @@ def completely_regular_check(g: Graph, C) -> Verdict:
     dist = g.multi_source_distances(C)
     if (dist < 0).any():
         raise Disconnected("set does not reach the whole graph")
-    arr, witness = _uniform_array(g, dist, reg.value)
+    arr, witness = _uniform_array(g, dist, reg.value, g._shell_counts(dist))
     if arr is None:
         return Verdict(False, witness=witness, detail="non-uniform shell counts")
     return Verdict(True, value=arr)
@@ -832,7 +848,8 @@ def distance_regularity_check(g: Graph) -> Verdict:
     When the generators are transitive (_transitive), every singleton is the
     image of {0}, so vertex 0's BFS row is the only row read, in O(E) memory
     at any size; otherwise every row of the distance matrix is, a block of
-    sources at a time."""
+    sources at a time.  Row 0's array is read off the first block's shell
+    counts, which the other rows of that block are then checked against."""
     reg = is_regular(g)
     if not reg.ok:
         return Verdict(False, witness=reg.witness, detail="not regular")
@@ -843,22 +860,25 @@ def distance_regularity_check(g: Graph) -> Verdict:
             raise Disconnected("graph is disconnected")
     else:
         dm = g.distance_matrix()
-    common, witness = _uniform_array(g, dm[0], k)
-    if common is None:
-        return Verdict(False, witness=(g.labels[0],) + witness,
-                       detail="singleton not completely regular")
-    for block in _blocks(len(dm), n * k, start=1):
-        if off := _first_off_row(g, dm[block], common):
+    for block in _blocks(len(dm), n * k):
+        fwd, bwd = counts = g._shell_counts(dm[block])
+        if not block.start:
+            common, witness = _uniform_array(g, dm[0], k, (fwd[0], bwd[0]))
+            if common is None:
+                return Verdict(False, witness=(g.labels[0],) + witness,
+                               detail="singleton not completely regular")
+        if off := _first_off_row(g, dm[block], common, counts):
             x, witness, detail = off
             return Verdict(False, witness=(g.labels[block.start + x],) + witness, detail=detail)
     return Verdict(True, value=common)
 
 
-def _first_off_row(g: Graph, dist: np.ndarray, common: IntersectionArray):
+def _first_off_row(g: Graph, dist: np.ndarray, common: IntersectionArray, counts):
     """None when each distance row of dist, (m, n), has the shell counts of
-    the array common (one _shell_counts call), else (x, witness, detail) for
-    the first row x off it: _uniform_array's witness or both arrays."""
-    fwd, bwd = g._shell_counts(dist)
+    the array common, else (x, witness, detail) for the first row x off it:
+    _uniform_array's witness or both arrays.  counts are the rows' shell
+    counts (fwd, bwd), from one _shell_counts call."""
+    fwd, bwd = counts
     b, c = np.array(common.b + (0,)), np.array((0,) + common.c)
     at = np.minimum(dist, common.rho)
     bad = np.flatnonzero((dist.max(axis=1) != common.rho)
@@ -866,7 +886,7 @@ def _first_off_row(g: Graph, dist: np.ndarray, common: IntersectionArray):
     if not bad.size:
         return None
     x = int(bad[0])
-    arr, witness = _uniform_array(g, dist[x], common.k)
+    arr, witness = _uniform_array(g, dist[x], common.k, (fwd[x], bwd[x]))
     if arr is None:
         return x, witness, "singleton not completely regular"
     return x, (str(arr), str(common)), "intersection array differs between vertices"

@@ -274,7 +274,7 @@ def _center_shells(g, arr, verts, where):
     _shell_counts call on their rows finds them all with the host's array
     arr; else raises naming the first center off it and the host, where."""
     dm = np.stack([g.multi_source_distances([x]) for x in verts])
-    if off := _first_off_row(g, dm, arr):
+    if off := _first_off_row(g, dm, arr, g._shell_counts(dm)):
         x, witness, detail = off
         _check(False, f"{where} x={g.labels[verts[x]]}: {detail} {witness}")
     return [tuple(np.bincount(row).tolist()) for row in dm]

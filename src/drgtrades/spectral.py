@@ -120,10 +120,12 @@ def standard_eigenvector(arr: IntersectionArray, theta) -> tuple[Fraction, ...]:
 
 # --- weight distribution --------------------------------------------------------
 
+@lru_cache(maxsize=1024)
 def wd_coefficients(arr: IntersectionArray, theta) -> tuple[Fraction, ...]:
     """The coefficients W^0..W^rho for an eigenvalue theta: W^0 = 1,
     W^1 = theta, and
-    W^i = ((theta - a_{i-1}) W^{i-1} - b_{i-2} W^{i-2}) / c_i  for i >= 2."""
+    W^i = ((theta - a_{i-1}) W^{i-1} - b_{i-2} W^{i-2}) / c_i  for i >= 2,
+    by the recurrence once per (arr, theta)."""
     th = Fraction(theta)
     w = [Fraction(1), th][:arr.rho + 1]
     for i in range(2, arr.rho + 1):

@@ -265,6 +265,30 @@ def reference_distances(g, x):
     return dist
 
 
+def reference_isometry(g, verts):
+    """is_isometric_subgraph's outcome as (ok, witness, subgraph distance
+    matrix), read off the host's full distance_matrix(), which no depth bound
+    limits: the subgraph's edges are its pairs at host distance 1, and its
+    distances come from boolean matrix powers of that adjacency.  The
+    witness is the first pair i < j, row by row in vertex order, whose
+    distances differ."""
+    back = np.unique(np.asarray(list(verts), dtype=np.int64))
+    dhost = g.distance_matrix()[np.ix_(back, back)]
+    adj = (dhost == 1).astype(np.int64)
+    dsub = np.where(np.eye(len(back), dtype=bool), 0, -1)
+    reach = np.eye(len(back), dtype=bool)
+    for d in range(1, len(back)):
+        wider = reach | (reach.astype(np.int64) @ adj > 0)
+        dsub[wider & ~reach] = d
+        reach = wider
+    for i, j in zip(*np.triu_indices(len(back), 1)):
+        if dsub[i, j] != dhost[i, j]:
+            dij = int(dsub[i, j])
+            return False, (g.labels[int(back[i])], g.labels[int(back[j])],
+                           None if dij < 0 else dij, int(dhost[i, j])), dsub
+    return True, None, dsub
+
+
 def reference_shell_sums(g, values, x, dist=None):
     """sum of values over each distance-i shell of x, by a deque BFS unless
     its distances dist are given."""

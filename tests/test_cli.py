@@ -497,6 +497,17 @@ def test_huge_parameters_are_refused_before_computing(spec):
     assert elapsed < 1.0
 
 
+def test_out_of_memory_ends_in_one_error_line():
+    # under a 1 GiB address space this build passes the cap and runs out of
+    # memory in the subspace enumeration, which ended in a 34-line traceback
+    res = subprocess.run([sys.executable, "-m", "drgtrades", "build", "--family",
+                          "grassmann:9,4,2", "--cap", "4000000"], capture_output=True,
+                         text=True, env=_package_env(), preexec_fn=_limit_address_space,
+                         timeout=120)
+    assert (res.returncode, res.stdout, res.stderr) == (
+        1, "", "error: grassmann:9,4,2: out of memory\n")
+
+
 @pytest.mark.parametrize("verb,spec,rho", [
     ("spectrum", "hamming:99999999999999999999,2", "99999999999999999999"),
     ("wd-bound", "hamming:100000,2", "100000"),

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from drgtrades import families, graphs
 from drgtrades.bitrades import (MIN_BITRADES, Bitrade, check_clique_design,
                                 corrupt_one_vertex, double_johnson_bitrade,
-                                min_bitrade_grassmann)
+                                min_bitrade_grassmann, verify_bitrade)
 from drgtrades.cli import main
 from drgtrades.errors import CrossCheckViolation, Disconnected, UnsupportedFieldOrder
 from drgtrades.gfq import gaussian_binomial, make_field, subspace_bases
@@ -32,6 +32,7 @@ from drgtrades.families import (
     build_hamming,
     build_johnson,
     family_array,
+    grassmann_array,
     parse_family,
 )
 from drgtrades.graphs import (
@@ -54,8 +55,8 @@ from drgtrades.spectral import VertexFunction
 
 from helpers import (clique_pairs, cube_graph, cycle_graph, max_clique_order, neighbor_rows,
                      reference_clique_system, reference_completely_regular,
-                     reference_distances, reference_hits, reference_shell_counts,
-                     reference_sweep, same_csr)
+                     reference_distances, reference_hits, reference_isometry,
+                     reference_shell_counts, reference_sweep, same_csr)
 
 
 def random_connected_graph(rng, n, extra):
@@ -807,6 +808,41 @@ def test_bounded_isometry_search_matches_unbounded(name, params):
     assert bounded >= 1
 
 
+ISOMETRY_HOSTS = [("octahedron", (4,)), ("hamming", (4, 2)), ("hamming", (3, 3)),
+                  ("johnson", (6, 3)), ("johnson", (8, 4)), ("halved_cube", (6,)),
+                  ("shrikhande", ()), ("grassmann", (4, 2, 2)), ("dual_polar_D", (3, 2))]
+
+
+@pytest.mark.parametrize("name,params", ISOMETRY_HOSTS)
+def test_isometry_search_matches_the_full_distance_matrix(name, params):
+    # the host search stops one below the subgraph's diameter; the verdict,
+    # the witness and the cached subgraph matrix must be those read off the
+    # whole host matrix, on sets grown connected and on arbitrary ones
+    g, _ = build_family(name, params)
+    rng = random.Random(f"isometry {name}{params}")
+    sets = []
+    for grown in (True, False) * 150:
+        size = rng.randint(1, min(g.num_vertices, 24))
+        verts = {rng.randrange(g.num_vertices)}
+        while len(verts) < size:
+            pool = (np.unique(g.neighbors_of(sorted(verts))) if grown
+                    else np.arange(g.num_vertices))
+            verts.add(int(rng.choice(pool.tolist())))
+        sets.append(verts)
+    if name in MIN_BITRADES:        # diameter 2 on the octahedron and on J_2(4,2)
+        sets.append(set(MIN_BITRADES[name](*params, host=g).support))
+    outcomes = set()
+    for verts in sets:
+        ok, witness, dsub = reference_isometry(g, verts)
+        v = is_isometric_subgraph(g, verts)
+        assert (v.ok, v.witness) == (ok, witness), sorted(verts)
+        if ok:
+            assert (v.value._dm == dsub).all()
+        outcomes.add((ok, int(dsub.max())))
+    assert {True, False} <= {ok for ok, _ in outcomes}
+    assert (True, 2) in outcomes
+
+
 def test_distances_among_marks_unreachable_pairs():
     # two triangles, isolated vertices c and h, and a path d-e
     g = Graph(list("abcdefghij"), [(0, 1), (1, 5), (0, 5), (3, 4), (6, 8), (8, 9), (6, 9)])
@@ -1468,6 +1504,22 @@ def test_corruption_peak_memory_is_below_a_mebibyte(j273):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_valid_verdict_peak_memory(j273):
+    # the isometry search stops at diameter - 1 = 2 around the 30-vertex
+    # trade, so it pulls no radius-1 ball: 0.42 MiB, against 0.98 MiB when
+    # it searched to the diameter
+    g, S = j273
+    T = min_bitrade_grassmann(7, 3, 2, host=g)
+    tracemalloc.start()
+    try:
+        rep = verify_bitrade(g, S, T, host_array=grassmann_array(7, 3, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.minimal and rep.isometric.ok
+    assert peak < 0.7 * (1 << 20)
 
 
 # --- vertex indices sorted in the narrowest unsigned type ------------------------------
