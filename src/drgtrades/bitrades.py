@@ -137,11 +137,12 @@ class DelsartePairReport:
 
 
 def _degree(g: Graph) -> int:
-    """The common degree the host's construction found; a host that is not
-    regular raises NotDistanceRegular with is_regular's witness."""
-    if g._k is None:
-        raise NotDistanceRegular(str(is_regular(g).witness))
-    return g._k
+    """The host's common degree; a host that is not regular raises
+    NotDistanceRegular with is_regular's witness."""
+    reg = is_regular(g)
+    if not reg.ok:
+        raise NotDistanceRegular(str(reg.witness))
+    return reg.value
 
 
 @lru_cache(maxsize=1024)

@@ -27,13 +27,13 @@ from .errors import CrossCheckViolation, Disconnected
 _GATHER_BLOCK = 1 << 18
 
 
-def _blocks(count: int, width: int, start: int = 0):
-    """Slices of range(start, count) keeping a gather of width entries per
-    item within _GATHER_BLOCK, which bounds the peak memory of every
-    host-sized gather: indexing copies a narrow index block to intp, so
-    1 << 18 entries hold about 3 MB in flight."""
+def _blocks(count: int, width: int):
+    """Slices of range(count) keeping a gather of width entries per item
+    within _GATHER_BLOCK, which bounds the peak memory of every host-sized
+    gather: indexing copies a narrow index block to intp, so 1 << 18
+    entries hold about 3 MB in flight."""
     step = max(1, _GATHER_BLOCK // max(1, width))
-    return (slice(i, min(i + step, count)) for i in range(start, count, step))
+    return (slice(i, min(i + step, count)) for i in range(0, count, step))
 
 
 @dataclass(frozen=True)
@@ -388,7 +388,7 @@ class Graph:
         Pairs farther apart than depth, n if not given, stay -1; level 1 pushes
         each source's bit to its neighbors, and level j >= 2 pulls only over the
         rows within depth - j of verts (after Beamer, Asanovic and Patterson, SC
-        2012), found by a BFS to depth - 2 when that is positive."""
+        2012), found by a BFS to depth - 2 at the first pull."""
         verts = vertex_indices(self, verts)
         depth = self.num_vertices if depth is None else depth
         m, src = len(verts), np.arange(len(verts))
@@ -408,14 +408,10 @@ class Graph:
                 np.bitwise_or.at(new, (self._hood(verts), np.repeat(word, lens)),
                                  np.repeat(bit, lens))
             else:
-                if level == 1:  # near[v]: v's distance to verts, depth if over depth - 2
+                if level == 1:  # none beyond depth - 2 of verts pull
                     pull = np.flatnonzero(self._sizes)      # reduceat needs nonempty rows
-                    if depth > 2:
-                        near = self._bfs(verts, depth=depth - 2)
-                        near[near < 0] = depth
-                    else:
-                        near = np.full(self.num_vertices, depth, dtype=np.int32)
-                        near[verts] = 0
+                    near = self._bfs(verts, depth=max(0, depth - 2))
+                    near[near < 0] = depth
                 rows = pull[near[pull] < depth - level]
                 new[rows] = self._pull(reach, rows)
             new &= ~reach
@@ -849,7 +845,7 @@ def distance_regularity_check(g: Graph) -> Verdict:
     image of {0}, so vertex 0's BFS row is the only row read, in O(E) memory
     at any size; otherwise every row of the distance matrix is, a block of
     sources at a time.  Row 0's array is read off the first block's shell
-    counts, which the other rows of that block are then checked against."""
+    counts, and the block's other rows are checked against it."""
     reg = is_regular(g)
     if not reg.ok:
         return Verdict(False, witness=reg.witness, detail="not regular")
@@ -861,15 +857,17 @@ def distance_regularity_check(g: Graph) -> Verdict:
     else:
         dm = g.distance_matrix()
     for block in _blocks(len(dm), n * k):
-        fwd, bwd = counts = g._shell_counts(dm[block])
-        if not block.start:
-            common, witness = _uniform_array(g, dm[0], k, (fwd[0], bwd[0]))
+        rows, start = dm[block], block.start
+        fwd, bwd = g._shell_counts(rows)
+        if not start:       # row 0 sets the array, and the rest of its block is checked
+            common, witness = _uniform_array(g, rows[0], k, (fwd[0], bwd[0]))
             if common is None:
                 return Verdict(False, witness=(g.labels[0],) + witness,
                                detail="singleton not completely regular")
-        if off := _first_off_row(g, dm[block], common, counts):
+            rows, fwd, bwd, start = rows[1:], fwd[1:], bwd[1:], 1
+        if off := _first_off_row(g, rows, common, (fwd, bwd)):
             x, witness, detail = off
-            return Verdict(False, witness=(g.labels[block.start + x],) + witness, detail=detail)
+            return Verdict(False, witness=(g.labels[start + x],) + witness, detail=detail)
     return Verdict(True, value=common)
 
 
